@@ -118,9 +118,8 @@ def _cmd_weights(args) -> None:
 def _cmd_train(args) -> None:
     train_data, _ = experiment.ingest_csv(args.train)
     test_data, _ = experiment.ingest_csv(args.test)
-    J = max(train_data.n_classes or 2, test_data.n_classes or 2)
-    train_data.n_classes = J
-    test_data.n_classes = J
+    experiment._align_classes(train_data, test_data)
+    J = train_data.n_classes
     w, _ = _weights_from_flags(train_data, args.weights, args.p, args.pk_file)
     cfg = train_mod.TrainConfig(
         lr=args.lr,
@@ -131,8 +130,12 @@ def _cmd_train(args) -> None:
         seed=args.seed,
     )
     top_k = args.top_k if args.top_k is not None else min(5, J)
+    if not 1 <= top_k <= J:  # checked before training, not after it
+        raise ValidationError(f"top-k with k={top_k} invalid for {J} classes")
+    # per-epoch test metrics only feed the --curve file
     params, log = train_mod.fit(
-        train_data, w, args.model, cfg, eval_data=test_data, top_k=top_k
+        train_data, w, args.model, cfg,
+        eval_data=test_data if args.curve else None, top_k=top_k,
     )
     metrics = classification_metrics(
         test_data, train_mod.logits_batch(params, test_data.features), k=top_k

@@ -5,8 +5,10 @@ An :class:`ExperimentSpec` is a plain JSON-serializable document; the
 runner echoes the fully resolved spec (including derived per-replicate
 seeds) next to its results so any bundle can be reproduced byte for byte
 from its own echo.  All randomness flows through seeds derived from
-``base_seed``; the test set is drawn once per experiment, training draws
-vary per replicate.
+``base_seed``; the test set is drawn (or its CSV read, along with the
+training source CSV) once per experiment, training draws vary per
+replicate.  Only replicate 0's learning curves are emitted, so only its
+fits evaluate the test set every epoch.
 
 Reweighting modes
 -----------------
@@ -151,36 +153,34 @@ def _align_classes(a: Dataset, b: Dataset) -> None:
 
 
 @dataclass
+class _Shared:
+    """What every replicate of a run shares, built once before the loop."""
+
+    test: Dataset
+    generator: object  # the scenario's model or spec, or the ingested source Dataset
+    context: dict  # the replicate-independent scenario facts
+
+
+@dataclass
 class _ReplicateData:
     train: Dataset
     test: Dataset
     context: dict  # scenario facts needed by weight modes
 
 
-def _prepare(spec: ExperimentSpec, rep_seed: int, test: Dataset | None):
-    """Build (train, test, context) for one replicate."""
+def _shared_data(spec: ExperimentSpec) -> _Shared:
+    """Ingest or draw the test set and set up the scenario's generator."""
     syn = spec.synthetic
-    if spec.scenario == "class_shift":
+    test_seed = [spec.base_seed, 999]
+    if spec.scenario in ("class_shift", "pu"):
         m = analytic.AnalyticModel(
             alpha=syn.get("alpha", 1.0), beta=syn.get("beta", 1.0), p=syn["p"]
         )
-        p_train = syn["p_train"]
-        if test is None:
-            test = analytic.sample(m, spec.n_test, m.p, [spec.base_seed, 999])
-        trainset = analytic.sample(m, spec.n_train, p_train, [rep_seed, 0])
-        ctx = {"p": m.p, "p_train": p_train, "class_pk": (1.0 - m.p, m.p)}
-        return _ReplicateData(trainset, test, ctx)
-
-    if spec.scenario == "pu":
-        m = analytic.AnalyticModel(
-            alpha=syn.get("alpha", 1.0), beta=syn.get("beta", 1.0), p=syn["p"]
-        )
-        q = syn["q"]
-        if test is None:
-            test = analytic.sample(m, spec.n_test, m.p, [spec.base_seed, 999])
-        trainset = analytic.sample_pu(m, spec.n_train, q, [rep_seed, 0])
-        ctx = {"p": m.p, "q": q}
-        return _ReplicateData(trainset, test, ctx)
+        test = analytic.sample(m, spec.n_test, m.p, test_seed)
+        if spec.scenario == "pu":
+            return _Shared(test, m, {"p": m.p, "q": syn["q"]})
+        ctx = {"p": m.p, "p_train": syn["p_train"], "class_pk": (1.0 - m.p, m.p)}
+        return _Shared(test, m, ctx)
 
     if spec.scenario == "strata_shift":
         if spec.train_csv is not None:
@@ -191,49 +191,51 @@ def _prepare(spec: ExperimentSpec, rep_seed: int, test: Dataset | None):
                 spec.prior.get("pk")
                 or source.stratum_counts() / source.n
             )
+            generator = source
         else:
-            gspec = synthetic.GaussianStrataSpec(
+            generator = synthetic.GaussianStrataSpec(
                 **{k: v for k, v in syn.items() if k != "n_source"}
             )
-            pk = np.asarray(
-                spec.prior.get("pk") or [1.0 / gspec.n_strata] * gspec.n_strata
-            )
-            n_source = syn.get("n_source", 4 * spec.n_train)
-            if test is None:
-                test = synthetic.gaussian_strata_sample(
-                    gspec, spec.n_test, pk, [spec.base_seed, 999]
-                )
-            source = synthetic.gaussian_strata_sample(
-                gspec, n_source, pk, [rep_seed, 0]
-            )
+            K = generator.n_strata
+            pk = np.asarray(spec.prior.get("pk") or [1.0 / K] * K)
+            test = synthetic.gaussian_strata_sample(generator, spec.n_test, pk, test_seed)
         bias = spec.bias_spec()
         if bias is None:
             bias = biasgen.BiasSpec(gamma=1.0)
         if bias.target_pk is None:
             bias = dataclasses.replace(bias, target_pk=tuple(float(v) for v in pk))
         p_prime = biasgen.power_law_distribution(bias, len(pk))
-        trainset = biasgen.subsample_to_distribution(
-            source, p_prime, [rep_seed, 1], max_size=spec.n_train
-        )
-        J = trainset.n_classes
-        ctx = {
-            "pk": pk,
-            "p_prime": p_prime,
-            "class_pk": tuple([1.0 / J] * J),
-        }
-        return _ReplicateData(trainset, test, ctx)
+        return _Shared(test, generator, {"pk": pk, "p_prime": p_prime})
 
     if spec.scenario == "censored":
         cspec = synthetic.CensoredSpec(**syn)
-        if test is None:
-            test = synthetic.censored_test_sample(
-                cspec, spec.n_test, [spec.base_seed, 999]
-            )
-        trainset = synthetic.censored_train_sample(cspec, spec.n_train, [rep_seed, 0])
-        _align_classes(trainset, test)
-        return _ReplicateData(trainset, test, {"censored_spec": cspec})
+        test = synthetic.censored_test_sample(cspec, spec.n_test, test_seed)
+        return _Shared(test, cspec, {"censored_spec": cspec})
 
     raise ValidationError(f"scenario {spec.scenario!r} does not train models")
+
+
+def _prepare(spec: ExperimentSpec, rep_seed: int, shared: _Shared) -> _ReplicateData:
+    """Draw one replicate's training set."""
+    gen, ctx, test = shared.generator, dict(shared.context), shared.test
+    if spec.scenario == "class_shift":
+        trainset = analytic.sample(gen, spec.n_train, ctx["p_train"], [rep_seed, 0])
+    elif spec.scenario == "pu":
+        trainset = analytic.sample_pu(gen, spec.n_train, ctx["q"], [rep_seed, 0])
+    elif spec.scenario == "strata_shift":
+        source = gen  # an ingested train_csv is subsampled as it is
+        if not isinstance(gen, Dataset):
+            n_source = spec.synthetic.get("n_source", 4 * spec.n_train)
+            source = synthetic.gaussian_strata_sample(gen, n_source, ctx["pk"], [rep_seed, 0])
+        trainset = biasgen.subsample_to_distribution(
+            source, ctx["p_prime"], [rep_seed, 1], max_size=spec.n_train
+        )
+        J = trainset.n_classes
+        ctx["class_pk"] = tuple([1.0 / J] * J)
+    else:  # censored
+        trainset = synthetic.censored_train_sample(gen, spec.n_train, [rep_seed, 0])
+        _align_classes(trainset, test)
+    return _ReplicateData(trainset, test, ctx)
 
 
 def _mode_weights(mode: str, data: Dataset, spec: ExperimentSpec, ctx: dict) -> WeightVector:
@@ -307,6 +309,10 @@ def _analytic_excess_bundle(spec: ExperimentSpec) -> dict:
     return {"p": p, "curves": curves}
 
 
+def _failure(replicate: int, mode: str, exc: Exception) -> dict:
+    return {"replicate": replicate, "mode": mode, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute generate/ingest -> bias -> weights -> fit -> evaluate per
     replicate; fully deterministic per base seed."""
@@ -327,35 +333,35 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     }
     curves: dict[str, list] = {}
     realized_p_prime = None
-    test: Dataset | None = None
+    try:
+        shared = _shared_data(spec)
+    except Exception as exc:  # noqa: BLE001 - every replicate reports it
+        bundle["failures"] = [_failure(r, "*", exc) for r in range(len(seeds))]
+        seeds = ()
 
     for r, rep_seed in enumerate(seeds):
         try:
-            rep = _prepare(spec, rep_seed, test)
+            rep = _prepare(spec, rep_seed, shared)
         except Exception as exc:  # noqa: BLE001 - partial completion is reported
-            bundle["failures"].append(
-                {"replicate": r, "mode": "*", "error": f"{type(exc).__name__}: {exc}"}
-            )
+            bundle["failures"].append(_failure(r, "*", exc))
             continue
-        test = rep.test
         if "p_prime" in rep.context:
             realized_p_prime = [float(v) for v in rep.context["p_prime"]]
         for mode in spec.modes:
             try:
                 w = _mode_weights(mode, rep.train, spec, rep.context)
                 cfg = spec.train_config(seed=rep_seed)
+                # only replicate 0's learning curves are kept
                 params, log = train_mod.fit(
                     rep.train, w, spec.model_kind, cfg,
-                    eval_data=rep.test, top_k=spec.top_k,
+                    eval_data=rep.test if r == 0 else None, top_k=spec.top_k,
                 )
                 metrics = classification_metrics(
                     rep.test, train_mod.logits_batch(params, rep.test.features),
                     k=spec.top_k,
                 )
             except Exception as exc:  # noqa: BLE001 - replicate failure is data
-                bundle["failures"].append(
-                    {"replicate": r, "mode": mode, "error": f"{type(exc).__name__}: {exc}"}
-                )
+                bundle["failures"].append(_failure(r, mode, exc))
                 continue
             per_mode[mode]["miss_rate"].append(metrics["miss_rate"])
             per_mode[mode]["top_k_error"].append(metrics["top_k_error"])

@@ -10,6 +10,12 @@ subtraction) and the penalty covers weight matrices only, never biases.
 Updates follow the classical momentum rule v <- momentum*v + lr*grad,
 params <- params - v, with velocity starting at zero.
 
+``fit`` trains on raw row slices of the dataset arrays and runs one
+forward pass per batch for both the objective and its gradient; the
+public ``weighted_objective`` and ``gradient`` check a batch's schema and
+share that same code.  Per-epoch test metrics are computed only when
+``fit`` is given ``eval_data``.
+
 Everything here is single-threaded and bit-reproducible per seed.
 """
 
@@ -117,15 +123,21 @@ def init_params(kind: str, d: int, J: int, cfg: TrainConfig) -> ModelParams:
     )
 
 
+def _forward(params: ModelParams, X: np.ndarray):
+    """Logits, plus the hidden pre-activations and activations of an mlp."""
+    p = params.params
+    if params.kind == "linear":
+        return X @ p["W"] + p["b"], None, None
+    pre = X @ p["W1"] + p["b1"]
+    hidden = np.maximum(pre, 0.0)
+    return hidden @ p["W2"] + p["b2"], pre, hidden
+
+
 def logits_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != params.dims[0]:
         raise SchemaError(f"feature dim {X.shape[1]} != model dim {params.dims[0]}")
-    p = params.params
-    if params.kind == "linear":
-        return X @ p["W"] + p["b"]
-    hidden = np.maximum(X @ p["W1"] + p["b1"], 0.0)
-    return hidden @ p["W2"] + p["b2"]
+    return _forward(params, X)[0]
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -137,51 +149,58 @@ def _penalty(params: ModelParams) -> float:
     return 0.5 * sum(float((params.params[k] ** 2).sum()) for k in params.weight_keys())
 
 
-def weighted_objective(
-    params: ModelParams, batch: Dataset, w: WeightVector, cfg: TrainConfig
-) -> float:
-    """Weighted mean cross-entropy plus the L2 penalty."""
+def _objective_and_gradient(
+    params: ModelParams, X: np.ndarray, y: np.ndarray, w: np.ndarray, cfg: TrainConfig
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Objective and its exact gradient on raw batch arrays, from one
+    forward pass and one log-softmax.  The caller vouches for the schema."""
+    logits, pre, hidden = _forward(params, X)
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("non-finite logits")
+    logp = log_softmax(logits)
+    B = X.shape[0]
+    rows = np.arange(B)
+    objective = float(np.mean(w * -logp[rows, y]) + cfg.weight_decay * _penalty(params))
+
+    probs = np.exp(logp)
+    probs[rows, y] -= 1.0
+    gout = probs * (w / B)[:, None]  # d(objective)/d(logits)
+    wd = cfg.weight_decay
+    p = params.params
+    if params.kind == "linear":
+        return objective, {"W": X.T @ gout + wd * p["W"], "b": gout.sum(axis=0)}
+    ghid = (gout @ p["W2"].T) * (pre > 0.0)
+    return objective, {
+        "W1": X.T @ ghid + wd * p["W1"],
+        "b1": ghid.sum(axis=0),
+        "W2": hidden.T @ gout + wd * p["W2"],
+        "b2": gout.sum(axis=0),
+    }
+
+
+def _check_batch(params: ModelParams, batch: Dataset, w: WeightVector) -> None:
     if batch.labels is None:
         raise SchemaError("training batch needs labels")
     if len(w) != batch.n:
         raise SchemaError("weights must match the batch size")
-    logits = logits_batch(params, batch.features)
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits")
-    ce = -log_softmax(logits)[np.arange(batch.n), batch.labels]
-    return float(np.mean(w.weights * ce) + cfg.weight_decay * _penalty(params))
+    if batch.d != params.dims[0]:
+        raise SchemaError(f"feature dim {batch.d} != model dim {params.dims[0]}")
+
+
+def weighted_objective(
+    params: ModelParams, batch: Dataset, w: WeightVector, cfg: TrainConfig
+) -> float:
+    """Weighted mean cross-entropy plus the L2 penalty."""
+    _check_batch(params, batch, w)
+    return _objective_and_gradient(params, batch.features, batch.labels, w.weights, cfg)[0]
 
 
 def gradient(
     params: ModelParams, batch: Dataset, w: WeightVector, cfg: TrainConfig
 ) -> dict[str, np.ndarray]:
     """Exact gradient of :func:`weighted_objective`, keyed like params."""
-    if batch.labels is None:
-        raise SchemaError("training batch needs labels")
-    if len(w) != batch.n:
-        raise SchemaError("weights must match the batch size")
-    X = batch.features
-    y = batch.labels
-    B = batch.n
-    p = params.params
-    logits = logits_batch(params, X)
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits")
-    probs = np.exp(log_softmax(logits))
-    probs[np.arange(B), y] -= 1.0
-    gout = probs * (w.weights / B)[:, None]  # d(objective)/d(logits)
-    wd = cfg.weight_decay
-    if params.kind == "linear":
-        return {"W": X.T @ gout + wd * p["W"], "b": gout.sum(axis=0)}
-    pre = X @ p["W1"] + p["b1"]
-    hidden = np.maximum(pre, 0.0)
-    ghid = (gout @ p["W2"].T) * (pre > 0.0)
-    return {
-        "W1": X.T @ ghid + wd * p["W1"],
-        "b1": ghid.sum(axis=0),
-        "W2": hidden.T @ gout + wd * p["W2"],
-        "b2": gout.sum(axis=0),
-    }
+    _check_batch(params, batch, w)
+    return _objective_and_gradient(params, batch.features, batch.labels, w.weights, cfg)[1]
 
 
 def momentum_step(
@@ -202,7 +221,11 @@ def zero_velocity(params: ModelParams) -> dict[str, np.ndarray]:
 
 @dataclass
 class TrainingLog:
-    """Per-epoch trace: mean batch objective plus end-of-epoch metrics."""
+    """Per-epoch trace: mean batch objective plus end-of-epoch metrics.
+
+    The metric lists stay empty when ``fit`` ran without ``eval_data``;
+    ``rows`` then yields nothing.
+    """
 
     epochs: list[int] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
@@ -223,10 +246,12 @@ def fit(
 ) -> tuple[ModelParams, TrainingLog]:
     """Momentum batch gradient descent over seeded epoch shuffles.
 
-    The log records, per epoch, the mean weighted batch objective and the
-    miss / top-k error on ``eval_data`` (the training set when None).
-    The final short batch of an epoch is kept, averaged over its actual
-    size.  Numeric failures abort with the epoch and batch index.
+    The log records, per epoch, the mean weighted batch objective and,
+    when ``eval_data`` is given, the miss / top-k error on it; with
+    ``eval_data=None`` nothing is evaluated and those lists stay empty.
+    Evaluation never changes the trained parameters.  The final short
+    batch of an epoch is kept, averaged over its actual size.  Numeric
+    failures abort with the epoch and batch index.
     """
     if data.labels is None:
         raise SchemaError("training data needs labels")
@@ -236,31 +261,33 @@ def fit(
     velocity = zero_velocity(params)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     log = TrainingLog()
-    monitor = eval_data if eval_data is not None else data
+    X, y, weights = data.features, data.labels, w.weights
 
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(data.n)
         batch_objectives = []
         for start in range(0, data.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch = data.take(idx)
-            bw = WeightVector(w.weights[idx])
             try:
-                batch_objectives.append(weighted_objective(params, batch, bw, cfg))
-                grad = gradient(params, batch, bw, cfg)
+                objective, grad = _objective_and_gradient(
+                    params, X[idx], y[idx], weights[idx], cfg
+                )
             except NumericError as exc:
                 raise NumericError(
                     f"{exc} (epoch {epoch}, batch {start // cfg.batch_size})"
                 ) from exc
+            batch_objectives.append(objective)
             params, velocity = momentum_step(params, velocity, grad, cfg)
+        log.epochs.append(epoch)
+        log.objective.append(float(np.mean(batch_objectives)))
+        if eval_data is None:
+            continue
         try:
             metrics = classification_metrics(
-                monitor, logits_batch(params, monitor.features), k=top_k
+                eval_data, logits_batch(params, eval_data.features), k=top_k
             )
         except NumericError as exc:
             raise NumericError(f"{exc} (epoch {epoch}, evaluation)") from exc
-        log.epochs.append(epoch)
-        log.objective.append(float(np.mean(batch_objectives)))
         log.miss_rate.append(metrics["miss_rate"])
         log.top_k_error.append(metrics["top_k_error"])
     return params, log

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from werm import train as train_mod
 from werm.cli import main
 from werm.core import read_csv
 
@@ -190,6 +191,16 @@ class TestTrainCommand:
         rows = curve.read_text().splitlines()
         assert rows[0] == "epoch,objective,miss_rate,top_k_error"
         assert len(rows) == 6
+
+    def test_bad_top_k_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        train_csv = write_binary_csv(tmp_path / "train.csv", n=50, seed=8)
+        monkeypatch.setattr(train_mod, "fit", lambda *a, **k: pytest.fail("trained"))
+        code, _, err = run_cli(
+            capsys, "train", "--train", str(train_csv), "--test", str(train_csv),
+            "--top-k", "3",
+        )
+        assert code == 2
+        assert "top-k" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_exits_3(self, tmp_path, capsys):

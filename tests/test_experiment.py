@@ -1,12 +1,14 @@
 """Experiment runner: determinism, reproducibility from the echoed spec,
 scenario structure, and emission contracts."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from werm.core import ValidationError
+from werm import synthetic, train as train_mod
+from werm.core import ValidationError, write_csv
 from werm.experiment import ExperimentSpec, emit_results, ingest_csv, run_experiment
 
 FAST_TRAIN = {"lr": 0.05, "epochs": 4, "batch_size": 200}
@@ -77,6 +79,74 @@ class TestRunDeterminism:
         assert (tmp_path / "a" / "results.json").read_bytes() == (
             tmp_path / "b" / "results.json"
         ).read_bytes()
+
+
+def tree_digest(directory):
+    """SHA-256 over the relative paths and bytes of every file below directory."""
+    h = hashlib.sha256()
+    for path in sorted(directory.rglob("*")):
+        if path.is_file():
+            h.update(path.relative_to(directory).as_posix().encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def small_csv_spec(tmp_path, monkeypatch):
+    """A strata_shift spec over train/test CSVs written next to it, named
+    by relative path so the echoed spec does not depend on tmp_path."""
+    gspec = synthetic.GaussianStrataSpec(n_strata=4, n_classes=3)
+    pk = [0.25] * 4
+    monkeypatch.chdir(tmp_path)
+    write_csv(synthetic.gaussian_strata_sample(gspec, 1500, pk, [3, 0]), "train.csv")
+    write_csv(synthetic.gaussian_strata_sample(gspec, 500, pk, [3, 1]), "test.csv")
+    return ExperimentSpec(
+        scenario="strata_shift",
+        modes=("uniform", "strata", "oracle"),
+        replicates=3,
+        base_seed=9,
+        n_train=400,
+        train=FAST_TRAIN,
+        bias={"gamma": 0.3, "permutation": "identity"},
+        top_k=2,
+        train_csv="train.csv",
+        test_csv="test.csv",
+    )
+
+
+class TestEmittedBytes:
+    """The emitted trees are pinned to the bytes werm wrote before training
+    moved onto raw arrays and shared data were drawn once per run (digests
+    taken with numpy 2.4 and OpenBLAS; another BLAS build may differ in the
+    last bits)."""
+
+    SYNTHETIC = "2b294523c5d1c7507709d8ac219dd085004d5c3c7ac5831bb46e4d47c4fd20fd"
+    CSV = "d6e36445023e2a28d01b66689f64f082ea598dfbaf77bde60462653d48aac10b"
+
+    def test_synthetic_strata_tree(self, tmp_path):
+        emit_results(run_experiment(small_strata_spec()), tmp_path / "out")
+        assert tree_digest(tmp_path / "out") == self.SYNTHETIC
+
+    def test_csv_strata_tree(self, tmp_path, monkeypatch):
+        spec = small_csv_spec(tmp_path, monkeypatch)
+        emit_results(run_experiment(spec), tmp_path / "out")
+        assert tree_digest(tmp_path / "out") == self.CSV
+
+
+class TestEvaluationCount:
+    def test_only_the_curve_replicate_is_evaluated_per_epoch(self, monkeypatch):
+        calls = []
+        real = train_mod.classification_metrics
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "classification_metrics", counting)
+        spec = small_strata_spec()
+        bundle = run_experiment(spec)
+        assert bundle["failures"] == []
+        assert len(calls) == spec.train["epochs"] * len(spec.modes)
+        assert all(len(rows) == spec.train["epochs"] for rows in bundle["curves"].values())
 
 
 class TestScenarios:

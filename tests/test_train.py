@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from werm.core import Dataset, NumericError, ValidationError, WeightVector
+from werm.core import Dataset, NumericError, SchemaError, ValidationError, WeightVector
 from werm.train import (
     ModelParams,
     TrainConfig,
@@ -69,6 +69,28 @@ def fd_gradient(params, batch, w, cfg, step=1e-5):
             gflat[i] = (hi - lo) / (2 * step)
         out[key] = g
     return out
+
+
+def reference_fit(data, w, kind, cfg):
+    """The training loop as it stood before fit moved onto raw arrays:
+    a validated Dataset and WeightVector per batch, and separate objective
+    and gradient passes."""
+    params = init_params(kind, data.d, data.n_classes, cfg)
+    velocity = zero_velocity(params)
+    shuffle_rng = np.random.default_rng([cfg.seed, 1])
+    objectives = []
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(data.n)
+        batch_objectives = []
+        for start in range(0, data.n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            batch = data.take(idx)
+            bw = WeightVector(w.weights[idx])
+            batch_objectives.append(weighted_objective(params, batch, bw, cfg))
+            grad = gradient(params, batch, bw, cfg)
+            params, velocity = momentum_step(params, velocity, grad, cfg)
+        objectives.append(float(np.mean(batch_objectives)))
+    return params, objectives
 
 
 class TestInit:
@@ -160,6 +182,36 @@ class TestObjective:
         assert val == pytest.approx(0.5 * 4.0)  # only W enters the penalty
 
 
+class TestBatchChecks:
+    """The public objective and gradient keep their schema checks even
+    though fit bypasses them."""
+
+    @pytest.fixture
+    def setup(self):
+        cfg = TrainConfig(seed=0)
+        return init_params("mlp", 2, 2, cfg), blob_dataset(n=8), cfg
+
+    @pytest.mark.parametrize("fn", [weighted_objective, gradient])
+    def test_batch_without_labels(self, setup, fn):
+        params, batch, cfg = setup
+        unlabeled = Dataset(features=batch.features)
+        with pytest.raises(SchemaError, match="labels"):
+            fn(params, unlabeled, WeightVector.ones(batch.n), cfg)
+
+    @pytest.mark.parametrize("fn", [weighted_objective, gradient])
+    def test_weight_length_mismatch(self, setup, fn):
+        params, batch, cfg = setup
+        with pytest.raises(SchemaError, match="weights"):
+            fn(params, batch, WeightVector.ones(batch.n + 1), cfg)
+
+    @pytest.mark.parametrize("fn", [weighted_objective, gradient])
+    def test_feature_dim_mismatch(self, setup, fn):
+        params, batch, cfg = setup
+        wide = Dataset(features=np.ones((batch.n, 3)), labels=batch.labels, n_classes=2)
+        with pytest.raises(SchemaError, match="feature dim"):
+            fn(params, wide, WeightVector.ones(batch.n), cfg)
+
+
 class TestGradient:
     def test_zero_weights_zero_decay_zero_grad(self):
         rng = np.random.default_rng(4)
@@ -241,11 +293,13 @@ class TestFit:
 
     def test_bitwise_deterministic(self):
         data = blob_dataset(seed=5)
+        test = blob_dataset(seed=16)
         cfg = TrainConfig(lr=0.01, epochs=4, batch_size=16, seed=6)
         w = WeightVector.ones(data.n)
-        p1, log1 = fit(data, w, "mlp", cfg)
-        p2, log2 = fit(data, w, "mlp", cfg)
+        p1, log1 = fit(data, w, "mlp", cfg, eval_data=test)
+        p2, log2 = fit(data, w, "mlp", cfg, eval_data=test)
         assert log1.objective == log2.objective
+        assert len(log1.miss_rate) == 4
         assert log1.miss_rate == log2.miss_rate
         for k in p1.params:
             np.testing.assert_array_equal(p1.params[k], p2.params[k])
@@ -283,9 +337,45 @@ class TestFit:
         assert len(log.miss_rate) == 3
         assert all(0.0 <= m <= 1.0 for m in log.miss_rate)
 
+    def test_without_eval_data_nothing_is_evaluated(self):
+        train = blob_dataset(seed=17)
+        test = blob_dataset(seed=18)
+        cfg = TrainConfig(lr=0.05, epochs=3, batch_size=25, seed=19)
+        w = WeightVector.ones(train.n)
+        p_lean, log_lean = fit(train, w, "mlp", cfg)
+        p_eval, log_eval = fit(train, w, "mlp", cfg, eval_data=test)
+        for k in p_eval.params:
+            np.testing.assert_array_equal(p_lean.params[k], p_eval.params[k])
+        assert log_lean.objective == log_eval.objective
+        assert log_lean.epochs == [0, 1, 2]
+        assert log_lean.miss_rate == [] and log_lean.top_k_error == []
+        assert list(log_lean.rows()) == []
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_reports_location(self):
         data = blob_dataset(seed=14)
         cfg = TrainConfig(lr=1e18, epochs=30, batch_size=60, seed=15, weight_decay=1.0)
-        with pytest.raises(NumericError, match="epoch"):
+        with pytest.raises(NumericError, match=r"non-finite logits \(epoch \d+, batch 0\)"):
             fit(data, WeightVector.ones(data.n), "linear", cfg)
+
+
+class TestFitMatchesReferenceLoop:
+    """fit on raw arrays is bit-identical to the per-batch Dataset loop."""
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("weights", ["random", "some_zero", "all_zero"])
+    def test_params_and_objective(self, kind, weights):
+        data = blob_dataset(n=53, seed=20)  # 53 % 10 != 0: a short final batch
+        rng = np.random.default_rng(21)
+        w = rng.uniform(0.0, 3.0, data.n)
+        if weights == "some_zero":
+            w[::3] = 0.0
+        elif weights == "all_zero":
+            w[:] = 0.0
+        cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3,
+                          epochs=5, batch_size=10, seed=22, init_std=0.1)
+        params, log = fit(data, WeightVector(w), kind, cfg)
+        ref_params, ref_objective = reference_fit(data, WeightVector(w), kind, cfg)
+        for k in ref_params.params:
+            np.testing.assert_array_equal(params.params[k], ref_params.params[k])
+        np.testing.assert_array_equal(log.objective, ref_objective)
