@@ -16,7 +16,6 @@ from .core import (
     LossSpec,
     NumericError,
     PositivityViolationError,
-    Record,
     SchemaError,
     ValidationError,
     WeightVector,
@@ -49,7 +48,6 @@ from .analytic import (
     optimal_threshold,
     sample,
     sample_pu,
-    threshold_loss,
     true_eta,
     true_risk,
 )
@@ -74,7 +72,6 @@ from .train import (
     ModelParams,
     TrainConfig,
     fit,
-    forward,
     gradient,
     init_params,
     momentum_step,

@@ -10,15 +10,9 @@ exact risk is
 which this module evaluates, minimizes, and samples from.  It is the
 ground-truth oracle behind every statistical test in the repo: risks are
 exact, optimal thresholds are exact (or solved to 1e-10), and samplers
-use inverse-CDF draws.
-
-Sign convention: the raw indicator form of the threshold loss is
-ambiguous at x == theta and its orientation is opposite to the risk
-formula above.  :func:`threshold_loss` implements the flipped
-orientation (an error for positives at or above theta), matching the
-indicator reading; everything statistical uses the ``threshold-sign``
-loss of :mod:`werm.core` with ``positive_above=True``, whose population
-mean is exactly R(theta).  The two are pointwise complementary.
+use inverse-CDF draws.  The per-record loss of that rule is the
+``threshold-sign`` loss of :mod:`werm.core` (a record at x == theta is
+predicted positive); its population mean is exactly R(theta).
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, DomainError, Record, SchemaError, ValidationError
+from .core import Dataset, DomainError, ValidationError
 from .weights import EtaEstimate
 
 __all__ = [
@@ -39,7 +33,6 @@ __all__ = [
     "excess_error",
     "sample",
     "sample_pu",
-    "threshold_loss",
     "true_eta",
     "risk_curve",
     "excess_curve",
@@ -180,23 +173,6 @@ def sample_pu(m: AnalyticModel, n: int, q: float, seed) -> Dataset:
     u = rng.random(n)
     x = np.where(labeled | from_pos, _draw_positive(m, u), _draw_negative(m, u))
     return Dataset(features=x[:, None], labels=labeled.astype(int), n_classes=2)
-
-
-def threshold_loss(theta: float, record: Record) -> int:
-    """Indicator-form threshold loss: positives at or above theta err.
-
-    Equivalently the 0/1 error of the rule that predicts the negative
-    class at x >= theta.  Its population mean is 1 - true_risk(theta);
-    use the ``threshold-sign`` loss of :mod:`werm.core` when estimating
-    the risk itself.
-    """
-    feats = np.atleast_1d(record.features)
-    if feats.size != 1:
-        raise SchemaError("threshold loss needs a scalar feature")
-    if record.label not in (0, 1):
-        raise SchemaError("threshold loss needs a binary label")
-    above = float(feats[0]) >= theta
-    return int(above if record.label == 1 else not above)
 
 
 def true_eta(m: AnalyticModel) -> EtaEstimate:

@@ -7,22 +7,19 @@ Given a dataset with strata and its original stratum distribution
 
 for a permutation sigma of {1..K} and a bias knob gamma in (0, 1]
 (gamma = 1 leaves the distribution untouched, small gamma is extreme
-bias).  An alternative exponent form 1 - floor(K/2)/sigma(k) is kept
-behind ``exponent_style="main_text"``; the default ``"appendix"`` form
-above is the one the subsampler targets.
+bias).  The paper's main text prints the exponent as
+1 - floor(K/2)/sigma(k); that differs by the global factor gamma, which
+the renormalization removes, so both forms give the same p'.
 
 The subsampler then repeatedly draws a stratum from p', moves one
 uniformly random not-yet-taken record of that stratum into the output,
-and halts the first time the drawn stratum has no records left.  The
-literal loop is the default; ``method="fast"`` pre-draws the stratum
-sequence and consumes per-stratum shuffles, which is distributionally
-equivalent (not sample-path identical) and noticeably quicker on large
-inputs.
+and halts the first time the drawn stratum has no records left.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,9 +40,6 @@ __all__ = [
     "total_variation",
 ]
 
-EXPONENT_STYLES = ("appendix", "main_text")
-
-
 @dataclass(frozen=True)
 class BiasSpec:
     """Bias knob gamma, stratum permutation, and the original distribution.
@@ -61,7 +55,6 @@ class BiasSpec:
     permutation: str | tuple[int, ...] = "identity"
     perm_seed: int | None = None
     target_pk: tuple[float, ...] | None = None
-    exponent_style: str = "appendix"
 
     def __post_init__(self):
         if self.gamma <= 0.0:
@@ -77,8 +70,6 @@ class BiasSpec:
                 raise ValidationError("random permutation needs perm_seed")
         else:
             object.__setattr__(self, "permutation", tuple(int(v) for v in self.permutation))
-        if self.exponent_style not in EXPONENT_STYLES:
-            raise ValidationError(f"exponent_style must be one of {EXPONENT_STYLES}")
         if self.target_pk is not None:
             pk = np.asarray(self.target_pk, dtype=float)
             if pk.min() < 0 or abs(pk.sum() - 1.0) > 1e-12:
@@ -111,8 +102,6 @@ def power_law_distribution(spec: BiasSpec, K: int) -> np.ndarray:
         return pk.copy()
     sigma = resolve_permutation(spec, K)
     exponent = -float(K // 2) / sigma
-    if spec.exponent_style == "main_text":
-        exponent = 1.0 + exponent
     scaled = pk * spec.gamma**exponent
     return scaled / scaled.sum()
 
@@ -142,62 +131,36 @@ def subsample_to_distribution(
     p_prime,
     seed,
     max_size: int | None = None,
-    method: str = "literal",
 ) -> Dataset:
     """Draw records stratum-by-stratum until a drawn stratum runs dry.
 
     Output record order is draw order; each source record appears at
-    most once.  Deterministic given (data, p_prime, seed, method).
-    ``max_size`` truncates the output early.
+    most once.  Deterministic given (data, p_prime, seed).  ``max_size``
+    truncates the output early.
     """
     p_prime = np.asarray(p_prime, dtype=float)
     pools = _check_pools(data, p_prime)
-    if method not in ("literal", "fast"):
-        raise ValidationError("method must be 'literal' or 'fast'")
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(p_prime)
-    K = p_prime.size
-
-    if method == "literal":
-        sizes = [pool.size for pool in pools]
-        pools = [pool.copy() for pool in pools]
-        chosen: list[int] = []
-        limit = data.n if max_size is None else min(max_size, data.n)
-        while len(chosen) < limit:
-            k = min(int(np.searchsorted(cum, rng.random(), side="right")), K - 1)
-            if sizes[k] == 0:
-                break
-            j = int(rng.integers(sizes[k]))
-            chosen.append(int(pools[k][j]))
-            pools[k][j] = pools[k][sizes[k] - 1]
-            sizes[k] -= 1
-        if not chosen:
-            raise ValidationError("subsample stopped before drawing any record")
-        return data.take(chosen)
-
-    # fast: pre-draw the stratum sequence, then realize per-stratum picks
-    m = data.n + 1
-    ks = np.minimum(np.searchsorted(cum, rng.random(m), side="right"), K - 1)
-    stop = m
-    for k in range(K):
-        hits = np.flatnonzero(ks == k)
-        if hits.size > pools[k].size:
-            stop = min(stop, int(hits[pools[k].size]))
-    if max_size is not None:
-        stop = min(stop, max_size)
-    if stop == 0:
+    cum = np.cumsum(p_prime).tolist()
+    last = p_prime.size - 1
+    sizes = [pool.size for pool in pools]
+    chosen: list[int] = []
+    limit = data.n if max_size is None else min(max_size, data.n)
+    while len(chosen) < limit:
+        k = min(bisect.bisect_right(cum, rng.random()), last)
+        if sizes[k] == 0:
+            break
+        j = int(rng.integers(sizes[k]))
+        chosen.append(int(pools[k][j]))
+        pools[k][j] = pools[k][sizes[k] - 1]
+        sizes[k] -= 1
+    if not chosen:
         raise ValidationError("subsample stopped before drawing any record")
-    ks = ks[:stop]
-    chosen_arr = np.empty(stop, dtype=int)
-    for k in range(K):
-        pos = np.flatnonzero(ks == k)
-        if pos.size:
-            chosen_arr[pos] = rng.permutation(pools[k])[: pos.size]
-    return data.take(chosen_arr)
+    return data.take(chosen)
 
 
 def apply_bias(
-    data: Dataset, spec: BiasSpec, seed, max_size: int | None = None, method: str = "literal"
+    data: Dataset, spec: BiasSpec, seed, max_size: int | None = None
 ) -> tuple[Dataset, np.ndarray]:
     """Build p' from the bias settings (filling target_pk from the data
     when absent) and subsample; returns (biased dataset, realized p')."""
@@ -205,14 +168,7 @@ def apply_bias(
         raise SchemaError("dataset has no strata")
     if spec.target_pk is None:
         counts = data.stratum_counts()
-        pk = counts / counts.sum()
-        spec = BiasSpec(
-            gamma=spec.gamma,
-            permutation=spec.permutation,
-            perm_seed=spec.perm_seed,
-            target_pk=tuple(pk),
-            exponent_style=spec.exponent_style,
-        )
+        spec = replace(spec, target_pk=tuple(counts / counts.sum()))
     p_prime = power_law_distribution(spec, data.n_strata)
-    out = subsample_to_distribution(data, p_prime, seed, max_size=max_size, method=method)
+    out = subsample_to_distribution(data, p_prime, seed, max_size=max_size)
     return out, p_prime

@@ -80,7 +80,6 @@ class BoundInputs:
     max_pk: float | None = None
     K: int | None = None
     rademacher: float = 0.0
-    zeta: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -101,8 +100,6 @@ class BoundInputs:
             raise ValidationError("K must be >= 1")
         if self.rademacher < 0:
             raise ValidationError("rademacher must be >= 0")
-        if self.zeta is not None and self.zeta < 0:
-            raise ValidationError("zeta must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,11 @@ Subcommands: ``analytic``, ``biasgen``, ``weights``, ``train``,
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 
-import numpy as np
-
-from . import biasgen, bounds as bounds_mod, experiment, train as train_mod, weights as weights_mod
+from . import biasgen, bounds as bounds_mod, experiment, train as train_mod
 from .core import (
     Dataset,
     NumericError,
@@ -41,28 +39,14 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _weights_from_flags(data: Dataset, mode: str, p, pk_file):
+def _weights_from_flags(data: Dataset, mode: str, args) -> tuple[WeightVector, dict]:
+    """Weights of a mode of :data:`experiment.MODE_WEIGHTS`, with ``--p`` and
+    ``--pk-file`` as its context; mode ``none`` is all-ones.  Returns the
+    weights and the context, which then holds what the mode fitted."""
     if mode == "none":
-        return WeightVector.ones(data.n), None
-    if mode == "class":
-        if p is None:
-            raise ValidationError("--weights class needs --p")
-        return weights_mod.class_shift_weights(data, weights_mod.TargetPrior(p=p)), None
-    if mode == "strata":
-        if pk_file is None:
-            raise ValidationError("--weights strata needs --pk-file")
-        prior = weights_mod.TargetPrior(pk=_load_pk(pk_file))
-        return weights_mod.stratum_shift_weights(data, prior), None
-    if mode == "pu":
-        if p is None:
-            raise ValidationError("--weights pu needs --p")
-        return weights_mod.pu_weights(data, weights_mod.TargetPrior(p=p)), None
-    if mode == "ipcw":
-        if data.times is None:
-            raise ValidationError("--weights ipcw needs t and e columns")
-        km = weights_mod.km_fit(data.times, ~data.events)
-        return weights_mod.ipcw_weights(data, km), km
-    raise ValidationError(f"unknown weights mode {mode!r}")
+        return WeightVector.ones(data.n), {}
+    ctx = {"p": args.p, "pk": None if args.pk_file is None else _load_pk(args.pk_file)}
+    return experiment.MODE_WEIGHTS[mode](data, ctx), ctx
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +55,6 @@ def _weights_from_flags(data: Dataset, mode: str, p, pk_file):
 
 
 def _cmd_analytic(args) -> None:
-    if args.out is None:
-        raise ValidationError("analytic needs --out")
     spec = experiment.ExperimentSpec(
         scenario="analytic_excess",
         synthetic={"p": args.p},
@@ -90,7 +72,6 @@ def _cmd_biasgen(args) -> None:
         gamma=args.gamma,
         permutation="identity" if args.identity or args.perm_seed is None else "random",
         perm_seed=args.perm_seed,
-        exponent_style=args.exponent_style,
     )
     out, p_prime = biasgen.apply_bias(
         data, spec, seed=args.seed, max_size=args.max_size
@@ -108,10 +89,10 @@ def _cmd_biasgen(args) -> None:
 
 def _cmd_weights(args) -> None:
     data, report = experiment.ingest_csv(args.infile)
-    w, km = _weights_from_flags(data, args.mode, args.p, args.pk_file)
+    w, ctx = _weights_from_flags(data, args.mode, args)
     w.to_csv(args.outfile)
-    if km is not None and args.km_out:
-        km.to_csv(args.km_out)
+    if "km" in ctx and args.km_out:
+        ctx["km"].to_csv(args.km_out)
     _emit({"mode": args.mode, "n": data.n, "mean_weight": w.mean, "load": report})
 
 
@@ -120,7 +101,7 @@ def _cmd_train(args) -> None:
     test_data, _ = experiment.ingest_csv(args.test)
     experiment._align_classes(train_data, test_data)
     J = train_data.n_classes
-    w, _ = _weights_from_flags(train_data, args.weights, args.p, args.pk_file)
+    w, _ = _weights_from_flags(train_data, args.weights, args)
     cfg = train_mod.TrainConfig(
         lr=args.lr,
         momentum=args.momentum,
@@ -141,11 +122,7 @@ def _cmd_train(args) -> None:
         test_data, train_mod.logits_batch(params, test_data.features), k=top_k
     )
     if args.curve:
-        with open(args.curve, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "objective", "miss_rate", "top_k_error"])
-            for row in log.rows():
-                writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
+        experiment.write_curve(args.curve, log.rows())
     _emit(
         {
             "miss_rate": metrics["miss_rate"],
@@ -159,15 +136,7 @@ def _cmd_train(args) -> None:
 
 def _cmd_bounds(args) -> None:
     inputs = bounds_mod.BoundInputs(
-        n=args.n,
-        delta=args.delta,
-        epsilon=args.epsilon,
-        L=args.L,
-        phi_sup=args.phi_sup,
-        p=args.p,
-        max_pk=args.max_pk,
-        K=args.K,
-        rademacher=args.rademacher,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(bounds_mod.BoundInputs)}
     )
     if args.kind in bounds_mod.DEVIATION_BOUND_KINDS:
         res = bounds_mod.deviation_bound(args.kind, inputs)
@@ -238,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = pb.add_mutually_exclusive_group()
     group.add_argument("--identity", action="store_true", help="identity permutation")
     group.add_argument("--perm-seed", type=int, help="seed for a random permutation")
-    pb.add_argument("--exponent-style", choices=biasgen.EXPONENT_STYLES, default="appendix")
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--max-size", type=int, default=None)
     pb.set_defaults(func=_cmd_biasgen)

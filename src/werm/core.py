@@ -24,8 +24,8 @@ A missing optional column means the field is absent for every record.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "EmptyStratumError",
     "PositivityViolationError",
     "NumericError",
-    "Record",
     "Dataset",
     "WeightVector",
     "LossSpec",
@@ -50,6 +49,7 @@ __all__ = [
     "log_softmax",
     "read_csv",
     "write_csv",
+    "write_rows",
 ]
 
 
@@ -112,17 +112,6 @@ class NumericError(WermError):
 # ---------------------------------------------------------------------------
 # Data containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Record:
-    """One observation: features plus optional label / stratum / survival fields."""
-
-    features: np.ndarray
-    label: int | None = None
-    stratum: int | None = None
-    time: float | None = None
-    event: bool | None = None
 
 
 @dataclass
@@ -208,11 +197,6 @@ class Dataset:
 
     # -- counts ---------------------------------------------------------------
 
-    def class_counts(self) -> np.ndarray:
-        if self.labels is None:
-            raise SchemaError("dataset has no labels")
-        return np.bincount(self.labels, minlength=self.n_classes)
-
     def stratum_counts(self) -> np.ndarray:
         if self.strata is None:
             raise SchemaError("dataset has no strata")
@@ -225,19 +209,7 @@ class Dataset:
             raise SchemaError("dataset has no labels")
         return int(np.sum(self.labels == 1))
 
-    # -- record views ----------------------------------------------------------
-
-    def record(self, i: int) -> Record:
-        return Record(
-            features=self.features[i],
-            label=None if self.labels is None else int(self.labels[i]),
-            stratum=None if self.strata is None else int(self.strata[i]),
-            time=None if self.times is None else float(self.times[i]),
-            event=None if self.events is None else bool(self.events[i]),
-        )
-
-    def records(self) -> Iterator[Record]:
-        return (self.record(i) for i in range(self.n))
+    # -- row subsets -----------------------------------------------------------
 
     def take(self, indices: Sequence[int]) -> "Dataset":
         """Row subset (in the given order), keeping J and K."""
@@ -250,30 +222,6 @@ class Dataset:
             events=None if self.events is None else self.events[idx],
             n_classes=self.n_classes,
             n_strata=self.n_strata,
-        )
-
-    @staticmethod
-    def from_records(records: Sequence[Record], **kwargs) -> "Dataset":
-        feats = np.vstack([np.atleast_1d(r.features) for r in records])
-        labels = [r.label for r in records]
-        strata = [r.stratum for r in records]
-        times = [r.time for r in records]
-        events = [r.event for r in records]
-
-        def col(vals):
-            if all(v is None for v in vals):
-                return None
-            if any(v is None for v in vals):
-                raise SchemaError("records are not schema-consistent")
-            return np.asarray(vals)
-
-        return Dataset(
-            features=feats,
-            labels=col(labels),
-            strata=col(strata),
-            times=col(times),
-            events=col(events),
-            **kwargs,
         )
 
 
@@ -307,11 +255,7 @@ class WeightVector:
         return WeightVector(np.ones(n))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["w"])
-            for w in self.weights:
-                writer.writerow([repr(float(w))])
+        write_rows(path, ["w"], ([float(w)] for w in self.weights))
 
     @staticmethod
     def from_csv(path) -> "WeightVector":
@@ -329,7 +273,7 @@ class WeightVector:
 # Losses
 # ---------------------------------------------------------------------------
 
-LOSS_KINDS = ("zero-one-classification", "softmax-cross-entropy", "threshold-sign")
+LOSS_KINDS = ("softmax-cross-entropy", "threshold-sign")
 
 
 @dataclass(frozen=True)
@@ -337,32 +281,20 @@ class LossSpec:
     """Loss selector.
 
     kind
-        ``zero-one-classification``: params is a callable mapping a (n, d)
-        feature matrix to (n,) predicted class ids; loss is the 0/1 error.
-        ``softmax-cross-entropy``: params maps features to (n, J) logits;
-        loss is the negative log softmax probability of the true class.
+        ``softmax-cross-entropy``: params maps a (n, d) feature matrix to
+        (n, J) logits; loss is the negative log softmax probability of the
+        true class.
         ``threshold-sign``: params is a scalar threshold on a single
-        feature; see ``positive_above``.
-    top_k
-        Carried along for error metrics that need it; must be >= 1.
-    positive_above
-        Orientation of the threshold rule.  True (default) scores the
-        error of "predict class 1 iff x >= threshold", whose population
-        risk matches the closed-form risk of the power-density test bed
-        in :mod:`werm.analytic`.  False scores the opposite rule, which
-        reads the raw sign indicator with errors for positives at or
-        above the threshold.
+        feature; loss is the 0/1 error of "predict class 1 iff
+        x >= threshold", whose population risk is the closed-form risk of
+        the power-density test bed in :mod:`werm.analytic`.
     """
 
     kind: str
-    top_k: int = 1
-    positive_above: bool = True
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValidationError(f"unknown loss kind {self.kind!r}")
-        if self.top_k < 1:
-            raise ValidationError("top_k must be >= 1")
 
 
 def per_record_losses(data: Dataset, loss: LossSpec, params) -> np.ndarray:
@@ -376,20 +308,7 @@ def per_record_losses(data: Dataset, loss: LossSpec, params) -> np.ndarray:
             raise SchemaError("threshold-sign loss needs binary labels")
         theta = float(params)
         above = data.features[:, 0] >= theta
-        pos = data.labels == 1
-        if loss.positive_above:
-            wrong = np.where(pos, ~above, above)
-        else:
-            wrong = np.where(pos, above, ~above)
-        return wrong.astype(float)
-
-    if loss.kind == "zero-one-classification":
-        if data.labels is None:
-            raise SchemaError("zero-one loss needs labels")
-        pred = np.asarray(params(data.features))
-        if pred.shape != (data.n,):
-            raise SchemaError("predictor must return one class id per record")
-        return (pred != data.labels).astype(float)
+        return np.where(data.labels == 1, ~above, above).astype(float)
 
     # softmax-cross-entropy
     if data.labels is None:
@@ -537,21 +456,24 @@ def read_csv(path) -> Dataset:
 
 
 def write_csv(data: Dataset, path) -> None:
-    header = [f"x{j}" for j in range(data.d)]
-    cols: list[np.ndarray] = []
-    if data.labels is not None:
-        header.append("y")
-        cols.append(data.labels)
-    if data.strata is not None:
-        header.append("s")
-        cols.append(data.strata)
-    if data.times is not None:
-        header.extend(["t", "e"])
-        cols.extend([data.times, data.events.astype(int)])
+    events = None if data.events is None else data.events.astype(int)
+    cols = {"y": data.labels, "s": data.strata, "t": data.times, "e": events}
+    cols = {name: c for name, c in cols.items() if c is not None}
+    rows = (
+        [*map(float, data.features[i]), *(c[i].item() for c in cols.values())]
+        for i in range(data.n)
+    )
+    write_rows(path, [f"x{j}" for j in range(data.d)] + list(cols), rows)
+
+
+def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows of cells as CSV with ``\\r\\n`` line ends.
+
+    Every CSV file the package writes goes through here.  Float cells are
+    written as ``repr`` (the shortest string that reads back to the same
+    float), ints in decimal.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.features[i]]
-            row.extend(str(int(c[i])) if c.dtype != float else repr(float(c[i])) for c in cols)
-            writer.writerow(row)
+        writer.writerows(rows)

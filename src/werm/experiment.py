@@ -10,8 +10,8 @@ training source CSV) once per experiment, training draws vary per
 replicate.  Only replicate 0's learning curves are emitted, so only its
 fits evaluate the test set every epoch.
 
-Reweighting modes
------------------
+Reweighting modes (:data:`MODE_WEIGHTS`)
+----------------------------------------
 uniform   all-ones weights (for censored data: the event indicator, i.e.
           complete-case analysis, since censored records carry no label).
 class     label-based plug-in weights toward the test class distribution.
@@ -20,15 +20,18 @@ pu        positive-unlabeled plug-in weights.
 ipcw      inverse-probability-of-censoring weights via Kaplan-Meier.
 oracle    exact likelihood-ratio weights from the known generator, to
           separate estimation error from the effect of reweighting.
+
+:data:`SCENARIO_MODES` lists the modes each scenario can run; a spec that
+asks for any other is rejected when it is built.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -40,12 +43,27 @@ from .core import (
     WeightVector,
     classification_metrics,
     read_csv,
+    write_rows,
 )
 
-__all__ = ["ExperimentSpec", "ingest_csv", "run_experiment", "emit_results"]
+__all__ = [
+    "ExperimentSpec",
+    "MODE_WEIGHTS",
+    "SCENARIO_MODES",
+    "ingest_csv",
+    "run_experiment",
+    "emit_results",
+    "write_curve",
+]
 
-SCENARIOS = ("analytic_excess", "class_shift", "strata_shift", "pu", "censored")
-MODES = ("uniform", "strata", "class", "pu", "ipcw", "oracle")
+# The reweighting modes each scenario can run; analytic_excess trains nothing.
+SCENARIO_MODES = {
+    "analytic_excess": ("uniform",),
+    "class_shift": ("uniform", "class", "pu", "oracle"),
+    "strata_shift": ("uniform", "class", "strata", "oracle"),
+    "pu": ("uniform", "class", "pu", "oracle"),
+    "censored": ("uniform", "ipcw", "oracle"),
+}
 
 ANALYTIC_PAIRS = ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (2.0, 2.0))
 
@@ -70,12 +88,18 @@ class ExperimentSpec:
     replicate_seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in SCENARIO_MODES:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
         self.modes = tuple(self.modes)
+        allowed = SCENARIO_MODES[self.scenario]
         for m in self.modes:
-            if m not in MODES:
-                raise ValidationError(f"unknown reweighting mode {m!r}")
+            if m not in allowed:
+                raise ValidationError(
+                    f"scenario {self.scenario!r} cannot run reweighting mode {m!r}; "
+                    f"it runs {', '.join(allowed)}"
+                )
+        if self.top_k < 1:
+            raise ValidationError("top_k must be >= 1")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
         if self.replicate_seeds is not None:
@@ -104,14 +128,7 @@ class ExperimentSpec:
         return train_mod.TrainConfig(seed=seed, **self.train)
 
     def bias_spec(self) -> biasgen.BiasSpec | None:
-        if self.bias is None:
-            return None
-        kwargs = dict(self.bias)
-        if "permutation" in kwargs and isinstance(kwargs["permutation"], list):
-            kwargs["permutation"] = tuple(kwargs["permutation"])
-        if "target_pk" in kwargs and kwargs["target_pk"] is not None:
-            kwargs["target_pk"] = tuple(kwargs["target_pk"])
-        return biasgen.BiasSpec(**kwargs)
+        return None if self.bias is None else biasgen.BiasSpec(**self.bias)
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentSpec":
@@ -119,9 +136,6 @@ class ExperimentSpec:
         unknown = set(doc) - known
         if unknown:
             raise ValidationError(f"unknown spec fields: {sorted(unknown)}")
-        doc = dict(doc)
-        if "modes" in doc:
-            doc["modes"] = tuple(doc["modes"])
         return ExperimentSpec(**doc)
 
 
@@ -142,7 +156,70 @@ def ingest_csv(path) -> tuple[Dataset, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Per-scenario data preparation
+# Reweighting modes
+# ---------------------------------------------------------------------------
+
+
+def _need(ctx: dict, key: str, mode: str):
+    if ctx.get(key) is None:
+        raise ValidationError(f"reweighting mode {mode!r} needs {key}")
+    return ctx[key]
+
+
+def _uniform_weights(data: Dataset, ctx: dict) -> WeightVector:
+    if data.events is not None:
+        return WeightVector(data.events.astype(float))
+    return WeightVector.ones(data.n)
+
+
+def _class_weights(data: Dataset, ctx: dict) -> WeightVector:
+    if "class_pk" not in ctx:
+        prior = weights_mod.TargetPrior(p=_need(ctx, "p", "class"))
+        return weights_mod.class_shift_weights(data, prior)
+    labels_as_strata = dataclasses.replace(data, strata=data.labels, n_strata=data.n_classes)
+    return weights_mod.stratum_shift_weights(
+        labels_as_strata, weights_mod.TargetPrior(pk=ctx["class_pk"])
+    )
+
+
+def _strata_weights(data: Dataset, ctx: dict) -> WeightVector:
+    prior = weights_mod.TargetPrior(pk=_need(ctx, "pk", "strata"))
+    return weights_mod.stratum_shift_weights(data, prior)
+
+
+def _pu_weights(data: Dataset, ctx: dict) -> WeightVector:
+    prior = weights_mod.TargetPrior(p=_need(ctx, "p", "pu"))
+    return weights_mod.pu_weights(data, prior)
+
+
+def _ipcw_weights(data: Dataset, ctx: dict) -> WeightVector:
+    if data.times is None:
+        raise SchemaError("reweighting mode 'ipcw' needs survival times and events (t, e)")
+    ctx["km"] = weights_mod.km_fit(data.times, ~data.events)
+    return weights_mod.ipcw_weights(data, ctx["km"])
+
+
+def _oracle_weights(data: Dataset, ctx: dict) -> WeightVector:
+    return _need(ctx, "oracle", "oracle")(data)
+
+
+# mode name -> fn(train_data, context) -> WeightVector.  The context holds
+# the known test-side facts: "p" (positive rate), "pk" (stratum
+# probabilities), "class_pk" (target class distribution, multi-class) and
+# "oracle" (the scenario's exact-ratio weights).  "ipcw" leaves its fitted
+# censoring curve in the context under "km".
+MODE_WEIGHTS: dict[str, Callable[[Dataset, dict], WeightVector]] = {
+    "uniform": _uniform_weights,
+    "class": _class_weights,
+    "strata": _strata_weights,
+    "pu": _pu_weights,
+    "ipcw": _ipcw_weights,
+    "oracle": _oracle_weights,
+}
+
+
+# ---------------------------------------------------------------------------
+# Per-scenario data
 # ---------------------------------------------------------------------------
 
 
@@ -152,24 +229,12 @@ def _align_classes(a: Dataset, b: Dataset) -> None:
     b.n_classes = J
 
 
-@dataclass
-class _Shared:
-    """What every replicate of a run shares, built once before the loop."""
+def _shared_data(spec: ExperimentSpec) -> tuple[Dataset, dict, Callable[[int], Dataset]]:
+    """Ingest or draw the test set once and set up the scenario.
 
-    test: Dataset
-    generator: object  # the scenario's model or spec, or the ingested source Dataset
-    context: dict  # the replicate-independent scenario facts
-
-
-@dataclass
-class _ReplicateData:
-    train: Dataset
-    test: Dataset
-    context: dict  # scenario facts needed by weight modes
-
-
-def _shared_data(spec: ExperimentSpec) -> _Shared:
-    """Ingest or draw the test set and set up the scenario's generator."""
+    Returns the test set, the weight context every replicate shares, and
+    ``draw_train(rep_seed)``, which draws one replicate's training set.
+    """
     syn = spec.synthetic
     test_seed = [spec.base_seed, 999]
     if spec.scenario in ("class_shift", "pu"):
@@ -177,12 +242,18 @@ def _shared_data(spec: ExperimentSpec) -> _Shared:
             alpha=syn.get("alpha", 1.0), beta=syn.get("beta", 1.0), p=syn["p"]
         )
         test = analytic.sample(m, spec.n_test, m.p, test_seed)
+        # training draws have one rate: q for pu, p_train for class_shift
         if spec.scenario == "pu":
-            return _Shared(test, m, {"p": m.p, "q": syn["q"]})
-        ctx = {"p": m.p, "p_train": syn["p_train"], "class_pk": (1.0 - m.p, m.p)}
-        return _Shared(test, m, ctx)
+            rate, sampler, oracle = syn["q"], analytic.sample_pu, weights_mod.oracle_pu_weights
+        else:
+            rate, sampler = syn["p_train"], analytic.sample
+            oracle = weights_mod.oracle_class_shift_weights
+        ctx = {"p": m.p, "oracle": lambda d: oracle(d, m.p, rate)}
 
-    if spec.scenario == "strata_shift":
+        def draw_train(seed):
+            return sampler(m, spec.n_train, rate, [seed, 0])
+
+    elif spec.scenario == "strata_shift":
         if spec.train_csv is not None:
             source, _ = ingest_csv(spec.train_csv)
             test, _ = ingest_csv(spec.test_csv)
@@ -191,7 +262,7 @@ def _shared_data(spec: ExperimentSpec) -> _Shared:
                 spec.prior.get("pk")
                 or source.stratum_counts() / source.n
             )
-            generator = source
+            draw_source = lambda seed: source  # noqa: E731 - subsampled as it is
         else:
             generator = synthetic.GaussianStrataSpec(
                 **{k: v for k, v in syn.items() if k != "n_source"}
@@ -199,90 +270,40 @@ def _shared_data(spec: ExperimentSpec) -> _Shared:
             K = generator.n_strata
             pk = np.asarray(spec.prior.get("pk") or [1.0 / K] * K)
             test = synthetic.gaussian_strata_sample(generator, spec.n_test, pk, test_seed)
-        bias = spec.bias_spec()
-        if bias is None:
-            bias = biasgen.BiasSpec(gamma=1.0)
+            n_source = syn.get("n_source", 4 * spec.n_train)
+            draw_source = lambda seed: synthetic.gaussian_strata_sample(  # noqa: E731
+                generator, n_source, pk, [seed, 0]
+            )
+        bias = spec.bias_spec() or biasgen.BiasSpec(gamma=1.0)
         if bias.target_pk is None:
             bias = dataclasses.replace(bias, target_pk=tuple(float(v) for v in pk))
         p_prime = biasgen.power_law_distribution(bias, len(pk))
-        return _Shared(test, generator, {"pk": pk, "p_prime": p_prime})
+        J = test.n_classes
+        ctx = {
+            "pk": pk,
+            "p_prime": p_prime,
+            "class_pk": tuple([1.0 / J] * J),
+            "oracle": lambda d: weights_mod.oracle_stratum_shift_weights(d, pk, p_prime),
+        }
 
-    if spec.scenario == "censored":
+        def draw_train(seed):
+            return biasgen.subsample_to_distribution(
+                draw_source(seed), p_prime, [seed, 1], max_size=spec.n_train
+            )
+
+    else:  # censored
         cspec = synthetic.CensoredSpec(**syn)
         test = synthetic.censored_test_sample(cspec, spec.n_test, test_seed)
-        return _Shared(test, cspec, {"censored_spec": cspec})
+        ctx = {"oracle": lambda d: synthetic.oracle_censoring_weights(cspec, d)}
 
-    raise ValidationError(f"scenario {spec.scenario!r} does not train models")
+        def draw_train(seed):
+            trainset = synthetic.censored_train_sample(cspec, spec.n_train, [seed, 0])
+            _align_classes(trainset, test)
+            return trainset
 
-
-def _prepare(spec: ExperimentSpec, rep_seed: int, shared: _Shared) -> _ReplicateData:
-    """Draw one replicate's training set."""
-    gen, ctx, test = shared.generator, dict(shared.context), shared.test
-    if spec.scenario == "class_shift":
-        trainset = analytic.sample(gen, spec.n_train, ctx["p_train"], [rep_seed, 0])
-    elif spec.scenario == "pu":
-        trainset = analytic.sample_pu(gen, spec.n_train, ctx["q"], [rep_seed, 0])
-    elif spec.scenario == "strata_shift":
-        source = gen  # an ingested train_csv is subsampled as it is
-        if not isinstance(gen, Dataset):
-            n_source = spec.synthetic.get("n_source", 4 * spec.n_train)
-            source = synthetic.gaussian_strata_sample(gen, n_source, ctx["pk"], [rep_seed, 0])
-        trainset = biasgen.subsample_to_distribution(
-            source, ctx["p_prime"], [rep_seed, 1], max_size=spec.n_train
-        )
-        J = trainset.n_classes
-        ctx["class_pk"] = tuple([1.0 / J] * J)
-    else:  # censored
-        trainset = synthetic.censored_train_sample(gen, spec.n_train, [rep_seed, 0])
-        _align_classes(trainset, test)
-    return _ReplicateData(trainset, test, ctx)
-
-
-def _mode_weights(mode: str, data: Dataset, spec: ExperimentSpec, ctx: dict) -> WeightVector:
-    if mode == "uniform":
-        if data.events is not None:
-            return WeightVector(data.events.astype(float))
-        return WeightVector.ones(data.n)
-    if mode == "class":
-        class_pk = ctx.get("class_pk")
-        if data.n_classes == 2 and "p" in ctx:
-            return weights_mod.class_shift_weights(
-                data, weights_mod.TargetPrior(p=ctx["p"])
-            )
-        labels_as_strata = Dataset(
-            features=data.features,
-            labels=data.labels,
-            strata=data.labels,
-            n_classes=data.n_classes,
-            n_strata=data.n_classes,
-        )
-        return weights_mod.stratum_shift_weights(
-            labels_as_strata, weights_mod.TargetPrior(pk=tuple(class_pk))
-        )
-    if mode == "strata":
-        return weights_mod.stratum_shift_weights(
-            data, weights_mod.TargetPrior(pk=tuple(float(v) for v in ctx["pk"]))
-        )
-    if mode == "pu":
-        return weights_mod.pu_weights(data, weights_mod.TargetPrior(p=ctx["p"]))
-    if mode == "ipcw":
-        km = weights_mod.km_fit(data.times, ~data.events)
-        return weights_mod.ipcw_weights(data, km)
-    if mode == "oracle":
-        if "p_prime" in ctx:
-            return weights_mod.oracle_stratum_shift_weights(
-                data, ctx["pk"], ctx["p_prime"]
-            )
-        if "q" in ctx:
-            return weights_mod.oracle_pu_weights(data, ctx["p"], ctx["q"])
-        if "p_train" in ctx:
-            return weights_mod.oracle_class_shift_weights(
-                data, ctx["p"], ctx["p_train"]
-            )
-        if "censored_spec" in ctx:
-            return synthetic.oracle_censoring_weights(ctx["censored_spec"], data)
-        raise ValidationError("oracle weights undefined for this scenario")
-    raise ValidationError(f"unknown reweighting mode {mode!r}")
+    if spec.top_k > test.n_classes:  # checked before any training
+        raise ValidationError(f"top-k with k={spec.top_k} invalid for {test.n_classes} classes")
+    return test, ctx, draw_train
 
 
 # ---------------------------------------------------------------------------
@@ -334,30 +355,30 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     curves: dict[str, list] = {}
     realized_p_prime = None
     try:
-        shared = _shared_data(spec)
+        test, ctx, draw_train = _shared_data(spec)
     except Exception as exc:  # noqa: BLE001 - every replicate reports it
         bundle["failures"] = [_failure(r, "*", exc) for r in range(len(seeds))]
         seeds = ()
 
     for r, rep_seed in enumerate(seeds):
         try:
-            rep = _prepare(spec, rep_seed, shared)
+            trainset = draw_train(rep_seed)
         except Exception as exc:  # noqa: BLE001 - partial completion is reported
             bundle["failures"].append(_failure(r, "*", exc))
             continue
-        if "p_prime" in rep.context:
-            realized_p_prime = [float(v) for v in rep.context["p_prime"]]
+        if "p_prime" in ctx:
+            realized_p_prime = [float(v) for v in ctx["p_prime"]]
         for mode in spec.modes:
             try:
-                w = _mode_weights(mode, rep.train, spec, rep.context)
+                w = MODE_WEIGHTS[mode](trainset, ctx)
                 cfg = spec.train_config(seed=rep_seed)
                 # only replicate 0's learning curves are kept
                 params, log = train_mod.fit(
-                    rep.train, w, spec.model_kind, cfg,
-                    eval_data=rep.test if r == 0 else None, top_k=spec.top_k,
+                    trainset, w, spec.model_kind, cfg,
+                    eval_data=test if r == 0 else None, top_k=spec.top_k,
                 )
                 metrics = classification_metrics(
-                    rep.test, train_mod.logits_batch(params, rep.test.features),
+                    test, train_mod.logits_batch(params, test.features),
                     k=spec.top_k,
                 )
             except Exception as exc:  # noqa: BLE001 - replicate failure is data
@@ -388,6 +409,12 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
+
+
+def write_curve(path, rows) -> None:
+    """Write (epoch, objective, miss_rate, top_k_error) rows as a
+    learning-curve CSV."""
+    write_rows(path, ["epoch", "objective", "miss_rate", "top_k_error"], rows)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -422,27 +449,13 @@ def emit_results(bundle: dict, out_dir) -> list[str]:
         os.makedirs(curves_dir, exist_ok=True)
         for mode, rows in bundle["curves"].items():
             path = os.path.join(curves_dir, f"{mode}.csv")
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["epoch", "objective", "miss_rate", "top_k_error"])
-                for epoch, obj, miss, topk in rows:
-                    writer.writerow([epoch, repr(obj), repr(miss), repr(topk)])
+            write_curve(path, rows)
             written.append(path)
     if "analytic" in bundle:
         os.makedirs(curves_dir, exist_ok=True)
         for name, curve in bundle["analytic"]["curves"].items():
-            risk_path = os.path.join(curves_dir, f"risk_{name}.csv")
-            with open(risk_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["theta", "risk"])
-                for t, rv in zip(curve["theta"], curve["risk"]):
-                    writer.writerow([repr(t), repr(rv)])
-            written.append(risk_path)
-            excess_path = os.path.join(curves_dir, f"excess_{name}.csv")
-            with open(excess_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["p_prime", "excess"])
-                for pp, ev in zip(curve["p_prime"], curve["excess"]):
-                    writer.writerow([repr(pp), repr(ev)])
-            written.append(excess_path)
+            for kind, x, y in (("risk", "theta", "risk"), ("excess", "p_prime", "excess")):
+                path = os.path.join(curves_dir, f"{kind}_{name}.csv")
+                write_rows(path, [x, y], zip(curve[x], curve[y]))
+                written.append(path)
     return written

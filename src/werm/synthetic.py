@@ -50,12 +50,6 @@ class GaussianStrataSpec:
         if self.noise <= 0:
             raise ValidationError("noise must be > 0")
 
-    def mean(self, stratum: int, label: int) -> np.ndarray:
-        angle = 2.0 * np.pi * label / self.n_classes + np.deg2rad(
-            self.rotation_deg * stratum
-        )
-        return self.class_radius * np.array([np.cos(angle), np.sin(angle)])
-
 
 def gaussian_strata_sample(
     spec: GaussianStrataSpec, n: int, pk, seed

@@ -40,7 +40,6 @@ __all__ = [
     "TrainConfig",
     "TrainingLog",
     "init_params",
-    "forward",
     "logits_batch",
     "weighted_objective",
     "gradient",
@@ -58,9 +57,6 @@ class ModelParams:
     kind: str
     params: dict[str, np.ndarray]
     dims: tuple[int, ...]  # (d, J) or (d, h, J)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.kind, {k: v.copy() for k, v in self.params.items()}, self.dims)
 
     def weight_keys(self) -> list[str]:
         return [k for k in self.params if k.startswith("W")]
@@ -138,11 +134,6 @@ def logits_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != params.dims[0]:
         raise SchemaError(f"feature dim {X.shape[1]} != model dim {params.dims[0]}")
     return _forward(params, X)[0]
-
-
-def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Logits for a single feature vector."""
-    return logits_batch(params, np.atleast_2d(x))[0]
 
 
 def _penalty(params: ModelParams) -> float:

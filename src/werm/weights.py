@@ -47,6 +47,7 @@ from .core import (
     SchemaError,
     ValidationError,
     WeightVector,
+    write_rows,
 )
 
 __all__ = [
@@ -75,13 +76,10 @@ class TargetPrior:
     pk
         Test stratum probabilities; entries in [0, 1] summing to 1.
         (A single stratum with pk = [1.0] is legitimate.)
-    zeta
-        Budget for prior inaccuracy |p_guess - p|, >= 0.
     """
 
     p: float | None = None
     pk: tuple[float, ...] | None = None
-    zeta: float = 0.0
 
     def __post_init__(self):
         if self.p is not None and not 0.0 < self.p < 1.0:
@@ -95,8 +93,6 @@ class TargetPrior:
             if abs(pk.sum() - 1.0) > 1e-12:
                 raise ValidationError("pk must sum to 1 within 1e-12")
             object.__setattr__(self, "pk", tuple(float(v) for v in pk))
-        if self.zeta < 0.0:
-            raise ValidationError("zeta must be >= 0")
 
     def pk_array(self) -> np.ndarray:
         if self.pk is None:
@@ -134,19 +130,26 @@ def _binary_counts(data: Dataset) -> tuple[int, int]:
     return n_pos, n_neg
 
 
+def _populated_counts(data: Dataset, prior: TargetPrior, what: str) -> tuple[int, int]:
+    """(n_pos, n_neg) of binary data whose two classes are both populated;
+    ``what`` names the weights in the error for a missing prior.p."""
+    if prior.p is None:
+        raise ValidationError(f"{what} need prior.p")
+    n_pos, n_neg = _binary_counts(data)
+    if n_pos == 0:
+        raise DegenerateClassError(1)
+    if n_neg == 0:
+        raise DegenerateClassError(0)
+    return n_pos, n_neg
+
+
 def class_shift_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
     """w_i = n*p/n_pos for label 1, n*(1-p)/n_neg for label 0.
 
     The weight vector has mean exactly 1 whenever both classes are
     populated; empty classes raise :class:`DegenerateClassError`.
     """
-    if prior.p is None:
-        raise ValidationError("class shift weights need prior.p")
-    n_pos, n_neg = _binary_counts(data)
-    if n_pos == 0:
-        raise DegenerateClassError(1)
-    if n_neg == 0:
-        raise DegenerateClassError(0)
+    n_pos, n_neg = _populated_counts(data, prior, "class shift weights")
     n = data.n
     w_pos = n * prior.p / n_pos
     w_neg = n * (1.0 - prior.p) / n_neg
@@ -178,13 +181,7 @@ def pu_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
     estimates the test risk shifted by the constant +p; add
     :func:`pu_risk_offset` to recover the risk estimate itself.
     """
-    if prior.p is None:
-        raise ValidationError("PU weights need prior.p")
-    n_pos, n_unl = _binary_counts(data)
-    if n_pos == 0:
-        raise DegenerateClassError(1)
-    if n_unl == 0:
-        raise DegenerateClassError(0)
+    n_pos, n_unl = _populated_counts(data, prior, "PU weights")
     n = data.n
     w_pos = 2.0 * prior.p * n / n_pos
     w_unl = n / n_unl
@@ -204,13 +201,7 @@ def pu_weights_eta(data: Dataset, prior: TargetPrior, eta: EtaEstimate) -> Weigh
     Plugging in the true posterior makes the weighted risk a consistent
     estimate of the test risk (no offset needed).
     """
-    if prior.p is None:
-        raise ValidationError("PU weights need prior.p")
-    n_pos, n_unl = _binary_counts(data)
-    if n_pos == 0:
-        raise DegenerateClassError(1)
-    if n_unl == 0:
-        raise DegenerateClassError(0)
+    n_pos, n_unl = _populated_counts(data, prior, "PU weights")
     n = data.n
     w = np.empty(n)
     pos = data.labels == 1
@@ -281,7 +272,6 @@ class KmCurve:
 
     times: np.ndarray
     survival: np.ndarray
-    n_at_entry: int
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -306,14 +296,10 @@ class KmCurve:
         return np.concatenate(([1.0], self.survival))[idx]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "s"])
-            for t, s in zip(self.times, self.survival):
-                writer.writerow([repr(float(t)), repr(float(s))])
+        write_rows(path, ["t", "s"], zip(map(float, self.times), map(float, self.survival)))
 
     @staticmethod
-    def from_csv(path, n_at_entry: int = 0) -> "KmCurve":
+    def from_csv(path) -> "KmCurve":
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         if not rows or rows[0] != ["t", "s"]:
@@ -321,7 +307,7 @@ class KmCurve:
         vals = np.array([[float(a), float(b)] for a, b in rows[1:]])
         if vals.size == 0:
             vals = vals.reshape(0, 2)
-        return KmCurve(times=vals[:, 0], survival=vals[:, 1], n_at_entry=n_at_entry)
+        return KmCurve(times=vals[:, 0], survival=vals[:, 1])
 
 
 def km_fit(times, events) -> KmCurve:
@@ -350,7 +336,7 @@ def km_fit(times, events) -> KmCurve:
     at_risk = n - start  # everyone with time >= uniq[j]
     drop = d > 0
     factors = 1.0 - d[drop] / at_risk[drop]
-    return KmCurve(times=uniq[drop], survival=np.cumprod(factors), n_at_entry=n)
+    return KmCurve(times=uniq[drop], survival=np.cumprod(factors))
 
 
 def ipcw_weights(data: Dataset, km: KmCurve) -> WeightVector:

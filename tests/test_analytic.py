@@ -12,11 +12,17 @@ from werm.analytic import (
     risk_curve,
     sample,
     sample_pu,
-    threshold_loss,
     true_eta,
     true_risk,
 )
-from werm.core import DomainError, LossSpec, SchemaError, ValidationError, per_record_losses
+from werm.core import (
+    Dataset,
+    DomainError,
+    LossSpec,
+    SchemaError,
+    ValidationError,
+    per_record_losses,
+)
 
 
 class TestTrueRisk:
@@ -144,35 +150,25 @@ class TestSampler:
 
 
 class TestThresholdLoss:
-    def test_positive_above_threshold_errs(self):
-        from werm.core import Record
+    """The threshold-sign loss of the rule "predict positive iff x >= theta"."""
 
-        assert threshold_loss(0.5, Record(np.array([0.8]), label=1)) == 1
-        assert threshold_loss(0.5, Record(np.array([0.2]), label=1)) == 0
+    LOSS = LossSpec("threshold-sign")
+
+    def losses(self, xs, ys, theta=0.5):
+        data = Dataset(features=np.array(xs, float)[:, None], labels=ys, n_classes=2)
+        return per_record_losses(data, self.LOSS, theta)
 
     def test_boundary_convention(self):
-        from werm.core import Record
-
-        assert threshold_loss(0.5, Record(np.array([0.5]), label=0)) == 0
-        assert threshold_loss(0.5, Record(np.array([0.5]), label=1)) == 1
-
-    def test_complement_of_risk_oriented_loss(self):
-        data = sample(AnalyticModel(1, 1, 0.5), 200, 0.5, 9)
-        flipped = per_record_losses(
-            data, LossSpec("threshold-sign", positive_above=False), 0.37
-        )
-        direct = np.array([threshold_loss(0.37, r) for r in data.records()])
-        np.testing.assert_array_equal(flipped, direct)
-        oriented = per_record_losses(data, LossSpec("threshold-sign"), 0.37)
-        np.testing.assert_array_equal(oriented + flipped, 1.0)
+        # a record at x == theta is predicted positive
+        np.testing.assert_array_equal(self.losses([0.5, 0.5], [0, 1]), [1.0, 0.0])
 
     def test_schema_checks(self):
-        from werm.core import Record
-
         with pytest.raises(SchemaError):
-            threshold_loss(0.5, Record(np.array([0.1, 0.2]), label=1))
+            per_record_losses(
+                Dataset(features=np.array([[0.1, 0.2]]), labels=[1]), self.LOSS, 0.5
+            )
         with pytest.raises(SchemaError):
-            threshold_loss(0.5, Record(np.array([0.1]), label=None))
+            per_record_losses(Dataset(features=np.array([[0.1]])), self.LOSS, 0.5)
 
     def test_population_mean_matches_risk(self):
         """MC check that the risk-oriented loss estimates true_risk."""

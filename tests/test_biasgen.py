@@ -27,6 +27,14 @@ def strata_dataset(strata, seed=0):
     )
 
 
+def main_text_distribution(gamma, pk):
+    """The main-text exponent form 1 - floor(K/2)/sigma(k), identity sigma."""
+    pk = np.asarray(pk, dtype=float)
+    sigma = np.arange(1, pk.size + 1)
+    scaled = pk * gamma ** (1.0 - (pk.size // 2) / sigma)
+    return scaled / scaled.sum()
+
+
 class TestPowerLaw:
     def test_gamma_one_is_identity(self):
         pk = (0.2, 0.5, 0.3)
@@ -46,18 +54,18 @@ class TestPowerLaw:
         np.testing.assert_allclose(power_law_distribution(spec, 1), [1.0])
 
     def test_main_text_style_also_identity_at_gamma_one(self):
-        spec = BiasSpec(gamma=1.0, target_pk=(0.25, 0.75), exponent_style="main_text")
-        np.testing.assert_array_equal(power_law_distribution(spec, 2), (0.25, 0.75))
+        pk = (0.25, 0.75)
+        np.testing.assert_array_equal(main_text_distribution(1.0, pk), pk)
+        np.testing.assert_array_equal(
+            power_law_distribution(BiasSpec(gamma=1.0, target_pk=pk), 2), pk
+        )
 
     def test_exponent_styles_agree_after_normalization(self):
         # the two printed exponent forms differ by a single global factor of
         # gamma, which renormalization removes
         pk = (0.1, 0.2, 0.3, 0.4)
         a = power_law_distribution(BiasSpec(gamma=0.4, target_pk=pk), 4)
-        b = power_law_distribution(
-            BiasSpec(gamma=0.4, target_pk=pk, exponent_style="main_text"), 4
-        )
-        np.testing.assert_allclose(a, b, atol=1e-14)
+        np.testing.assert_allclose(a, main_text_distribution(0.4, pk), atol=1e-14)
         assert abs(a.sum() - 1.0) < 1e-12
 
     def test_gamma_validation(self):
@@ -166,31 +174,45 @@ class TestSubsample:
             subsample_to_distribution(data, [0.5, 0.5], seed=0)
         assert err.value.stratum == 1
 
-    def test_fast_path_statistically_equivalent(self):
-        """The vectorized path must match the literal loop in distribution:
-        per-stratum output count means within Monte-Carlo noise."""
-        data = strata_dataset(np.repeat([0, 1, 2], 120), seed=8)
-        target = [0.5, 0.3, 0.2]
-        seeds = range(150)
 
-        def mean_counts(method):
-            totals = np.zeros(3)
-            for s in seeds:
-                out = subsample_to_distribution(data, target, seed=s, method=method)
-                totals += out.stratum_counts()
-            return totals / len(list(seeds))
+def reference_subsample(data, p_prime, seed, max_size=None):
+    """The literal loop with a per-draw np.searchsorted over the cumulative
+    p', as the subsampler drew before it searched a Python list."""
+    p_prime = np.asarray(p_prime, dtype=float)
+    pools = [np.flatnonzero(data.strata == k) for k in range(data.n_strata)]
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(p_prime)
+    sizes = [pool.size for pool in pools]
+    chosen = []
+    limit = data.n if max_size is None else min(max_size, data.n)
+    while len(chosen) < limit:
+        k = min(int(np.searchsorted(cum, rng.random(), side="right")), p_prime.size - 1)
+        if sizes[k] == 0:
+            break
+        j = int(rng.integers(sizes[k]))
+        chosen.append(int(pools[k][j]))
+        pools[k][j] = pools[k][sizes[k] - 1]
+        sizes[k] -= 1
+    return chosen
 
-        lit = mean_counts("literal")
-        fast = mean_counts("fast")
-        # per-seed counts vary by tens; 150-seed means should agree to a few units
-        np.testing.assert_allclose(lit, fast, atol=6.0)
 
-    def test_fast_path_same_invariants(self):
-        data = strata_dataset(np.repeat([0, 1], 150), seed=9)
-        out = subsample_to_distribution(data, [0.6, 0.4], seed=10, method="fast")
-        picked = list(map(float, out.features[:, 0]))
-        assert len(picked) == len(set(picked))
-        assert set(picked) <= set(map(float, data.features[:, 0]))
+class TestSubsampleMatchesReference:
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_same_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 6))
+        data = strata_dataset(rng.integers(0, K, int(rng.integers(K, 400))), seed=seed)
+        data.n_strata = K
+        p_prime = rng.random(K) * (rng.random(K) < 0.8)  # some strata without mass
+        if p_prime.sum() == 0 or np.any((p_prime > 0) & (data.stratum_counts() == 0)):
+            p_prime = data.stratum_counts() / data.n
+        p_prime = p_prime / p_prime.sum()
+        max_size = None if seed % 2 else int(rng.integers(1, 300))
+        out = subsample_to_distribution(data, p_prime, seed, max_size=max_size)
+        chosen = reference_subsample(data, p_prime, seed, max_size=max_size)
+        np.testing.assert_array_equal(out.features, data.features[chosen])
+        np.testing.assert_array_equal(out.strata, data.strata[chosen])
 
 
 class TestApplyBias:

@@ -8,7 +8,8 @@ import pytest
 
 from werm import train as train_mod
 from werm.cli import main
-from werm.core import read_csv
+from werm.core import WeightVector, read_csv
+from werm.experiment import MODE_WEIGHTS
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +27,17 @@ def write_binary_csv(path, n=60, p=0.5, seed=0):
         writer.writerow(["x0", "y"])
         for xi, yi in zip(x, y):
             writer.writerow([repr(float(xi)), int(yi)])
+    return path
+
+
+def write_survival_csv(path, n=50, seed=3):
+    rng = np.random.default_rng(seed)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x0", "t", "e"])
+        for _ in range(n):
+            t = rng.exponential()
+            writer.writerow([repr(rng.random()), repr(t), int(rng.random() < 0.7)])
     return path
 
 
@@ -156,14 +168,7 @@ class TestWeightsCommand:
         assert code == 2
 
     def test_ipcw_mode_with_km_curve(self, tmp_path, capsys):
-        path = tmp_path / "surv.csv"
-        rng = np.random.default_rng(3)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x0", "t", "e"])
-            for _ in range(50):
-                t = rng.exponential()
-                writer.writerow([repr(rng.random()), repr(t), int(rng.random() < 0.7)])
+        path = write_survival_csv(tmp_path / "surv.csv")
         km_out = tmp_path / "km.csv"
         code, out, _ = run_cli(
             capsys, "weights", "--in", str(path), "--out", str(tmp_path / "w.csv"),
@@ -171,6 +176,48 @@ class TestWeightsCommand:
         )
         assert code == 0
         assert km_out.read_text().splitlines()[0] == "t,s"
+
+    @pytest.mark.parametrize(
+        "mode, writer, flags, ctx",
+        [
+            ("class", write_binary_csv, ["--p", "0.4"], {"p": 0.4}),
+            ("pu", write_binary_csv, ["--p", "0.4"], {"p": 0.4}),
+            ("strata", write_strata_csv, ["--pk-file", "PK"], {"pk": (0.2, 0.5, 0.3)}),
+            ("ipcw", write_survival_csv, [], {}),
+        ],
+    )
+    def test_same_vector_as_mode_table(self, tmp_path, capsys, mode, writer, flags, ctx):
+        src = writer(tmp_path / "d.csv")
+        pk_file = tmp_path / "pk.json"
+        pk_file.write_text("[0.2, 0.5, 0.3]")
+        flags = [str(pk_file) if f == "PK" else f for f in flags]
+        code, _, _ = run_cli(
+            capsys, "weights", "--in", str(src), "--out", str(tmp_path / "w.csv"),
+            "--mode", mode, *flags,
+        )
+        assert code == 0
+        expected = MODE_WEIGHTS[mode](read_csv(src), dict(ctx)).weights
+        back = WeightVector.from_csv(tmp_path / "w.csv").weights
+        np.testing.assert_array_equal(back, expected)
+
+    @pytest.mark.parametrize(
+        "mode, writer, needs",
+        [
+            ("class", write_binary_csv, "p"),
+            ("pu", write_binary_csv, "p"),
+            ("strata", write_strata_csv, "pk"),
+            ("ipcw", write_binary_csv, "survival"),
+        ],
+    )
+    def test_missing_side_information_exits_2(self, tmp_path, capsys, mode, writer, needs):
+        src = writer(tmp_path / "d.csv")
+        code, _, err = run_cli(
+            capsys, "weights", "--in", str(src), "--out", str(tmp_path / "w.csv"),
+            "--mode", mode,
+        )
+        assert code == 2
+        assert mode in err and needs in err
+        assert not (tmp_path / "w.csv").exists()
 
 
 class TestTrainCommand:
@@ -191,6 +238,22 @@ class TestTrainCommand:
         rows = curve.read_text().splitlines()
         assert rows[0] == "epoch,objective,miss_rate,top_k_error"
         assert len(rows) == 6
+
+    def test_curve_bytes(self, tmp_path, capsys):
+        """The --curve file has the bytes it had before the runner and the
+        CLI shared one curve writer (numpy 2.4, OpenBLAS)."""
+        data = tmp_path / "d.csv"
+        data.write_text("x0,y\n0.1,0\n0.9,1\n0.2,0\n0.7,1\n0.4,1\n0.35,0\n")
+        curve = tmp_path / "curve.csv"
+        code, _, _ = run_cli(
+            capsys, "train", "--train", str(data), "--test", str(data),
+            "--lr", "0.5", "--epochs", "2", "--batch", "4", "--curve", str(curve),
+        )
+        assert code == 0
+        assert curve.read_bytes() == (
+            b"epoch,objective,miss_rate,top_k_error\r\n"
+            b"0,0.7784005952518884,0.0,0.0\r\n1,0.6641647518092755,0.5,0.0\r\n"
+        )
 
     def test_bad_top_k_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
         train_csv = write_binary_csv(tmp_path / "train.csv", n=50, seed=8)

@@ -24,13 +24,7 @@ from werm.core import (
     write_csv,
 )
 
-ZERO_ONE = LossSpec("zero-one-classification")
 THRESH = LossSpec("threshold-sign")
-
-
-def fixed_predictor(values):
-    values = np.asarray(values)
-    return lambda X: values
 
 
 def make_binary(xs, ys):
@@ -39,14 +33,14 @@ def make_binary(xs, ys):
 
 class TestEmpiricalRisk:
     def test_hand_sum(self):
-        # losses [1, 0, 1] -> 2/3
+        # every record is below theta, so only the positives err: losses [1, 0, 1] -> 2/3
         data = make_binary([0.0, 0.0, 0.0], [1, 0, 1])
-        risk = empirical_risk(data, ZERO_ONE, fixed_predictor([0, 0, 0]))
+        risk = empirical_risk(data, THRESH, 0.5)
         assert risk == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_all_correct_is_zero(self):
-        data = make_binary([0.0, 0.0], [1, 0])
-        assert empirical_risk(data, ZERO_ONE, fixed_predictor([1, 0])) == 0.0
+        data = make_binary([0.9, 0.1], [1, 0])
+        assert empirical_risk(data, THRESH, 0.5) == 0.0
 
     def test_single_record_mean_is_the_loss(self):
         data = make_binary([0.0], [0])
@@ -59,8 +53,7 @@ class TestEmpiricalRisk:
         for _ in range(20):
             n = rng.integers(1, 30)
             data = make_binary(rng.random(n), rng.integers(0, 2, n))
-            pred = fixed_predictor(rng.integers(0, 2, n))
-            assert 0.0 <= empirical_risk(data, ZERO_ONE, pred) <= 1.0
+            assert 0.0 <= empirical_risk(data, THRESH, rng.random()) <= 1.0
 
 
 class TestWeightedRisk:
@@ -68,15 +61,15 @@ class TestWeightedRisk:
         # losses [1, 0, 1], w = [2, 1, 1] -> 1.0
         data = make_binary([0.0, 0.0, 0.0], [1, 0, 1])
         w = WeightVector(np.array([2.0, 1.0, 1.0]))
-        risk = weighted_empirical_risk(data, w, ZERO_ONE, fixed_predictor([0, 0, 0]))
+        risk = weighted_empirical_risk(data, w, THRESH, 0.5)
         assert risk == pytest.approx(1.0, abs=1e-15)
 
     def test_identity_weights_match_bitwise(self):
         rng = np.random.default_rng(1)
         data = make_binary(rng.random(17), rng.integers(0, 2, 17))
-        pred = fixed_predictor(rng.integers(0, 2, 17))
-        plain = empirical_risk(data, ZERO_ONE, pred)
-        weighted = weighted_empirical_risk(data, WeightVector.ones(17), ZERO_ONE, pred)
+        theta = rng.random()
+        plain = empirical_risk(data, THRESH, theta)
+        weighted = weighted_empirical_risk(data, WeightVector.ones(17), THRESH, theta)
         assert plain == weighted  # bit-for-bit
 
     def test_null_weights(self):
@@ -237,6 +230,62 @@ class TestCsv:
         path.write_text("x0,z\n0.0,1\n")
         with pytest.raises(SchemaError):
             read_csv(path)
+
+    def test_written_bytes(self, tmp_path):
+        """CRLF line ends, floats as repr, ints and event flags in decimal
+        (bytes as written before the CSV writers were merged)."""
+        data = Dataset(
+            features=np.array([[0.1, 1 / 3], [-2.5e-10, 1e22]]),
+            labels=[1, 0],
+            strata=[0, 2],
+            times=[1.5, 0.1 + 0.2],
+            events=[True, False],
+        )
+        write_csv(data, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == (
+            b"x0,x1,y,s,t,e\r\n"
+            b"0.1,0.3333333333333333,1,0,1.5,1\r\n"
+            b"-2.5e-10,1e+22,0,2,0.30000000000000004,0\r\n"
+        )
+        write_csv(Dataset(features=np.array([[0.5], [2.0]])), tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_bytes() == b"x0\r\n0.5\r\n2.0\r\n"
+
+    def test_weight_vector_bytes(self, tmp_path):
+        WeightVector(np.array([0.5, 1 / 3, 0.0, 2e-7])).to_csv(tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_bytes() == (
+            b"w\r\n0.5\r\n0.3333333333333333\r\n0.0\r\n2e-07\r\n"
+        )
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_write_read_round_trip(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 3))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        column = lambda elements: data.draw(  # noqa: E731
+            st.one_of(st.none(), st.lists(elements, min_size=n, max_size=n))
+        )
+        times = column(st.floats(0.0, 1e300))
+        original = Dataset(
+            features=np.array(data.draw(st.lists(st.lists(finite, min_size=d, max_size=d),
+                                                 min_size=n, max_size=n))),
+            labels=column(st.integers(0, 4)),
+            strata=column(st.integers(0, 3)),
+            times=times,
+            events=None if times is None else data.draw(
+                st.lists(st.booleans(), min_size=n, max_size=n)
+            ),
+        )
+        path = tmp_path_factory.mktemp("rt") / "d.csv"
+        write_csv(original, path)
+        back = read_csv(path)
+        for name in ("features", "labels", "strata", "times", "events"):
+            a, b = getattr(original, name), getattr(back, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
+        assert (back.n_classes, back.n_strata) == (original.n_classes, original.n_strata)
 
     def test_time_without_event_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

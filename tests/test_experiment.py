@@ -7,9 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from werm import synthetic, train as train_mod
-from werm.core import ValidationError, write_csv
-from werm.experiment import ExperimentSpec, emit_results, ingest_csv, run_experiment
+from werm import synthetic, train as train_mod, weights as weights_mod
+from werm.core import EmptyStratumError, ValidationError, write_csv
+from werm.experiment import (
+    MODE_WEIGHTS,
+    SCENARIO_MODES,
+    ExperimentSpec,
+    emit_results,
+    ingest_csv,
+    run_experiment,
+)
 
 FAST_TRAIN = {"lr": 0.05, "epochs": 4, "batch_size": 200}
 
@@ -39,6 +46,25 @@ class TestSpec:
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
             ExperimentSpec(scenario="pu", modes=("magic",))
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_MODES))
+    @pytest.mark.parametrize("mode", sorted(MODE_WEIGHTS))
+    def test_scenario_mode_table(self, scenario, mode):
+        """Exactly the pairs of SCENARIO_MODES build; any other is rejected
+        with an error naming both, before any data is drawn."""
+        synthetic_fields = {"p": 0.3, "p_train": 0.6, "q": 0.4}
+        build = lambda: ExperimentSpec(  # noqa: E731
+            scenario=scenario, modes=("uniform", mode), synthetic=synthetic_fields
+        )
+        if mode in SCENARIO_MODES[scenario]:
+            assert build().modes == ("uniform", mode)
+        else:
+            with pytest.raises(ValidationError, match=f"{scenario}.*{mode}"):
+                build()
+
+    def test_top_k_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="top_k"):
+            small_strata_spec(top_k=0)
 
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(ValidationError):
@@ -219,11 +245,35 @@ class TestScenarios:
         for curve in curves.values():
             assert min(curve["excess"]) >= 0.0
 
-    def test_unusable_mode_recorded_as_failure(self):
-        spec = small_strata_spec(modes=("strata", "ipcw"))
+    def test_incompatible_mode_rejected_before_work(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "gaussian_strata_sample", lambda *a: pytest.fail("drew"))
+        for mode in ("pu", "ipcw"):
+            with pytest.raises(ValidationError, match="strata_shift"):
+                small_strata_spec(modes=("strata", mode))
+
+    def test_unusable_mode_recorded_as_failure(self, monkeypatch):
+        """A mode whose estimator raises a typed error on a replicate's data
+        is recorded per replicate; the other modes still run."""
+
+        def empty(data, prior):
+            raise EmptyStratumError(3)
+
+        monkeypatch.setattr(weights_mod, "stratum_shift_weights", empty)
+        spec = small_strata_spec(modes=("uniform", "strata"))
         bundle = run_experiment(spec)
-        assert any(f["mode"] == "ipcw" for f in bundle["failures"])
-        assert bundle["modes"]["strata"]["miss_rate"]["values"]
+        assert bundle["failures"] == [
+            {"replicate": r, "mode": "strata", "error": "EmptyStratumError: stratum 3 is empty"}
+            for r in range(spec.replicates)
+        ]
+        assert len(bundle["modes"]["uniform"]["miss_rate"]["values"]) == spec.replicates
+        assert bundle["modes"]["strata"]["miss_rate"]["values"] == []
+
+    def test_top_k_above_class_count_fails_once_without_training(self, monkeypatch):
+        monkeypatch.setattr(train_mod, "fit", lambda *a, **k: pytest.fail("trained"))
+        spec = small_strata_spec(top_k=5, replicates=3)  # 3 classes
+        bundle = run_experiment(spec)
+        assert [f["replicate"] for f in bundle["failures"]] == [0, 1, 2]
+        assert all(f["mode"] == "*" and "top-k" in f["error"] for f in bundle["failures"])
 
     def test_broken_generator_reports_partial_completion(self):
         spec = small_strata_spec(synthetic={"n_strata": 4, "bogus_knob": 1})
@@ -247,6 +297,30 @@ class TestEmit:
         assert curve.exists()
         assert curve.read_text().splitlines()[0] == "epoch,objective,miss_rate,top_k_error"
         assert all(str(tmp_path) in w for w in written)
+
+    def test_curve_csv_bytes(self, tmp_path):
+        """Learning and analytic curves: CRLF line ends, ints in decimal,
+        floats as repr (bytes as written before the CSV writers were merged)."""
+        bundle = {
+            "resolved_spec": {"scenario": "x"},
+            "curves": {"uniform": [(0, 1 / 3, 0.25, 0.1), (1, 0.1 + 0.2, 0.2, 1e-5)]},
+            "analytic": {"curves": {"a1_b1": {
+                "theta": [0.0, 0.5], "risk": [0.7, 1 / 3],
+                "p_prime": [0.05, 0.95], "excess": [0.0, 2.5e-17],
+            }}},
+        }
+        emit_results(bundle, tmp_path)
+        curves = tmp_path / "curves"
+        assert (curves / "uniform.csv").read_bytes() == (
+            b"epoch,objective,miss_rate,top_k_error\r\n"
+            b"0,0.3333333333333333,0.25,0.1\r\n1,0.30000000000000004,0.2,1e-05\r\n"
+        )
+        assert (curves / "risk_a1_b1.csv").read_bytes() == (
+            b"theta,risk\r\n0.0,0.7\r\n0.5,0.3333333333333333\r\n"
+        )
+        assert (curves / "excess_a1_b1.csv").read_bytes() == (
+            b"p_prime,excess\r\n0.05,0.0\r\n0.95,2.5e-17\r\n"
+        )
 
     def test_analytic_curve_files(self, tmp_path):
         bundle = run_experiment(

@@ -10,7 +10,6 @@ from werm.train import (
     ModelParams,
     TrainConfig,
     fit,
-    forward,
     gradient,
     hidden_size,
     init_params,
@@ -127,11 +126,11 @@ class TestInit:
 class TestForward:
     def test_zero_weights_yield_bias(self):
         p = ModelParams("linear", {"W": np.zeros((3, 2)), "b": np.array([1.5, -2.0])}, (3, 2))
-        np.testing.assert_array_equal(forward(p, np.ones(3)), [1.5, -2.0])
+        np.testing.assert_array_equal(logits_batch(p, np.ones(3))[0], [1.5, -2.0])
 
     def test_identity_map(self):
         p = ModelParams("linear", {"W": np.eye(2), "b": np.zeros(2)}, (2, 2))
-        np.testing.assert_array_equal(forward(p, np.array([3.0, -1.0])), [3.0, -1.0])
+        np.testing.assert_array_equal(logits_batch(p, np.array([3.0, -1.0]))[0], [3.0, -1.0])
 
     def test_dead_relu_yields_output_bias(self):
         p = ModelParams(
@@ -144,12 +143,12 @@ class TestForward:
             },
             (2, 3, 2),
         )
-        np.testing.assert_array_equal(forward(p, np.array([1.0, 2.0])), [0.25, 0.75])
+        np.testing.assert_array_equal(logits_batch(p, np.array([1.0, 2.0]))[0], [0.25, 0.75])
 
     def test_shape_mismatch(self):
         p = init_params("linear", 3, 2, TrainConfig())
-        with pytest.raises(Exception):
-            forward(p, np.ones(4))
+        with pytest.raises(SchemaError):
+            logits_batch(p, np.ones(4))
 
 
 class TestObjective:

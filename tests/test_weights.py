@@ -52,10 +52,6 @@ class TestTargetPrior:
             TargetPrior(pk=(0.5, 0.4))
         TargetPrior(pk=(1.0,))  # single stratum allowed
 
-    def test_negative_zeta_rejected(self):
-        with pytest.raises(ValidationError):
-            TargetPrior(p=0.5, zeta=-0.1)
-
 
 class TestClassShift:
     def test_derived_example(self):
@@ -288,9 +284,15 @@ class TestKaplanMeier:
         km = km_fit([2.0, 3.0, 5.0, 7.0], [True, True, False, True])
         path = tmp_path / "km.csv"
         km.to_csv(path)
-        back = KmCurve.from_csv(path, n_at_entry=km.n_at_entry)
+        back = KmCurve.from_csv(path)
         np.testing.assert_array_equal(back.times, km.times)
         np.testing.assert_array_equal(back.survival, km.survival)
+
+    def test_csv_bytes(self, tmp_path):
+        """CRLF line ends and repr floats (bytes as written before the CSV
+        writers were merged)."""
+        km_fit([2.0, 3.0, 5.0, 7.0], [True, True, False, True]).to_csv(tmp_path / "km.csv")
+        assert (tmp_path / "km.csv").read_bytes() == b"t,s\r\n2.0,0.75\r\n3.0,0.5\r\n7.0,0.0\r\n"
 
 
 class TestIpcw:
@@ -317,12 +319,12 @@ class TestIpcw:
 
     def test_half_survival_doubles_weight(self):
         # censoring events at t=1,2 leave S_cens(3-) = 0.5 * ... build directly
-        km = KmCurve(times=np.array([2.0]), survival=np.array([0.5]), n_at_entry=4)
+        km = KmCurve(times=np.array([2.0]), survival=np.array([0.5]))
         data = self.survival_data([3.0], [True])
         assert ipcw_weights(data, km).weights[0] == pytest.approx(2.0)
 
     def test_positivity_violation_names_record(self):
-        km = KmCurve(times=np.array([1.0]), survival=np.array([0.0]), n_at_entry=2)
+        km = KmCurve(times=np.array([1.0]), survival=np.array([0.0]))
         data = self.survival_data([0.5, 2.0], [True, True])
         with pytest.raises(PositivityViolationError) as err:
             ipcw_weights(data, km)
