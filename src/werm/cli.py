@@ -2,7 +2,9 @@
 
 Subcommands: ``analytic``, ``biasgen``, ``weights``, ``train``,
 ``bounds``, ``experiment``.  Exit codes: 0 success, 2 validation error,
-3 numeric error, 4 IO error.
+3 numeric error, 4 IO error, 5 an experiment ran but some replicate x mode
+runs failed (its outputs are still written; the failures are listed in
+the summary and in ``results.json``).
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def _cmd_bounds(args) -> None:
     )
 
 
-def _cmd_experiment(args) -> None:
+def _cmd_experiment(args) -> int:
     doc = {}
     if args.config:
         with open(args.config) as fh:
@@ -180,6 +182,10 @@ def _cmd_experiment(args) -> None:
             for mode, by_metric in bundle["modes"].items()
         }
     _emit(summary)
+    if bundle["failures"]:
+        print(f"error: {len(bundle['failures'])} replicate x mode runs failed", file=sys.stderr)
+        return 5
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +275,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
-        return 0
+        return args.func(args) or 0
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

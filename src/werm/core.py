@@ -24,8 +24,9 @@ A missing optional column means the field is absent for every record.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -255,18 +256,12 @@ class WeightVector:
         return WeightVector(np.ones(n))
 
     def to_csv(self, path) -> None:
-        write_rows(path, ["w"], ([float(w)] for w in self.weights))
+        write_rows(path, ["w"], zip(self.weights.tolist()))
 
     @staticmethod
     def from_csv(path) -> "WeightVector":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["w"]:
-            raise SchemaError("weight CSV must have the single header 'w'")
-        try:
-            return WeightVector(np.array([float(r[0]) for r in rows[1:]]))
-        except (ValueError, IndexError) as exc:
-            raise SchemaError(f"malformed weight CSV: {exc}") from exc
+        kinds_of = _exact_header(["w"], "weight CSV must have the single header 'w'")
+        return WeightVector(_read_columns(path, kinds_of)["w"])
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +379,18 @@ def classification_metrics(data: Dataset, logits: np.ndarray, k: int) -> dict:
 # CSV input / output
 # ---------------------------------------------------------------------------
 
-_OPTIONAL_COLUMNS = ("y", "s", "t", "e")
-
-
 def _check_column(arr: np.ndarray, n: int, name: str) -> None:
     if arr.ndim != 1 or arr.shape[0] != n:
         raise SchemaError(f"{name} must be a length-{n} vector")
 
 
-def _parse_header(header: list[str]) -> tuple[int, dict[str, int]]:
-    positions = {name: i for i, name in enumerate(header)}
-    if len(positions) != len(header):
+def _parse_header(header: list[str]) -> int:
+    """Check a stripped dataset header; returns the feature count d."""
+    if len(set(header)) != len(header):
         raise SchemaError("duplicate CSV column names")
     x_cols = [name for name in header if name.startswith("x")]
     for name in header:
-        if name in _OPTIONAL_COLUMNS or name.startswith("x"):
+        if name in _OPTIONAL_KINDS or name.startswith("x"):
             continue
         raise SchemaError(f"unknown CSV column {name!r}")
     d = len(x_cols)
@@ -407,51 +399,125 @@ def _parse_header(header: list[str]) -> tuple[int, dict[str, int]]:
     expected = [f"x{j}" for j in range(d)]
     if sorted(x_cols) != sorted(expected):
         raise SchemaError("feature columns must be x0..x{d-1} with no gaps")
-    return d, positions
+    return d
+
+
+def _event(cell: str) -> bool:
+    flag = cell.strip()
+    if flag not in ("0", "1"):
+        raise ValueError(f"event flag must be 0/1, got {flag!r}")
+    return flag == "1"
+
+
+# cell kind -> the numpy field it is parsed into; event flags are read as
+# text (an object field, so no width truncates them) and checked after.
+_FIELD_TYPES = {float: "f8", int: "i8", _event: "O"}
+_OPTIONAL_KINDS = {"y": int, "s": int, "t": float, "e": _event}
+
+
+def _check_cell(kind, cell: str) -> None:
+    """Raise ValueError unless numpy's reader parses ``cell`` as ``kind``
+    to the value Python's ``float``/``int`` give (numpy rejects digit-group
+    underscores, non-ASCII digits and ints outside int64)."""
+    value = kind(cell)
+    if kind is _event:
+        return
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"{cell!r} has digit-group underscores or non-ASCII digits")
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ValueError(f"{cell!r} is outside the int64 range")
+
+
+def _raise_bad_line(path, names: list[str], kinds: dict) -> None:
+    """Raise the SchemaError naming the first malformed data line.
+
+    Lines are counted as ``csv.reader`` records, blank ones included;
+    cells are checked in the order of ``kinds``.
+    """
+    checks = [(names.index(name), kind) for name, kind in kinds.items()]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise SchemaError(
+                    f"{path}: line {line_no}: expected {len(names)} cells, got {len(row)}"
+                )
+            try:
+                for i, kind in checks:
+                    _check_cell(kind, row[i])
+            except ValueError as exc:
+                raise SchemaError(f"{path}: line {line_no}: {exc}") from exc
+
+
+def _read_columns(path, kinds_of: Callable[[list[str]], dict]) -> dict[str, np.ndarray]:
+    """Parse a CSV into one array per column with numpy's C reader.
+
+    ``kinds_of(header)`` checks the raw header and maps each stripped
+    column name to its cell kind (``float``, ``int`` or ``_event``), in the
+    order cells are checked.  Blank lines are skipped; a malformed file
+    raises :class:`SchemaError` naming its first bad line.  Columns may be
+    empty (a header-only file).
+    """
+    # universal newlines: numpy's reader splits rows at "\n" only
+    with open(path) as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file")
+        kinds = kinds_of(header)
+        names = [h.strip() for h in header]
+        dtype = np.dtype([(name, _FIELD_TYPES[kinds[name]]) for name in names])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows
+                table = np.loadtxt(
+                    fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+                )
+            return {
+                name: np.array([_event(c) for c in table[name]], dtype=bool)
+                if kind is _event else np.ascontiguousarray(table[name])
+                for name, kind in kinds.items()
+            }
+        except ValueError as exc:
+            _raise_bad_line(path, names, kinds)
+            raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _exact_header(names: list[str], message: str) -> Callable[[list[str]], dict]:
+    """``kinds_of`` for :func:`_read_columns`: the header must be exactly
+    ``names`` (else SchemaError(message)); every cell is a float."""
+
+    def kinds_of(header: list[str]) -> dict:
+        if header != names:
+            raise SchemaError(message)
+        return dict.fromkeys(names, float)
+
+    return kinds_of
+
+
+def _dataset_kinds(header: list[str]) -> dict:
+    names = [h.strip() for h in header]
+    d = _parse_header(names)
+    kinds = {f"x{j}": float for j in range(d)}
+    kinds.update((name, kind) for name, kind in _OPTIONAL_KINDS.items() if name in names)
+    return kinds
 
 
 def read_csv(path) -> Dataset:
     """Parse a dataset CSV; malformed cells raise with their file line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        d, pos = _parse_header([h.strip() for h in header])
-        feats, ys, ss, ts, es = [], [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            try:
-                feats.append([float(row[pos[f'x{j}']]) for j in range(d)])
-                if "y" in pos:
-                    ys.append(int(row[pos["y"]]))
-                if "s" in pos:
-                    ss.append(int(row[pos["s"]]))
-                if "t" in pos:
-                    ts.append(float(row[pos["t"]]))
-                if "e" in pos:
-                    cell = row[pos["e"]].strip()
-                    if cell not in ("0", "1"):
-                        raise ValueError(f"event flag must be 0/1, got {cell!r}")
-                    es.append(cell == "1")
-            except ValueError as exc:
-                raise SchemaError(f"{path}: line {line_no}: {exc}") from exc
-    if not feats:
+    cols = _read_columns(path, _dataset_kinds)
+    if not cols["x0"].size:
         raise SchemaError(f"{path}: no data rows")
-    if ("t" in pos) != ("e" in pos):
+    if ("t" in cols) != ("e" in cols):
         raise SchemaError(f"{path}: columns t and e must appear together")
     return Dataset(
-        features=np.asarray(feats, dtype=float),
-        labels=np.asarray(ys) if ys else None,
-        strata=np.asarray(ss) if ss else None,
-        times=np.asarray(ts) if ts else None,
-        events=np.asarray(es) if es else None,
+        features=np.column_stack([c for name, c in cols.items() if name.startswith("x")]),
+        labels=cols.get("y"),
+        strata=cols.get("s"),
+        times=cols.get("t"),
+        events=cols.get("e"),
     )
 
 
@@ -459,11 +525,12 @@ def write_csv(data: Dataset, path) -> None:
     events = None if data.events is None else data.events.astype(int)
     cols = {"y": data.labels, "s": data.strata, "t": data.times, "e": events}
     cols = {name: c for name, c in cols.items() if c is not None}
-    rows = (
-        [*map(float, data.features[i]), *(c[i].item() for c in cols.values())]
-        for i in range(data.n)
+    columns = [*data.features.T, *cols.values()]
+    write_rows(
+        path,
+        [f"x{j}" for j in range(data.d)] + list(cols),
+        zip(*[c.tolist() for c in columns]),
     )
-    write_rows(path, [f"x{j}" for j in range(data.d)] + list(cols), rows)
 
 
 def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -112,6 +112,9 @@ class ExperimentSpec:
                 raise ValidationError(
                     f"scenario {self.scenario!r} needs synthetic.{name}"
                 )
+        # built once here so a bad override fails before any data is drawn
+        self.bias_spec()
+        self.train_config(seed=0)
 
     def resolved(self) -> dict:
         out = dataclasses.asdict(self)
@@ -125,10 +128,10 @@ class ExperimentSpec:
         return tuple(int(s) for s in state)
 
     def train_config(self, seed: int) -> train_mod.TrainConfig:
-        return train_mod.TrainConfig(seed=seed, **self.train)
+        return _build(train_mod.TrainConfig, "train", self.train, seed=seed)
 
     def bias_spec(self) -> biasgen.BiasSpec | None:
-        return None if self.bias is None else biasgen.BiasSpec(**self.bias)
+        return None if self.bias is None else _build(biasgen.BiasSpec, "bias", self.bias)
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentSpec":
@@ -137,6 +140,16 @@ class ExperimentSpec:
         if unknown:
             raise ValidationError(f"unknown spec fields: {sorted(unknown)}")
         return ExperimentSpec(**doc)
+
+
+def _build(cls, what: str, fields: dict, **fixed):
+    """``cls(**fields, **fixed)``; an unknown, missing or repeated field, or
+    a value of the wrong type, raises ValidationError naming the spec
+    field ``what``."""
+    try:
+        return cls(**fields, **fixed)
+    except TypeError as exc:
+        raise ValidationError(f"spec field {what!r}: {exc}") from exc
 
 
 def ingest_csv(path) -> tuple[Dataset, dict]:

@@ -33,7 +33,6 @@ estimation error from the effect of reweighting itself.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,6 +46,8 @@ from .core import (
     SchemaError,
     ValidationError,
     WeightVector,
+    _exact_header,
+    _read_columns,
     write_rows,
 )
 
@@ -296,18 +297,13 @@ class KmCurve:
         return np.concatenate(([1.0], self.survival))[idx]
 
     def to_csv(self, path) -> None:
-        write_rows(path, ["t", "s"], zip(map(float, self.times), map(float, self.survival)))
+        write_rows(path, ["t", "s"], zip(self.times.tolist(), self.survival.tolist()))
 
     @staticmethod
     def from_csv(path) -> "KmCurve":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["t", "s"]:
-            raise SchemaError("survival CSV must have header 't,s'")
-        vals = np.array([[float(a), float(b)] for a, b in rows[1:]])
-        if vals.size == 0:
-            vals = vals.reshape(0, 2)
-        return KmCurve(times=vals[:, 0], survival=vals[:, 1])
+        kinds_of = _exact_header(["t", "s"], "survival CSV must have header 't,s'")
+        cols = _read_columns(path, kinds_of)
+        return KmCurve(times=cols["t"], survival=cols["s"])
 
 
 def km_fit(times, events) -> KmCurve:

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from werm import train as train_mod
 from werm.cli import main
-from werm.core import WeightVector, read_csv
+from werm.core import EmptyStratumError, WeightVector, read_csv
 from werm.experiment import MODE_WEIGHTS
 
 
@@ -320,6 +321,37 @@ class TestExperimentCommand:
         )
         assert code == 0
         assert (tmp_path / "c" / "results.json").exists()
+
+    def test_failed_runs_exit_5_and_still_write(self, tmp_path, capsys, monkeypatch):
+        def broken(data, ctx):
+            raise EmptyStratumError(2)
+
+        monkeypatch.setitem(MODE_WEIGHTS, "strata", broken)
+        cfg = self.config(tmp_path, "f")
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 5
+        assert [f["mode"] for f in json.loads(out)["failures"]] == ["strata", "strata"]
+        assert "2 replicate x mode runs failed" in err
+        results = json.loads((tmp_path / "f" / "results.json").read_text())
+        assert len(results["failures"]) == 2
+        assert len(results["modes"]["uniform"]["miss_rate"]["values"]) == 2
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("train", {"lr": -1.0}, "lr must be > 0"),
+            ("bias", {"gamma": 0.3, "exponent_style": "x"}, "'bias'.*exponent_style"),
+        ],
+    )
+    def test_bad_override_exits_2_before_work(self, tmp_path, capsys, field, value, message):
+        cfg = self.config(tmp_path, "g")
+        doc = json.loads(cfg.read_text())
+        doc[field] = value
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert re.search(message, err)
+        assert not (tmp_path / "g").exists()
 
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

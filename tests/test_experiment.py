@@ -66,6 +66,23 @@ class TestSpec:
         with pytest.raises(ValidationError, match="top_k"):
             small_strata_spec(top_k=0)
 
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            ({"train": {"lr": -1.0}}, "lr must be > 0"),
+            ({"train": {"epochs": "many"}}, "train"),
+            ({"train": {"learning_rate": 0.1}}, "train.*learning_rate"),
+            ({"train": {"seed": 3}}, "train.*seed"),
+            ({"bias": {"gamma": 0.3, "exponent_style": "main"}}, "bias.*exponent_style"),
+            ({"bias": {"permutation": "identity"}}, "bias.*gamma"),
+            ({"bias": {"gamma": 1.5}}, "gamma"),
+        ],
+    )
+    def test_bad_train_or_bias_rejected_before_work(self, monkeypatch, overrides, match):
+        monkeypatch.setattr(synthetic, "gaussian_strata_sample", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValidationError, match=match):
+            small_strata_spec(**overrides)
+
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(ValidationError):
             ExperimentSpec.from_json({"scenario": "pu", "gpu": True})

@@ -280,6 +280,24 @@ class TestKaplanMeier:
         with pytest.raises(ValidationError):
             km_fit([], [])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 300, 2000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scipy_ecdf(self, n, seed):
+        """Differential oracle: scipy's right-censored ECDF survival, with
+        heavy ties between event and censoring times (a few integer times)
+        and event shares from none to all."""
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng([n, seed])
+        t = rng.integers(0, max(2, n // 10), n).astype(float)
+        events = rng.random(n) < [0.0, 0.3, 0.8, 1.0][seed]
+        km = km_fit(t, events)
+        sf = scipy_stats.ecdf(scipy_stats.CensoredData.right_censored(t, ~events)).sf
+        grid = np.unique(np.concatenate([t, t + 0.5, [-1.0, t.max() + 1.0]]))
+        np.testing.assert_allclose(km.survival_at(grid), sf.evaluate(grid), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            km.survival_before(grid), sf.evaluate(grid - 0.25), rtol=1e-12, atol=1e-15
+        )
+
     def test_csv_round_trip(self, tmp_path):
         km = km_fit([2.0, 3.0, 5.0, 7.0], [True, True, False, True])
         path = tmp_path / "km.csv"
