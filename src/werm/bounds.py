@@ -1,28 +1,31 @@
 """Generalization and plug-in deviation bounds as evaluable formulas.
 
-Excess-risk bounds (:func:`evaluate_bound`):
+Every plug-in result is built from two inequalities.  A Hoeffding bound,
+with a union bound over K group rates, controls the gap between
+count-plug-in and exact-rate weighting uniformly over the hypothesis grid
+(:func:`deviation_bound`):
 
-    lemma1      4*phi_sup*E[Rad] + 2*phi_sup*L*sqrt(2*log(1/delta)/n)
-    corollary1  (2*max(p,1-p)/eps) * (2*E[Rad] + sqrt(2*log(2/delta)/n))
-                    + (4/eps^2) * sqrt(log(4/delta)/(2n))
-    theorem1    (2*max_pk/eps) * (2*E[Rad] + L*sqrt(2*log(2/delta)/n))
-                    + (4L/eps^2) * sqrt(log(4K/delta)/(2n))
-    theorem2    (2*max(2p,1)/eps) * (2*E[Rad] + sqrt(2*log(2/delta)/n))
-                    + (4(2p+1)/eps^2) * sqrt(log(4/delta)/(2n))
+    (2c/eps^2) * sqrt(log(2K/delta)/(2n)),  valid for n >= 2*log(2K/delta)/eps^2
 
-Plug-in deviation bounds (:func:`deviation_bound`), controlling the gap
-between count-plug-in and exact-rate weighting uniformly over the
-hypothesis grid:
+    approx1  [class shift]    c = 1      K = 1
+    approx2  [stratum shift]  c = L      K = K
+    approx3  [PU]             c = 2p+1   K = 1
 
-    approx1     (2/eps^2) * sqrt(log(2/delta)/(2n))        [class shift]
-    approx2     (2L/eps^2) * sqrt(log(2K/delta)/(2n))      [stratum shift]
-    approx3     (2(2p+1)/eps^2) * sqrt(log(2/delta)/(2n))  [PU]
+Each excess-risk bound (:func:`evaluate_bound`) is an estimation term plus
+its paired deviation bound paid twice at delta/2, whose sample-size
+condition it inherits:
 
-Each statement carries a sample-size condition (reported as
-``required_n``; ``valid`` flags whether n meets it) and every bound is
-reported with its constituent terms so experiments can show which one
-dominates.  eps is the separation margin: all group rates are assumed to
-lie in (eps, 1-eps), and every bound blows up as eps -> 0.
+    (2*lead/eps) * (2*E[Rad] + L*sqrt(2*log(2/delta)/n)) + 2 * deviation(delta/2)
+
+    corollary1  pays approx1   lead = max(p, 1-p)   L = 1
+    theorem1    pays approx2   lead = max_pk        L = L
+    theorem2    pays approx3   lead = max(2p, 1)    L = 1
+
+``lemma1`` is the weighting-free 4*phi_sup*E[Rad] +
+2*phi_sup*L*sqrt(2*log(1/delta)/n).  Every bound reports its terms, its
+sample-size condition (``required_n``) and whether n meets it
+(``valid``).  eps is the separation margin: all group rates are assumed
+to lie in (eps, 1-eps), and every plug-in bound blows up as eps -> 0.
 
 Rademacher averages are estimated by Monte Carlo over an explicit finite
 hypothesis grid; no combinatorial-dimension machinery is used.
@@ -30,6 +33,7 @@ hypothesis grid; no combinatorial-dimension machinery is used.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -112,14 +116,10 @@ class BoundResult:
     required_n: float
 
 
-def _require(inputs: BoundInputs, kind: str, *fields: str) -> None:
+def _require(inputs: BoundInputs, kind: str, fields: tuple[str, ...]) -> None:
     for f in fields:
         if getattr(inputs, f) is None:
             raise ValidationError(f"bound kind {kind!r} needs field {f!r}")
-
-
-def _hoeffding_radius(log_arg: float, n: int) -> float:
-    return math.sqrt(math.log(log_arg) / (2.0 * n))
 
 
 def _result(terms: dict[str, float], required_n: float, n: int) -> BoundResult:
@@ -131,71 +131,60 @@ def _result(terms: dict[str, float], required_n: float, n: int) -> BoundResult:
     )
 
 
+# deviation kind -> (fields it needs, inputs -> (c, K)) of
+# (2c/eps^2) * sqrt(log(2K/delta)/(2n))
+_DEVIATIONS = {
+    "approx1": (("epsilon",), lambda i: (1.0, 1)),
+    "approx2": (("epsilon", "K"), lambda i: (i.L, i.K)),
+    "approx3": (("epsilon", "p"), lambda i: (2.0 * i.p + 1.0, 1)),
+}
+
+# excess kind -> (fields it needs, the deviation kind it pays for,
+# inputs -> (lead, L) of the estimation term)
+_EXCESS = {
+    "corollary1": (("p", "epsilon"), "approx1", lambda i: (max(i.p, 1.0 - i.p), 1.0)),
+    "theorem1": (("max_pk", "epsilon", "K"), "approx2", lambda i: (i.max_pk, i.L)),
+    "theorem2": (("p", "epsilon"), "approx3", lambda i: (max(2.0 * i.p, 1.0), 1.0)),
+}
+
+
 def evaluate_bound(kind: str, inputs: BoundInputs) -> BoundResult:
     """Excess-risk bound of the given kind at the given inputs."""
     n, delta, eps, rad = inputs.n, inputs.delta, inputs.epsilon, inputs.rademacher
     if kind == "lemma1":
-        _require(inputs, kind, "phi_sup")
+        _require(inputs, kind, ("phi_sup",))
+        phi, L = inputs.phi_sup, inputs.L
         terms = {
-            "complexity": 4.0 * inputs.phi_sup * rad,
-            "deviation": 2.0
-            * inputs.phi_sup
-            * inputs.L
-            * math.sqrt(2.0 * math.log(1.0 / delta) / n),
+            "complexity": 4.0 * phi * rad,
+            "deviation": 2.0 * phi * L * math.sqrt(2.0 * math.log(1.0 / delta) / n),
         }
         return _result(terms, required_n=1.0, n=n)
-    if kind == "corollary1":
-        _require(inputs, kind, "p", "epsilon")
-        lead = 2.0 * max(inputs.p, 1.0 - inputs.p) / eps
-        terms = {
-            "estimation": lead * (2.0 * rad + math.sqrt(2.0 * math.log(2.0 / delta) / n)),
-            "plug_in": (4.0 / eps**2) * _hoeffding_radius(4.0 / delta, n),
-        }
-        return _result(terms, required_n=2.0 * math.log(4.0 / delta) / eps**2, n=n)
-    if kind == "theorem1":
-        _require(inputs, kind, "max_pk", "epsilon", "K")
-        lead = 2.0 * inputs.max_pk / eps
-        terms = {
-            "estimation": lead
-            * (2.0 * rad + inputs.L * math.sqrt(2.0 * math.log(2.0 / delta) / n)),
-            "plug_in": (4.0 * inputs.L / eps**2)
-            * _hoeffding_radius(4.0 * inputs.K / delta, n),
-        }
-        return _result(
-            terms, required_n=2.0 * math.log(4.0 * inputs.K / delta) / eps**2, n=n
-        )
-    if kind == "theorem2":
-        _require(inputs, kind, "p", "epsilon")
-        lead = 2.0 * max(2.0 * inputs.p, 1.0) / eps
-        terms = {
-            "estimation": lead * (2.0 * rad + math.sqrt(2.0 * math.log(2.0 / delta) / n)),
-            "plug_in": (4.0 * (2.0 * inputs.p + 1.0) / eps**2)
-            * _hoeffding_radius(4.0 / delta, n),
-        }
-        return _result(terms, required_n=2.0 * math.log(4.0 / delta) / eps**2, n=n)
-    raise ValidationError(f"unknown bound kind {kind!r}")
+    if kind not in _EXCESS:
+        raise ValidationError(f"unknown bound kind {kind!r}")
+    fields, paired, constants = _EXCESS[kind]
+    _require(inputs, kind, fields)
+    lead, L = constants(inputs)
+    plug_in = deviation_bound(paired, dataclasses.replace(inputs, delta=delta / 2.0))
+    terms = {
+        "estimation": (2.0 * lead / eps)
+        * (2.0 * rad + L * math.sqrt(2.0 * math.log(2.0 / delta) / n)),
+        "plug_in": 2.0 * plug_in.value,
+    }
+    return dataclasses.replace(plug_in, value=float(sum(terms.values())), terms=terms)
 
 
 def deviation_bound(kind: str, inputs: BoundInputs) -> BoundResult:
     """Plug-in-vs-exact weighting deviation bound of the given kind."""
-    n, delta, eps = inputs.n, inputs.delta, inputs.epsilon
-    if kind == "approx1":
-        _require(inputs, kind, "epsilon")
-        value = (2.0 / eps**2) * _hoeffding_radius(2.0 / delta, n)
-        required = 2.0 * math.log(2.0 / delta) / eps**2
-    elif kind == "approx2":
-        _require(inputs, kind, "epsilon", "K")
-        value = (2.0 * inputs.L / eps**2) * _hoeffding_radius(2.0 * inputs.K / delta, n)
-        required = 2.0 * math.log(2.0 * inputs.K / delta) / eps**2
-    elif kind == "approx3":
-        _require(inputs, kind, "epsilon", "p")
-        value = (2.0 * (2.0 * inputs.p + 1.0) / eps**2) * _hoeffding_radius(
-            2.0 / delta, n
-        )
-        required = 2.0 * math.log(2.0 / delta) / eps**2
-    else:
+    if kind not in _DEVIATIONS:
         raise ValidationError(f"unknown deviation bound kind {kind!r}")
-    return _result({"deviation": value}, required_n=required, n=n)
+    fields, constants = _DEVIATIONS[kind]
+    _require(inputs, kind, fields)
+    c, K = constants(inputs)
+    log_term = math.log(2.0 * K / inputs.delta)
+    value = (2.0 * c / inputs.epsilon**2) * math.sqrt(log_term / (2.0 * inputs.n))
+    return _result(
+        {"deviation": value}, required_n=2.0 * log_term / inputs.epsilon**2, n=inputs.n
+    )
 
 
 def prior_sensitivity_bound(zeta: float) -> float:
@@ -209,28 +198,6 @@ def prior_sensitivity_bound(zeta: float) -> float:
 # ---------------------------------------------------------------------------
 # Monte-Carlo Rademacher averages
 # ---------------------------------------------------------------------------
-
-
-def _loss_matrix(data: Dataset, hypothesis_grid, loss: LossSpec) -> np.ndarray:
-    return np.stack([per_record_losses(data, loss, h) for h in hypothesis_grid])
-
-
-def _rademacher_samples(loss_matrix: np.ndarray, reps: int, seed):
-    """Yield per-replicate max statistics block by block.
-
-    Blocks of fixed size are seeded from (seed, block index), so the
-    stream is reproducible for any block-aligned work split.
-    """
-    _, n = loss_matrix.shape
-    done = 0
-    block_index = 0
-    while done < reps:
-        b = min(_RADEMACHER_BLOCK, reps - done)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, block_index)))
-        sigma = rng.integers(0, 2, size=(b, n)) * 2.0 - 1.0
-        yield np.abs(loss_matrix @ sigma.T).max(axis=0) / n
-        done += b
-        block_index += 1
 
 
 def rademacher_mc(
@@ -251,10 +218,15 @@ def _rademacher_mc_detail(data, hypothesis_grid, loss, reps, seed):
         raise ValidationError("hypothesis grid must be nonempty")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    M = _loss_matrix(data, grid, loss)
+    M = np.stack([per_record_losses(data, loss, h) for h in grid])
+    n = M.shape[1]
     total = 0.0
     total_sq = 0.0
-    for vals in _rademacher_samples(M, reps, seed):
+    # block b draws its signs from (seed, b), so a block's draws do not depend on reps
+    for b, done in enumerate(range(0, reps, _RADEMACHER_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+        size = (min(_RADEMACHER_BLOCK, reps - done), n)
+        vals = np.abs(M @ (rng.integers(0, 2, size=size) * 2.0 - 1.0).T).max(axis=0) / n
         total += vals.sum()
         total_sq += (vals**2).sum()
     mean = total / reps
@@ -323,66 +295,63 @@ def coverage_check(
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     grid = np.linspace(0.0, 1.0, grid_size)
-
+    # per setting: the model type, the training rates the default epsilon
+    # comes from, the deviation bound, and one replicate's draw with its
+    # plug-in and exact-rate weights
     if setting == "class_shift":
         if p_train is None:
             raise ValidationError("class_shift coverage needs p_train")
-        eps = epsilon if epsilon is not None else min(p_train, 1.0 - p_train)
-        bound = deviation_bound(
-            "approx1", BoundInputs(n=n, delta=delta, epsilon=eps)
-        )
-        prior = TargetPrior(p=model.p)
+        model_type, rate_arg, rates, kind = analytic.AnalyticModel, "p_train", p_train, "approx1"
 
-        def one(rep_seed):
+        def draw(rep_seed):
             data = analytic.sample(model, n, p_train, rep_seed)
-            w_hat = class_shift_weights(data, prior)
-            w_star = oracle_class_shift_weights(data, model.p, p_train)
-            return _sup_threshold_deviation(data, w_hat.weights - w_star.weights, grid)
+            return data, class_shift_weights(data, prior), oracle_class_shift_weights(
+                data, model.p, p_train
+            )
 
     elif setting == "stratum_shift":
         if pk is None or pk_train is None:
             raise ValidationError("stratum_shift coverage needs pk and pk_train")
-        pk = np.asarray(pk, dtype=float)
-        pk_train = np.asarray(pk_train, dtype=float)
-        if not isinstance(model, StratifiedThresholdModel):
-            raise ValidationError("stratum_shift coverage needs a StratifiedThresholdModel")
-        eps = (
-            epsilon
-            if epsilon is not None
-            else float(np.minimum(pk_train, 1.0 - pk_train).min())
-        )
-        bound = deviation_bound(
-            "approx2", BoundInputs(n=n, delta=delta, epsilon=eps, K=pk.size, L=1.0)
-        )
-        prior = TargetPrior(pk=tuple(pk))
+        pk, rates = np.asarray(pk, dtype=float), np.asarray(pk_train, dtype=float)
+        model_type, rate_arg, kind = StratifiedThresholdModel, "pk_train", "approx2"
 
-        def one(rep_seed):
-            data = model.sample(n, pk_train, rep_seed)
-            w_hat = stratum_shift_weights(data, prior)
-            w_star = oracle_stratum_shift_weights(data, pk, pk_train)
-            return _sup_threshold_deviation(data, w_hat.weights - w_star.weights, grid)
+        def draw(rep_seed):
+            data = model.sample(n, rates, rep_seed)
+            return data, stratum_shift_weights(data, prior), oracle_stratum_shift_weights(
+                data, pk, rates
+            )
 
     elif setting == "pu":
         if q is None:
             raise ValidationError("pu coverage needs q")
-        eps = epsilon if epsilon is not None else min(q, 1.0 - q)
-        bound = deviation_bound(
-            "approx3", BoundInputs(n=n, delta=delta, epsilon=eps, p=model.p)
-        )
-        prior = TargetPrior(p=model.p)
+        model_type, rate_arg, rates, kind = analytic.AnalyticModel, "q", q, "approx3"
 
-        def one(rep_seed):
+        def draw(rep_seed):
             data = analytic.sample_pu(model, n, q, rep_seed)
-            w_hat = pu_weights(data, prior)
-            w_star = oracle_pu_weights(data, model.p, q)
-            return _sup_threshold_deviation(data, w_hat.weights - w_star.weights, grid)
+            return data, pu_weights(data, prior), oracle_pu_weights(data, model.p, q)
 
     else:
         raise ValidationError(f"unknown coverage setting {setting!r}")
 
-    deviations = np.array(
-        [one(np.random.SeedSequence((seed, r))) for r in range(reps)]
+    if not isinstance(model, model_type):
+        raise ValidationError(f"{setting} coverage needs a {model_type.__name__}")
+    if epsilon is None:
+        epsilon = float(np.min(np.minimum(rates, 1.0 - rates)))
+        if epsilon >= 0.5:
+            raise ValidationError(
+                f"{setting} coverage: a balanced {rate_arg} gives no default epsilon "
+                "(min(rate, 1 - rate) = 1/2 is outside (0, 1/2)); pass epsilon"
+            )
+    prior = TargetPrior(pk=tuple(pk)) if setting == "stratum_shift" else TargetPrior(p=model.p)
+    bound = deviation_bound(
+        kind, BoundInputs(n=n, delta=delta, epsilon=epsilon, p=prior.p, K=np.size(rates))
     )
+
+    deviations = []
+    for r in range(reps):
+        data, w_hat, w_star = draw(np.random.SeedSequence((seed, r)))
+        deviations.append(_sup_threshold_deviation(data, w_hat.weights - w_star.weights, grid))
+    deviations = np.array(deviations)
     coverage = float(np.mean(deviations <= bound.value))
     return CoverageResult(
         coverage=coverage,

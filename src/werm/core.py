@@ -436,9 +436,9 @@ def _raise_bad_line(path, names: list[str], kinds: dict) -> None:
     """
     checks = [(names.index(name), kind) for name, kind in kinds.items()]
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for line_no, row in enumerate(reader, start=2):
+        records = _records(path, fh)
+        next(records)  # the header
+        for line_no, row in records:
             if not row:
                 continue
             if len(row) != len(names):
@@ -452,6 +452,18 @@ def _raise_bad_line(path, names: list[str], kinds: dict) -> None:
                 raise SchemaError(f"{path}: line {line_no}: {exc}") from exc
 
 
+def _records(path, fh):
+    """Yield (line number, cells) for each ``csv.reader`` record of ``fh``;
+    a cell longer than ``csv.field_size_limit()`` raises SchemaError naming
+    its line."""
+    line_no = 0
+    try:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            yield line_no, row
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {line_no + 1}: {exc}") from exc
+
+
 def _read_columns(path, kinds_of: Callable[[list[str]], dict]) -> dict[str, np.ndarray]:
     """Parse a CSV into one array per column with numpy's C reader.
 
@@ -463,7 +475,7 @@ def _read_columns(path, kinds_of: Callable[[list[str]], dict]) -> dict[str, np.n
     """
     # universal newlines: numpy's reader splits rows at "\n" only
     with open(path) as fh:
-        header = next(csv.reader(fh), None)
+        _, header = next(_records(path, fh), (1, None))
         if header is None:
             raise SchemaError(f"{path}: empty file")
         kinds = kinds_of(header)

@@ -106,13 +106,8 @@ class ExperimentSpec:
             self.replicate_seeds = tuple(int(s) for s in self.replicate_seeds)
             if len(self.replicate_seeds) != self.replicates:
                 raise ValidationError("replicate_seeds length must equal replicates")
-        required = {"class_shift": ("p", "p_train"), "pu": ("p", "q")}
-        for name in required.get(self.scenario, ()):
-            if name not in self.synthetic:
-                raise ValidationError(
-                    f"scenario {self.scenario!r} needs synthetic.{name}"
-                )
         # built once here so a bad override fails before any data is drawn
+        self.generator()
         self.bias_spec()
         self.train_config(seed=0)
 
@@ -132,6 +127,28 @@ class ExperimentSpec:
 
     def bias_spec(self) -> biasgen.BiasSpec | None:
         return None if self.bias is None else _build(biasgen.BiasSpec, "bias", self.bias)
+
+    def generator(self):
+        """The scenario's generator built from ``synthetic``, less the
+        training rate or source size it also holds: an AnalyticModel
+        (alpha and beta default to 1), a GaussianStrataSpec or a
+        CensoredSpec; None for analytic_excess, whose curves are set by p
+        and pairs.  A bad key raises ValidationError."""
+        syn = dict(self.synthetic)
+        if self.scenario == "strata_shift":
+            syn.pop("n_source", None)
+            return _build(synthetic.GaussianStrataSpec, "synthetic", syn)
+        if self.scenario == "censored":
+            return _build(synthetic.CensoredSpec, "synthetic", syn)
+        if self.scenario == "analytic_excess":
+            if set(syn) - {"p", "pairs"}:
+                raise ValidationError(f"spec field 'synthetic': {self.scenario!r} takes p, pairs")
+            return None
+        rate = "q" if self.scenario == "pu" else "p_train"
+        if rate not in syn:
+            raise ValidationError(f"scenario {self.scenario!r} needs synthetic.{rate}")
+        del syn[rate]
+        return _build(analytic.AnalyticModel, "synthetic", {"alpha": 1.0, "beta": 1.0, **syn})
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentSpec":
@@ -251,9 +268,7 @@ def _shared_data(spec: ExperimentSpec) -> tuple[Dataset, dict, Callable[[int], D
     syn = spec.synthetic
     test_seed = [spec.base_seed, 999]
     if spec.scenario in ("class_shift", "pu"):
-        m = analytic.AnalyticModel(
-            alpha=syn.get("alpha", 1.0), beta=syn.get("beta", 1.0), p=syn["p"]
-        )
+        m = spec.generator()
         test = analytic.sample(m, spec.n_test, m.p, test_seed)
         # training draws have one rate: q for pu, p_train for class_shift
         if spec.scenario == "pu":
@@ -277,9 +292,7 @@ def _shared_data(spec: ExperimentSpec) -> tuple[Dataset, dict, Callable[[int], D
             )
             draw_source = lambda seed: source  # noqa: E731 - subsampled as it is
         else:
-            generator = synthetic.GaussianStrataSpec(
-                **{k: v for k, v in syn.items() if k != "n_source"}
-            )
+            generator = spec.generator()
             K = generator.n_strata
             pk = np.asarray(spec.prior.get("pk") or [1.0 / K] * K)
             test = synthetic.gaussian_strata_sample(generator, spec.n_test, pk, test_seed)
@@ -305,7 +318,7 @@ def _shared_data(spec: ExperimentSpec) -> tuple[Dataset, dict, Callable[[int], D
             )
 
     else:  # censored
-        cspec = synthetic.CensoredSpec(**syn)
+        cspec = spec.generator()
         test = synthetic.censored_test_sample(cspec, spec.n_test, test_seed)
         ctx = {"oracle": lambda d: synthetic.oracle_censoring_weights(cspec, d)}
 

@@ -1,13 +1,19 @@
 """Bound formulas, Rademacher Monte Carlo, and coverage experiments."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from werm import analytic, bounds
 from werm.analytic import AnalyticModel, sample, true_risk
 from werm.bounds import (
+    DEVIATION_BOUND_KINDS,
+    EXCESS_BOUND_KINDS,
     BoundInputs,
+    BoundResult,
     _rademacher_mc_detail,
     _sup_threshold_deviation,
     coverage_check,
@@ -298,3 +304,241 @@ class TestCoverage:
         m = AnalyticModel(1.0, 1.0, 0.3)
         with pytest.raises(ValidationError):
             coverage_check("covariate", m, n=100, delta=0.1, reps=1, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the branch-per-kind formulas the tables replaced
+# ---------------------------------------------------------------------------
+
+
+def _radius(log_arg, n):
+    return math.sqrt(math.log(log_arg) / (2.0 * n))
+
+
+def _reference_bound(kind, i):
+    """(terms, required_n) of each kind, written out one branch per kind as
+    the formulas stood before the deviation and excess tables."""
+    n, delta, eps, rad = i.n, i.delta, i.epsilon, i.rademacher
+    need = {
+        "lemma1": ("phi_sup",), "corollary1": ("p", "epsilon"),
+        "theorem1": ("max_pk", "epsilon", "K"), "theorem2": ("p", "epsilon"),
+        "approx1": ("epsilon",), "approx2": ("epsilon", "K"), "approx3": ("epsilon", "p"),
+    }[kind]
+    for f in need:
+        if getattr(i, f) is None:
+            raise ValidationError(f"bound kind {kind!r} needs field {f!r}")
+    if kind == "lemma1":
+        terms = {
+            "complexity": 4.0 * i.phi_sup * rad,
+            "deviation": 2.0 * i.phi_sup * i.L * math.sqrt(2.0 * math.log(1.0 / delta) / n),
+        }
+        return terms, 1.0
+    if kind == "corollary1":
+        lead = 2.0 * max(i.p, 1.0 - i.p) / eps
+        return {
+            "estimation": lead * (2.0 * rad + math.sqrt(2.0 * math.log(2.0 / delta) / n)),
+            "plug_in": (4.0 / eps**2) * _radius(4.0 / delta, n),
+        }, 2.0 * math.log(4.0 / delta) / eps**2
+    if kind == "theorem1":
+        lead = 2.0 * i.max_pk / eps
+        return {
+            "estimation": lead * (2.0 * rad + i.L * math.sqrt(2.0 * math.log(2.0 / delta) / n)),
+            "plug_in": (4.0 * i.L / eps**2) * _radius(4.0 * i.K / delta, n),
+        }, 2.0 * math.log(4.0 * i.K / delta) / eps**2
+    if kind == "theorem2":
+        lead = 2.0 * max(2.0 * i.p, 1.0) / eps
+        return {
+            "estimation": lead * (2.0 * rad + math.sqrt(2.0 * math.log(2.0 / delta) / n)),
+            "plug_in": (4.0 * (2.0 * i.p + 1.0) / eps**2) * _radius(4.0 / delta, n),
+        }, 2.0 * math.log(4.0 / delta) / eps**2
+    if kind == "approx1":
+        value, required = (2.0 / eps**2) * _radius(2.0 / delta, n), 2.0 * math.log(2.0 / delta)
+    elif kind == "approx2":
+        value = (2.0 * i.L / eps**2) * _radius(2.0 * i.K / delta, n)
+        required = 2.0 * math.log(2.0 * i.K / delta)
+    else:
+        value = (2.0 * (2.0 * i.p + 1.0) / eps**2) * _radius(2.0 / delta, n)
+        required = 2.0 * math.log(2.0 / delta)
+    return {"deviation": value}, required / eps**2
+
+
+def _outcome(fn):
+    """A bound's (value, terms, required_n, valid), or its error."""
+    try:
+        r = fn()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return r.value, r.terms, r.required_n, r.valid
+
+
+def _reference_outcome(kind, inputs):
+    def fn():
+        terms, required = _reference_bound(kind, inputs)
+        return BoundResult(float(sum(terms.values())), bool(inputs.n >= required), terms,
+                           float(required))
+    return _outcome(fn)
+
+
+def _same(a, b):
+    """Equal under ==, reading nan as equal to nan."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+_unit = dict(exclude_min=True, exclude_max=True)
+PAIRED = {"corollary1": "approx1", "theorem1": "approx2", "theorem2": "approx3"}
+
+
+class TestFormulaParity:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(EXCESS_BOUND_KINDS + DEVIATION_BOUND_KINDS),
+        n=st.one_of(st.integers(1, 10**8), st.integers(1, 10)),
+        delta=st.one_of(st.floats(0.0, 1.0, **_unit), st.floats(1e-12, 0.5)),
+        epsilon=st.one_of(st.none(), st.floats(0.0, 0.5, **_unit)),
+        L=st.floats(0.0, 50.0),
+        phi_sup=st.one_of(st.none(), st.floats(0.0, 10.0)),
+        p=st.one_of(st.none(), st.floats(0.0, 1.0, **_unit)),
+        max_pk=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)),
+        K=st.one_of(st.none(), st.integers(1, 10**6)),
+        rademacher=st.floats(0.0, 2.0),
+    )
+    def test_equal_to_branch_per_kind_formulas(self, kind, **fields):
+        """value, terms, required_n and valid are ==-equal to the formulas
+        written out per kind, errors included; the excess kinds' plug-in
+        term is 2 x the paired deviation bound at delta/2."""
+        inputs = BoundInputs(**fields)
+        evaluate = evaluate_bound if kind in EXCESS_BOUND_KINDS else deviation_bound
+        got = _outcome(lambda: evaluate(kind, inputs))
+        want = _reference_outcome(kind, inputs)
+        if kind in PAIRED and inputs.delta / 2.0 == 0.0 and want[0] is not ValidationError:
+            # delta = 5e-324: the halved delta is 0, so the paired deviation
+            # bound rejects it where the written-out formula gave inf
+            want = (ValidationError, "delta must lie in (0, 1)")
+        assert _same(got, want), (got, want)
+
+    def test_smallest_delta_has_no_half(self):
+        inputs = BoundInputs(n=10, delta=5e-324, epsilon=0.1, p=0.3)
+        with pytest.raises(ValidationError, match="delta must lie in"):
+            evaluate_bound("corollary1", inputs)
+        assert evaluate_bound("corollary1", BoundInputs(n=10, delta=1e-323, epsilon=0.1, p=0.3)
+                              ).value == math.inf
+
+    def test_excess_is_estimation_plus_twice_deviation_at_half_delta(self):
+        inputs = BoundInputs(n=4000, delta=0.05, epsilon=0.1, K=6, L=2.0, max_pk=0.4,
+                             p=0.3, rademacher=0.03)
+        for kind, paired in PAIRED.items():
+            res = evaluate_bound(kind, inputs)
+            dev = deviation_bound(paired, BoundInputs(**{**inputs.__dict__, "delta": 0.025}))
+            assert res.terms["plug_in"] == 2.0 * dev.value
+            assert (res.required_n, res.valid) == (dev.required_n, dev.valid)
+
+
+# values taken from the block-generator implementation before it was folded
+# into one loop; block b draws from (seed, b), 1024 draws per block
+RADEMACHER_PINS = {
+    1: (0.203125, 0.0),
+    1023: (0.11921126588465299, 0.04489757417935074),
+    1024: (0.119171142578125, 0.044893992104873943),
+    1025: (0.11922256097560975, 0.04490224402456303),
+}
+
+
+@pytest.mark.parametrize("reps", sorted(RADEMACHER_PINS))
+def test_rademacher_pinned_at_block_edges(reps):
+    data = sample(AnalyticModel(1.0, 1.0, 0.5), 64, 0.5, 6)
+    grid = list(np.linspace(0, 1, 11))
+    assert _rademacher_mc_detail(data, grid, THRESH, reps, 9) == RADEMACHER_PINS[reps]
+
+
+# ---------------------------------------------------------------------------
+# coverage_check: one path for the three settings
+# ---------------------------------------------------------------------------
+
+C04_MODEL = AnalyticModel(1.0, 1.0, 0.3)
+C04_STRATIFIED = StratifiedThresholdModel(pos_rates=(0.2, 0.4, 0.6, 0.8))
+C04_CALLS = {
+    "class_shift": (C04_MODEL, dict(seed=41, p_train=0.6)),
+    "stratum_shift": (C04_STRATIFIED, dict(seed=42, pk=[0.25] * 4, pk_train=[0.4, 0.3, 0.2, 0.1])),
+    "pu": (C04_MODEL, dict(seed=43, q=0.4)),
+}
+# SHA-256 of repr((coverage, bound_value)) + deviations.tobytes() at the c04
+# parameters (n=2000, delta=0.1, epsilon=0.3) with 40 replicates, taken
+# from the three-branch implementation
+COVERAGE_PINS = {
+    "class_shift": "8879fdf4546b3087e1c2291cb5095996b172d6117e5f378320b99ff1b8757f10",
+    "stratum_shift": "74e2303ad4a4d23f63efc22cf4b93beab9befe1aa75441455dba9dd37c04d265",
+    "pu": "d7c21193f4bf98db1881cefaf55dad238d09d09df3be3c3338ecf73bb4710280",
+}
+# the same with the default epsilon and 5 replicates, hashing
+# repr((coverage, bound_value, required_n, valid)) + deviations.tobytes()
+DEFAULT_EPSILON_PINS = {
+    "class_shift": "46d107217327a587c3fcd8499616f5aa46f3af9e26c64a2323b1a8e5d40cd6e5",
+    "stratum_shift": "d42837482572297250f8ea9694166ae5a6658b8dcfcbdd87ced67043f6a89193",
+    "pu": "9b555a90428ad003e63abb3d144800775dbf9b32cb04591d9a2f5cf6a4e679f7",
+}
+
+
+@pytest.mark.parametrize("setting", sorted(C04_CALLS))
+def test_coverage_pinned(setting):
+    model, kw = C04_CALLS[setting]
+    r = coverage_check(setting, model, n=2000, delta=0.1, reps=40, epsilon=0.3, **kw)
+    digest = hashlib.sha256(repr((r.coverage, r.bound_value)).encode() + r.deviations.tobytes())
+    assert digest.hexdigest() == COVERAGE_PINS[setting]
+    r = coverage_check(setting, model, n=2000, delta=0.1, reps=5, **kw)
+    key = repr((r.coverage, r.bound_value, r.required_n, r.valid)).encode()
+    assert hashlib.sha256(key + r.deviations.tobytes()).hexdigest() == DEFAULT_EPSILON_PINS[setting]
+
+
+def _no_draws(monkeypatch):
+    fail = lambda *a, **k: pytest.fail("drew")  # noqa: E731
+    monkeypatch.setattr(analytic, "sample", fail)
+    monkeypatch.setattr(analytic, "sample_pu", fail)
+    monkeypatch.setattr(StratifiedThresholdModel, "sample", fail)
+
+
+@pytest.mark.parametrize(
+    "setting,rate",
+    [("class_shift", {"p_train": 0.5}), ("pu", {"q": 0.5}),
+     ("stratum_shift", {"pk": [0.5, 0.5], "pk_train": [0.5, 0.5]})],
+)
+def test_balanced_rate_asks_for_epsilon(monkeypatch, setting, rate):
+    """min(rate, 1 - rate) is 1/2 at a balanced rate, outside (0, 1/2): the
+    error names the setting and the rate argument, not an epsilon the
+    caller never passed."""
+    _no_draws(monkeypatch)
+    model = StratifiedThresholdModel((0.3, 0.6)) if setting == "stratum_shift" else C04_MODEL
+    name = next(k for k in rate if k != "pk")
+    with pytest.raises(ValidationError, match=f"{setting}.*balanced {name}.*pass epsilon"):
+        coverage_check(setting, model, n=100, delta=0.1, reps=2, seed=0, **rate)
+
+
+@pytest.mark.parametrize("setting", sorted(C04_CALLS))
+def test_wrong_model_type_rejected_before_any_draw(monkeypatch, setting):
+    _no_draws(monkeypatch)
+    model, kw = C04_CALLS[setting]
+    wrong = C04_MODEL if model is C04_STRATIFIED else C04_STRATIFIED
+    with pytest.raises(ValidationError, match=f"{setting} coverage needs a {type(model).__name__}"):
+        coverage_check(setting, wrong, n=100, delta=0.1, reps=2, **kw)
+
+
+@pytest.mark.parametrize("setting", sorted(C04_CALLS))
+def test_estimators_called_through_bounds_module_names(monkeypatch, setting):
+    """Rebinding the estimator names bounds imports reaches every call."""
+    calls = []
+    for name in ("class_shift_weights", "stratum_shift_weights", "pu_weights",
+                 "oracle_class_shift_weights", "oracle_stratum_shift_weights",
+                 "oracle_pu_weights"):
+        fn = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *a, _f=fn, _n=name: calls.append(_n) or _f(*a))
+    model, kw = C04_CALLS[setting]
+    coverage_check(setting, model, n=200, delta=0.1, reps=3, epsilon=0.3, **kw)
+    assert sorted(set(calls)) == sorted(
+        {"class_shift": ["class_shift_weights", "oracle_class_shift_weights"],
+         "stratum_shift": ["stratum_shift_weights", "oracle_stratum_shift_weights"],
+         "pu": ["pu_weights", "oracle_pu_weights"]}[setting]
+    )
+    assert len(calls) == 6

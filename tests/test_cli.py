@@ -220,6 +220,27 @@ class TestWeightsCommand:
         assert mode in err and needs in err
         assert not (tmp_path / "w.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("x0,t," + " " * 200_000 + "e\n0.5,1.0,1\n", 1),  # header cell
+            ("x0,t,e\n0.5,1.0," + " " * 200_000 + "1\n0.5,oops,1\n", 2),  # before a bad line
+        ],
+        ids=["header", "before_bad_line"],
+    )
+    def test_cell_over_csv_field_limit_exits_2(self, tmp_path, capsys, text, line):
+        """A cell longer than csv.field_size_limit() is a SchemaError naming
+        the file and line, not a raw _csv.Error."""
+        src = tmp_path / "long.csv"
+        src.write_text(text)
+        code, _, err = run_cli(
+            capsys, "weights", "--in", str(src), "--out", str(tmp_path / "w.csv"),
+            "--mode", "ipcw",
+        )
+        assert code == 2
+        assert f"{src}: line {line}: field larger than field limit" in err
+        assert not (tmp_path / "w.csv").exists()
+
 
 class TestTrainCommand:
     def test_train_and_curve_contract(self, tmp_path, capsys):
@@ -341,6 +362,7 @@ class TestExperimentCommand:
         [
             ("train", {"lr": -1.0}, "lr must be > 0"),
             ("bias", {"gamma": 0.3, "exponent_style": "x"}, "'bias'.*exponent_style"),
+            ("synthetic", {"n_strat": 5}, "'synthetic'.*n_strat"),
         ],
     )
     def test_bad_override_exits_2_before_work(self, tmp_path, capsys, field, value, message):

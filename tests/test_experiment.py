@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from werm import synthetic, train as train_mod, weights as weights_mod
+from werm import analytic, synthetic, train as train_mod, weights as weights_mod
 from werm.core import EmptyStratumError, ValidationError, write_csv
 from werm.experiment import (
     MODE_WEIGHTS,
@@ -52,9 +52,10 @@ class TestSpec:
     def test_scenario_mode_table(self, scenario, mode):
         """Exactly the pairs of SCENARIO_MODES build; any other is rejected
         with an error naming both, before any data is drawn."""
-        synthetic_fields = {"p": 0.3, "p_train": 0.6, "q": 0.4}
+        synthetic_fields = {"class_shift": {"p": 0.3, "p_train": 0.6}, "pu": {"p": 0.3, "q": 0.4}}
         build = lambda: ExperimentSpec(  # noqa: E731
-            scenario=scenario, modes=("uniform", mode), synthetic=synthetic_fields
+            scenario=scenario, modes=("uniform", mode),
+            synthetic=synthetic_fields.get(scenario, {}),
         )
         if mode in SCENARIO_MODES[scenario]:
             assert build().modes == ("uniform", mode)
@@ -292,12 +293,34 @@ class TestScenarios:
         assert [f["replicate"] for f in bundle["failures"]] == [0, 1, 2]
         assert all(f["mode"] == "*" and "top-k" in f["error"] for f in bundle["failures"])
 
-    def test_broken_generator_reports_partial_completion(self):
-        spec = small_strata_spec(synthetic={"n_strata": 4, "bogus_knob": 1})
-        bundle = run_experiment(spec)
-        assert len(bundle["failures"]) == spec.replicates
-        assert all(f["mode"] == "*" for f in bundle["failures"])
-        assert bundle["modes"]["uniform"]["miss_rate"]["values"] == []
+    @pytest.mark.parametrize(
+        "scenario,fields,match",
+        [
+            ("strata_shift", {"n_strat": 5}, "'synthetic'.*n_strat"),
+            ("strata_shift", {"n_strata": 4, "noise": 0.0}, "noise must be > 0"),
+            ("censored", {"slop": 1.0}, "'synthetic'.*slop"),
+            ("class_shift", {"p": 0.3, "p_train": 0.6, "betta": 2.0}, "'synthetic'.*betta"),
+            ("class_shift", {"p": 0.3}, "synthetic.p_train"),
+            ("class_shift", {"p_train": 0.6}, "'synthetic'.*'p'"),
+            ("pu", {"p": 0.3, "q": 0.4, "p_train": 0.6}, "'synthetic'.*p_train"),
+            ("pu", {"p": 0.3}, "synthetic.q"),
+            ("analytic_excess", {"p": 0.3, "pair": [[1, 1]]}, "'synthetic'.*takes p, pairs"),
+        ],
+    )
+    def test_bad_synthetic_rejected_before_work(self, monkeypatch, scenario, fields, match):
+        """An unknown, missing or invalid generator parameter fails when the
+        spec is built, not as a failure of every replicate."""
+        for module, name in ((synthetic, "gaussian_strata_sample"),
+                             (synthetic, "censored_test_sample"), (analytic, "sample")):
+            monkeypatch.setattr(module, name, lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValidationError, match=match):
+            ExperimentSpec(scenario=scenario, synthetic=fields)
+
+    def test_generator_defaults(self):
+        spec = ExperimentSpec(scenario="pu", synthetic={"p": 0.3, "q": 0.4})
+        assert spec.generator() == analytic.AnalyticModel(alpha=1.0, beta=1.0, p=0.3)
+        assert ExperimentSpec(scenario="censored").generator() == synthetic.CensoredSpec()
+        assert ExperimentSpec(scenario="analytic_excess").generator() is None
 
 
 class TestEmit:

@@ -363,3 +363,69 @@ def test_weight_vector_csv_round_trip(tmp_path):
     w.to_csv(path)
     back = WeightVector.from_csv(path)
     np.testing.assert_array_equal(back.weights, w.weights)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: permuting or duplicating the records
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _records(draw):
+    """A binary dataset with both classes and all K strata populated, tied
+    survival times and a permutation of its rows."""
+    K = draw(st.integers(1, 4))
+    n = draw(st.integers(max(2, K), 40))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[:2] = [0, 1]
+    strata = [k % K for k in range(n)]
+    draw(st.randoms()).shuffle(strata)
+    times = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5]), min_size=n, max_size=n))
+    events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    data = Dataset(
+        features=np.arange(float(n))[:, None], labels=np.array(labels),
+        strata=np.array(strata), times=np.array(times), events=np.array(events),
+        n_classes=2, n_strata=K,
+    )
+    return data, np.array(draw(st.permutations(range(n))))
+
+
+def _count_weights(data, p=0.3):
+    pk = TargetPrior(pk=tuple([1.0 / data.n_strata] * data.n_strata))
+    return {
+        "class": class_shift_weights(data, TargetPrior(p=p)).weights,
+        "stratum": stratum_shift_weights(data, pk).weights,
+        "pu": pu_weights(data, TargetPrior(p=p)).weights,
+    }
+
+
+def _ipcw(data):
+    try:
+        return ipcw_weights(data, km_fit(data.times, ~data.events)).weights
+    except PositivityViolationError:
+        return PositivityViolationError
+
+
+class TestMetamorphic:
+    @settings(max_examples=200, deadline=None)
+    @given(_records())
+    def test_weights_permute_with_the_records(self, case):
+        data, perm = case
+        shuffled = data.take(perm)
+        before, after = _count_weights(data), _count_weights(shuffled)
+        for name in before:
+            np.testing.assert_array_equal(after[name], before[name][perm], err_msg=name)
+        ipcw, ipcw_shuffled = _ipcw(data), _ipcw(shuffled)
+        if ipcw is PositivityViolationError:
+            assert ipcw_shuffled is PositivityViolationError
+        else:
+            np.testing.assert_array_equal(ipcw_shuffled, ipcw[perm])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_records())
+    def test_duplicating_the_dataset_leaves_count_weights_unchanged(self, case):
+        data, _ = case
+        twice = data.take(np.tile(np.arange(data.n), 2))
+        before, after = _count_weights(data), _count_weights(twice)
+        for name in before:
+            np.testing.assert_array_equal(after[name], np.tile(before[name], 2), err_msg=name)
