@@ -24,6 +24,7 @@ A missing optional column means the field is absent for every record.
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -337,10 +338,33 @@ def weighted_empirical_risk(
 # ---------------------------------------------------------------------------
 
 
+# numpy's pairwise summation (``pairwise_sum`` in
+# numpy/_core/src/umath/loops_utils.h.src) adds a row of fewer than 8 terms
+# left to right, but from 8 terms on it keeps 8 partial sums and adds them
+# as a tree.  Only below this width does the column loop (e0 + e1) + e2 ...
+# give the bits of ``.sum(axis=1)``.
+_PAIRWISE_BLOCK = 8
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log softmax with max-logit subtraction."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    """Row-wise log softmax with max-logit subtraction.
+
+    A (B, J) array with J < 8 is reduced over its J columns, not along
+    each of its B rows: the row max folds ``np.maximum`` over the columns
+    and the row sum of exponentials is (e0 + e1) + e2 ..., J - 1 vector
+    operations per reduction whatever B is.  The result is bit-equal to
+    the row reductions ``.max(axis=1)`` and ``.sum(axis=1)``.  From J = 8
+    on those row reductions run instead: numpy's sum changes its order
+    there (see ``_PAIRWISE_BLOCK``).
+    """
+    cols = logits.T
+    if len(cols) < _PAIRWISE_BLOCK:
+        z = logits - functools.reduce(np.maximum, cols)[:, None]
+        s = functools.reduce(np.add, np.exp(z).T)
+    else:
+        z = logits - logits.max(axis=1, keepdims=True)
+        s = np.exp(z).sum(axis=1)
+    return z - np.log(s)[:, None]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

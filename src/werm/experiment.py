@@ -41,6 +41,7 @@ from .core import (
     SchemaError,
     ValidationError,
     WeightVector,
+    WermError,
     classification_metrics,
     read_csv,
     write_rows,
@@ -362,7 +363,10 @@ def _failure(replicate: int, mode: str, exc: Exception) -> dict:
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute generate/ingest -> bias -> weights -> fit -> evaluate per
-    replicate; fully deterministic per base seed."""
+    replicate; fully deterministic per base seed.
+
+    A ``WermError`` in a replicate is recorded in ``failures`` and the run
+    goes on; any other exception is a bug and propagates."""
     bundle: dict = {
         "scenario": spec.scenario,
         "replicates": spec.replicates,
@@ -382,14 +386,14 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     realized_p_prime = None
     try:
         test, ctx, draw_train = _shared_data(spec)
-    except Exception as exc:  # noqa: BLE001 - every replicate reports it
+    except WermError as exc:  # every replicate reports it
         bundle["failures"] = [_failure(r, "*", exc) for r in range(len(seeds))]
         seeds = ()
 
     for r, rep_seed in enumerate(seeds):
         try:
             trainset = draw_train(rep_seed)
-        except Exception as exc:  # noqa: BLE001 - partial completion is reported
+        except WermError as exc:  # partial completion is reported
             bundle["failures"].append(_failure(r, "*", exc))
             continue
         if "p_prime" in ctx:
@@ -407,7 +411,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                     test, train_mod.logits_batch(params, test.features),
                     k=spec.top_k,
                 )
-            except Exception as exc:  # noqa: BLE001 - replicate failure is data
+            except WermError as exc:  # replicate failure is data
                 bundle["failures"].append(_failure(r, mode, exc))
                 continue
             per_mode[mode]["miss_rate"].append(metrics["miss_rate"])

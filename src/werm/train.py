@@ -10,11 +10,19 @@ subtraction) and the penalty covers weight matrices only, never biases.
 Updates follow the classical momentum rule v <- momentum*v + lr*grad,
 params <- params - v, with velocity starting at zero.
 
-``fit`` trains on raw row slices of the dataset arrays and runs one
-forward pass per batch for both the objective and its gradient; the
-public ``weighted_objective`` and ``gradient`` check a batch's schema and
-share that same code.  Per-epoch test metrics are computed only when
-``fit`` is given ``eval_data``.
+``fit`` gathers the rows of each epoch's shuffle once and trains on
+contiguous batch slices of that copy, with one forward pass per batch for
+both the objective and its gradient; the public ``weighted_objective`` and
+``gradient`` check a batch's schema and share that same code.  Per-epoch
+test metrics are computed only when ``fit`` is given ``eval_data``.
+
+The step's softmax is ``core.log_softmax``, which for fewer than 8
+classes reduces over the J columns instead of along each of the B rows.
+Its contract is bit-equality with the row reductions ``.max(axis=1)`` and
+``.sum(axis=1)``: numpy sums fewer than 8 terms left to right, exactly as
+the column loop (e0 + e1) + e2 ... does, and from 8 classes on the row
+reductions themselves run.  Trained parameters, objectives and metrics
+are therefore the same bits on either path.
 
 Everything here is single-threaded and bit-reproducible per seed.
 """
@@ -144,17 +152,19 @@ def _objective_and_gradient(
     params: ModelParams, X: np.ndarray, y: np.ndarray, w: np.ndarray, cfg: TrainConfig
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Objective and its exact gradient on raw batch arrays, from one
-    forward pass and one log-softmax.  The caller vouches for the schema."""
+    forward pass and one log-softmax.  The caller vouches for the schema,
+    labels below J included: the flat index of a larger label would land
+    in the next row."""
     logits, pre, hidden = _forward(params, X)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericError("non-finite logits")
     logp = log_softmax(logits)
-    B = X.shape[0]
-    rows = np.arange(B)
-    objective = float(np.mean(w * -logp[rows, y]) + cfg.weight_decay * _penalty(params))
+    B, J = logits.shape
+    picked = np.arange(0, B * J, J) + y  # flat index of (i, y_i)
+    objective = float((w * -logp.take(picked)).sum() / B + cfg.weight_decay * _penalty(params))
 
     probs = np.exp(logp)
-    probs[rows, y] -= 1.0
+    probs.put(picked, probs.take(picked) - 1.0)
     gout = probs * (w / B)[:, None]  # d(objective)/d(logits)
     wd = cfg.weight_decay
     p = params.params
@@ -176,6 +186,8 @@ def _check_batch(params: ModelParams, batch: Dataset, w: WeightVector) -> None:
         raise SchemaError("weights must match the batch size")
     if batch.d != params.dims[0]:
         raise SchemaError(f"feature dim {batch.d} != model dim {params.dims[0]}")
+    if batch.labels.max() >= params.dims[-1]:
+        raise SchemaError(f"label id exceeds the model's {params.dims[-1]} classes")
 
 
 def weighted_objective(
@@ -256,12 +268,14 @@ def fit(
 
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(data.n)
+        # one gather per epoch; each batch is a contiguous slice of it
+        X_epoch, y_epoch, w_epoch = X[order], y[order], weights[order]
         batch_objectives = []
         for start in range(0, data.n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+            batch = slice(start, start + cfg.batch_size)
             try:
                 objective, grad = _objective_and_gradient(
-                    params, X[idx], y[idx], weights[idx], cfg
+                    params, X_epoch[batch], y_epoch[batch], w_epoch[batch], cfg
                 )
             except NumericError as exc:
                 raise NumericError(

@@ -343,6 +343,19 @@ class TestExperimentCommand:
         assert code == 0
         assert (tmp_path / "c" / "results.json").exists()
 
+    def test_missing_train_csv_is_an_io_error(self, tmp_path, capsys):
+        """An unreadable input is not a replicate failure: exit 4, no outputs."""
+        cfg = tmp_path / "missing.json"
+        cfg.write_text(json.dumps({
+            "scenario": "strata_shift", "modes": ["uniform"], "replicates": 2,
+            "train_csv": str(tmp_path / "absent.csv"), "test_csv": str(tmp_path / "absent.csv"),
+            "out_dir": str(tmp_path / "m"),
+        }))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 4
+        assert "absent.csv" in err
+        assert not (tmp_path / "m").exists()
+
     def test_failed_runs_exit_5_and_still_write(self, tmp_path, capsys, monkeypatch):
         def broken(data, ctx):
             raise EmptyStratumError(2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from werm.core import (
     Dataset,
@@ -160,6 +161,51 @@ class TestSoftmax:
         data = Dataset(features=np.zeros((1, 1)), labels=[0], n_classes=2)
         with pytest.raises(NumericError):
             classification_metrics(data, np.array([[np.nan, 0.0]]), k=1)
+
+
+def row_log_softmax(logits):
+    """log_softmax as one max and one sum reduction along each row."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def assert_same_bits(got, want):
+    """NaNs in the same places, every other entry byte-equal."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestLogSoftmaxMatchesRowReductions:
+    """The column kernel keeps the bits of the row reductions on both
+    sides of the J = 8 width where numpy's sum changes its order; a numpy
+    whose sum order moves fails here instead of shifting results."""
+
+    FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bits(self, data):
+        B = data.draw(st.integers(1, 64), label="B")
+        J = data.draw(st.integers(2, 32), label="J")
+        # a small pool of values makes exact ties and mixed-sign zeros common
+        pool = data.draw(st.lists(self.FINITE, min_size=1, max_size=4), label="pool")
+        pool += [0.0, -0.0]
+        if data.draw(st.booleans(), label="non-finite"):
+            pool += [np.inf, -np.inf, np.nan]
+        logits = data.draw(
+            hnp.arrays(float, (B, J), elements=st.one_of(st.sampled_from(pool), self.FINITE)),
+            label="logits",
+        )
+        with np.errstate(all="ignore"):
+            assert_same_bits(log_softmax(logits), row_log_softmax(logits))
+
+    @pytest.mark.parametrize("J", [1, 2, 3, 7, 8, 9, 16])
+    @pytest.mark.parametrize("B", [1000, 5000, 20000])
+    def test_bits_at_batch_and_test_set_sizes(self, B, J):
+        logits = np.random.default_rng(B + J).normal(scale=4.0, size=(B, J))
+        assert_same_bits(log_softmax(logits), row_log_softmax(logits))
 
 
 class TestDatasetValidation:

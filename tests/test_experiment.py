@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from werm import analytic, synthetic, train as train_mod, weights as weights_mod
+from werm import analytic, biasgen, synthetic, train as train_mod, weights as weights_mod
 from werm.core import EmptyStratumError, ValidationError, write_csv
 from werm.experiment import (
     MODE_WEIGHTS,
@@ -285,6 +285,37 @@ class TestScenarios:
         ]
         assert len(bundle["modes"]["uniform"]["miss_rate"]["values"]) == spec.replicates
         assert bundle["modes"]["strata"]["miss_rate"]["values"] == []
+
+    @pytest.mark.parametrize(
+        "module,name,exc",
+        [
+            (biasgen, "power_law_distribution", KeyError("p")),  # shared data
+            (biasgen, "subsample_to_distribution", IndexError("draw")),  # a replicate's draw
+            (weights_mod, "stratum_shift_weights", TypeError("estimator")),  # a mode's run
+        ],
+    )
+    def test_untyped_error_propagates(self, monkeypatch, module, name, exc):
+        """A raw Python error is a bug, never a recorded replicate failure."""
+
+        def broken(*args, **kwargs):
+            raise exc
+
+        spec = small_strata_spec()
+        monkeypatch.setattr(module, name, broken)
+        with pytest.raises(type(exc)):
+            run_experiment(spec)
+
+    def test_typed_draw_error_recorded(self, monkeypatch):
+        def empty(*args, **kwargs):
+            raise EmptyStratumError(1)
+
+        spec = small_strata_spec()
+        monkeypatch.setattr(biasgen, "subsample_to_distribution", empty)
+        bundle = run_experiment(spec)
+        assert bundle["failures"] == [
+            {"replicate": r, "mode": "*", "error": "EmptyStratumError: stratum 1 is empty"}
+            for r in range(spec.replicates)
+        ]
 
     def test_top_k_above_class_count_fails_once_without_training(self, monkeypatch):
         monkeypatch.setattr(train_mod, "fit", lambda *a, **k: pytest.fail("trained"))

@@ -1,5 +1,6 @@
 """Models, objective, backprop, momentum updates, and the fit loop."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -210,6 +211,16 @@ class TestBatchChecks:
         with pytest.raises(SchemaError, match="feature dim"):
             fn(params, wide, WeightVector.ones(batch.n), cfg)
 
+    @pytest.mark.parametrize("fn", [weighted_objective, gradient])
+    def test_label_beyond_model_classes(self, setup, fn):
+        """A label past the model's J must not index into the next row."""
+        params, batch, cfg = setup
+        labels = batch.labels.copy()
+        labels[0] = 2
+        wider = Dataset(features=batch.features, labels=labels, n_classes=3)
+        with pytest.raises(SchemaError, match="label id"):
+            fn(params, wider, WeightVector.ones(batch.n), cfg)
+
 
 class TestGradient:
     def test_zero_weights_zero_decay_zero_grad(self):
@@ -378,3 +389,45 @@ class TestFitMatchesReferenceLoop:
         for k in ref_params.params:
             np.testing.assert_array_equal(params.params[k], ref_params.params[k])
         np.testing.assert_array_equal(log.objective, ref_objective)
+
+
+def golden_instance(J):
+    rng = np.random.default_rng(30 + J)
+    n, d = 257, 4  # 257 % 32 != 0: a short final batch
+    y = rng.integers(0, J, n)
+    centers = rng.normal(scale=2.0, size=(J, d))
+    X = centers[y] + rng.normal(size=(n, d))
+    w = rng.uniform(0.0, 3.0, n)
+    w[::7] = 0.0
+    return Dataset(features=X, labels=y, n_classes=J), WeightVector(w)
+
+
+class TestFitGoldenDigests:
+    """SHA-256 of fit's final params and objective log, taken before the
+    log-softmax moved onto a column kernel.  The reference-loop test shares
+    the training step with fit and so cannot see a change to that kernel;
+    these pins can.  J = 3 takes the column path, J = 10 the row path."""
+
+    DIGESTS = {
+        ("linear", 3): ("6ef64658ca947c156c833647c04dee2203ae2b88ddcd92edf12a80b8c051af3f",
+                        "153e95080e0a507d5697a1781ba99f12333ad0902ce78e10bddd61bc4e6a7191"),
+        ("linear", 10): ("3624624e89ecb32b86bf1b21574e60ee5c5666327036e7e601ecdef2500a2299",
+                         "02bc192a7bddc3f2000e3b25dbea04ebbb632a2e2f4caf8a62066f5e0db59d8c"),
+        ("mlp", 3): ("8ef6ac4dd215d7dc128f174f850f255357bfd9319d39cb4eee30fa93f48c9386",
+                     "92abf11eb13449afdfd7f5a6f1f368face68871ccd93e8b8f53aa25b366ea992"),
+        ("mlp", 10): ("4411bd83670d0e681ee6c9d1138a46faea151942be29260ae8334c4c77846778",
+                      "47541a54d18ebe0d310ec0d3439676f9f975c424154ce83e8dbce7aa9bcc1020"),
+    }
+
+    @pytest.mark.parametrize("kind,J", sorted(DIGESTS))
+    def test_params_and_objective(self, kind, J):
+        data, w = golden_instance(J)
+        cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3,
+                          epochs=6, batch_size=32, seed=40, init_std=0.1)
+        params, log = fit(data, w, kind, cfg)
+        h = hashlib.sha256()
+        for k in sorted(params.params):
+            h.update(k.encode())
+            h.update(params.params[k].tobytes())
+        objective = hashlib.sha256(np.asarray(log.objective).tobytes()).hexdigest()
+        assert (h.hexdigest(), objective) == self.DIGESTS[(kind, J)]
