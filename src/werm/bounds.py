@@ -41,7 +41,7 @@ import numpy as np
 
 from . import analytic
 from .core import Dataset, LossSpec, ValidationError, per_record_losses
-from .synthetic import StratifiedThresholdModel
+from .synthetic import StratifiedThresholdModel, _check_strata_pk
 from .weights import (
     TargetPrior,
     class_shift_weights,
@@ -195,6 +195,15 @@ def prior_sensitivity_bound(zeta: float) -> float:
     return 2.0 * zeta
 
 
+def _check_seed(seed) -> None:
+    """ValidationError unless ``(seed, i)`` seeds a SeedSequence, as every
+    replicate and sign block of this module is seeded."""
+    try:
+        np.random.SeedSequence((seed, 0))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"seed must be a nonnegative integer ({exc})") from None
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo Rademacher averages
 # ---------------------------------------------------------------------------
@@ -218,6 +227,7 @@ def _rademacher_mc_detail(data, hypothesis_grid, loss, reps, seed):
         raise ValidationError("hypothesis grid must be nonempty")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
+    _check_seed(seed)
     M = np.stack([per_record_losses(data, loss, h) for h in grid])
     n = M.shape[1]
     total = 0.0
@@ -253,16 +263,28 @@ class CoverageResult:
 
 def _sup_threshold_deviation(data: Dataset, diffs: np.ndarray, grid: np.ndarray) -> float:
     """sup over the theta grid of |(1/n) sum_i diffs_i * loss_i(theta)|,
-    for the positive-above threshold loss."""
+    for the positive-above threshold loss.
+
+    Each class's x values are sorted and its diffs prefix-summed, so that
+    one searchsorted per class reads the sum over x < theta.  A class whose
+    diffs are all equal (every class_shift and pu replicate, whose weights
+    depend on the label alone) sorts x alone and sums its diffs in row
+    order: the k-th prefix sum adds the same term k times whatever the
+    order, ties included, so it equals the sum in x order bit for bit.
+    Any other class (stratum_shift) gathers its diffs in argsort order.
+    """
     x = data.features[:, 0]
     pos = data.labels == 1
     out = np.zeros(grid.size)
-    for mask, flip in ((pos, False), (~pos, True)):
-        xs = x[mask]
-        ds = diffs[mask]
-        order = np.argsort(xs)
-        xs = xs[order]
-        cum = np.concatenate(([0.0], np.cumsum(ds[order])))
+    for rows, flip in ((np.flatnonzero(pos), False), (np.flatnonzero(~pos), True)):
+        xs = x[rows]
+        ds = diffs[rows]
+        if (ds == ds[:1]).all():
+            xs = np.sort(xs)
+        else:
+            order = np.argsort(xs)
+            xs, ds = xs[order], ds[order]
+        cum = np.concatenate(([0.0], np.cumsum(ds)))
         below = cum[np.searchsorted(xs, grid, side="left")]  # sum over x < theta
         out += (cum[-1] - below) if flip else below
     return float(np.abs(out).max() / data.n)
@@ -294,6 +316,9 @@ def coverage_check(
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
+    if not isinstance(grid_size, (int, np.integer)) or grid_size < 1:
+        raise ValidationError("grid_size must be an integer >= 1")
+    _check_seed(seed)
     grid = np.linspace(0.0, 1.0, grid_size)
     # per setting: the model type, the training rates the default epsilon
     # comes from, the deviation bound, and one replicate's draw with its
@@ -312,7 +337,7 @@ def coverage_check(
     elif setting == "stratum_shift":
         if pk is None or pk_train is None:
             raise ValidationError("stratum_shift coverage needs pk and pk_train")
-        pk, rates = np.asarray(pk, dtype=float), np.asarray(pk_train, dtype=float)
+        pk, rates = np.asarray(pk, dtype=float), _check_strata_pk(pk_train)
         model_type, rate_arg, kind = StratifiedThresholdModel, "pk_train", "approx2"
 
         def draw(rep_seed):

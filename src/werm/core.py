@@ -153,7 +153,7 @@ class Dataset:
         n = self.features.shape[0]
         if n == 0:
             raise SchemaError("dataset must be nonempty")
-        if not np.all(np.isfinite(self.features)):
+        if not np.isfinite(self.features).all():
             raise ValidationError("features contain non-finite values")
 
         if self.labels is not None:
@@ -179,7 +179,7 @@ class Dataset:
         if self.times is not None:
             self.times = np.asarray(self.times, dtype=float)
             _check_column(self.times, n, "times")
-            if not np.all(np.isfinite(self.times)) or self.times.min() < 0:
+            if not np.isfinite(self.times).all() or self.times.min() < 0:
                 raise ValidationError("times must be finite and >= 0")
             self.events = np.asarray(self.events, dtype=bool)
             _check_column(self.events, n, "events")
@@ -209,7 +209,7 @@ class Dataset:
         """Number of records with label 1 (binary convention)."""
         if self.labels is None:
             raise SchemaError("dataset has no labels")
-        return int(np.sum(self.labels == 1))
+        return int(np.count_nonzero(self.labels == 1))
 
     # -- row subsets -----------------------------------------------------------
 
@@ -239,7 +239,7 @@ class WeightVector:
             raise ValidationError("weights must be a flat vector")
         if w.size == 0:
             raise ValidationError("weight vector must be nonempty")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValidationError("weights must be finite")
         if w.min() < 0:
             raise ValidationError("weights must be nonnegative")

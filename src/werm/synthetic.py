@@ -5,6 +5,11 @@ deterministic per seed.  The stratum-conditional laws depend only on the
 generator's parameters, never on the stratum probabilities used for a
 particular draw, so resampling with different stratum distributions is a
 pure stratum-shift: the within-stratum feature/label laws stay fixed.
+
+Strata are drawn by inverse CDF: one ``rng.random`` uniform per record,
+located in the normalised cumulative stratum probabilities.  That is how
+``Generator.choice`` draws with ``p``, so the uniforms and the ids are
+the ones ``choice`` gives.
 """
 
 from __future__ import annotations
@@ -25,6 +30,35 @@ __all__ = [
     "censored_test_sample",
     "oracle_censoring_weights",
 ]
+
+# how far a stratum distribution's sum may stray from 1
+_PK_SUM_TOL = 1e-9
+
+
+def _check_strata_pk(pk) -> np.ndarray:
+    """pk as a float vector, or ValidationError unless it is a distribution:
+    finite, nonnegative, and summing to 1 within ``_PK_SUM_TOL``."""
+    pk = np.asarray(pk, dtype=float)
+    if (
+        pk.ndim != 1
+        or pk.size == 0
+        or not np.isfinite(pk).all()
+        or pk.min() < 0
+        or abs(pk.sum() - 1.0) > _PK_SUM_TOL
+    ):
+        raise ValidationError(
+            "stratum probabilities must be finite, >= 0 and sum to 1 "
+            f"within {_PK_SUM_TOL:g}"
+        )
+    return pk
+
+
+def _draw_strata(rng: np.random.Generator, pk, n: int) -> np.ndarray:
+    """n stratum ids ~ pk by inverse CDF over ``rng.random(n)``; the same
+    draws as ``rng.choice(pk.size, size=n, p=pk)``."""
+    cdf = _check_strata_pk(pk).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n), side="right")
 
 
 @dataclass(frozen=True)
@@ -55,11 +89,10 @@ def gaussian_strata_sample(
     spec: GaussianStrataSpec, n: int, pk, seed
 ) -> Dataset:
     """n records with strata ~ pk, uniform labels, Gaussian features."""
-    pk = np.asarray(pk, dtype=float)
-    if pk.size != spec.n_strata or abs(pk.sum() - 1.0) > 1e-9 or pk.min() < 0:
+    if np.size(pk) != spec.n_strata:
         raise ValidationError("pk must be a distribution over the strata")
     rng = np.random.default_rng(seed)
-    strata = rng.choice(spec.n_strata, size=n, p=pk)
+    strata = _draw_strata(rng, pk, n)
     labels = rng.integers(spec.n_classes, size=n)
     angles = 2.0 * np.pi * labels / spec.n_classes + np.deg2rad(
         spec.rotation_deg * strata
@@ -94,11 +127,10 @@ class StratifiedThresholdModel:
         return len(self.pos_rates)
 
     def sample(self, n: int, pk_train, seed) -> Dataset:
-        pk_train = np.asarray(pk_train, dtype=float)
-        if pk_train.size != self.n_strata:
+        if np.size(pk_train) != self.n_strata:
             raise ValidationError("pk_train length must match the strata count")
         rng = np.random.default_rng(seed)
-        strata = rng.choice(self.n_strata, size=n, p=pk_train)
+        strata = _draw_strata(rng, pk_train, n)
         rates = np.asarray(self.pos_rates)[strata]
         labels = (rng.random(n) < rates).astype(int)
         x = rng.random(n)

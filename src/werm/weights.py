@@ -121,14 +121,11 @@ class EtaEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _binary_counts(data: Dataset) -> tuple[int, int]:
+def _check_binary(data: Dataset) -> None:
     if data.labels is None:
         raise SchemaError("dataset has no labels")
     if data.labels.max() > 1:
         raise SchemaError("binary labels required")
-    n_pos = data.n_pos
-    n_neg = data.n - n_pos
-    return n_pos, n_neg
 
 
 def _populated_counts(data: Dataset, prior: TargetPrior, what: str) -> tuple[int, int]:
@@ -136,7 +133,9 @@ def _populated_counts(data: Dataset, prior: TargetPrior, what: str) -> tuple[int
     ``what`` names the weights in the error for a missing prior.p."""
     if prior.p is None:
         raise ValidationError(f"{what} need prior.p")
-    n_pos, n_neg = _binary_counts(data)
+    _check_binary(data)
+    n_pos = data.n_pos
+    n_neg = data.n - n_pos
     if n_pos == 0:
         raise DegenerateClassError(1)
     if n_neg == 0:
@@ -154,7 +153,7 @@ def class_shift_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
     n = data.n
     w_pos = n * prior.p / n_pos
     w_neg = n * (1.0 - prior.p) / n_neg
-    return WeightVector(np.where(data.labels == 1, w_pos, w_neg))
+    return WeightVector(np.array([w_neg, w_pos])[data.labels])
 
 
 def stratum_shift_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
@@ -186,7 +185,7 @@ def pu_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
     n = data.n
     w_pos = 2.0 * prior.p * n / n_pos
     w_unl = n / n_unl
-    return WeightVector(np.where(data.labels == 1, w_pos, w_unl))
+    return WeightVector(np.array([w_unl, w_pos])[data.labels])
 
 
 def pu_risk_offset(prior: TargetPrior) -> float:
@@ -225,10 +224,8 @@ def oracle_class_shift_weights(data: Dataset, p: float, p_train: float) -> Weigh
     """Exact class-shift weights p/p_train and (1-p)/(1-p_train)."""
     _check_rate(p, "p")
     _check_rate(p_train, "p_train")
-    _binary_counts(data)
-    return WeightVector(
-        np.where(data.labels == 1, p / p_train, (1.0 - p) / (1.0 - p_train))
-    )
+    _check_binary(data)
+    return WeightVector(np.array([(1.0 - p) / (1.0 - p_train), p / p_train])[data.labels])
 
 
 def oracle_stratum_shift_weights(data: Dataset, pk, pk_train) -> WeightVector:
@@ -251,10 +248,8 @@ def oracle_pu_weights(data: Dataset, p: float, q: float) -> WeightVector:
     """Exact PU weights 2p/q for labeled positives and 1/(1-q) for unlabeled."""
     _check_rate(p, "p")
     _check_rate(q, "q")
-    _binary_counts(data)
-    return WeightVector(
-        np.where(data.labels == 1, 2.0 * p / q, 1.0 / (1.0 - q))
-    )
+    _check_binary(data)
+    return WeightVector(np.array([1.0 / (1.0 - q), 2.0 * p / q])[data.labels])
 
 
 # ---------------------------------------------------------------------------

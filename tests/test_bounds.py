@@ -542,3 +542,86 @@ def test_estimators_called_through_bounds_module_names(monkeypatch, setting):
          "pu": ["pu_weights", "oracle_pu_weights"]}[setting]
     )
     assert len(calls) == 6
+
+
+# ---------------------------------------------------------------------------
+# _sup_threshold_deviation: sort-only path for label-constant diffs
+# ---------------------------------------------------------------------------
+
+
+def _argsort_sup_deviation(data, diffs, grid):
+    """The sweep as it stood with one argsort per class for every replicate."""
+    x = data.features[:, 0]
+    pos = data.labels == 1
+    out = np.zeros(grid.size)
+    for mask, flip in ((pos, False), (~pos, True)):
+        xs = x[mask]
+        ds = diffs[mask]
+        order = np.argsort(xs)
+        xs = xs[order]
+        cum = np.concatenate(([0.0], np.cumsum(ds[order])))
+        below = cum[np.searchsorted(xs, grid, side="left")]
+        out += (cum[-1] - below) if flip else below
+    return float(np.abs(out).max() / data.n)
+
+
+_diff_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _sweep_cases(draw):
+    """Heavily tied x from a pool of at most 8 values, labels that may leave
+    a class empty, and diffs that are constant per label or free."""
+    n = draw(st.integers(1, 60))
+    pool = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                                   st.floats(-0.5, 1.5)), min_size=1, max_size=8))
+    x = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.sampled_from(draw(st.sampled_from([[0], [1], [0, 1]]))),
+                                    min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["label", "free", "zeros"]))
+    if kind == "label":
+        diffs = np.array([draw(_diff_values), draw(_diff_values)])[labels]
+    elif kind == "free":
+        diffs = np.array(draw(st.lists(_diff_values, min_size=n, max_size=n)))
+    else:
+        diffs = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)))
+    data = Dataset(features=x[:, None], labels=labels, n_classes=2)
+    return data, diffs, np.linspace(0.0, 1.0, draw(st.integers(1, 30)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_sweep_cases())
+def test_sup_deviation_bit_equal_to_argsort_sweep(case):
+    data, diffs, grid = case
+    got = _sup_threshold_deviation(data, diffs, grid)
+    want = _argsort_sup_deviation(data, diffs, grid)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+# ---------------------------------------------------------------------------
+# Typed errors before the first replicate is drawn
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "setting,bad",
+    [("class_shift", {"grid_size": 0}), ("class_shift", {"grid_size": -3}),
+     ("class_shift", {"grid_size": 2.5}), ("pu", {"grid_size": "101"}),
+     ("class_shift", {"seed": -1}), ("pu", {"seed": 2.5}), ("pu", {"seed": None}),
+     ("stratum_shift", {"pk_train": [0.4, 0.3, 0.2, 0.2]}),
+     ("stratum_shift", {"pk_train": [0.6, 0.5, -0.1, 0.0]}),
+     ("stratum_shift", {"pk_train": [np.nan, 0.3, 0.2, 0.1]}),
+     ("stratum_shift", {"pk_train": []})],
+)
+def test_bad_arguments_rejected_before_any_draw(monkeypatch, setting, bad):
+    _no_draws(monkeypatch)
+    model, kw = C04_CALLS[setting]
+    with pytest.raises(ValidationError):
+        coverage_check(setting, model, n=100, delta=0.1, reps=2, epsilon=0.3, **{**kw, **bad})
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "seven"])
+def test_rademacher_bad_seed_is_typed(seed):
+    data = Dataset(features=np.array([[0.2]]), labels=[1], n_classes=2)
+    with pytest.raises(ValidationError, match="seed"):
+        rademacher_mc(data, [0.5], THRESH, reps=10, seed=seed)

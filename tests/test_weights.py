@@ -24,6 +24,7 @@ from werm.weights import (
     ipcw_weights,
     km_fit,
     oracle_class_shift_weights,
+    oracle_pu_weights,
     pu_risk_offset,
     pu_weights,
     pu_weights_eta,
@@ -429,3 +430,67 @@ class TestMetamorphic:
         before, after = _count_weights(data), _count_weights(twice)
         for name in before:
             np.testing.assert_array_equal(after[name], np.tile(before[name], 2), err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# Label-only estimators: lookup tables against np.where
+# ---------------------------------------------------------------------------
+
+
+def _where_oracles(data, p, p_train, q):
+    """The two label-only oracles written with np.where, as they stood
+    before their lookup tables."""
+    pos = data.labels == 1
+    return {
+        "oracle_class": np.where(pos, p / p_train, (1.0 - p) / (1.0 - p_train)),
+        "oracle_pu": np.where(pos, 2.0 * p / q, 1.0 / (1.0 - q)),
+    }
+
+
+def _where_weights(data, p, p_train, q):
+    """The same for all four label-only estimators; both classes populated."""
+    n = data.n
+    n_pos = int(np.sum(data.labels == 1))
+    n_neg = n - n_pos
+    pos = data.labels == 1
+    return {
+        "class": np.where(pos, n * p / n_pos, n * (1.0 - p) / n_neg),
+        "pu": np.where(pos, 2.0 * p * n / n_pos, n / n_neg),
+        **_where_oracles(data, p, p_train, q),
+    }
+
+
+_rate = st.floats(1e-3, 1.0 - 1e-3)
+
+
+class TestLookupTables:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=2, max_size=50), _rate, _rate, _rate)
+    def test_equal_to_np_where(self, labels, p, p_train, q):
+        labels[:2] = [0, 1]
+        data = labeled(labels)
+        got = {
+            "class": class_shift_weights(data, TargetPrior(p=p)).weights,
+            "pu": pu_weights(data, TargetPrior(p=p)).weights,
+            "oracle_class": oracle_class_shift_weights(data, p, p_train).weights,
+            "oracle_pu": oracle_pu_weights(data, p, q).weights,
+        }
+        for name, want in _where_weights(data, p, p_train, q).items():
+            assert got[name].dtype == want.dtype and got[name].tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("labels", [[0, 0], [1, 1, 1]])
+    def test_oracles_accept_one_class(self, labels):
+        data = labeled(labels)
+        want = _where_oracles(data, 0.3, 0.6, 0.4)
+        assert oracle_class_shift_weights(data, 0.3, 0.6).weights.tobytes() == (
+            want["oracle_class"].tobytes())
+        assert oracle_pu_weights(data, 0.3, 0.4).weights.tobytes() == want["oracle_pu"].tobytes()
+
+    def test_oracles_reject_non_binary_or_missing_labels(self):
+        three = Dataset(features=np.zeros((3, 1)), labels=[0, 1, 2])
+        unlabeled = Dataset(features=np.zeros((3, 1)))
+        for data in (three, unlabeled):
+            with pytest.raises(SchemaError):
+                oracle_class_shift_weights(data, 0.3, 0.6)
+            with pytest.raises(SchemaError):
+                oracle_pu_weights(data, 0.3, 0.4)
