@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .core import Dataset, LossSpec, ValidationError, per_record_losses
+from .core import Dataset, LossSpec, ValidationError, _check_seed, per_record_losses
 from .synthetic import StratifiedThresholdModel, _check_strata_pk
 from .weights import (
     TargetPrior,
@@ -193,15 +193,6 @@ def prior_sensitivity_bound(zeta: float) -> float:
     if zeta < 0:
         raise ValidationError("zeta must be >= 0")
     return 2.0 * zeta
-
-
-def _check_seed(seed) -> None:
-    """ValidationError unless ``(seed, i)`` seeds a SeedSequence, as every
-    replicate and sign block of this module is seeded."""
-    try:
-        np.random.SeedSequence((seed, 0))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"seed must be a nonnegative integer ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

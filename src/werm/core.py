@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -109,6 +110,21 @@ class PositivityViolationError(ValidationError):
 
 class NumericError(WermError):
     """A computation produced non-finite values."""
+
+
+def _check_seed(seed, name: str = "seed") -> None:
+    """ValidationError unless ``seed`` is entropy that ``np.random.SeedSequence``
+    takes: a nonnegative integer or a sequence of them.  None (fresh
+    entropy), a SeedSequence, a Generator and a BitGenerator are refused,
+    so that every seeded result is reproducible from a plain value."""
+    try:
+        if seed is None:
+            raise TypeError("got None")
+        np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{name} must be a nonnegative integer or a sequence of them ({exc})"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +273,7 @@ class WeightVector:
         return WeightVector(np.ones(n))
 
     def to_csv(self, path) -> None:
-        write_rows(path, ["w"], zip(self.weights.tolist()))
+        write_rows(path, ["w"], [self.weights])
 
     @staticmethod
     def from_csv(path) -> "WeightVector":
@@ -512,13 +528,23 @@ def _read_columns(path, kinds_of: Callable[[list[str]], dict]) -> dict[str, np.n
                     fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
                 )
             return {
-                name: np.array([_event(c) for c in table[name]], dtype=bool)
-                if kind is _event else np.ascontiguousarray(table[name])
+                name: _events(table[name]) if kind is _event
+                else np.ascontiguousarray(table[name])
                 for name, kind in kinds.items()
             }
         except ValueError as exc:
             _raise_bad_line(path, names, kinds)
             raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _events(cells: np.ndarray) -> np.ndarray:
+    """The event flags of an object column of cell text: the cells "1" and
+    "0" are compared as arrays, and only the others (padded, or bad) go
+    through :func:`_event`, in order, so the first bad one raises."""
+    flags = cells == "1"
+    for i in np.flatnonzero(~(flags | (cells == "0"))):
+        flags[i] = _event(cells[i])
+    return flags
 
 
 def _exact_header(names: list[str], message: str) -> Callable[[list[str]], dict]:
@@ -561,22 +587,39 @@ def write_csv(data: Dataset, path) -> None:
     events = None if data.events is None else data.events.astype(int)
     cols = {"y": data.labels, "s": data.strata, "t": data.times, "e": events}
     cols = {name: c for name, c in cols.items() if c is not None}
-    columns = [*data.features.T, *cols.values()]
     write_rows(
         path,
         [f"x{j}" for j in range(data.d)] + list(cols),
-        zip(*[c.tolist() for c in columns]),
+        [*data.features.T, *cols.values()],
     )
 
 
-def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows of cells as CSV with ``\\r\\n`` line ends.
+def _cells(column) -> Iterable[str]:
+    """The csv module's text of each cell: ``repr`` of a float (so also of
+    an ``np.float64``), ``str`` of anything else.  A numeric array is read
+    through ``tolist`` and formatted by one method for all its cells."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        return map(float.__repr__ if column.dtype.kind == "f" else str, column.tolist())
+    return [float.__repr__(c) if isinstance(c, float) else str(c) for c in column]
 
-    Every CSV file the package writes goes through here.  Float cells are
-    written as ``repr`` (the shortest string that reads back to the same
-    float), ints in decimal.
+
+# Lines joined per write: one string for a whole 1e5-row file would hold
+# about 20 MB more at once than a ``csv.writer`` loop does.
+_LINES_PER_WRITE = 4096
+
+
+def write_rows(path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
+    """Write a header and one column of cells per header name as CSV, each
+    line ending in ``\\r\\n``.
+
+    Every CSV file the package writes goes through here.  Cells are
+    numbers: float cells are written as ``repr`` (the shortest string that
+    reads back to the same float), other cells as ``str``, the text
+    ``csv.writer`` gives them; no cell is quoted.
     """
+    lines = map(",".join, zip(*map(_cells, columns)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        for block in iter(lambda: list(itertools.islice(lines, _LINES_PER_WRITE)), []):
+            fh.write("\r\n".join(block))
+            fh.write("\r\n")

@@ -42,6 +42,7 @@ from .core import (
     ValidationError,
     WeightVector,
     WermError,
+    _check_seed,
     classification_metrics,
     read_csv,
     write_rows,
@@ -103,10 +104,12 @@ class ExperimentSpec:
             raise ValidationError("top_k must be >= 1")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
+        _check_seed(self.base_seed, "base_seed")
         if self.replicate_seeds is not None:
             self.replicate_seeds = tuple(int(s) for s in self.replicate_seeds)
             if len(self.replicate_seeds) != self.replicates:
                 raise ValidationError("replicate_seeds length must equal replicates")
+            _check_seed(self.replicate_seeds, "replicate_seeds")
         # built once here so a bad override fails before any data is drawn
         self.generator()
         self.bias_spec()
@@ -444,7 +447,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 def write_curve(path, rows) -> None:
     """Write (epoch, objective, miss_rate, top_k_error) rows as a
     learning-curve CSV."""
-    write_rows(path, ["epoch", "objective", "miss_rate", "top_k_error"], rows)
+    write_rows(path, ["epoch", "objective", "miss_rate", "top_k_error"], zip(*rows))
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -486,6 +489,6 @@ def emit_results(bundle: dict, out_dir) -> list[str]:
         for name, curve in bundle["analytic"]["curves"].items():
             for kind, x, y in (("risk", "theta", "risk"), ("excess", "p_prime", "excess")):
                 path = os.path.join(curves_dir, f"{kind}_{name}.csv")
-                write_rows(path, [x, y], zip(curve[x], curve[y]))
+                write_rows(path, [x, y], [curve[x], curve[y]])
                 written.append(path)
     return written

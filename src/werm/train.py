@@ -39,6 +39,7 @@ from .core import (
     SchemaError,
     ValidationError,
     WeightVector,
+    _check_seed,
     classification_metrics,
     log_softmax,
 )
@@ -93,6 +94,7 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 0")
         if self.init_std < 0:
             raise ValidationError("init_std must be >= 0")
+        _check_seed(self.seed)
 
 
 def hidden_size(d: int, J: int) -> int:

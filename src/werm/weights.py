@@ -89,6 +89,8 @@ class TargetPrior:
             pk = np.asarray(self.pk, dtype=float)
             if pk.ndim != 1 or pk.size == 0:
                 raise ValidationError("pk must be a nonempty vector")
+            if not np.isfinite(pk).all():
+                raise ValidationError("pk entries must be finite")
             if pk.min() < 0.0 or pk.max() > 1.0:
                 raise ValidationError("pk entries must lie in [0, 1]")
             if abs(pk.sum() - 1.0) > 1e-12:
@@ -292,7 +294,7 @@ class KmCurve:
         return np.concatenate(([1.0], self.survival))[idx]
 
     def to_csv(self, path) -> None:
-        write_rows(path, ["t", "s"], zip(self.times.tolist(), self.survival.tolist()))
+        write_rows(path, ["t", "s"], [self.times, self.survival])
 
     @staticmethod
     def from_csv(path) -> "KmCurve":

@@ -1,10 +1,13 @@
 """Power-law bias target distributions and the stratified subsampler."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from werm import biasgen
 from werm.biasgen import (
     BiasSpec,
     apply_bias,
@@ -235,3 +238,155 @@ class TestApplyBias:
         _, p_low = apply_bias(data, BiasSpec(gamma=0.2), seed=1, max_size=100)
         _, p_high = apply_bias(data, BiasSpec(gamma=0.8), seed=1, max_size=100)
         assert total_variation(pk, p_low) > total_variation(pk, p_high)
+
+
+# ---------------------------------------------------------------------------
+# The replayed random stream against numpy's Generator
+# ---------------------------------------------------------------------------
+
+
+def per_draw_subsample(data, p_prime, seed, max_size=None):
+    """The subsampler as it drew before it replayed its PCG64 in blocks: one
+    ``rng.random()`` and one ``rng.integers(size)`` per draw, with its checks."""
+    p_prime = np.asarray(p_prime, dtype=float)
+    if p_prime.min() < 0 or abs(p_prime.sum() - 1.0) > 1e-9:
+        raise ValidationError("p_prime must be a distribution summing to 1")
+    pools = [np.flatnonzero(data.strata == k) for k in range(data.n_strata)]
+    for k in np.flatnonzero(p_prime > 0):
+        if pools[k].size == 0:
+            raise EmptyStratumError(int(k))
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(p_prime).tolist()
+    last = p_prime.size - 1
+    sizes = [pool.size for pool in pools]
+    chosen = []
+    limit = data.n if max_size is None else min(max_size, data.n)
+    while len(chosen) < limit:
+        k = min(bisect.bisect_right(cum, rng.random()), last)
+        if sizes[k] == 0:
+            break
+        j = int(rng.integers(sizes[k]))
+        chosen.append(int(pools[k][j]))
+        pools[k][j] = pools[k][sizes[k] - 1]
+        sizes[k] -= 1
+    if not chosen:
+        raise ValidationError("subsample stopped before drawing any record")
+    return data.take(chosen)
+
+
+@st.composite
+def subsample_cases(draw):
+    """K from 1 to 8 with pools of 1 to 300 records, some strata without
+    mass (and some of those without records), max_size None or small."""
+    K = draw(st.integers(1, 8))
+    massless = draw(st.lists(st.booleans(), min_size=K, max_size=K))
+    sizes = [draw(st.integers(0 if m else 1, 300)) for m in massless]
+    if sum(sizes) == 0:
+        sizes[0] = 1
+    mass = [0.0 if m else draw(st.floats(0.01, 1.0)) for m in massless]
+    if sum(mass) == 0:
+        mass[int(np.argmax(sizes))] = 1.0
+    p_prime = np.array(mass) / sum(mass)
+    shuffle = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    strata = shuffle.permutation(np.repeat(np.arange(K), sizes))
+    data = Dataset(features=shuffle.random((strata.size, 2)), strata=strata, n_strata=K)
+    seed = draw(st.one_of(st.integers(0, 2**64), st.lists(st.integers(0, 2**32), max_size=3)))
+    max_size = draw(st.one_of(st.none(), st.integers(0, 60)))
+    return data, p_prime, seed, max_size
+
+
+def _outcome(fn, case):
+    data, p_prime, seed, max_size = case
+    try:
+        out = fn(data, p_prime, seed, max_size=max_size)
+    except ValidationError as exc:
+        return type(exc)
+    return out.features.tobytes(), out.strata.tobytes()
+
+
+@given(subsample_cases())
+@settings(max_examples=300, deadline=None)
+def test_replay_equals_per_draw_loop(case):
+    assert _outcome(subsample_to_distribution, case) == _outcome(per_draw_subsample, case)
+
+
+def test_rejected_draws_in_a_large_pool(monkeypatch):
+    """A pool of 2**20 + 1 records rejects about one 32-bit draw in 8,000.
+    Below size 2 nothing else breaks the block layout here, so every draw
+    taken one at a time follows a rejection."""
+    n = 2**20 + 1
+    data = Dataset(features=np.arange(n, dtype=float)[:, None], strata=np.zeros(n, dtype=int))
+    singles = []
+    below = biasgen._Stream.below
+    monkeypatch.setattr(biasgen._Stream, "below", lambda self, s: singles.append(s) or below(self, s))
+    out = subsample_to_distribution(data, [1.0], 0, max_size=40_000)
+    assert singles
+    assert out.features.tobytes() == per_draw_subsample(data, [1.0], 0, max_size=40_000).features.tobytes()
+
+
+def test_default_generator_is_pcg64():
+    """The replay reads PCG64 words as default_rng's Generator does."""
+    assert type(np.random.default_rng(0).bit_generator) is np.random.PCG64
+
+
+BOUNDS = [1, 2, 3, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 5]
+
+
+@pytest.mark.parametrize("m", BOUNDS)
+def test_scalar_draws_match_generator(m):
+    """random() and integers(m) interleaved: an integer after an integer
+    takes the buffered half, and the half is carried across a double."""
+    rng = np.random.default_rng([m, 3])
+    stream = biasgen._Stream([m, 3])
+    for op in "ididdiidiiiddi" * 50:
+        if op == "d":
+            assert stream.double() == rng.random()
+        else:
+            assert stream.below(m) == rng.integers(m)
+
+
+@pytest.mark.parametrize("m", BOUNDS[1:])
+@pytest.mark.parametrize("seed", range(12))
+def test_block_layout_matches_generator(m, seed):
+    """The block layout up to its first rejection, then the one-at-a-time
+    draws from the words and buffer it leaves (odd and even cuts)."""
+    rng = np.random.default_rng(seed)
+    stream = biasgen._Stream(seed)
+    u, x = stream.layout(301)
+    j, rejected = biasgen._lemire(x, np.full(301, m, dtype=np.uint64))
+    kept = int(rejected.argmax()) if rejected.any() else 301
+    for t in range(kept):
+        assert u[t] == rng.random()
+        assert j[t] == rng.integers(m)
+    stream.consume_layout(kept)
+    for _ in range(20):
+        assert stream.double() == rng.random()
+        assert stream.below(m) == rng.integers(m)
+
+
+class TestSubsampleArguments:
+    @pytest.mark.parametrize(
+        "seed",
+        [np.random.default_rng(0), np.random.PCG64(0), np.random.SeedSequence(0), None, -1,
+         [3, -1], 2.5, "7"],
+    )
+    def test_seed_refused(self, seed):
+        data = strata_dataset(np.repeat([0, 1], 20))
+        with pytest.raises(ValidationError, match="seed must be"):
+            subsample_to_distribution(data, [0.5, 0.5], seed)
+
+    def test_nan_p_prime_refused(self):
+        data = strata_dataset(np.repeat([0, 1], 20))
+        with pytest.raises(ValidationError, match="p_prime"):
+            subsample_to_distribution(data, [np.nan, 1.0], 0)
+
+    def test_pool_beyond_32_bit_draws_refused(self, monkeypatch):
+        monkeypatch.setattr(biasgen, "_MAX_POOL", 20)
+        with pytest.raises(ValidationError, match="fewer than 20 records"):
+            subsample_to_distribution(strata_dataset(np.repeat([0, 1], [19, 20])), [0.5, 0.5], 0)
+        out = subsample_to_distribution(strata_dataset(np.repeat([0, 1], 19)), [0.5, 0.5], 0)
+        assert out.n > 0
+
+    def test_perm_seed_refused(self):
+        with pytest.raises(ValidationError, match="perm_seed must be"):
+            BiasSpec(gamma=0.5, permutation="random", perm_seed=-2)

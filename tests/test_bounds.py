@@ -620,6 +620,14 @@ def test_bad_arguments_rejected_before_any_draw(monkeypatch, setting, bad):
         coverage_check(setting, model, n=100, delta=0.1, reps=2, epsilon=0.3, **{**kw, **bad})
 
 
+def test_nan_stratum_prior_rejected_before_any_draw(monkeypatch):
+    _no_draws(monkeypatch)
+    model, kw = C04_CALLS["stratum_shift"]
+    with pytest.raises(ValidationError, match="finite"):
+        coverage_check("stratum_shift", model, n=100, delta=0.1, reps=2, epsilon=0.3,
+                       **{**kw, "pk": [np.nan, 0.5, 0.25, 0.25]})
+
+
 @pytest.mark.parametrize("seed", [-1, 2.5, "seven"])
 def test_rademacher_bad_seed_is_typed(seed):
     data = Dataset(features=np.array([[0.2]]), labels=[1], n_classes=2)

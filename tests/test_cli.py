@@ -393,3 +393,44 @@ class TestExperimentCommand:
         bad.write_text("{not json")
         code, _, _ = run_cli(capsys, "experiment", "--config", str(bad))
         assert code == 2
+
+
+class TestTypedSeeds:
+    """A seed numpy refuses exits 2 with an error naming it, not a raw
+    ValueError traceback."""
+
+    def test_biasgen_seed(self, tmp_path, capsys):
+        src = write_strata_csv(tmp_path / "src.csv")
+        code, _, err = run_cli(
+            capsys, "biasgen", "--in", str(src), "--out", str(tmp_path / "o.csv"),
+            "--gamma", "0.5", "--seed", "-1",
+        )
+        assert code == 2 and "seed must be" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_biasgen_perm_seed(self, tmp_path, capsys):
+        src = write_strata_csv(tmp_path / "src.csv")
+        code, _, err = run_cli(
+            capsys, "biasgen", "--in", str(src), "--out", str(tmp_path / "o.csv"),
+            "--gamma", "0.5", "--perm-seed", "-2",
+        )
+        assert code == 2 and "perm_seed must be" in err
+
+    def test_train_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(train_mod, "fit", lambda *a, **k: pytest.fail("trained"))
+        train = write_binary_csv(tmp_path / "train.csv")
+        test = write_binary_csv(tmp_path / "test.csv", seed=1)
+        code, _, err = run_cli(
+            capsys, "train", "--train", str(train), "--test", str(test), "--seed", "-1"
+        )
+        assert code == 2 and "seed must be" in err
+
+    def test_experiment_base_seed(self, tmp_path, capsys):
+        cfg = TestExperimentCommand().config(tmp_path, "s")
+        doc = json.loads(cfg.read_text())
+        doc["base_seed"] = -1
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "base_seed must be" in err
+        assert not (tmp_path / "s").exists()

@@ -2,13 +2,15 @@
 parser it replaced, and typed errors from the weight and survival readers."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from werm.core import Dataset, SchemaError, WeightVector, WermError, read_csv
+from werm import core
+from werm.core import Dataset, SchemaError, WeightVector, WermError, read_csv, write_rows
 from werm.weights import KmCurve
 
 
@@ -317,3 +319,82 @@ def test_survival_csv_round_trip_with_blank_lines(tmp_path):
     path.write_text("t,s\n\n1.5,0.75\n\n3.0,0.25\n")
     km = KmCurve.from_csv(path)
     assert km.times.tolist() == [1.5, 3.0] and km.survival.tolist() == [0.75, 0.25]
+
+
+# ---------------------------------------------------------------------------
+# The column writer and the event column against the csv module
+# ---------------------------------------------------------------------------
+
+SPECIAL_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1e-05,
+    0.1 + 0.2, 1 / 3, -2.5e-300, 1.7976931348623157e308,
+]
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def written_bytes(tmp_path, header, columns) -> bytes:
+    path = tmp_path / "out.csv"
+    write_rows(path, header, columns)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [np.array(SPECIAL_FLOATS)],
+        [np.array(SPECIAL_FLOATS), np.arange(12), np.arange(12) % 2 == 1],
+        [list(range(-3, 3)), [True, False] * 3, [np.float64(0.1), np.float64(-0.0), 1e16,
+                                                 np.float64(np.nan), 7, False]],
+        [np.array([], dtype=float), np.array([], dtype=int)],
+        [[], [], []],
+    ],
+    ids=["floats", "float-int-bool-arrays", "mixed-lists", "zero-rows", "zero-rows-lists"],
+)
+def test_writer_bytes_match_csv_writer(tmp_path, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns])
+    assert written_bytes(tmp_path, header, columns) == csv_writer_bytes(header, rows)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
+def test_writer_bytes_match_csv_writer_across_write_blocks(tmp_path, n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    y = rng.integers(-5, 5, n)
+    rows = zip(x.tolist(), y.tolist())
+    assert written_bytes(tmp_path, ["x", "y"], [x, y]) == csv_writer_bytes(["x", "y"], rows)
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_writer_float_cells_match_csv_writer(tmp_path_factory, cells):
+    tmp_path = tmp_path_factory.mktemp("w")
+    col = np.array(cells, dtype=float)
+    expected = csv_writer_bytes(["a", "b"], zip(col.tolist(), cells))
+    assert written_bytes(tmp_path, ["a", "b"], [col, cells]) == expected
+
+
+EVENT_CELLS = ["1", "0", " 1", "1 ", " 0\t", "01", "", "2", "1\x00", "１", "true"]
+
+
+@given(st.lists(st.sampled_from(EVENT_CELLS), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_event_column_matches_per_cell_parse(cells):
+    """Same flags, or the same ValueError from the first bad cell."""
+
+    def parse(fn):
+        try:
+            return fn()
+        except ValueError as exc:
+            return str(exc)
+
+    got = parse(lambda: core._events(np.array(cells, dtype=object)).tolist())
+    want = parse(lambda: [core._event(c) for c in cells])
+    assert got == want

@@ -63,6 +63,19 @@ class TestSpec:
             with pytest.raises(ValidationError, match=f"{scenario}.*{mode}"):
                 build()
 
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            ({"base_seed": -1}, "base_seed must be"),
+            ({"base_seed": 2.5}, "base_seed must be"),
+            ({"replicate_seeds": (4, -1)}, "replicate_seeds must be"),
+        ],
+    )
+    def test_bad_seed_rejected_before_any_draw(self, monkeypatch, overrides, match):
+        monkeypatch.setattr(synthetic, "gaussian_strata_sample", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValidationError, match=match):
+            run_experiment(small_strata_spec(**overrides))
+
     def test_top_k_below_one_rejected(self):
         with pytest.raises(ValidationError, match="top_k"):
             small_strata_spec(top_k=0)

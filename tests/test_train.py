@@ -94,6 +94,11 @@ def reference_fit(data, w, kind, cfg):
 
 
 class TestInit:
+    @pytest.mark.parametrize("seed", [-1, None, 2.5, np.random.default_rng(0)])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be"):
+            TrainConfig(seed=seed)
+
     def test_deterministic(self):
         cfg = TrainConfig(seed=5)
         a = init_params("mlp", 4, 3, cfg)

@@ -53,6 +53,11 @@ class TestTargetPrior:
             TargetPrior(pk=(0.5, 0.4))
         TargetPrior(pk=(1.0,))  # single stratum allowed
 
+    @pytest.mark.parametrize("pk", [(np.nan, 1.0), (np.nan,), (0.5, np.nan, 0.5)])
+    def test_pk_nan_rejected(self, pk):
+        with pytest.raises(ValidationError, match="finite"):
+            TargetPrior(pk=pk)
+
 
 class TestClassShift:
     def test_derived_example(self):
