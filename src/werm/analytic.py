@@ -22,21 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, DomainError, ValidationError
-from .weights import EtaEstimate
+from .core import Dataset, DomainError, ValidationError, _check_rate
 
-__all__ = [
-    "AnalyticModel",
-    "true_risk",
-    "optimal_threshold",
-    "closed_form_threshold",
-    "excess_error",
-    "sample",
-    "sample_pu",
-    "true_eta",
-    "risk_curve",
-    "excess_curve",
-]
 
 BISECTION_TOL = 1e-10
 BISECTION_MAX_ITER = 200
@@ -51,10 +38,9 @@ class AnalyticModel:
     p: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValidationError("alpha and beta must be >= 0")
-        if not 0.0 < self.p < 1.0:
-            raise ValidationError("p must lie in (0, 1)")
+        _check_rate(self.p, "p")
 
 
 def true_risk(m: AnalyticModel, theta: float) -> float:
@@ -125,8 +111,7 @@ def closed_form_threshold(m: AnalyticModel) -> float:
 
 def excess_error(m: AnalyticModel, p_train: float) -> float:
     """Test-risk gap R(theta*_train) - R(theta*_test); nonnegative."""
-    if not 0.0 < p_train < 1.0:
-        raise ValidationError("p_train must lie in (0, 1)")
+    _check_rate(p_train, "p_train")
     theta_train = optimal_threshold(replace(m, p=p_train))
     theta_test = optimal_threshold(m)
     gap = true_risk(m, theta_train) - true_risk(m, theta_test)
@@ -151,8 +136,7 @@ def sample(m: AnalyticModel, n: int, class_rate: float, seed) -> Dataset:
     """n records with Bernoulli(class_rate) labels and inverse-CDF features."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if not 0.0 < class_rate < 1.0:
-        raise ValidationError("class_rate must lie in (0, 1)")
+    _check_rate(class_rate, "class_rate")
     rng = np.random.default_rng(seed)
     labels = (rng.random(n) < class_rate).astype(int)
     u = rng.random(n)
@@ -165,30 +149,13 @@ def sample_pu(m: AnalyticModel, n: int, q: float, seed) -> Dataset:
     the positive class, otherwise an unlabeled draw from the marginal."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if not 0.0 < q < 1.0:
-        raise ValidationError("q must lie in (0, 1)")
+    _check_rate(q, "q")
     rng = np.random.default_rng(seed)
     labeled = rng.random(n) < q
     from_pos = rng.random(n) < m.p  # class of the latent unlabeled draw
     u = rng.random(n)
     x = np.where(labeled | from_pos, _draw_positive(m, u), _draw_negative(m, u))
     return Dataset(features=x[:, None], labels=labeled.astype(int), n_classes=2)
-
-
-def true_eta(m: AnalyticModel) -> EtaEstimate:
-    """Exact posterior P(label 1 | x) of the model, as an EtaEstimate."""
-
-    def eta(features: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(features)[:, 0]
-        f_pos = (1.0 + m.alpha) * np.where(x > 0, x, 1.0) ** m.alpha
-        f_pos = np.where((x <= 0) & (m.alpha > 0), 0.0, f_pos)
-        f_neg = (1.0 + m.beta) * np.where(x < 1, 1.0 - x, 1.0) ** m.beta
-        f_neg = np.where((x >= 1) & (m.beta > 0), 0.0, f_neg)
-        num = m.p * f_pos
-        den = num + (1.0 - m.p) * f_neg
-        return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.5)
-
-    return EtaEstimate(eta)
 
 
 # ---------------------------------------------------------------------------

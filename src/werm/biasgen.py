@@ -29,17 +29,10 @@ from .core import (
     EmptyStratumError,
     SchemaError,
     ValidationError,
+    _check_distribution,
     _check_seed,
 )
 
-__all__ = [
-    "BiasSpec",
-    "resolve_permutation",
-    "power_law_distribution",
-    "subsample_to_distribution",
-    "apply_bias",
-    "total_variation",
-]
 
 @dataclass(frozen=True)
 class BiasSpec:
@@ -58,7 +51,7 @@ class BiasSpec:
     target_pk: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise DomainError("gamma must be > 0")
         if self.gamma > 1.0:
             raise ValidationError("gamma must lie in (0, 1]")
@@ -74,9 +67,7 @@ class BiasSpec:
         if self.perm_seed is not None:
             _check_seed(self.perm_seed, "perm_seed")
         if self.target_pk is not None:
-            pk = np.asarray(self.target_pk, dtype=float)
-            if pk.min() < 0 or abs(pk.sum() - 1.0) > 1e-12:
-                raise ValidationError("target_pk must be a distribution summing to 1")
+            pk = _check_distribution(self.target_pk, "target_pk", 1e-12)
             object.__setattr__(self, "target_pk", tuple(float(v) for v in pk))
 
 
@@ -129,12 +120,10 @@ def _check_pools(data: Dataset, p_prime: np.ndarray) -> list[array]:
     """Each stratum's record indices, as compact int64 arrays."""
     if data.strata is None:
         raise SchemaError("dataset has no strata")
-    if p_prime.ndim != 1 or p_prime.size != data.n_strata:
+    if p_prime.size != data.n_strata:
         raise SchemaError(
             f"p_prime has {p_prime.size} entries for {data.n_strata} strata"
         )
-    if not np.isfinite(p_prime).all() or p_prime.min() < 0 or abs(p_prime.sum() - 1.0) > 1e-9:
-        raise ValidationError("p_prime must be a distribution summing to 1")
     pools = [np.flatnonzero(data.strata == k) for k in range(data.n_strata)]
     for k in np.flatnonzero(p_prime > 0):
         if pools[k].size == 0:
@@ -259,7 +248,7 @@ def subsample_to_distribution(
     records or more would take numpy's 64-bit integers: ValidationError.
     """
     _check_seed(seed)
-    p_prime = np.asarray(p_prime, dtype=float)
+    p_prime = _check_distribution(p_prime, "p_prime", 1e-9)
     pools = _check_pools(data, p_prime)
     cum = np.cumsum(p_prime)
     last = p_prime.size - 1

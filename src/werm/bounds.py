@@ -40,8 +40,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .core import Dataset, LossSpec, ValidationError, _check_seed, per_record_losses
-from .synthetic import StratifiedThresholdModel, _check_strata_pk
+from .core import (
+    Dataset,
+    LossSpec,
+    ValidationError,
+    _check_distribution,
+    _check_rate,
+    _check_seed,
+    per_record_losses,
+)
+from .synthetic import StratifiedThresholdModel
 from .weights import (
     TargetPrior,
     class_shift_weights,
@@ -52,18 +60,6 @@ from .weights import (
     stratum_shift_weights,
 )
 
-__all__ = [
-    "BoundInputs",
-    "BoundResult",
-    "CoverageResult",
-    "evaluate_bound",
-    "deviation_bound",
-    "prior_sensitivity_bound",
-    "rademacher_mc",
-    "coverage_check",
-    "EXCESS_BOUND_KINDS",
-    "DEVIATION_BOUND_KINDS",
-]
 
 EXCESS_BOUND_KINDS = ("lemma1", "corollary1", "theorem1", "theorem2")
 DEVIATION_BOUND_KINDS = ("approx1", "approx2", "approx3")
@@ -88,21 +84,20 @@ class BoundInputs:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("n must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError("delta must lie in (0, 1)")
+        _check_rate(self.delta, "delta")
         if self.epsilon is not None and not 0.0 < self.epsilon < 0.5:
             raise ValidationError("epsilon must lie in (0, 1/2)")
-        if self.L < 0:
+        if not self.L >= 0:
             raise ValidationError("L must be >= 0")
-        if self.phi_sup is not None and self.phi_sup < 0:
+        if self.phi_sup is not None and not self.phi_sup >= 0:
             raise ValidationError("phi_sup must be >= 0")
-        if self.p is not None and not 0.0 < self.p < 1.0:
-            raise ValidationError("p must lie in (0, 1)")
+        if self.p is not None:
+            _check_rate(self.p, "p")
         if self.max_pk is not None and not 0.0 < self.max_pk <= 1.0:
             raise ValidationError("max_pk must lie in (0, 1]")
         if self.K is not None and self.K < 1:
             raise ValidationError("K must be >= 1")
-        if self.rademacher < 0:
+        if not self.rademacher >= 0:
             raise ValidationError("rademacher must be >= 0")
 
 
@@ -328,7 +323,7 @@ def coverage_check(
     elif setting == "stratum_shift":
         if pk is None or pk_train is None:
             raise ValidationError("stratum_shift coverage needs pk and pk_train")
-        pk, rates = np.asarray(pk, dtype=float), _check_strata_pk(pk_train)
+        pk, rates = np.asarray(pk, dtype=float), _check_distribution(pk_train, "pk_train", 1e-9)
         model_type, rate_arg, kind = StratifiedThresholdModel, "pk_train", "approx2"
 
         def draw(rep_seed):

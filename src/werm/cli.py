@@ -25,8 +25,6 @@ from .core import (
     write_csv,
 )
 
-__all__ = ["main", "build_parser"]
-
 
 def _load_pk(path) -> tuple[float, ...]:
     with open(path) as fh:

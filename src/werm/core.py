@@ -32,29 +32,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "WermError",
-    "ValidationError",
-    "SchemaError",
-    "DomainError",
-    "DegenerateClassError",
-    "EmptyStratumError",
-    "PositivityViolationError",
-    "NumericError",
-    "Dataset",
-    "WeightVector",
-    "LossSpec",
-    "per_record_losses",
-    "empirical_risk",
-    "weighted_empirical_risk",
-    "classification_metrics",
-    "softmax",
-    "log_softmax",
-    "read_csv",
-    "write_csv",
-    "write_rows",
-]
-
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -125,6 +102,36 @@ def _check_seed(seed, name: str = "seed") -> None:
         raise ValidationError(
             f"{name} must be a nonnegative integer or a sequence of them ({exc})"
         ) from None
+
+
+def _check_rate(value: float, name: str) -> None:
+    """ValidationError unless ``value`` lies in the open interval (0, 1);
+    NaN is refused."""
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"{name} must lie in (0, 1)")
+
+
+def _check_distribution(pk, name: str, tol: float) -> np.ndarray:
+    """``pk`` as a float vector, or ValidationError unless it is a
+    distribution: 1-d, nonempty, finite, nonnegative, and summing to 1
+    within ``tol``."""
+    try:
+        pk = np.asarray(pk, dtype=float)
+        ok = (
+            pk.ndim == 1
+            and pk.size > 0
+            and np.isfinite(pk).all()
+            and pk.min() >= 0
+            and abs(pk.sum() - 1.0) <= tol
+        )
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValidationError(
+            f"{name} must be a nonempty vector of finite, nonnegative stratum "
+            f"probabilities that sum to 1 within {tol:g}"
+        )
+    return pk
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,6 @@ from .core import (
     write_rows,
 )
 
-__all__ = [
-    "ExperimentSpec",
-    "MODE_WEIGHTS",
-    "SCENARIO_MODES",
-    "ingest_csv",
-    "run_experiment",
-    "emit_results",
-    "write_curve",
-]
 
 # The reweighting modes each scenario can run; analytic_excess trains nothing.
 SCENARIO_MODES = {

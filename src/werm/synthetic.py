@@ -14,49 +14,19 @@ the ones ``choice`` gives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ValidationError
-from .weights import WeightVector
-
-__all__ = [
-    "GaussianStrataSpec",
-    "gaussian_strata_sample",
-    "StratifiedThresholdModel",
-    "CensoredSpec",
-    "censored_train_sample",
-    "censored_test_sample",
-    "oracle_censoring_weights",
-]
-
-# how far a stratum distribution's sum may stray from 1
-_PK_SUM_TOL = 1e-9
+from .core import Dataset, ValidationError, WeightVector, _check_distribution
 
 
-def _check_strata_pk(pk) -> np.ndarray:
-    """pk as a float vector, or ValidationError unless it is a distribution:
-    finite, nonnegative, and summing to 1 within ``_PK_SUM_TOL``."""
-    pk = np.asarray(pk, dtype=float)
-    if (
-        pk.ndim != 1
-        or pk.size == 0
-        or not np.isfinite(pk).all()
-        or pk.min() < 0
-        or abs(pk.sum() - 1.0) > _PK_SUM_TOL
-    ):
-        raise ValidationError(
-            "stratum probabilities must be finite, >= 0 and sum to 1 "
-            f"within {_PK_SUM_TOL:g}"
-        )
-    return pk
-
-
-def _draw_strata(rng: np.random.Generator, pk, n: int) -> np.ndarray:
+def _draw_strata(rng: np.random.Generator, pk, n: int, name: str = "pk") -> np.ndarray:
     """n stratum ids ~ pk by inverse CDF over ``rng.random(n)``; the same
-    draws as ``rng.choice(pk.size, size=n, p=pk)``."""
-    cdf = _check_strata_pk(pk).cumsum()
+    draws as ``rng.choice(pk.size, size=n, p=pk)``.  ``pk``, named ``name``
+    in the error, must sum to 1 within 1e-9."""
+    cdf = _check_distribution(pk, name, 1e-9).cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(n), side="right")
 
@@ -81,7 +51,7 @@ class GaussianStrataSpec:
     def __post_init__(self):
         if self.n_strata < 1 or self.n_classes < 2:
             raise ValidationError("need n_strata >= 1 and n_classes >= 2")
-        if self.noise <= 0:
+        if not self.noise > 0:
             raise ValidationError("noise must be > 0")
 
 
@@ -119,7 +89,7 @@ class StratifiedThresholdModel:
         rates = np.asarray(self.pos_rates, dtype=float)
         if rates.ndim != 1 or rates.size == 0:
             raise ValidationError("pos_rates must be a nonempty vector")
-        if rates.min() <= 0 or rates.max() >= 1:
+        if not ((rates > 0) & (rates < 1)).all():
             raise ValidationError("pos_rates must lie in (0, 1)")
 
     @property
@@ -130,7 +100,7 @@ class StratifiedThresholdModel:
         if np.size(pk_train) != self.n_strata:
             raise ValidationError("pk_train length must match the strata count")
         rng = np.random.default_rng(seed)
-        strata = _draw_strata(rng, pk_train, n)
+        strata = _draw_strata(rng, pk_train, n, "pk_train")
         rates = np.asarray(self.pos_rates)[strata]
         labels = (rng.random(n) < rates).astype(int)
         x = rng.random(n)
@@ -160,6 +130,14 @@ class CensoredSpec:
     slope: float = 1.5
     censor_rate: float = 0.5
     horizon: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.slope):
+            raise ValidationError("slope must be finite")
+        if not self.censor_rate > 0:
+            raise ValidationError("censor_rate must be > 0")
+        if not self.horizon > 0:
+            raise ValidationError("horizon must be > 0")
 
     def event_rate(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.slope * (x - 0.5))

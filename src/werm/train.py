@@ -44,17 +44,6 @@ from .core import (
     log_softmax,
 )
 
-__all__ = [
-    "ModelParams",
-    "TrainConfig",
-    "TrainingLog",
-    "init_params",
-    "logits_batch",
-    "weighted_objective",
-    "gradient",
-    "momentum_step",
-    "fit",
-]
 
 MODEL_KINDS = ("linear", "mlp")
 
@@ -82,17 +71,19 @@ class TrainConfig:
     init_std: float = 0.01
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValidationError("lr must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValidationError("weight_decay must be >= 0")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValidationError("epochs must be >= 0")
-        if self.init_std < 0:
+        # compared before the type test: a non-number raises TypeError,
+        # which ExperimentSpec reports under its spec field
+        if not (self.batch_size >= 1 and isinstance(self.batch_size, (int, np.integer))):
+            raise ValidationError("batch_size must be an integer >= 1")
+        if not (self.epochs >= 0 and isinstance(self.epochs, (int, np.integer))):
+            raise ValidationError("epochs must be an integer >= 0")
+        if not self.init_std >= 0:
             raise ValidationError("init_std must be >= 0")
         _check_seed(self.seed)
 

@@ -34,7 +34,6 @@ estimation error from the effect of reweighting itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -46,26 +45,12 @@ from .core import (
     SchemaError,
     ValidationError,
     WeightVector,
+    _check_distribution,
+    _check_rate,
     _exact_header,
     _read_columns,
     write_rows,
 )
-
-__all__ = [
-    "TargetPrior",
-    "EtaEstimate",
-    "KmCurve",
-    "class_shift_weights",
-    "stratum_shift_weights",
-    "pu_weights",
-    "pu_risk_offset",
-    "pu_weights_eta",
-    "km_fit",
-    "ipcw_weights",
-    "oracle_class_shift_weights",
-    "oracle_stratum_shift_weights",
-    "oracle_pu_weights",
-]
 
 
 @dataclass(frozen=True)
@@ -75,47 +60,24 @@ class TargetPrior:
     p
         Test positive rate, in (0, 1).
     pk
-        Test stratum probabilities; entries in [0, 1] summing to 1.
-        (A single stratum with pk = [1.0] is legitimate.)
+        Test stratum probabilities: finite, nonnegative, summing to 1
+        within 1e-12.  (A single stratum with pk = [1.0] is legitimate.)
     """
 
     p: float | None = None
     pk: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.p is not None and not 0.0 < self.p < 1.0:
-            raise ValidationError("p must lie in (0, 1)")
+        if self.p is not None:
+            _check_rate(self.p, "p")
         if self.pk is not None:
-            pk = np.asarray(self.pk, dtype=float)
-            if pk.ndim != 1 or pk.size == 0:
-                raise ValidationError("pk must be a nonempty vector")
-            if not np.isfinite(pk).all():
-                raise ValidationError("pk entries must be finite")
-            if pk.min() < 0.0 or pk.max() > 1.0:
-                raise ValidationError("pk entries must lie in [0, 1]")
-            if abs(pk.sum() - 1.0) > 1e-12:
-                raise ValidationError("pk must sum to 1 within 1e-12")
+            pk = _check_distribution(self.pk, "pk", 1e-12)
             object.__setattr__(self, "pk", tuple(float(v) for v in pk))
 
     def pk_array(self) -> np.ndarray:
         if self.pk is None:
             raise ValidationError("prior has no stratum probabilities")
         return np.asarray(self.pk, dtype=float)
-
-
-class EtaEstimate:
-    """A posterior-probability score: feature matrix (n, d) -> values in [0, 1].
-
-    Output of the wrapped callable is clamped to [0, 1].  The wrapped
-    callable must be deterministic (equal inputs give equal outputs).
-    """
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self._fn = fn
-
-    def __call__(self, features: np.ndarray) -> np.ndarray:
-        out = np.asarray(self._fn(np.atleast_2d(features)), dtype=float)
-        return np.clip(out, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,29 +159,9 @@ def pu_risk_offset(prior: TargetPrior) -> float:
     return -prior.p
 
 
-def pu_weights_eta(data: Dataset, prior: TargetPrior, eta: EtaEstimate) -> WeightVector:
-    """w_i = n*p/n_pos for positives, (1 - eta(x_i)) / (1 - n_pos/n) for unlabeled.
-
-    Plugging in the true posterior makes the weighted risk a consistent
-    estimate of the test risk (no offset needed).
-    """
-    n_pos, n_unl = _populated_counts(data, prior, "PU weights")
-    n = data.n
-    w = np.empty(n)
-    pos = data.labels == 1
-    w[pos] = n * prior.p / n_pos
-    w[~pos] = (1.0 - eta(data.features[~pos])) / (1.0 - n_pos / n)
-    return WeightVector(w)
-
-
 # ---------------------------------------------------------------------------
 # Oracle (exact likelihood-ratio) weights
 # ---------------------------------------------------------------------------
-
-
-def _check_rate(value: float, name: str) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValidationError(f"{name} must lie in (0, 1)")
 
 
 def oracle_class_shift_weights(data: Dataset, p: float, p_train: float) -> WeightVector:

@@ -12,7 +12,6 @@ from werm.analytic import (
     risk_curve,
     sample,
     sample_pu,
-    true_eta,
     true_risk,
 )
 from werm.core import (
@@ -176,23 +175,6 @@ class TestThresholdLoss:
         data = sample(m, 200_000, m.p, 10)
         est = per_record_losses(data, LossSpec("threshold-sign"), 0.4).mean()
         assert est == pytest.approx(true_risk(m, 0.4), abs=0.005)
-
-
-class TestTrueEta:
-    def test_matches_density_ratio(self):
-        m = AnalyticModel(1.0, 2.0, 0.3)
-        eta = true_eta(m)
-        x = np.array([[0.2], [0.5], [0.9]])
-        f_pos = 2.0 * x[:, 0]
-        f_neg = 3.0 * (1 - x[:, 0]) ** 2
-        expected = m.p * f_pos / (m.p * f_pos + (1 - m.p) * f_neg)
-        np.testing.assert_allclose(eta(x), expected, atol=1e-12)
-
-    def test_boundary_values(self):
-        m = AnalyticModel(1.0, 1.0, 0.5)
-        eta = true_eta(m)
-        np.testing.assert_allclose(eta(np.array([[0.0]])), 0.0)
-        np.testing.assert_allclose(eta(np.array([[1.0]])), 1.0)
 
 
 class TestFiniteSampleConsistency:

@@ -84,6 +84,14 @@ class TestBoundsCommand:
         assert code == 2
         assert "error" in err
 
+    def test_nan_lipschitz_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--kind", "approx2", "--n", "1000", "--delta", "0.05",
+            "--epsilon", "0.2", "--K", "4", "--L", "nan",
+        )
+        assert code == 2 and out == ""
+        assert "L must be >= 0" in err
+
 
 class TestAnalyticCommand:
     def test_writes_curves(self, tmp_path, capsys):
@@ -287,6 +295,15 @@ class TestTrainCommand:
         assert code == 2
         assert "top-k" in err
 
+    def test_nan_lr_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        train_csv = write_binary_csv(tmp_path / "train.csv", n=50, seed=8)
+        monkeypatch.setattr(train_mod, "fit", lambda *a, **k: pytest.fail("trained"))
+        code, _, err = run_cli(
+            capsys, "train", "--train", str(train_csv), "--test", str(train_csv), "--lr", "nan"
+        )
+        assert code == 2
+        assert "lr must be > 0" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_exits_3(self, tmp_path, capsys):
         train_csv = write_binary_csv(tmp_path / "train.csv", n=50, seed=6)
@@ -376,6 +393,10 @@ class TestExperimentCommand:
             ("train", {"lr": -1.0}, "lr must be > 0"),
             ("bias", {"gamma": 0.3, "exponent_style": "x"}, "'bias'.*exponent_style"),
             ("synthetic", {"n_strat": 5}, "'synthetic'.*n_strat"),
+            ("train", {"lr": float("nan")}, "lr must be > 0"),
+            ("train", {"batch_size": 2.5}, "batch_size must be an integer"),
+            ("bias", {"gamma": 0.3, "target_pk": []}, "target_pk must be"),
+            ("bias", {"gamma": float("nan")}, "gamma must be > 0"),
         ],
     )
     def test_bad_override_exits_2_before_work(self, tmp_path, capsys, field, value, message):

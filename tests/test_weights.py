@@ -17,7 +17,6 @@ from werm.core import (
     weighted_empirical_risk,
 )
 from werm.weights import (
-    EtaEstimate,
     KmCurve,
     TargetPrior,
     class_shift_weights,
@@ -27,7 +26,6 @@ from werm.weights import (
     oracle_pu_weights,
     pu_risk_offset,
     pu_weights,
-    pu_weights_eta,
     stratum_shift_weights,
 )
 
@@ -193,47 +191,6 @@ class TestPu:
             1.0 / (~pos).sum()
         ) * np.sum(x[~pos] >= theta)
         assert via_core == pytest.approx(direct, abs=1e-12)
-
-
-class TestPuEta:
-    def test_derived_examples(self):
-        data = labeled([1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
-        eta = EtaEstimate(lambda X: np.full(len(X), 0.2))
-        w = pu_weights_eta(data, TargetPrior(p=0.5), eta)
-        np.testing.assert_allclose(w.weights[:4], 1.25)  # n*p/n_pos = 10*0.5/4
-        np.testing.assert_allclose(w.weights[4:], 0.8 / 0.6)  # (1-eta)/(1-n_pos/n)
-
-    def test_eta_one_zeroes_unlabeled(self):
-        data = labeled([1, 0, 0])
-        eta = EtaEstimate(lambda X: np.ones(len(X)))
-        w = pu_weights_eta(data, TargetPrior(p=0.5), eta)
-        np.testing.assert_allclose(w.weights[1:], 0.0)
-
-    def test_all_positive_degenerate(self):
-        eta = EtaEstimate(lambda X: np.zeros(len(X)))
-        with pytest.raises(DegenerateClassError):
-            pu_weights_eta(labeled([1, 1]), TargetPrior(p=0.5), eta)
-
-    def test_eta_output_clamped(self):
-        eta = EtaEstimate(lambda X: np.full(len(X), 3.0))
-        np.testing.assert_allclose(eta(np.zeros((4, 1))), 1.0)
-
-    def test_true_eta_gives_consistent_risk(self):
-        """Monte-Carlo: plugging the exact posterior into the PU weights
-        estimates the test risk (4 standard errors of the replicate mean)."""
-        m = analytic.AnalyticModel(1.0, 1.0, 0.4)
-        q, n, reps, theta = 0.3, 2000, 400, 0.45
-        target = analytic.true_risk(m, theta)
-        eta = analytic.true_eta(m)
-        prior = TargetPrior(p=m.p)
-        vals = []
-        for r in range(reps):
-            data = analytic.sample_pu(m, n, q, [4242, r])
-            w = pu_weights_eta(data, prior, eta)
-            vals.append(weighted_empirical_risk(data, w, THRESH, theta))
-        vals = np.array(vals)
-        se = vals.std(ddof=1) / np.sqrt(reps)
-        assert abs(vals.mean() - target) <= 4 * se
 
 
 class TestIdealWeightUnbiasedness:
