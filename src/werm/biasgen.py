@@ -18,6 +18,7 @@ and halts the first time the drawn stratum has no records left.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass, replace
 
@@ -63,7 +64,7 @@ class BiasSpec:
             if self.permutation == "random" and self.perm_seed is None:
                 raise ValidationError("random permutation needs perm_seed")
         else:
-            object.__setattr__(self, "permutation", tuple(int(v) for v in self.permutation))
+            object.__setattr__(self, "permutation", tuple(map(operator.index, self.permutation)))
         if self.perm_seed is not None:
             _check_seed(self.perm_seed, "perm_seed")
         if self.target_pk is not None:

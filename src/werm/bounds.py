@@ -24,8 +24,11 @@ condition it inherits:
 ``lemma1`` is the weighting-free 4*phi_sup*E[Rad] +
 2*phi_sup*L*sqrt(2*log(1/delta)/n).  Every bound reports its terms, its
 sample-size condition (``required_n``) and whether n meets it
-(``valid``).  eps is the separation margin: all group rates are assumed
-to lie in (eps, 1-eps), and every plug-in bound blows up as eps -> 0.
+(``valid``).  ``valid`` says nothing else: corollary1 at p = 0.3,
+delta = 0.1 and eps = 0.3 is 1.6 at n = 2,000, vacuous for a 0-1 loss,
+yet valid, since required_n is 82.  eps is the separation margin: all
+group rates are assumed to lie in (eps, 1-eps), and every plug-in bound
+blows up as eps -> 0.
 
 Rademacher averages are estimated by Monte Carlo over an explicit finite
 hypothesis grid; no combinatorial-dimension machinery is used.
@@ -44,6 +47,7 @@ from .core import (
     Dataset,
     LossSpec,
     ValidationError,
+    _check_count,
     _check_distribution,
     _check_rate,
     _check_seed,
@@ -87,18 +91,16 @@ class BoundInputs:
         _check_rate(self.delta, "delta")
         if self.epsilon is not None and not 0.0 < self.epsilon < 0.5:
             raise ValidationError("epsilon must lie in (0, 1/2)")
-        if not self.L >= 0:
-            raise ValidationError("L must be >= 0")
-        if self.phi_sup is not None and not self.phi_sup >= 0:
-            raise ValidationError("phi_sup must be >= 0")
+        for name in ("L", "phi_sup", "rademacher"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValidationError(f"{name} must be >= 0 and finite")
         if self.p is not None:
             _check_rate(self.p, "p")
         if self.max_pk is not None and not 0.0 < self.max_pk <= 1.0:
             raise ValidationError("max_pk must lie in (0, 1]")
         if self.K is not None and self.K < 1:
             raise ValidationError("K must be >= 1")
-        if not self.rademacher >= 0:
-            raise ValidationError("rademacher must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,9 @@ _EXCESS = {
 
 
 def evaluate_bound(kind: str, inputs: BoundInputs) -> BoundResult:
-    """Excess-risk bound of the given kind at the given inputs."""
+    """Excess-risk or deviation bound of the given kind at the given inputs."""
+    if kind in _DEVIATIONS:
+        return deviation_bound(kind, inputs)
     n, delta, eps, rad = inputs.n, inputs.delta, inputs.epsilon, inputs.rademacher
     if kind == "lemma1":
         _require(inputs, kind, ("phi_sup",))
@@ -211,8 +215,7 @@ def _rademacher_mc_detail(data, hypothesis_grid, loss, reps, seed):
     grid = list(hypothesis_grid)
     if not grid:
         raise ValidationError("hypothesis grid must be nonempty")
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
+    _check_count(reps, "reps", 1)
     _check_seed(seed)
     M = np.stack([per_record_losses(data, loss, h) for h in grid])
     n = M.shape[1]
@@ -300,8 +303,7 @@ def coverage_check(
     so coverage near 1 is the norm.  Replicate r draws its seed from
     (seed, r), making results independent of any work split.
     """
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
+    _check_count(reps, "reps", 1)
     if not isinstance(grid_size, (int, np.integer)) or grid_size < 1:
         raise ValidationError("grid_size must be an integer >= 1")
     _check_seed(seed)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: ``analytic``, ``biasgen``, ``weights``, ``train``,
-``bounds``, ``experiment``.  Exit codes: 0 success, 2 validation error,
+Subcommands: ``biasgen``, ``weights``, ``train``, ``bounds``,
+``experiment``; the closed-form curves are the ``analytic_excess``
+scenario of ``experiment``.  Exit codes: 0 success, 2 validation error,
 3 numeric error, 4 IO error, 5 an experiment ran but some replicate x mode
 runs failed (its outputs are still written; the failures are listed in
 the summary and in ``results.json``).
@@ -21,7 +22,7 @@ from .core import (
     ValidationError,
     WermError,
     WeightVector,
-    classification_metrics,
+    _check_top_k,
     write_csv,
 )
 
@@ -52,18 +53,6 @@ def _weights_from_flags(data: Dataset, mode: str, args) -> tuple[WeightVector, d
 # ---------------------------------------------------------------------------
 # Handlers
 # ---------------------------------------------------------------------------
-
-
-def _cmd_analytic(args) -> None:
-    spec = experiment.ExperimentSpec(
-        scenario="analytic_excess",
-        synthetic={"p": args.p},
-        out_dir=args.out,
-        base_seed=args.seed,
-    )
-    bundle = experiment.run_experiment(spec)
-    written = experiment.emit_results(bundle, args.out)
-    _emit({"written": written})
 
 
 def _cmd_biasgen(args) -> None:
@@ -111,15 +100,9 @@ def _cmd_train(args) -> None:
         seed=args.seed,
     )
     top_k = args.top_k if args.top_k is not None else min(5, J)
-    if not 1 <= top_k <= J:  # checked before training, not after it
-        raise ValidationError(f"top-k with k={top_k} invalid for {J} classes")
-    # per-epoch test metrics only feed the --curve file
-    params, log = train_mod.fit(
-        train_data, w, args.model, cfg,
-        eval_data=test_data if args.curve else None, top_k=top_k,
-    )
-    metrics = classification_metrics(
-        test_data, train_mod.logits_batch(params, test_data.features), k=top_k
+    _check_top_k(top_k, J)  # checked before training, not after it
+    metrics, log = experiment._fit_and_score(
+        train_data, w, test_data, args.model, cfg, top_k, curve=bool(args.curve)
     )
     if args.curve:
         experiment.write_curve(args.curve, log.rows())
@@ -138,19 +121,7 @@ def _cmd_bounds(args) -> None:
     inputs = bounds_mod.BoundInputs(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(bounds_mod.BoundInputs)}
     )
-    if args.kind in bounds_mod.DEVIATION_BOUND_KINDS:
-        res = bounds_mod.deviation_bound(args.kind, inputs)
-    else:
-        res = bounds_mod.evaluate_bound(args.kind, inputs)
-    _emit(
-        {
-            "kind": args.kind,
-            "value": res.value,
-            "valid": res.valid,
-            "required_n": res.required_n,
-            "terms": res.terms,
-        }
-    )
+    _emit({"kind": args.kind, **dataclasses.asdict(bounds_mod.evaluate_bound(args.kind, inputs))})
 
 
 def _cmd_experiment(args) -> int:
@@ -197,12 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted empirical risk minimization with plug-in importance weights.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analytic", help="emit closed-form risk and excess-error curves")
-    pa.add_argument("--p", type=float, default=0.3, help="test positive rate")
-    pa.add_argument("--out", required=True, help="output directory")
-    pa.add_argument("--seed", type=int, default=0)
-    pa.set_defaults(func=_cmd_analytic)
 
     pb = sub.add_parser("biasgen", help="inject power-law strata bias into a CSV")
     pb.add_argument("--in", dest="infile", required=True)

@@ -1,8 +1,8 @@
 """Datasets, loss functions, and (weighted) empirical risk evaluation.
 
 This module is the shared substrate of the package: a small array-backed
-dataset type, nonnegative per-record weight vectors, a handful of loss
-kinds, and the plain / weighted empirical risk functionals
+dataset type, nonnegative per-record weight vectors, the threshold 0/1
+loss, and the plain / weighted empirical risk functionals
 
     risk(theta)          = (1/n) * sum_i loss(theta, z_i)
     weighted(theta, w)   = (1/n) * sum_i w_i * loss(theta, z_i)
@@ -61,28 +61,25 @@ class DegenerateClassError(ValidationError):
     binary settings).
     """
 
-    def __init__(self, group: int, message: str | None = None):
+    def __init__(self, group: int):
         self.group = group
-        super().__init__(message or f"label group {group} is empty")
+        super().__init__(f"label group {group} is empty")
 
 
 class EmptyStratumError(ValidationError):
     """A stratum with positive target probability has no records."""
 
-    def __init__(self, stratum: int, message: str | None = None):
+    def __init__(self, stratum: int):
         self.stratum = stratum
-        super().__init__(message or f"stratum {stratum} is empty")
+        super().__init__(f"stratum {stratum} is empty")
 
 
 class PositivityViolationError(ValidationError):
     """A weight denominator hit zero for a record that needs a weight."""
 
-    def __init__(self, record_index: int, message: str | None = None):
+    def __init__(self, record_index: int):
         self.record_index = record_index
-        super().__init__(
-            message
-            or f"zero survival mass at record {record_index}; weight undefined"
-        )
+        super().__init__(f"zero survival mass at record {record_index}; weight undefined")
 
 
 class NumericError(WermError):
@@ -109,6 +106,20 @@ def _check_rate(value: float, name: str) -> None:
     NaN is refused."""
     if not 0.0 < value < 1.0:
         raise ValidationError(f"{name} must lie in (0, 1)")
+
+
+def _check_count(value, name: str, minimum: int) -> None:
+    """ValidationError unless ``value`` is an integer >= ``minimum``.  It is
+    compared before its type is tested: a non-number raises TypeError,
+    which ExperimentSpec reports under its spec field."""
+    if not (value >= minimum and isinstance(value, (int, np.integer))):
+        raise ValidationError(f"{name} must be an integer >= {minimum}")
+
+
+def _check_top_k(k: int, J: int) -> None:
+    """ValidationError unless top-k is defined over J classes: 1 <= k <= J."""
+    if not 1 <= k <= J:
+        raise ValidationError(f"top-k with k={k} invalid for {J} classes")
 
 
 def _check_distribution(pk, name: str, tol: float) -> np.ndarray:
@@ -292,22 +303,15 @@ class WeightVector:
 # Losses
 # ---------------------------------------------------------------------------
 
-LOSS_KINDS = ("softmax-cross-entropy", "threshold-sign")
+LOSS_KINDS = ("threshold-sign",)
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss selector.
-
-    kind
-        ``softmax-cross-entropy``: params maps a (n, d) feature matrix to
-        (n, J) logits; loss is the negative log softmax probability of the
-        true class.
-        ``threshold-sign``: params is a scalar threshold on a single
-        feature; loss is the 0/1 error of "predict class 1 iff
-        x >= threshold", whose population risk is the closed-form risk of
-        the power-density test bed in :mod:`werm.analytic`.
-    """
+    """Loss selector.  Its one kind, ``threshold-sign``, takes a scalar
+    threshold on a single feature as params; the loss is the 0/1 error of
+    "predict class 1 iff x >= threshold", whose population risk is the
+    closed-form risk of the power-density test bed in :mod:`werm.analytic`."""
 
     kind: str
 
@@ -318,28 +322,13 @@ class LossSpec:
 
 def per_record_losses(data: Dataset, loss: LossSpec, params) -> np.ndarray:
     """Evaluate loss(params, z_i) for every record, as a float vector."""
-    if loss.kind == "threshold-sign":
-        if data.d != 1:
-            raise SchemaError("threshold-sign loss needs scalar features")
-        if data.labels is None:
-            raise SchemaError("threshold-sign loss needs binary labels")
-        if data.labels.max() > 1:
-            raise SchemaError("threshold-sign loss needs binary labels")
-        theta = float(params)
-        above = data.features[:, 0] >= theta
-        return np.where(data.labels == 1, ~above, above).astype(float)
-
-    # softmax-cross-entropy
-    if data.labels is None:
-        raise SchemaError("cross-entropy loss needs labels")
-    logits = np.asarray(params(data.features), dtype=float)
-    if logits.shape != (data.n, data.n_classes):
-        raise SchemaError(
-            f"logit matrix must have shape {(data.n, data.n_classes)}"
-        )
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits")
-    return -log_softmax(logits)[np.arange(data.n), data.labels]
+    if data.d != 1:
+        raise SchemaError("threshold-sign loss needs scalar features")
+    if data.labels is None or data.labels.max() > 1:
+        raise SchemaError("threshold-sign loss needs binary labels")
+    theta = float(params)
+    above = data.features[:, 0] >= theta
+    return np.where(data.labels == 1, ~above, above).astype(float)
 
 
 def empirical_risk(data: Dataset, loss: LossSpec, params) -> float:
@@ -406,8 +395,7 @@ def classification_metrics(data: Dataset, logits: np.ndarray, k: int) -> dict:
     J = data.n_classes
     if logits.shape != (data.n, J):
         raise SchemaError(f"logits must have shape {(data.n, J)}")
-    if k < 1 or k > J:
-        raise ValidationError(f"top-k with k={k} invalid for {J} classes")
+    _check_top_k(k, J)
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
 

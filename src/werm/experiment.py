@@ -42,7 +42,10 @@ from .core import (
     ValidationError,
     WeightVector,
     WermError,
+    _check_count,
+    _check_rate,
     _check_seed,
+    _check_top_k,
     classification_metrics,
     read_csv,
     write_rows,
@@ -81,8 +84,12 @@ class ExperimentSpec:
     replicate_seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIO_MODES:
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIO_MODES:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
+        for name in ("train", "synthetic", "prior", "bias"):
+            value = getattr(self, name)
+            if not (isinstance(value, dict) or (name == "bias" and value is None)):
+                raise ValidationError(f"spec field {name!r} must be a JSON object")
         self.modes = tuple(self.modes)
         allowed = SCENARIO_MODES[self.scenario]
         for m in self.modes:
@@ -91,16 +98,16 @@ class ExperimentSpec:
                     f"scenario {self.scenario!r} cannot run reweighting mode {m!r}; "
                     f"it runs {', '.join(allowed)}"
                 )
-        if self.top_k < 1:
-            raise ValidationError("top_k must be >= 1")
-        if self.replicates < 1:
-            raise ValidationError("replicates must be >= 1")
+        for name in ("top_k", "replicates", "n_train", "n_test"):
+            _check_count(getattr(self, name), name, 1)
+        if self.model_kind not in train_mod.MODEL_KINDS:
+            raise ValidationError(f"unknown model kind {self.model_kind!r}")
         _check_seed(self.base_seed, "base_seed")
         if self.replicate_seeds is not None:
+            _check_seed(self.replicate_seeds, "replicate_seeds")
             self.replicate_seeds = tuple(int(s) for s in self.replicate_seeds)
             if len(self.replicate_seeds) != self.replicates:
                 raise ValidationError("replicate_seeds length must equal replicates")
-            _check_seed(self.replicate_seeds, "replicate_seeds")
         # built once here so a bad override fails before any data is drawn
         self.generator()
         self.bias_spec()
@@ -131,7 +138,8 @@ class ExperimentSpec:
         and pairs.  A bad key raises ValidationError."""
         syn = dict(self.synthetic)
         if self.scenario == "strata_shift":
-            syn.pop("n_source", None)
+            if "n_source" in syn:
+                _check_count(syn.pop("n_source"), "synthetic.n_source", 1)
             return _build(synthetic.GaussianStrataSpec, "synthetic", syn)
         if self.scenario == "censored":
             return _build(synthetic.CensoredSpec, "synthetic", syn)
@@ -142,7 +150,7 @@ class ExperimentSpec:
         rate = "q" if self.scenario == "pu" else "p_train"
         if rate not in syn:
             raise ValidationError(f"scenario {self.scenario!r} needs synthetic.{rate}")
-        del syn[rate]
+        _check_rate(syn.pop(rate), f"synthetic.{rate}")
         return _build(analytic.AnalyticModel, "synthetic", {"alpha": 1.0, "beta": 1.0, **syn})
 
     @staticmethod
@@ -151,7 +159,10 @@ class ExperimentSpec:
         unknown = set(doc) - known
         if unknown:
             raise ValidationError(f"unknown spec fields: {sorted(unknown)}")
-        return ExperimentSpec(**doc)
+        try:
+            return ExperimentSpec(**doc)
+        except TypeError as exc:  # a missing scenario, or a value of the wrong type
+            raise ValidationError(f"spec: {exc}") from exc
 
 
 def _build(cls, what: str, fields: dict, **fixed):
@@ -322,8 +333,7 @@ def _shared_data(spec: ExperimentSpec) -> tuple[Dataset, dict, Callable[[int], D
             _align_classes(trainset, test)
             return trainset
 
-    if spec.top_k > test.n_classes:  # checked before any training
-        raise ValidationError(f"top-k with k={spec.top_k} invalid for {test.n_classes} classes")
+    _check_top_k(spec.top_k, test.n_classes)  # checked before any training
     return test, ctx, draw_train
 
 
@@ -349,6 +359,19 @@ def _analytic_excess_bundle(spec: ExperimentSpec) -> dict:
             "excess": excess.tolist(),
         }
     return {"p": p, "curves": curves}
+
+
+def _fit_and_score(
+    trainset: Dataset, w: WeightVector, test: Dataset, model_kind: str,
+    cfg: train_mod.TrainConfig, top_k: int, curve: bool,
+) -> tuple[dict, train_mod.TrainingLog]:
+    """Train, then score the test set; returns its metrics and the training
+    log, whose per-epoch test scores are taken only when ``curve`` is set."""
+    params, log = train_mod.fit(
+        trainset, w, model_kind, cfg, eval_data=test if curve else None, top_k=top_k
+    )
+    metrics = classification_metrics(test, train_mod.logits_batch(params, test.features), k=top_k)
+    return metrics, log
 
 
 def _failure(replicate: int, mode: str, exc: Exception) -> dict:
@@ -397,13 +420,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                 w = MODE_WEIGHTS[mode](trainset, ctx)
                 cfg = spec.train_config(seed=rep_seed)
                 # only replicate 0's learning curves are kept
-                params, log = train_mod.fit(
-                    trainset, w, spec.model_kind, cfg,
-                    eval_data=test if r == 0 else None, top_k=spec.top_k,
-                )
-                metrics = classification_metrics(
-                    test, train_mod.logits_batch(params, test.features),
-                    k=spec.top_k,
+                metrics, log = _fit_and_score(
+                    trainset, w, test, spec.model_kind, cfg, spec.top_k, curve=r == 0
                 )
             except WermError as exc:  # replicate failure is data
                 bundle["failures"].append(_failure(r, mode, exc))

@@ -53,6 +53,8 @@ class GaussianStrataSpec:
             raise ValidationError("need n_strata >= 1 and n_classes >= 2")
         if not self.noise > 0:
             raise ValidationError("noise must be > 0")
+        if not (math.isfinite(self.class_radius) and math.isfinite(self.rotation_deg)):
+            raise ValidationError("class_radius and rotation_deg must be finite")
 
 
 def gaussian_strata_sample(

@@ -39,6 +39,7 @@ from .core import (
     SchemaError,
     ValidationError,
     WeightVector,
+    _check_count,
     _check_seed,
     classification_metrics,
     log_softmax,
@@ -77,12 +78,8 @@ class TrainConfig:
             raise ValidationError("momentum must lie in [0, 1)")
         if not self.weight_decay >= 0:
             raise ValidationError("weight_decay must be >= 0")
-        # compared before the type test: a non-number raises TypeError,
-        # which ExperimentSpec reports under its spec field
-        if not (self.batch_size >= 1 and isinstance(self.batch_size, (int, np.integer))):
-            raise ValidationError("batch_size must be an integer >= 1")
-        if not (self.epochs >= 0 and isinstance(self.epochs, (int, np.integer))):
-            raise ValidationError("epochs must be an integer >= 0")
+        _check_count(self.batch_size, "batch_size", 1)
+        _check_count(self.epochs, "epochs", 0)
         if not self.init_std >= 0:
             raise ValidationError("init_std must be >= 0")
         _check_seed(self.seed)

@@ -68,6 +68,17 @@ class TestBoundsCommand:
         assert doc["valid"] is True
         assert "terms" in doc
 
+    def test_stdout_bytes(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "bounds", "--kind", "approx1",
+            "--n", "1000", "--delta", "0.05", "--epsilon", "0.2",
+        )
+        assert out == (
+            '{\n  "kind": "approx1",\n  "required_n": 184.44397270569678,\n'
+            '  "terms": {\n    "deviation": 2.1473470417336875\n  },\n'
+            '  "valid": true,\n  "value": 2.1473470417336875\n}\n'
+        )
+
     def test_excess_bound_kind(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--kind", "theorem1",
@@ -92,11 +103,29 @@ class TestBoundsCommand:
         assert code == 2 and out == ""
         assert "L must be >= 0" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "approx2", "--epsilon", "0.2", "--K", "4", "--L", "inf"],
+            ["--kind", "lemma1", "--phi-sup", "inf"],
+            ["--kind", "theorem1", "--epsilon", "0.2", "--K", "4", "--max-pk", "0.4",
+             "--rademacher", "inf"],
+        ],
+    )
+    def test_infinite_input_exits_2(self, capsys, flags):
+        code, out, err = run_cli(capsys, "bounds", "--n", "1000", "--delta", "0.05", *flags)
+        assert code == 2 and out == ""
+        assert "must be >= 0 and finite" in err
+
 
 class TestAnalyticCommand:
+    """The closed-form curves are the analytic_excess experiment."""
+
     def test_writes_curves(self, tmp_path, capsys):
+        cfg = tmp_path / "analytic.json"
+        cfg.write_text(json.dumps({"scenario": "analytic_excess", "synthetic": {"p": 0.3}}))
         code, out, _ = run_cli(
-            capsys, "analytic", "--p", "0.3", "--out", str(tmp_path / "curves_out")
+            capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "curves_out")
         )
         assert code == 0
         written = json.loads(out)["written"]

@@ -1,7 +1,5 @@
 """Core dataset / loss / risk behavior."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,10 +42,10 @@ class TestEmpiricalRisk:
         assert empirical_risk(data, THRESH, 0.5) == 0.0
 
     def test_single_record_mean_is_the_loss(self):
-        data = make_binary([0.0], [0])
-        spec = LossSpec("softmax-cross-entropy")
-        risk = empirical_risk(data, spec, lambda X: np.zeros((1, 2)))
-        assert risk == pytest.approx(math.log(2.0), abs=1e-12)
+        # a negative at or above theta is an error, one below it is not
+        data = make_binary([0.5], [0])
+        assert empirical_risk(data, THRESH, 0.5) == 1.0
+        assert empirical_risk(data, THRESH, 0.6) == 0.0
 
     def test_zero_one_risk_bounded(self):
         rng = np.random.default_rng(0)
@@ -357,5 +355,6 @@ class TestThresholdSignLoss:
             per_record_losses(multi, THRESH, 0.5)
 
     def test_unknown_loss_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            LossSpec("hinge")
+        for kind in ("hinge", "softmax-cross-entropy"):
+            with pytest.raises(ValidationError):
+                LossSpec(kind)

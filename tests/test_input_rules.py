@@ -1,16 +1,21 @@
 """Each input rule, checked once in ``werm.core``, driven through every
 entry point that applies it; and the package's public surface."""
 
+import dataclasses
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import werm
-from werm import analytic, biasgen, bounds, experiment, synthetic, train, weights
+from werm import analytic, biasgen, bounds, cli, experiment, synthetic, train, weights
 from werm.core import Dataset, DomainError, ValidationError
 
 NAN = float("nan")
@@ -137,6 +142,13 @@ def test_nan_rejected(case):
         call()
 
 
+@pytest.mark.parametrize("value", [math.inf, -1.0])
+@pytest.mark.parametrize("field", ["L", "phi_sup", "rademacher"])
+def test_bound_inputs_must_be_finite(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be >= 0 and finite"):
+        bounds.BoundInputs(n=10, delta=0.1, **{field: value})
+
+
 @pytest.mark.parametrize(
     "field,value", [("batch_size", 2.5), ("batch_size", 10.0), ("epochs", 2.5), ("epochs", NAN)]
 )
@@ -176,3 +188,116 @@ def test_submodule_imports_stay_narrow():
         "import werm.experiment; print(a, 'werm.bounds' in sys.modules)"
     )
     assert out == "False False"
+
+
+def _no_draws(monkeypatch):
+    """Make every sampler an experiment draws from fail the test."""
+    fail = lambda *a, **k: pytest.fail("drew")  # noqa: E731
+    for module, name in [
+        (analytic, "sample"), (analytic, "sample_pu"), (synthetic, "gaussian_strata_sample"),
+        (synthetic, "censored_train_sample"), (synthetic, "censored_test_sample"),
+        (biasgen, "subsample_to_distribution"),
+    ]:
+        monkeypatch.setattr(module, name, fail)
+
+
+CLASS_SHIFT = {"scenario": "class_shift", "synthetic": {"p": 0.3, "p_train": 0.6}}
+STRATA = {"scenario": "strata_shift"}
+
+# a spec document -> what the error says; each is refused before any draw
+BAD_SPECS = {
+    "p_train NaN": ({**CLASS_SHIFT, "synthetic": {"p": 0.3, "p_train": NAN}},
+                    r"synthetic.p_train must lie in \(0, 1\)"),
+    "q above 1": ({"scenario": "pu", "synthetic": {"p": 0.3, "q": 1.5}},
+                  r"synthetic.q must lie in \(0, 1\)"),
+    "model_kind cnn": ({**CLASS_SHIFT, "model_kind": "cnn"}, "unknown model kind 'cnn'"),
+    "class_radius NaN": ({**STRATA, "synthetic": {"class_radius": NAN}},
+                         "class_radius and rotation_deg must be finite"),
+    "rotation_deg inf": ({**STRATA, "synthetic": {"rotation_deg": math.inf}},
+                         "class_radius and rotation_deg must be finite"),
+    "no config": (None, "missing .*'scenario'"),
+    "synthetic a list": ({**STRATA, "synthetic": [1]}, "'synthetic' must be a JSON object"),
+    "train a list": ({**STRATA, "train": []}, "'train' must be a JSON object"),
+    "prior a number": ({**STRATA, "prior": 0.5}, "'prior' must be a JSON object"),
+    "bias a string": ({**STRATA, "bias": "identity"}, "'bias' must be a JSON object"),
+    "replicates 2.5": ({**CLASS_SHIFT, "replicates": 2.5}, "replicates must be an integer >= 1"),
+    "replicates text": ({**CLASS_SHIFT, "replicates": "2"}, "spec: .*not supported"),
+    "n_train 0": ({**CLASS_SHIFT, "n_train": 0}, "n_train must be an integer >= 1"),
+    "n_test -3": ({**CLASS_SHIFT, "n_test": -3}, "n_test must be an integer >= 1"),
+    "n_source -5": ({**STRATA, "synthetic": {"n_source": -5}},
+                    "synthetic.n_source must be an integer >= 1"),
+    "top_k 1.5": ({**CLASS_SHIFT, "top_k": 1.5}, "top_k must be an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_experiment_refuses_spec_before_any_draw(tmp_path, monkeypatch, capsys, case):
+    doc, message = BAD_SPECS[case]
+    _no_draws(monkeypatch)
+    argv = ["experiment", "--out", str(tmp_path / "out")]
+    if doc is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        argv += ["--config", str(tmp_path / "spec.json")]
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert re.search(message, out.err)
+    assert not (tmp_path / "out").exists()
+
+
+JSON_VALUES = st.recursive(
+    st.sampled_from([None, True, 0, 1, 2, -3, 2**70, 0.5, 2.5, NAN, math.inf, -math.inf, "x"])
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# one spec per scenario that builds
+GOOD_SPECS = {
+    "analytic_excess": {"scenario": "analytic_excess", "synthetic": {"p": 0.3}},
+    "class_shift": CLASS_SHIFT,
+    "pu": {"scenario": "pu", "synthetic": {"p": 0.3, "q": 0.4}},
+    "strata_shift": {**STRATA, "bias": {"gamma": 0.5}, "synthetic": {"n_source": 100}},
+    "censored": {"scenario": "censored"},
+}
+
+
+def _names(*classes, extra=()):
+    return sorted({f.name for cls in classes for f in dataclasses.fields(cls)} | {*extra, "junk"})
+
+
+# the spec's fields (owner None) and those of its objects, each with a junk name
+SPEC_FIELDS = {
+    None: _names(experiment.ExperimentSpec),
+    "train": _names(train.TrainConfig),
+    "bias": _names(biasgen.BiasSpec),
+    "synthetic": _names(
+        synthetic.GaussianStrataSpec, synthetic.CensoredSpec, analytic.AnalyticModel,
+        extra=("p_train", "q", "n_source", "pairs"),
+    ),
+    "prior": _names(extra=("p", "pk")),
+}
+SPEC_EDITS = st.sampled_from(list(SPEC_FIELDS)).flatmap(
+    lambda owner: st.tuples(st.just(owner), st.sampled_from(SPEC_FIELDS[owner]), JSON_VALUES)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(scenario=st.sampled_from(sorted(GOOD_SPECS)), edits=st.lists(SPEC_EDITS, min_size=1, max_size=3))
+@example("strata_shift", [("bias", "permutation", ["x", NAN, math.inf])])
+@example("class_shift", [(None, "replicate_seeds", {"": None})])
+@example("pu", [(None, "synthetic", [1])])
+def test_spec_from_json_builds_or_refuses(scenario, edits):
+    """A spec document with fields or object fields set to any JSON value,
+    NaN, inf, lists and objects included, builds or raises
+    ValidationError, drawing nothing."""
+    doc = json.loads(json.dumps(GOOD_SPECS[scenario]))
+    for owner, name, value in edits:
+        fields = doc if owner is None else doc.setdefault(owner, {})
+        if isinstance(fields, dict):
+            fields[name] = value
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _no_draws(monkeypatch)
+        try:
+            experiment.ExperimentSpec.from_json(doc)
+        except ValidationError:
+            pass

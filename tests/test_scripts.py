@@ -5,17 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_experiment import tree_digest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
     )
 
 
@@ -31,3 +33,14 @@ def test_analytic_curves_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "results.json").exists()
     assert len(list((tmp_path / "curves").glob("excess_*.csv"))) == 5
+
+
+def test_strata_shift_seed_7_tree_is_pinned(tmp_path):
+    """The script's seed-7 tree, written under a relative out_dir so the
+    echoed spec does not depend on tmp_path, keeps its bytes (digest
+    taken with numpy 2.4 and OpenBLAS, as TestEmittedBytes)."""
+    proc = run_script("run_strata_shift.py", "out", 7, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert tree_digest(tmp_path / "out") == (
+        "beaf35897647fd2d0ca9aa23e45b4dbd35f8d2724f2dd30abff4dbbd7d1549b2"
+    )
