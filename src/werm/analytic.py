@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, DomainError, ValidationError, _check_rate
+from .core import Dataset, DomainError, ValidationError, _check_count, _check_rate
 
 
 BISECTION_TOL = 1e-10
@@ -134,8 +134,7 @@ def _draw_negative(m: AnalyticModel, u: np.ndarray) -> np.ndarray:
 
 def sample(m: AnalyticModel, n: int, class_rate: float, seed) -> Dataset:
     """n records with Bernoulli(class_rate) labels and inverse-CDF features."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    _check_count(n, "n", 1)
     _check_rate(class_rate, "class_rate")
     rng = np.random.default_rng(seed)
     labels = (rng.random(n) < class_rate).astype(int)
@@ -147,8 +146,7 @@ def sample(m: AnalyticModel, n: int, class_rate: float, seed) -> Dataset:
 def sample_pu(m: AnalyticModel, n: int, q: float, seed) -> Dataset:
     """Positive-unlabeled sample: with rate q a labeled positive drawn from
     the positive class, otherwise an unlabeled draw from the marginal."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    _check_count(n, "n", 1)
     _check_rate(q, "q")
     rng = np.random.default_rng(seed)
     labeled = rng.random(n) < q

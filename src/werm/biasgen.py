@@ -30,6 +30,7 @@ from .core import (
     EmptyStratumError,
     SchemaError,
     ValidationError,
+    _check_count,
     _check_distribution,
     _check_seed,
 )
@@ -86,8 +87,7 @@ def resolve_permutation(spec: BiasSpec, K: int) -> np.ndarray:
 
 def power_law_distribution(spec: BiasSpec, K: int) -> np.ndarray:
     """The renormalized power-law target distribution {p'_k}."""
-    if K < 1:
-        raise ValidationError("K must be >= 1")
+    _check_count(K, "K", 1)
     if spec.target_pk is None:
         raise ValidationError("spec.target_pk is required")
     pk = np.asarray(spec.target_pk, dtype=float)

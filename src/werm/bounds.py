@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic
+from . import weights
 from .core import (
     Dataset,
     LossSpec,
@@ -52,16 +52,6 @@ from .core import (
     _check_rate,
     _check_seed,
     per_record_losses,
-)
-from .synthetic import StratifiedThresholdModel
-from .weights import (
-    TargetPrior,
-    class_shift_weights,
-    oracle_class_shift_weights,
-    oracle_pu_weights,
-    oracle_stratum_shift_weights,
-    pu_weights,
-    stratum_shift_weights,
 )
 
 
@@ -86,8 +76,7 @@ class BoundInputs:
     rademacher: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("n must be >= 1")
+        _check_count(self.n, "n", 1)
         _check_rate(self.delta, "delta")
         if self.epsilon is not None and not 0.0 < self.epsilon < 0.5:
             raise ValidationError("epsilon must lie in (0, 1/2)")
@@ -99,8 +88,8 @@ class BoundInputs:
             _check_rate(self.p, "p")
         if self.max_pk is not None and not 0.0 < self.max_pk <= 1.0:
             raise ValidationError("max_pk must lie in (0, 1]")
-        if self.K is not None and self.K < 1:
-            raise ValidationError("K must be >= 1")
+        if self.K is not None:
+            _check_count(self.K, "K", 1)
 
 
 @dataclass(frozen=True)
@@ -143,6 +132,9 @@ _EXCESS = {
     "theorem1": (("max_pk", "epsilon", "K"), "approx2", lambda i: (i.max_pk, i.L)),
     "theorem2": (("p", "epsilon"), "approx3", lambda i: (max(2.0 * i.p, 1.0), 1.0)),
 }
+
+# paper setting (see weights.setting) -> the deviation kind its coverage checks
+_SETTING_BOUNDS = {"class_shift": "approx1", "stratum_shift": "approx2", "pu": "approx3"}
 
 
 def evaluate_bound(kind: str, inputs: BoundInputs) -> BoundResult:
@@ -304,48 +296,19 @@ def coverage_check(
     (seed, r), making results independent of any work split.
     """
     _check_count(reps, "reps", 1)
-    if not isinstance(grid_size, (int, np.integer)) or grid_size < 1:
-        raise ValidationError("grid_size must be an integer >= 1")
+    _check_count(grid_size, "grid_size", 1)
     _check_seed(seed)
     grid = np.linspace(0.0, 1.0, grid_size)
-    # per setting: the model type, the training rates the default epsilon
-    # comes from, the deviation bound, and one replicate's draw with its
-    # plug-in and exact-rate weights
-    if setting == "class_shift":
-        if p_train is None:
-            raise ValidationError("class_shift coverage needs p_train")
-        model_type, rate_arg, rates, kind = analytic.AnalyticModel, "p_train", p_train, "approx1"
-
-        def draw(rep_seed):
-            data = analytic.sample(model, n, p_train, rep_seed)
-            return data, class_shift_weights(data, prior), oracle_class_shift_weights(
-                data, model.p, p_train
-            )
-
-    elif setting == "stratum_shift":
-        if pk is None or pk_train is None:
-            raise ValidationError("stratum_shift coverage needs pk and pk_train")
-        pk, rates = np.asarray(pk, dtype=float), _check_distribution(pk_train, "pk_train", 1e-9)
-        model_type, rate_arg, kind = StratifiedThresholdModel, "pk_train", "approx2"
-
-        def draw(rep_seed):
-            data = model.sample(n, rates, rep_seed)
-            return data, stratum_shift_weights(data, prior), oracle_stratum_shift_weights(
-                data, pk, rates
-            )
-
-    elif setting == "pu":
-        if q is None:
-            raise ValidationError("pu coverage needs q")
-        model_type, rate_arg, rates, kind = analytic.AnalyticModel, "q", q, "approx3"
-
-        def draw(rep_seed):
-            data = analytic.sample_pu(model, n, q, rep_seed)
-            return data, pu_weights(data, prior), oracle_pu_weights(data, model.p, q)
-
-    else:
+    if setting not in _SETTING_BOUNDS:
         raise ValidationError(f"unknown coverage setting {setting!r}")
-
+    model_type, rate_arg, sampler, plug_in, oracle = weights.setting(setting)
+    # a stratum setting's rates are a distribution, and its target is pk
+    stratified = rate_arg == "pk_train"
+    rates = {"p_train": p_train, "q": q, "pk_train": pk_train}[rate_arg]
+    if rates is None or (stratified and pk is None):
+        needs = "pk and pk_train" if stratified else rate_arg
+        raise ValidationError(f"{setting} coverage needs {needs}")
+    rates = _check_distribution(rates, "pk_train", 1e-9) if stratified else rates
     if not isinstance(model, model_type):
         raise ValidationError(f"{setting} coverage needs a {model_type.__name__}")
     if epsilon is None:
@@ -355,15 +318,16 @@ def coverage_check(
                 f"{setting} coverage: a balanced {rate_arg} gives no default epsilon "
                 "(min(rate, 1 - rate) = 1/2 is outside (0, 1/2)); pass epsilon"
             )
-    prior = TargetPrior(pk=tuple(pk)) if setting == "stratum_shift" else TargetPrior(p=model.p)
-    bound = deviation_bound(
-        kind, BoundInputs(n=n, delta=delta, epsilon=epsilon, p=prior.p, K=np.size(rates))
-    )
+    prior = weights.TargetPrior(pk=pk) if stratified else weights.TargetPrior(p=model.p)
+    target = prior.pk_array() if stratified else prior.p
+    inputs = BoundInputs(n=n, delta=delta, epsilon=epsilon, p=prior.p, K=np.size(rates))
+    bound = deviation_bound(_SETTING_BOUNDS[setting], inputs)
 
     deviations = []
     for r in range(reps):
-        data, w_hat, w_star = draw(np.random.SeedSequence((seed, r)))
-        deviations.append(_sup_threshold_deviation(data, w_hat.weights - w_star.weights, grid))
+        data = sampler(model, n, rates, np.random.SeedSequence((seed, r)))
+        diffs = plug_in(data, prior).weights - oracle(data, target, rates).weights
+        deviations.append(_sup_threshold_deviation(data, diffs, grid))
     deviations = np.array(deviations)
     coverage = float(np.mean(deviations <= bound.value))
     return CoverageResult(

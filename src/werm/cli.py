@@ -121,7 +121,11 @@ def _cmd_bounds(args) -> None:
     inputs = bounds_mod.BoundInputs(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(bounds_mod.BoundInputs)}
     )
-    _emit({"kind": args.kind, **dataclasses.asdict(bounds_mod.evaluate_bound(args.kind, inputs))})
+    try:
+        result = bounds_mod.evaluate_bound(args.kind, inputs)
+    except ArithmeticError as exc:  # epsilon**2 underflows, or n or K is past the float range
+        raise NumericError(f"bound {args.kind!r} leaves the float range here ({exc})") from exc
+    _emit({"kind": args.kind, **dataclasses.asdict(result)})
 
 
 def _cmd_experiment(args) -> int:

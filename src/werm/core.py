@@ -109,10 +109,11 @@ def _check_rate(value: float, name: str) -> None:
 
 
 def _check_count(value, name: str, minimum: int) -> None:
-    """ValidationError unless ``value`` is an integer >= ``minimum``.  It is
-    compared before its type is tested: a non-number raises TypeError,
-    which ExperimentSpec reports under its spec field."""
-    if not (value >= minimum and isinstance(value, (int, np.integer))):
+    """ValidationError unless ``value`` is an integer >= ``minimum``; the
+    type is tested first, so a value of any other type, bool included, is
+    refused too."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum):
         raise ValidationError(f"{name} must be an integer >= {minimum}")
 
 

@@ -100,6 +100,10 @@ class ExperimentSpec:
                 )
         for name in ("top_k", "replicates", "n_train", "n_test"):
             _check_count(getattr(self, name), name, 1)
+        csvs = [p for p in (self.train_csv, self.test_csv) if p is not None]
+        if csvs and (len(csvs) < 2 or self.scenario != "strata_shift"
+                     or not all(isinstance(p, str) for p in csvs)):
+            raise ValidationError("train_csv and test_csv: both paths or neither, strata_shift only")
         if self.model_kind not in train_mod.MODEL_KINDS:
             raise ValidationError(f"unknown model kind {self.model_kind!r}")
         _check_seed(self.base_seed, "base_seed")
@@ -133,9 +137,9 @@ class ExperimentSpec:
     def generator(self):
         """The scenario's generator built from ``synthetic``, less the
         training rate or source size it also holds: an AnalyticModel
-        (alpha and beta default to 1), a GaussianStrataSpec or a
-        CensoredSpec; None for analytic_excess, whose curves are set by p
-        and pairs.  A bad key raises ValidationError."""
+        (alpha and beta default to 1), a GaussianStrataSpec, a
+        CensoredSpec, or for analytic_excess the AnalyticModel of each of
+        its pairs at its p.  A bad key or value raises ValidationError."""
         syn = dict(self.synthetic)
         if self.scenario == "strata_shift":
             if "n_source" in syn:
@@ -146,8 +150,12 @@ class ExperimentSpec:
         if self.scenario == "analytic_excess":
             if set(syn) - {"p", "pairs"}:
                 raise ValidationError(f"spec field 'synthetic': {self.scenario!r} takes p, pairs")
-            return None
-        rate = "q" if self.scenario == "pu" else "p_train"
+            pairs, seq = syn.get("pairs", ANALYTIC_PAIRS), (list, tuple)
+            if not (isinstance(pairs, seq) and all(isinstance(v, seq) for v in pairs)):
+                raise ValidationError("synthetic.pairs must be a list of [alpha, beta] pairs")
+            p = syn.get("p", 0.3)
+            return [_build(analytic.AnalyticModel, "synthetic", {"p": p}, *pr) for pr in pairs]
+        rate = weights_mod.setting(self.scenario).rate
         if rate not in syn:
             raise ValidationError(f"scenario {self.scenario!r} needs synthetic.{rate}")
         _check_rate(syn.pop(rate), f"synthetic.{rate}")
@@ -165,12 +173,12 @@ class ExperimentSpec:
             raise ValidationError(f"spec: {exc}") from exc
 
 
-def _build(cls, what: str, fields: dict, **fixed):
-    """``cls(**fields, **fixed)``; an unknown, missing or repeated field, or
-    a value of the wrong type, raises ValidationError naming the spec
-    field ``what``."""
+def _build(cls, what: str, fields: dict, *args, **fixed):
+    """``cls(*args, **fields, **fixed)``; an unknown, missing or repeated
+    field, or a value of the wrong type, raises ValidationError naming the
+    spec field ``what``."""
     try:
-        return cls(**fields, **fixed)
+        return cls(*args, **fields, **fixed)
     except TypeError as exc:
         raise ValidationError(f"spec field {what!r}: {exc}") from exc
 
@@ -276,12 +284,8 @@ def _shared_data(spec: ExperimentSpec) -> tuple[Dataset, dict, Callable[[int], D
     if spec.scenario in ("class_shift", "pu"):
         m = spec.generator()
         test = analytic.sample(m, spec.n_test, m.p, test_seed)
-        # training draws have one rate: q for pu, p_train for class_shift
-        if spec.scenario == "pu":
-            rate, sampler, oracle = syn["q"], analytic.sample_pu, weights_mod.oracle_pu_weights
-        else:
-            rate, sampler = syn["p_train"], analytic.sample
-            oracle = weights_mod.oracle_class_shift_weights
+        _, rate_name, sampler, _, oracle = weights_mod.setting(spec.scenario)
+        rate = syn[rate_name]
         ctx = {"p": m.p, "oracle": lambda d: oracle(d, m.p, rate)}
 
         def draw_train(seed):
@@ -343,22 +347,19 @@ def _shared_data(spec: ExperimentSpec) -> tuple[Dataset, dict, Callable[[int], D
 
 
 def _analytic_excess_bundle(spec: ExperimentSpec) -> dict:
-    p = spec.synthetic.get("p", 0.3)
-    pairs = [tuple(pr) for pr in spec.synthetic.get("pairs", ANALYTIC_PAIRS)]
     curves = {}
-    for alpha, beta in pairs:
-        m = analytic.AnalyticModel(alpha=alpha, beta=beta, p=p)
+    for m in spec.generator():
         thetas, risks = analytic.risk_curve(m)
         p_grid, excess = analytic.excess_curve(m)
-        curves[f"a{alpha:g}_b{beta:g}"] = {
-            "alpha": alpha,
-            "beta": beta,
+        curves[f"a{m.alpha:g}_b{m.beta:g}"] = {
+            "alpha": m.alpha,
+            "beta": m.beta,
             "theta": thetas.tolist(),
             "risk": risks.tolist(),
             "p_prime": p_grid.tolist(),
             "excess": excess.tolist(),
         }
-    return {"p": p, "curves": curves}
+    return {"p": spec.synthetic.get("p", 0.3), "curves": curves}
 
 
 def _fit_and_score(

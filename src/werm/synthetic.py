@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ValidationError, WeightVector, _check_distribution
+from .core import Dataset, ValidationError, WeightVector, _check_count, _check_distribution
 
 
 def _draw_strata(rng: np.random.Generator, pk, n: int, name: str = "pk") -> np.ndarray:
@@ -49,8 +49,8 @@ class GaussianStrataSpec:
     noise: float = 1.0
 
     def __post_init__(self):
-        if self.n_strata < 1 or self.n_classes < 2:
-            raise ValidationError("need n_strata >= 1 and n_classes >= 2")
+        _check_count(self.n_strata, "n_strata", 1)
+        _check_count(self.n_classes, "n_classes", 2)
         if not self.noise > 0:
             raise ValidationError("noise must be > 0")
         if not (math.isfinite(self.class_radius) and math.isfinite(self.rotation_deg)):

@@ -29,14 +29,22 @@ right censoring
 ``oracle_*`` variants return the exact likelihood-ratio weights for a
 known generating mechanism; they exist so experiments can separate
 estimation error from the effect of reweighting itself.
+
+:func:`setting` is the one place that names, for each of the paper's
+settings with a closed-form test bed (``class_shift``, ``pu`` and
+``stratum_shift``), its model type, training-rate name, sampler, plug-in
+and oracle.  ``bounds.coverage_check`` draws its replicates through it,
+and the experiment runner its class_shift and pu training sets.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import analytic, synthetic
 from .core import (
     Dataset,
     DegenerateClassError,
@@ -194,6 +202,27 @@ def oracle_pu_weights(data: Dataset, p: float, q: float) -> WeightVector:
     _check_rate(q, "q")
     _check_binary(data)
     return WeightVector(np.array([1.0 / (1.0 - q), 2.0 * p / q])[data.labels])
+
+
+Setting = namedtuple("Setting", "model_type rate sampler plug_in oracle")
+
+
+def setting(name: str) -> Setting:
+    """class_shift, pu or stratum_shift as its model type, training-rate
+    name, ``sampler(model, n, rate, seed)``, ``plug_in(data, prior)`` and
+    ``oracle(data, target, rate)``, target being the prior's p or pk.  Each
+    function is read at call time, so a rebinding reaches every caller."""
+    strata_model = synthetic.StratifiedThresholdModel
+    table = {
+        "class_shift": (analytic.AnalyticModel, "p_train", analytic.sample,
+                        class_shift_weights, oracle_class_shift_weights),
+        "pu": (analytic.AnalyticModel, "q", analytic.sample_pu, pu_weights, oracle_pu_weights),
+        "stratum_shift": (strata_model, "pk_train", strata_model.sample,
+                          stratum_shift_weights, oracle_stratum_shift_weights),
+    }
+    if name not in table:
+        raise ValidationError(f"unknown setting {name!r}")
+    return Setting(*table[name])
 
 
 # ---------------------------------------------------------------------------

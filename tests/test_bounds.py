@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from werm import analytic, bounds
+from werm import analytic, weights
 from werm.analytic import AnalyticModel, sample, true_risk
 from werm.bounds import (
     DEVIATION_BOUND_KINDS,
@@ -23,6 +23,7 @@ from werm.bounds import (
     rademacher_mc,
 )
 from werm.core import Dataset, LossSpec, ValidationError
+from werm.experiment import ExperimentSpec, run_experiment
 from werm.synthetic import StratifiedThresholdModel
 from werm.weights import TargetPrior, class_shift_weights, oracle_class_shift_weights
 
@@ -525,23 +526,52 @@ def test_wrong_model_type_rejected_before_any_draw(monkeypatch, setting):
         coverage_check(setting, wrong, n=100, delta=0.1, reps=2, **kw)
 
 
-@pytest.mark.parametrize("setting", sorted(C04_CALLS))
-def test_estimators_called_through_bounds_module_names(monkeypatch, setting):
-    """Rebinding the estimator names bounds imports reaches every call."""
+def _record_setting_calls(monkeypatch) -> list:
+    """Rebind each sampler and estimator of weights.setting at its home
+    name to a wrapper that logs the call's name."""
     calls = []
-    for name in ("class_shift_weights", "stratum_shift_weights", "pu_weights",
-                 "oracle_class_shift_weights", "oracle_stratum_shift_weights",
-                 "oracle_pu_weights"):
-        fn = getattr(bounds, name)
-        monkeypatch.setattr(bounds, name, lambda *a, _f=fn, _n=name: calls.append(_n) or _f(*a))
+    homes = [(weights, name) for name in (
+        "class_shift_weights", "stratum_shift_weights", "pu_weights", "oracle_class_shift_weights",
+        "oracle_stratum_shift_weights", "oracle_pu_weights",
+    )] + [(analytic, "sample"), (analytic, "sample_pu"), (StratifiedThresholdModel, "sample")]
+    for owner, name in homes:
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _f=fn, _n=name: calls.append(_n) or _f(*a))
+    return calls
+
+
+# a replicate's calls: the draw, the plug-in, the oracle
+SETTING_CALLS = {
+    "class_shift": ["sample", "class_shift_weights", "oracle_class_shift_weights"],
+    "stratum_shift": ["sample", "stratum_shift_weights", "oracle_stratum_shift_weights"],
+    "pu": ["sample_pu", "pu_weights", "oracle_pu_weights"],
+}
+
+
+@pytest.mark.parametrize("setting", sorted(C04_CALLS))
+def test_coverage_calls_go_through_home_names(monkeypatch, setting):
+    """Rebinding a sampler or an estimator where it is defined reaches every
+    call coverage_check makes."""
+    calls = _record_setting_calls(monkeypatch)
     model, kw = C04_CALLS[setting]
     coverage_check(setting, model, n=200, delta=0.1, reps=3, epsilon=0.3, **kw)
-    assert sorted(set(calls)) == sorted(
-        {"class_shift": ["class_shift_weights", "oracle_class_shift_weights"],
-         "stratum_shift": ["stratum_shift_weights", "oracle_stratum_shift_weights"],
-         "pu": ["pu_weights", "oracle_pu_weights"]}[setting]
+    assert calls == SETTING_CALLS[setting] * 3
+
+
+@pytest.mark.parametrize(
+    "scenario,rate", [("class_shift", {"p_train": 0.6}), ("pu", {"q": 0.4})]
+)
+def test_experiment_draws_go_through_home_names(monkeypatch, scenario, rate):
+    """The same rebinding reaches the runner's test draw and each
+    replicate's training draw and oracle weights."""
+    calls = _record_setting_calls(monkeypatch)
+    spec = ExperimentSpec(
+        scenario=scenario, modes=("oracle",), replicates=2, n_train=50, n_test=50,
+        train={"epochs": 1}, synthetic={"p": 0.3, **rate},
     )
-    assert len(calls) == 6
+    assert run_experiment(spec)["failures"] == []
+    sampler, _, oracle = SETTING_CALLS[scenario]
+    assert calls == ["sample"] + [sampler, oracle] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,13 @@ class TestSpec:
         "overrides,match",
         [
             ({"train": {"lr": -1.0}}, "lr must be > 0"),
-            ({"train": {"epochs": "many"}}, "train"),
+            ({"train": {"lr": "fast"}}, "train"),
             ({"train": {"learning_rate": 0.1}}, "train.*learning_rate"),
             ({"train": {"seed": 3}}, "train.*seed"),
             ({"bias": {"gamma": 0.3, "exponent_style": "main"}}, "bias.*exponent_style"),
             ({"bias": {"permutation": "identity"}}, "bias.*gamma"),
             ({"bias": {"gamma": 1.5}}, "gamma"),
+            ({"train": {"epochs": "many"}}, "epochs must be an integer >= 0"),
         ],
     )
     def test_bad_train_or_bias_rejected_before_work(self, monkeypatch, overrides, match):
@@ -187,6 +188,39 @@ class TestEmittedBytes:
         spec = small_csv_spec(tmp_path, monkeypatch)
         emit_results(run_experiment(spec), tmp_path / "out")
         assert tree_digest(tmp_path / "out") == self.CSV
+
+    # the other scenarios, pinned before their settings moved into one lookup
+    # in werm.weights; the analytic pairs are integers, which results.json
+    # keeps as integers
+    SCENARIOS = {
+        "class_shift": (
+            dict(modes=("uniform", "class", "pu", "oracle"), synthetic={"p": 0.3, "p_train": 0.7}),
+            "730c54ea3262071217f383b19db646bdc385328b88785a03c757276e7c94505d",
+        ),
+        "pu": (
+            dict(modes=("uniform", "class", "pu", "oracle"),
+                 synthetic={"alpha": 2.0, "beta": 0.5, "p": 0.4, "q": 0.3}),
+            "c28b1573059c0da75ece7b8454bfff2dd3daa6907a72b542fc89eac02decca11",
+        ),
+        "censored": (
+            dict(modes=("uniform", "ipcw", "oracle"), synthetic={"slope": 2.0, "censor_rate": 0.7}),
+            "730eac6425a0ee7175d0ffc7fcce61adaa28e78988adff4fc2cbafbfcbc34701",
+        ),
+        "analytic_excess": (
+            dict(synthetic={"p": 0.3, "pairs": [[0, 0], [1, 1], [0.5, 2]]}),
+            "669075550870916567ca4536a49293b694f4fc00fddd3d106e5a01ab8267c028",
+        ),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_scenario_tree(self, tmp_path, scenario):
+        fields, digest = self.SCENARIOS[scenario]
+        spec = ExperimentSpec(
+            scenario=scenario, replicates=2, base_seed=4, n_train=300, n_test=300,
+            train=FAST_TRAIN, **fields,
+        )
+        emit_results(run_experiment(spec), tmp_path / "out")
+        assert tree_digest(tmp_path / "out") == digest
 
 
 class TestEvaluationCount:
@@ -364,7 +398,9 @@ class TestScenarios:
         spec = ExperimentSpec(scenario="pu", synthetic={"p": 0.3, "q": 0.4})
         assert spec.generator() == analytic.AnalyticModel(alpha=1.0, beta=1.0, p=0.3)
         assert ExperimentSpec(scenario="censored").generator() == synthetic.CensoredSpec()
-        assert ExperimentSpec(scenario="analytic_excess").generator() is None
+        assert ExperimentSpec(scenario="analytic_excess").generator() == [
+            analytic.AnalyticModel(alpha=a, beta=a, p=0.3) for a in (0.0, 0.5, 1.0, 2.0)
+        ]
 
 
 class TestEmit:

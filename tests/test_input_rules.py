@@ -158,6 +158,30 @@ def test_train_counts_must_be_integers(field, value):
     train.TrainConfig(**{field: np.int64(3)})
 
 
+# entry point -> (the count's name in the error, a call that takes the count)
+COUNT_SITES = {
+    "BoundInputs.n": ("n", lambda v: bounds.BoundInputs(n=v, delta=0.1)),
+    "BoundInputs.K": ("K", lambda v: bounds.BoundInputs(n=10, delta=0.1, K=v)),
+    "sample": ("n", lambda v: analytic.sample(MODEL, v, 0.3, 0)),
+    "sample_pu": ("n", lambda v: analytic.sample_pu(MODEL, v, 0.3, 0)),
+    "power_law_distribution": ("K", lambda v: biasgen.power_law_distribution(
+        biasgen.BiasSpec(gamma=0.5, target_pk=(1.0,)), v)),
+    "coverage_check.grid_size": ("grid_size", lambda v: bounds.coverage_check(
+        "class_shift", MODEL, n=50, delta=0.1, reps=1, seed=0, p_train=0.6, grid_size=v)),
+}
+
+
+@pytest.mark.parametrize("value", [0, 2.5, 3.0, "2", NAN])
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_count_rule(site, value):
+    """A count of the wrong type is refused like one out of range."""
+    name, call = COUNT_SITES[site]
+    with pytest.raises(ValidationError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be an integer >= 1"
+    call(np.int64(1))
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("slope", NAN), ("slope", math.inf), ("censor_rate", 0.0), ("censor_rate", -1.0),
@@ -185,24 +209,27 @@ def test_package_root_binds_no_public_name():
 def test_submodule_imports_stay_narrow():
     out = _fresh(
         "import sys, werm.analytic; a = 'werm.weights' in sys.modules\n"
-        "import werm.experiment; print(a, 'werm.bounds' in sys.modules)"
+        "import werm.weights; w = [m in sys.modules for m in ('werm.bounds', 'werm.experiment')]\n"
+        "import werm.experiment; print(a, *w, 'werm.bounds' in sys.modules)"
     )
-    assert out == "False False"
+    assert out == "False False False False"
 
 
 def _no_draws(monkeypatch):
-    """Make every sampler an experiment draws from fail the test."""
+    """Make every sampler an experiment draws from, and its CSV reader,
+    fail the test."""
     fail = lambda *a, **k: pytest.fail("drew")  # noqa: E731
     for module, name in [
         (analytic, "sample"), (analytic, "sample_pu"), (synthetic, "gaussian_strata_sample"),
         (synthetic, "censored_train_sample"), (synthetic, "censored_test_sample"),
-        (biasgen, "subsample_to_distribution"),
+        (biasgen, "subsample_to_distribution"), (experiment, "read_csv"),
     ]:
         monkeypatch.setattr(module, name, fail)
 
 
 CLASS_SHIFT = {"scenario": "class_shift", "synthetic": {"p": 0.3, "p_train": 0.6}}
 STRATA = {"scenario": "strata_shift"}
+LONE_CSV = "train_csv and test_csv: both paths or neither, strata_shift only"
 
 # a spec document -> what the error says; each is refused before any draw
 BAD_SPECS = {
@@ -221,12 +248,25 @@ BAD_SPECS = {
     "prior a number": ({**STRATA, "prior": 0.5}, "'prior' must be a JSON object"),
     "bias a string": ({**STRATA, "bias": "identity"}, "'bias' must be a JSON object"),
     "replicates 2.5": ({**CLASS_SHIFT, "replicates": 2.5}, "replicates must be an integer >= 1"),
-    "replicates text": ({**CLASS_SHIFT, "replicates": "2"}, "spec: .*not supported"),
+    "replicates text": ({**CLASS_SHIFT, "replicates": "2"}, "replicates must be an integer >= 1"),
+    "replicates true": ({**CLASS_SHIFT, "replicates": True}, "replicates must be an integer >= 1"),
     "n_train 0": ({**CLASS_SHIFT, "n_train": 0}, "n_train must be an integer >= 1"),
     "n_test -3": ({**CLASS_SHIFT, "n_test": -3}, "n_test must be an integer >= 1"),
     "n_source -5": ({**STRATA, "synthetic": {"n_source": -5}},
                     "synthetic.n_source must be an integer >= 1"),
+    "n_strata 2.5": ({**STRATA, "synthetic": {"n_strata": 2.5}}, "n_strata must be an integer >= 1"),
+    "n_classes 1": ({**STRATA, "synthetic": {"n_classes": 1}}, "n_classes must be an integer >= 2"),
     "top_k 1.5": ({**CLASS_SHIFT, "top_k": 1.5}, "top_k must be an integer >= 1"),
+    "train_csv alone": ({**STRATA, "train_csv": "a.csv"}, LONE_CSV),
+    "test_csv alone": ({**STRATA, "test_csv": "b.csv"}, LONE_CSV),
+    "csv pair on class_shift": ({**CLASS_SHIFT, "train_csv": "a.csv", "test_csv": "b.csv"}, LONE_CSV),
+    "csv pair not paths": ({**STRATA, "train_csv": 0, "test_csv": 0}, LONE_CSV),
+    "pairs entry short": ({"scenario": "analytic_excess", "synthetic": {"pairs": [[1]]}},
+                          "'synthetic'.*missing .*'beta'"),
+    "pairs entry text": ({"scenario": "analytic_excess", "synthetic": {"pairs": [["a", 1]]}},
+                         "'synthetic'.*not supported"),
+    "pairs a number": ({"scenario": "analytic_excess", "synthetic": {"pairs": 5}},
+                       r"synthetic.pairs must be a list of \[alpha, beta\] pairs"),
 }
 
 
