@@ -155,24 +155,34 @@ def evaluate_bound(kind: str, inputs: BoundInputs) -> BoundResult:
     fields, paired, constants = _EXCESS[kind]
     _require(inputs, kind, fields)
     lead, L = constants(inputs)
-    plug_in = deviation_bound(paired, dataclasses.replace(inputs, delta=delta / 2.0))
+    plug_in = _deviation(paired, inputs, times=2)
     terms = {
         "estimation": (2.0 * lead / eps)
         * (2.0 * rad + L * math.sqrt(2.0 * math.log(2.0 / delta) / n)),
-        "plug_in": 2.0 * plug_in.value,
+        "plug_in": plug_in.value,
     }
     return dataclasses.replace(plug_in, value=float(sum(terms.values())), terms=terms)
 
 
 def deviation_bound(kind: str, inputs: BoundInputs) -> BoundResult:
     """Plug-in-vs-exact weighting deviation bound of the given kind."""
+    return _deviation(kind, inputs, times=1)
+
+
+def _deviation(kind: str, inputs: BoundInputs, times: int) -> BoundResult:
+    """``times`` x the deviation bound at delta/times.  The factor goes
+    into the constants, 2*times*c/eps^2 and log(2*times*K/delta), not onto
+    the rounded bound: 2 x approx2 at delta/2 is then (4L/eps^2) *
+    sqrt(log(4K/delta)/(2n)) to the bit, also where L/eps^2 or delta/2 is
+    subnormal."""
     if kind not in _DEVIATIONS:
         raise ValidationError(f"unknown deviation bound kind {kind!r}")
     fields, constants = _DEVIATIONS[kind]
     _require(inputs, kind, fields)
+    _check_rate(inputs.delta / times, "delta")
     c, K = constants(inputs)
-    log_term = math.log(2.0 * K / inputs.delta)
-    value = (2.0 * c / inputs.epsilon**2) * math.sqrt(log_term / (2.0 * inputs.n))
+    log_term = math.log(2.0 * times * K / inputs.delta)
+    value = (2.0 * times * c / inputs.epsilon**2) * math.sqrt(log_term / (2.0 * inputs.n))
     return _result(
         {"deviation": value}, required_n=2.0 * log_term / inputs.epsilon**2, n=inputs.n
     )
