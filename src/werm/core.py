@@ -354,41 +354,45 @@ def weighted_empirical_risk(
 # numpy's pairwise summation (``pairwise_sum`` in
 # numpy/_core/src/umath/loops_utils.h.src) adds a row of fewer than 8 terms
 # left to right, but from 8 terms on it keeps 8 partial sums and adds them
-# as a tree.  Only below this width does the column loop (e0 + e1) + e2 ...
-# give the bits of ``.sum(axis=1)``.
+# as a tree.  Only below this width does the fold (e0 + e1) + e2 ... over
+# the class rows give the bits of the record-major ``.sum(axis=1)``.
 _PAIRWISE_BLOCK = 8
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log softmax with max-logit subtraction.
+    """Log softmax over the classes of class-major (J, B) logits, whose
+    column i holds record i's J logits, with max-logit subtraction.
 
-    A (B, J) array with J < 8 is reduced over its J columns, not along
-    each of its B rows: the row max folds ``np.maximum`` over the columns
-    and the row sum of exponentials is (e0 + e1) + e2 ..., J - 1 vector
-    operations per reduction whatever B is.  The result is bit-equal to
-    the row reductions ``.max(axis=1)`` and ``.sum(axis=1)``.  From J = 8
-    on those row reductions run instead: numpy's sum changes its order
-    there (see ``_PAIRWISE_BLOCK``).
+    With J < 8 the max and the sum of exponentials fold over the J rows,
+    J - 1 vector operations along B each: the max is ``np.maximum`` of
+    rows 0, 1, ... and the sum is (e0 + e1) + e2 ....  The result is
+    bit-equal to the row reductions ``.max(axis=1)`` and ``.sum(axis=1)``
+    of the record-major (B, J) array, which is what the J >= 8 path runs,
+    on a record-major copy, because numpy's sum changes its order there
+    (see ``_PAIRWISE_BLOCK``); that path returns a transposed view.
     """
-    cols = logits.T
-    if len(cols) < _PAIRWISE_BLOCK:
-        z = logits - functools.reduce(np.maximum, cols)[:, None]
-        s = functools.reduce(np.add, np.exp(z).T)
-    else:
-        z = logits - logits.max(axis=1, keepdims=True)
-        s = np.exp(z).sum(axis=1)
-    return z - np.log(s)[:, None]
+    if len(logits) < _PAIRWISE_BLOCK:
+        z = logits - functools.reduce(np.maximum, logits)
+        return z - np.log(functools.reduce(np.add, np.exp(z)))
+    rows = np.ascontiguousarray(logits.T)
+    z = rows - rows.max(axis=1, keepdims=True)
+    return (z - np.log(np.exp(z).sum(axis=1))[:, None]).T
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the classes of class-major (J, B) logits."""
     return np.exp(log_softmax(logits))
 
 
 def classification_metrics(data: Dataset, logits: np.ndarray, k: int) -> dict:
-    """Miss rate, top-k error, and mean cross-entropy of given logits.
+    """Miss rate, top-k error, and mean cross-entropy of given (n, J) logits.
 
     Ties in the logit ranking are broken toward the lowest class id, so
     the metrics are deterministic.  ``miss_rate`` equals the top-1 error.
+    The work runs class-major on ``logits.T`` (no copy when the logits are
+    the transposed view ``train.logits_batch`` returns).  A record's rank
+    is counted: the classes with a larger logit, plus the lower-id classes
+    with an equal one, which is its place in a stable descending sort.
     """
     if data.labels is None:
         raise SchemaError("metrics need labels")
@@ -397,17 +401,17 @@ def classification_metrics(data: Dataset, logits: np.ndarray, k: int) -> dict:
     if logits.shape != (data.n, J):
         raise SchemaError(f"logits must have shape {(data.n, J)}")
     _check_top_k(k, J)
-    if not np.all(np.isfinite(logits)):
+    lt = np.ascontiguousarray(logits.T)
+    if not np.isfinite(lt).all():
         raise NumericError("non-finite logits")
 
-    # Stable argsort of -logits keeps ascending class id within ties.
-    order = np.argsort(-logits, axis=1, kind="stable")
-    ranks = np.argmax(order == data.labels[:, None], axis=1)
+    records = np.arange(data.n)
+    own = lt[data.labels, records]
+    ahead = (lt > own) | ((lt == own) & (np.arange(J)[:, None] < data.labels))
+    ranks = ahead.sum(axis=0)
     miss_rate = float(np.mean(ranks != 0))
     top_k_error = float(np.mean(ranks >= k))
-    mean_sce = float(
-        np.mean(-log_softmax(logits)[np.arange(data.n), data.labels])
-    )
+    mean_sce = float(np.mean(-log_softmax(lt)[data.labels, records]))
     return {"miss_rate": miss_rate, "top_k_error": top_k_error, "mean_sce": mean_sce}
 
 

@@ -43,6 +43,7 @@ from .core import (
     WeightVector,
     WermError,
     _check_count,
+    _check_distribution,
     _check_rate,
     _check_seed,
     _check_top_k,
@@ -113,7 +114,12 @@ class ExperimentSpec:
             if len(self.replicate_seeds) != self.replicates:
                 raise ValidationError("replicate_seeds length must equal replicates")
         # built once here so a bad override fails before any data is drawn
-        self.generator()
+        generator = self.generator()
+        if self.scenario == "strata_shift" and self.prior.get("pk") is not None:
+            pk = _check_distribution(self.prior["pk"], "prior.pk", 1e-12)
+            K = generator.n_strata
+            if self.train_csv is None and pk.size != K:
+                raise ValidationError(f"prior.pk needs {K} entries, one per stratum")
         self.bias_spec()
         self.train_config(seed=0)
 
@@ -154,6 +160,7 @@ class ExperimentSpec:
             if not (isinstance(pairs, seq) and all(isinstance(v, seq) for v in pairs)):
                 raise ValidationError("synthetic.pairs must be a list of [alpha, beta] pairs")
             p = syn.get("p", 0.3)
+            _check_rate(p, "synthetic.p")
             return [_build(analytic.AnalyticModel, "synthetic", {"p": p}, *pr) for pr in pairs]
         rate = weights_mod.setting(self.scenario).rate
         if rate not in syn:

@@ -10,19 +10,20 @@ subtraction) and the penalty covers weight matrices only, never biases.
 Updates follow the classical momentum rule v <- momentum*v + lr*grad,
 params <- params - v, with velocity starting at zero.
 
-``fit`` gathers the rows of each epoch's shuffle once and trains on
-contiguous batch slices of that copy, with one forward pass per batch for
-both the objective and its gradient; the public ``weighted_objective`` and
-``gradient`` check a batch's schema and share that same code.  Per-epoch
-test metrics are computed only when ``fit`` is given ``eval_data``.
+``fit`` gathers the rows of each epoch's shuffle once (``take``) with a
+(J, n) one-hot of their labels, and trains on batch slices of both; the
+public ``weighted_objective`` and ``gradient`` check a batch's schema and
+share the same step.  Per-epoch test metrics are computed only when
+``fit`` is given ``eval_data``.
 
-The step's softmax is ``core.log_softmax``, which for fewer than 8
-classes reduces over the J columns instead of along each of the B rows.
-Its contract is bit-equality with the row reductions ``.max(axis=1)`` and
-``.sum(axis=1)``: numpy sums fewer than 8 terms left to right, exactly as
-the column loop (e0 + e1) + e2 ... does, and from 8 classes on the row
-reductions themselves run.  Trained parameters, objectives and metrics
-are therefore the same bits on either path.
+The step holds logits and their gradient class-major, as (J, B) arrays,
+so its elementwise ops and ``core.log_softmax`` run along the B records.
+It keeps the bits of the record-major step it replaced: ``W.T @ X.T`` is
+the same BLAS product as ``X @ W``; subtracting the one-hot changes only
+the label entries (x - 0.0 is x); a bias gradient is the sequential sum
+along B (``_batch_sum``); and a weight gradient takes the gradient back to
+rows when the layer input is one column wide, where numpy computes a gemv
+whose sums depend on layout.
 
 Everything here is single-threaded and bit-reproducible per seed.
 """
@@ -118,58 +119,73 @@ def init_params(kind: str, d: int, J: int, cfg: TrainConfig) -> ModelParams:
 
 
 def _forward(params: ModelParams, X: np.ndarray):
-    """Logits, plus the hidden pre-activations and activations of an mlp."""
+    """Class-major (J, B) logits of the (B, d) rows X, plus the (B, h)
+    hidden pre-activations and activations of an mlp."""
     p = params.params
     if params.kind == "linear":
-        return X @ p["W"] + p["b"], None, None
+        return p["W"].T @ X.T + p["b"][:, None], None, None
     pre = X @ p["W1"] + p["b1"]
     hidden = np.maximum(pre, 0.0)
-    return hidden @ p["W2"] + p["b2"], pre, hidden
+    return p["W2"].T @ hidden.T + p["b2"][:, None], pre, hidden
 
 
 def logits_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """(n, J) logits, a transposed view of the class-major result."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != params.dims[0]:
         raise SchemaError(f"feature dim {X.shape[1]} != model dim {params.dims[0]}")
-    return _forward(params, X)[0]
+    return _forward(params, X)[0].T
 
 
 def _penalty(params: ModelParams) -> float:
     return 0.5 * sum(float((params.params[k] ** 2).sum()) for k in params.weight_keys())
 
 
+def _one_hot(labels: np.ndarray, J: int) -> np.ndarray:
+    return (np.arange(J)[:, None] == labels).astype(float)
+
+
+def _batch_sum(gout: np.ndarray) -> np.ndarray:
+    """The record-major ``.sum(axis=0)`` of a (J, B) gradient: numpy adds the
+    B rows in turn to +0.0, and a cumsum would keep a sum of -0.0s negative.
+    (At J = 1 numpy sums pairwise, but the gradient is then all +0.0.)"""
+    return gout.cumsum(axis=1)[:, -1] + 0.0
+
+
 def _objective_and_gradient(
-    params: ModelParams, X: np.ndarray, y: np.ndarray, w: np.ndarray, cfg: TrainConfig
+    params: ModelParams, X: np.ndarray, onehot: np.ndarray, w: np.ndarray, cfg: TrainConfig
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Objective and its exact gradient on raw batch arrays, from one
-    forward pass and one log-softmax.  The caller vouches for the schema,
-    labels below J included: the flat index of a larger label would land
-    in the next row."""
+    """Objective and its exact gradient on raw batch arrays (rows X, the
+    (J, B) one-hot labels, weights w), from one forward pass and one
+    log-softmax.  The caller vouches for the schema."""
     logits, pre, hidden = _forward(params, X)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits")
     logp = log_softmax(logits)
-    B, J = logits.shape
-    picked = np.arange(0, B * J, J) + y  # flat index of (i, y_i)
-    objective = float((w * -logp.take(picked)).sum() / B + cfg.weight_decay * _penalty(params))
+    B = len(w)
+    picked = (logp * onehot).sum(axis=0)  # the other classes add z * 0.0
+    objective = float((w * -picked).sum() / B + cfg.weight_decay * _penalty(params))
 
-    probs = np.exp(logp)
-    probs.put(picked, probs.take(picked) - 1.0)
-    gout = probs * (w / B)[:, None]  # d(objective)/d(logits)
+    gout = np.exp(logp)
+    gout -= onehot
+    gout *= w / B  # d(objective)/d(logits), class-major
+    # a one-column layer input turns the products below into gemv
+    g = gout.T if params.dims[-2] > 1 else np.ascontiguousarray(gout.T)
     wd = cfg.weight_decay
     p = params.params
     if params.kind == "linear":
-        return objective, {"W": X.T @ gout + wd * p["W"], "b": gout.sum(axis=0)}
-    ghid = (gout @ p["W2"].T) * (pre > 0.0)
+        return objective, {"W": X.T @ g + wd * p["W"], "b": _batch_sum(gout)}
+    ghid = (g @ p["W2"].T) * (pre > 0.0)
     return objective, {
         "W1": X.T @ ghid + wd * p["W1"],
         "b1": ghid.sum(axis=0),
-        "W2": hidden.T @ gout + wd * p["W2"],
-        "b2": gout.sum(axis=0),
+        "W2": hidden.T @ g + wd * p["W2"],
+        "b2": _batch_sum(gout),
     }
 
 
-def _check_batch(params: ModelParams, batch: Dataset, w: WeightVector) -> None:
+def _batch_arrays(params: ModelParams, batch: Dataset, w: WeightVector):
+    """The step's rows, one-hot labels and weights of a checked batch."""
     if batch.labels is None:
         raise SchemaError("training batch needs labels")
     if len(w) != batch.n:
@@ -178,22 +194,21 @@ def _check_batch(params: ModelParams, batch: Dataset, w: WeightVector) -> None:
         raise SchemaError(f"feature dim {batch.d} != model dim {params.dims[0]}")
     if batch.labels.max() >= params.dims[-1]:
         raise SchemaError(f"label id exceeds the model's {params.dims[-1]} classes")
+    return batch.features, _one_hot(batch.labels, params.dims[-1]), w.weights
 
 
 def weighted_objective(
     params: ModelParams, batch: Dataset, w: WeightVector, cfg: TrainConfig
 ) -> float:
     """Weighted mean cross-entropy plus the L2 penalty."""
-    _check_batch(params, batch, w)
-    return _objective_and_gradient(params, batch.features, batch.labels, w.weights, cfg)[0]
+    return _objective_and_gradient(params, *_batch_arrays(params, batch, w), cfg)[0]
 
 
 def gradient(
     params: ModelParams, batch: Dataset, w: WeightVector, cfg: TrainConfig
 ) -> dict[str, np.ndarray]:
     """Exact gradient of :func:`weighted_objective`, keyed like params."""
-    _check_batch(params, batch, w)
-    return _objective_and_gradient(params, batch.features, batch.labels, w.weights, cfg)[1]
+    return _objective_and_gradient(params, *_batch_arrays(params, batch, w), cfg)[1]
 
 
 def momentum_step(
@@ -201,11 +216,13 @@ def momentum_step(
     velocity: dict[str, np.ndarray],
     grad: dict[str, np.ndarray],
     cfg: TrainConfig,
-) -> tuple[ModelParams, dict[str, np.ndarray]]:
-    """v' = momentum*v + lr*grad; params' = params - v'.  Pure."""
-    new_v = {k: cfg.momentum * velocity[k] + cfg.lr * grad[k] for k in params.params}
-    new_p = {k: params.params[k] - new_v[k] for k in params.params}
-    return ModelParams(params.kind, new_p, params.dims), new_v
+) -> None:
+    """v <- momentum*v + lr*grad; params <- params - v, in place."""
+    for k, p in params.params.items():
+        v = velocity[k]
+        v *= cfg.momentum
+        v += cfg.lr * grad[k]
+        p -= v
 
 
 def zero_velocity(params: ModelParams) -> dict[str, np.ndarray]:
@@ -258,21 +275,22 @@ def fit(
 
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(data.n)
-        # one gather per epoch; each batch is a contiguous slice of it
-        X_epoch, y_epoch, w_epoch = X[order], y[order], weights[order]
+        # one gather per epoch; each batch is a slice of these
+        X_epoch, w_epoch = X.take(order, axis=0), weights.take(order)
+        onehot = _one_hot(y.take(order), data.n_classes)
         batch_objectives = []
         for start in range(0, data.n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
             try:
                 objective, grad = _objective_and_gradient(
-                    params, X_epoch[batch], y_epoch[batch], w_epoch[batch], cfg
+                    params, X_epoch[batch], onehot[:, batch], w_epoch[batch], cfg
                 )
             except NumericError as exc:
                 raise NumericError(
                     f"{exc} (epoch {epoch}, batch {start // cfg.batch_size})"
                 ) from exc
             batch_objectives.append(objective)
-            params, velocity = momentum_step(params, velocity, grad, cfg)
+            momentum_step(params, velocity, grad, cfg)
         log.epochs.append(epoch)
         log.objective.append(float(np.mean(batch_objectives)))
         if eval_data is None:

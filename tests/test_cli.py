@@ -314,6 +314,32 @@ class TestTrainCommand:
             b"0,0.7784005952518884,0.0,0.0\r\n1,0.6641647518092755,0.5,0.0\r\n"
         )
 
+    def test_mlp_curve_bytes(self, tmp_path, capsys):
+        """An mlp (d = 2, J = 3, so two hidden units) whose batches of 3 over
+        7 rows end in a one-row batch keeps the --curve bytes and scores it
+        had before training moved onto class-major arrays."""
+        data = tmp_path / "d.csv"
+        data.write_text(
+            "x0,x1,y\n0.1,0.5,0\n0.9,-0.2,1\n0.2,0.3,2\n0.7,0.8,1\n"
+            "0.4,-0.6,2\n0.35,0.1,0\n0.6,0.45,1\n"
+        )
+        curve = tmp_path / "curve.csv"
+        code, out, _ = run_cli(
+            capsys, "train", "--train", str(data), "--test", str(data), "--model", "mlp",
+            "--lr", "0.5", "--epochs", "3", "--batch", "3", "--seed", "2", "--curve", str(curve),
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["miss_rate"], doc["sce"], doc["top_k"], doc["top_k_error"]) == (
+            0.5714285714285714, 1.3010780935512094, 3, 0.0
+        )
+        assert curve.read_bytes() == (
+            b"epoch,objective,miss_rate,top_k_error\r\n"
+            b"0,1.181443948942605,0.5714285714285714,0.0\r\n"
+            b"1,0.9837209845415217,0.5714285714285714,0.0\r\n"
+            b"2,1.0826609812499541,0.5714285714285714,0.0\r\n"
+        )
+
     def test_bad_top_k_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
         train_csv = write_binary_csv(tmp_path / "train.csv", n=50, seed=8)
         monkeypatch.setattr(train_mod, "fit", lambda *a, **k: pytest.fail("trained"))

@@ -145,14 +145,14 @@ class TestSoftmax:
     @settings(max_examples=30, deadline=None)
     def test_rows_sum_to_one_and_shift_invariant(self, seed):
         rng = np.random.default_rng(seed)
-        logits = rng.normal(scale=5.0, size=(8, 5))
+        logits = rng.normal(scale=5.0, size=(5, 8))  # class-major: 8 records
         probs = softmax(logits)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-12)
         shifted = softmax(logits + 42.0)
         np.testing.assert_allclose(probs, shifted, atol=1e-12)
 
     def test_log_softmax_stable_for_large_logits(self):
-        out = log_softmax(np.array([[1000.0, 0.0]]))
+        out = log_softmax(np.array([[1000.0], [0.0]]))
         assert np.all(np.isfinite(out))
 
     def test_nonfinite_logits_raise(self):
@@ -176,9 +176,11 @@ def assert_same_bits(got, want):
 
 
 class TestLogSoftmaxMatchesRowReductions:
-    """The column kernel keeps the bits of the row reductions on both
-    sides of the J = 8 width where numpy's sum changes its order; a numpy
-    whose sum order moves fails here instead of shifting results."""
+    """The class-major kernel keeps the bits of the record-major row
+    reductions on both sides of the J = 8 width where numpy's sum changes
+    its order, for C-contiguous class-major input and for the transposed
+    view of record-major input; a numpy whose sum order moves fails here
+    instead of shifting results."""
 
     FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 
@@ -197,13 +199,62 @@ class TestLogSoftmaxMatchesRowReductions:
             label="logits",
         )
         with np.errstate(all="ignore"):
-            assert_same_bits(log_softmax(logits), row_log_softmax(logits))
+            want = row_log_softmax(logits)
+            assert_same_bits(log_softmax(np.ascontiguousarray(logits.T)).T, want)
+            assert_same_bits(log_softmax(logits.T).T, want)
 
     @pytest.mark.parametrize("J", [1, 2, 3, 7, 8, 9, 16])
     @pytest.mark.parametrize("B", [1000, 5000, 20000])
     def test_bits_at_batch_and_test_set_sizes(self, B, J):
         logits = np.random.default_rng(B + J).normal(scale=4.0, size=(B, J))
-        assert_same_bits(log_softmax(logits), row_log_softmax(logits))
+        got = log_softmax(np.ascontiguousarray(logits.T)).T
+        assert_same_bits(got, row_log_softmax(logits))
+
+
+def argsort_metrics(data, logits, k):
+    """classification_metrics as it stood before ranks were counted: a
+    stable argsort of the negated logits, record-major."""
+    order = np.argsort(-logits, axis=1, kind="stable")
+    ranks = np.argmax(order == data.labels[:, None], axis=1)
+    return {
+        "miss_rate": float(np.mean(ranks != 0)),
+        "top_k_error": float(np.mean(ranks >= k)),
+        "mean_sce": float(np.mean(-row_log_softmax(logits)[np.arange(data.n), data.labels])),
+    }
+
+
+class TestMetricsMatchArgsortRanks:
+    """Counted ranks give the metrics of the stable argsort, ties and
+    mixed-sign zeros included, for record-major logits and for the
+    transposed view of class-major ones."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equal(self, data):
+        n = data.draw(st.integers(1, 64), label="n")
+        J = data.draw(st.integers(2, 12), label="J")
+        k = data.draw(st.integers(1, J), label="k")
+        pool = data.draw(st.lists(st.floats(-50, 50), min_size=1, max_size=3), label="pool")
+        pool += [0.0, -0.0]
+        logits = data.draw(
+            hnp.arrays(float, (n, J), elements=st.one_of(st.sampled_from(pool), st.floats(-1e6, 1e6))),
+            label="logits",
+        )
+        labels = data.draw(hnp.arrays(int, n, elements=st.integers(0, J - 1)), label="labels")
+        ds = Dataset(features=np.zeros((n, 1)), labels=labels, n_classes=J)
+        want = argsort_metrics(ds, logits, k)
+        assert classification_metrics(ds, logits, k) == want
+        assert classification_metrics(ds, np.ascontiguousarray(logits.T).T, k) == want
+
+    @pytest.mark.parametrize("J", [2, 3, 7, 8, 10])
+    def test_equal_at_test_set_size(self, J):
+        rng = np.random.default_rng(J)
+        n = 5000
+        logits = np.round(rng.normal(size=(n, J)), 1)  # many exact ties
+        logits[rng.random((n, J)) < 0.1] = -0.0
+        ds = Dataset(features=np.zeros((n, 1)), labels=rng.integers(0, J, n), n_classes=J)
+        for k in range(1, J + 1):
+            assert classification_metrics(ds, logits, k) == argsort_metrics(ds, logits, k)
 
 
 class TestDatasetValidation:

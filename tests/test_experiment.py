@@ -222,6 +222,24 @@ class TestEmittedBytes:
         emit_results(run_experiment(spec), tmp_path / "out")
         assert tree_digest(tmp_path / "out") == digest
 
+    # the c10 acceptance spec (as in test_acceptance), pinned before training
+    # and scoring moved onto class-major arrays; perfbench's strata_c10 seed-7
+    # output digest is the same hash
+    C10 = "48d9bdcfadd43297da468314f0fbdc71c2c700f7fa043b18ebc2a9e380a4e26e"
+
+    def test_c10_tree(self, tmp_path):
+        spec = ExperimentSpec(
+            scenario="strata_shift", modes=("uniform", "strata", "oracle"), replicates=10,
+            base_seed=7, model_kind="linear", top_k=2, n_train=5000, n_test=5000,
+            train={"lr": 0.05, "momentum": 0.9, "weight_decay": 1e-3,
+                   "batch_size": 1000, "epochs": 40},
+            bias={"gamma": 0.2, "permutation": "identity"},
+            synthetic={"n_strata": 5, "n_classes": 3, "class_radius": 2.0,
+                       "rotation_deg": 22.5, "noise": 1.0, "n_source": 20000},
+        )
+        emit_results(run_experiment(spec), tmp_path / "out")
+        assert tree_digest(tmp_path / "out") == self.C10
+
 
 class TestEvaluationCount:
     def test_only_the_curve_replicate_is_evaluated_per_epoch(self, monkeypatch):

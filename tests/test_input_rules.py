@@ -267,6 +267,21 @@ BAD_SPECS = {
                          "'synthetic'.*not supported"),
     "pairs a number": ({"scenario": "analytic_excess", "synthetic": {"pairs": 5}},
                        r"synthetic.pairs must be a list of \[alpha, beta\] pairs"),
+    "p text, no pairs": ({"scenario": "analytic_excess", "synthetic": {"p": "x", "pairs": []}},
+                         "spec: .*not supported"),
+    "p 1, no pairs": ({"scenario": "analytic_excess", "synthetic": {"p": 1.0, "pairs": []}},
+                      r"synthetic.p must lie in \(0, 1\)"),
+    "prior.pk too short": ({**STRATA, "prior": {"pk": [0.5, 0.5]}},
+                           "prior.pk needs 5 entries, one per stratum"),
+    "prior.pk sums to 2": ({**STRATA, "prior": {"pk": [0.4] * 5}},
+                           "prior.pk must be a nonempty vector of finite, nonnegative"),
+    "prior.pk empty": ({**STRATA, "prior": {"pk": []}},
+                       "prior.pk must be a nonempty vector of finite, nonnegative"),
+    "prior.pk text": ({**STRATA, "prior": {"pk": ["a"] * 5}},
+                      "prior.pk must be a nonempty vector of finite, nonnegative"),
+    "prior.pk NaN with csvs": ({**STRATA, "prior": {"pk": [NAN, 1.0]}, "train_csv": "a.csv",
+                                "test_csv": "b.csv"},
+                               "prior.pk must be a nonempty vector of finite, nonnegative"),
 }
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from werm import train as train_mod
 from werm.core import Dataset, NumericError, SchemaError, ValidationError, WeightVector
 from werm.train import (
     ModelParams,
@@ -88,9 +89,41 @@ def reference_fit(data, w, kind, cfg):
             bw = WeightVector(w.weights[idx])
             batch_objectives.append(weighted_objective(params, batch, bw, cfg))
             grad = gradient(params, batch, bw, cfg)
-            params, velocity = momentum_step(params, velocity, grad, cfg)
+            momentum_step(params, velocity, grad, cfg)
         objectives.append(float(np.mean(batch_objectives)))
     return params, objectives
+
+
+def row_major_step(params, X, y, w, cfg):
+    """The record-major (B, J) training step that the class-major step
+    replaced, kept as its oracle; the log-softmax is written as the row
+    reductions its column kernel was pinned to (tests/test_core.py)."""
+    p = params.params
+    if params.kind == "linear":
+        logits = X @ p["W"] + p["b"]
+    else:
+        pre = X @ p["W1"] + p["b1"]
+        hidden = np.maximum(pre, 0.0)
+        logits = hidden @ p["W2"] + p["b2"]
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    B, J = logits.shape
+    picked = np.arange(0, B * J, J) + y
+    penalty = 0.5 * sum(float((p[k] ** 2).sum()) for k in params.weight_keys())
+    objective = float((w * -logp.take(picked)).sum() / B + cfg.weight_decay * penalty)
+    probs = np.exp(logp)
+    probs.put(picked, probs.take(picked) - 1.0)
+    gout = probs * (w / B)[:, None]
+    wd = cfg.weight_decay
+    if params.kind == "linear":
+        return objective, {"W": X.T @ gout + wd * p["W"], "b": gout.sum(axis=0)}
+    ghid = (gout @ p["W2"].T) * (pre > 0.0)
+    return objective, {
+        "W1": X.T @ ghid + wd * p["W1"],
+        "b1": ghid.sum(axis=0),
+        "W2": hidden.T @ gout + wd * p["W2"],
+        "b2": gout.sum(axis=0),
+    }
 
 
 class TestInit:
@@ -255,6 +288,8 @@ class TestGradient:
 
 
 class TestMomentum:
+    """momentum_step updates the params and velocity it is given, in place."""
+
     def make(self):
         p = ModelParams("linear", {"W": np.ones((2, 2)), "b": np.zeros(2)}, (2, 2))
         g = {"W": np.full((2, 2), 0.5), "b": np.array([1.0, -1.0])}
@@ -263,24 +298,25 @@ class TestMomentum:
     def test_zero_momentum_is_plain_gd(self):
         p, g = self.make()
         cfg = TrainConfig(lr=0.1, momentum=0.0)
-        p2, v2 = momentum_step(p, zero_velocity(p), g, cfg)
-        np.testing.assert_allclose(p2.params["W"], 1.0 - 0.1 * 0.5)
-        np.testing.assert_allclose(v2["b"], 0.1 * g["b"])
+        v = zero_velocity(p)
+        momentum_step(p, v, g, cfg)
+        np.testing.assert_allclose(p.params["W"], 1.0 - 0.1 * 0.5)
+        np.testing.assert_allclose(v["b"], 0.1 * g["b"])
 
     def test_zero_gradient_coasts_on_velocity(self):
         p, g = self.make()
         zero_g = {k: np.zeros_like(v) for k, v in g.items()}
         v0 = {"W": np.full((2, 2), 0.2), "b": np.zeros(2)}
         cfg = TrainConfig(lr=0.1, momentum=0.9)
-        p2, v2 = momentum_step(p, v0, zero_g, cfg)
-        np.testing.assert_allclose(p2.params["W"], 1.0 - 0.9 * 0.2)
-        np.testing.assert_allclose(v2["W"], 0.9 * 0.2)
+        momentum_step(p, v0, zero_g, cfg)
+        np.testing.assert_allclose(p.params["W"], 1.0 - 0.9 * 0.2)
+        np.testing.assert_allclose(v0["W"], 0.9 * 0.2)
 
     def test_zero_gradient_zero_velocity_is_identity(self):
         p, g = self.make()
         zero_g = {k: np.zeros_like(v) for k, v in g.items()}
-        p2, _ = momentum_step(p, zero_velocity(p), zero_g, TrainConfig(lr=0.5))
-        np.testing.assert_array_equal(p2.params["W"], p.params["W"])
+        momentum_step(p, zero_velocity(p), zero_g, TrainConfig(lr=0.5))
+        np.testing.assert_array_equal(p.params["W"], np.ones((2, 2)))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -396,9 +432,86 @@ class TestFitMatchesReferenceLoop:
         np.testing.assert_array_equal(log.objective, ref_objective)
 
 
-def golden_instance(J):
+class TestStepMatchesRowMajor:
+    """The class-major step gives ==-equal objectives and byte-equal
+    gradients to the record-major oracle, on batches sliced out of larger
+    epoch arrays as fit slices them.  B = 1 and d = 1 (and, for the mlp,
+    one hidden unit at d = 1, J = 2) are the shapes where numpy computes
+    some products as gemv/dot."""
+
+    @staticmethod
+    def case(rng, kind, weights):
+        B = int(rng.choice([1, 1, 2, 3, 7, 64, 257, 1000, rng.integers(1, 1200)]))
+        d = int(rng.choice([1, 1, 2, rng.integers(1, 9)]))
+        J = int(rng.integers(2, 13))
+        cfg = TrainConfig(
+            seed=int(rng.integers(10_000)),
+            weight_decay=float(rng.choice([0.0, rng.uniform(0.0, 0.5)])),
+            init_std=float(rng.choice([0.0, 0.1, 2.0])),
+        )
+        params = init_params(kind, d, J, cfg)
+        for arr in params.params.values():  # nonzero biases too
+            arr += rng.normal(scale=0.3, size=arr.shape)
+        n = B + int(rng.integers(0, 40))
+        start = int(rng.integers(0, n - B + 1))
+        batch = slice(start, start + B)
+        X = rng.normal(scale=2.0, size=(n, d))
+        y = rng.integers(0, J, n)
+        w = rng.uniform(0.0, 3.0, n)
+        if weights == "zero":
+            w[:] = 0.0
+        elif weights == "some_zero":
+            w[rng.random(n) < 0.4] = 0.0
+        onehot = train_mod._one_hot(y, J)
+        got = train_mod._objective_and_gradient(params, X[batch], onehot[:, batch], w[batch], cfg)
+        want = row_major_step(params, X[batch], y[batch], w[batch], cfg)
+        return (B, d, J), got, want
+
+    @pytest.mark.parametrize("weights", ["zero", "some_zero", "random"])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_objective_and_gradient(self, kind, weights):
+        rng = np.random.default_rng(["linear", "mlp"].index(kind) * 10 + len(weights))
+        for _ in range(150):
+            shape, (obj, grad), (ref_obj, ref_grad) = self.case(rng, kind, weights)
+            assert obj == ref_obj, shape
+            assert sorted(grad) == sorted(ref_grad)
+            for k in grad:
+                assert grad[k].shape == ref_grad[k].shape, (shape, k)
+                assert grad[k].tobytes() == np.ascontiguousarray(ref_grad[k]).tobytes(), (shape, k)
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_public_wrappers(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            params, batch, w, cfg = random_instance(rng, kind)
+            ref_obj, ref_grad = row_major_step(params, batch.features, batch.labels, w.weights, cfg)
+            assert weighted_objective(params, batch, w, cfg) == ref_obj
+            grad = gradient(params, batch, w, cfg)
+            for k in grad:
+                assert grad[k].tobytes() == np.ascontiguousarray(ref_grad[k]).tobytes()
+
+
+class TestFitLeavesInputsAlone:
+    """fit updates only the parameters and velocity it creates."""
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_inputs_unchanged(self, kind):
+        data = blob_dataset(n=45, seed=23)
+        data = Dataset(features=data.features, labels=data.labels, strata=data.labels % 2)
+        test = blob_dataset(n=20, seed=24)
+        w = WeightVector(np.random.default_rng(25).uniform(0.0, 2.0, data.n))
+        arrays = [data.features, data.labels, data.strata, w.weights, test.features, test.labels]
+        before = [a.copy() for a in arrays]
+        cfg = TrainConfig(lr=0.1, epochs=3, batch_size=8, seed=26, weight_decay=0.01)
+        params, _ = fit(data, w, kind, cfg, eval_data=test)
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
+        assert all(not np.shares_memory(p, a) for p in params.params.values() for a in arrays)
+
+
+def golden_instance(J, d=4):
     rng = np.random.default_rng(30 + J)
-    n, d = 257, 4  # 257 % 32 != 0: a short final batch
+    n = 257  # 257 = 8 * 32 + 1: the final batch is one row
     y = rng.integers(0, J, n)
     centers = rng.normal(scale=2.0, size=(J, d))
     X = centers[y] + rng.normal(size=(n, d))
@@ -424,9 +537,31 @@ class TestFitGoldenDigests:
                       "47541a54d18ebe0d310ec0d3439676f9f975c424154ce83e8dbce7aa9bcc1020"),
     }
 
-    @pytest.mark.parametrize("kind,J", sorted(DIGESTS))
-    def test_params_and_objective(self, kind, J):
-        data, w = golden_instance(J)
+    # d = 1 and d = 2 (an mlp hidden layer of (d + J) // 2 units), taken
+    # before training moved onto class-major arrays: numpy takes a product
+    # with a unit dimension through gemv/dot, whose sums depend on layout
+    SMALL_D = {
+        ("linear", 3, 1): ("eb7698b10cc165007660e0c7729dc6fca3bf81099cb969595413284bca0becb4",
+                           "cb291b3949bb8bd77de42376e3a00d8d9428a58d9d8850a5c74a108850bf832b"),
+        ("linear", 3, 2): ("e356fb622a123649d870c80e8b59b6f3ca9cfdd9867f00a53e95f296d87e6b15",
+                           "41c98a15886efd117228b7a0391d207c77567ae9563b20c148ecae8297088b1c"),
+        ("linear", 10, 1): ("a586c0b3a462a5862fa28f8a3412f88ededbf7a14c2ab8da8c0aaa651b254f9a",
+                            "352a86b3ec53c217cd6f7f05e4854f5f01fb7fdfec9565e554627f09dca9d0f2"),
+        ("linear", 10, 2): ("a79fd21413b4400f6419bfa186522e6b2bfd6b85fac2e57c62130c35a79e8acf",
+                            "3d3ba8c0a4eeb415abcf4d9399c1db97114ead0e76cb92b17b09e546822ea7bc"),
+        ("mlp", 3, 1): ("76fdcc5a6ec4a88d37f0a46091e454efeeb8230d4cb464f3661f3d121e0d75eb",
+                        "277cf343fba10949c1f2eb5bdac82debb2a535ff2a306141ad6e23e160c96003"),
+        ("mlp", 3, 2): ("5dbda8be9de379aff7aab280362b0e18f6a5e584269a9bed0b5c44e4e28e20fb",
+                        "768a7090944009e8d448e118bda99030a4b9d01cc71d3d569e9e96cac8606a3c"),
+        ("mlp", 10, 1): ("478683a3ac6574f318bbe91447201bb4c36252962e89ee6f035fa84223317185",
+                         "1fea5d296c93df3d0104b68afd04b876ce8357bc353345fdc78d2480d9fbde62"),
+        ("mlp", 10, 2): ("4c5d5e9556b415582f90eeb49c0f7fbdd7c3712ce480d26fb612e931f2a82c99",
+                         "43b98178a5fb272431bddbf7f5853c70369eb63689b8f471e103df532a49c9f7"),
+    }
+
+    @staticmethod
+    def digests(kind, J, d=4):
+        data, w = golden_instance(J, d)
         cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3,
                           epochs=6, batch_size=32, seed=40, init_std=0.1)
         params, log = fit(data, w, kind, cfg)
@@ -434,5 +569,12 @@ class TestFitGoldenDigests:
         for k in sorted(params.params):
             h.update(k.encode())
             h.update(params.params[k].tobytes())
-        objective = hashlib.sha256(np.asarray(log.objective).tobytes()).hexdigest()
-        assert (h.hexdigest(), objective) == self.DIGESTS[(kind, J)]
+        return h.hexdigest(), hashlib.sha256(np.asarray(log.objective).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("kind,J", sorted(DIGESTS))
+    def test_params_and_objective(self, kind, J):
+        assert self.digests(kind, J) == self.DIGESTS[(kind, J)]
+
+    @pytest.mark.parametrize("kind,J,d", sorted(SMALL_D))
+    def test_one_and_two_features(self, kind, J, d):
+        assert self.digests(kind, J, d) == self.SMALL_D[(kind, J, d)]
