@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ class BoundInputs:
         _check_rate(self.delta, "delta")
         if self.epsilon is not None and not 0.0 < self.epsilon < 0.5:
             raise ValidationError("epsilon must lie in (0, 1/2)")
+        if self.epsilon is not None and self.epsilon**2 == 0.0:
+            raise ValidationError("epsilon**2 underflows to 0")
         for name in ("L", "phi_sup", "rademacher"):
             value = getattr(self, name)
             if value is not None and not 0 <= value < math.inf:
@@ -90,6 +93,8 @@ class BoundInputs:
             raise ValidationError("max_pk must lie in (0, 1]")
         if self.K is not None:
             _check_count(self.K, "K", 1)
+        if max(self.n, self.K or 1) > sys.float_info.max:
+            raise ValidationError("n and K must not exceed the float range")
 
 
 @dataclass(frozen=True)

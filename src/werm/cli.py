@@ -27,12 +27,13 @@ from .core import (
 )
 
 
-def _load_pk(path) -> tuple[float, ...]:
+def _load_pk(path) -> list:
+    """The parsed JSON list; ``TargetPrior`` checks its entries."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, list):
         raise ValidationError("pk file must hold a JSON list of probabilities")
-    return tuple(float(v) for v in doc)
+    return doc
 
 
 def _emit(doc: dict) -> None:
@@ -121,10 +122,7 @@ def _cmd_bounds(args) -> None:
     inputs = bounds_mod.BoundInputs(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(bounds_mod.BoundInputs)}
     )
-    try:
-        result = bounds_mod.evaluate_bound(args.kind, inputs)
-    except ArithmeticError as exc:  # epsilon**2 underflows, or n or K is past the float range
-        raise NumericError(f"bound {args.kind!r} leaves the float range here ({exc})") from exc
+    result = bounds_mod.evaluate_bound(args.kind, inputs)
     _emit({"kind": args.kind, **dataclasses.asdict(result)})
 
 

@@ -102,9 +102,9 @@ def _check_seed(seed, name: str = "seed") -> None:
 
 
 def _check_rate(value: float, name: str) -> None:
-    """ValidationError unless ``value`` lies in the open interval (0, 1);
-    NaN is refused."""
-    if not 0.0 < value < 1.0:
+    """ValidationError unless ``value`` is a real number in the open interval
+    (0, 1); the type is tested first, and NaN is refused."""
+    if not (isinstance(value, (int, float, np.integer, np.floating)) and 0.0 < value < 1.0):
         raise ValidationError(f"{name} must lie in (0, 1)")
 
 

@@ -4,10 +4,10 @@ import bisect
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from werm import biasgen
 from werm.biasgen import (
     BiasSpec,
     apply_bias,
@@ -180,7 +180,7 @@ class TestSubsample:
 
 def reference_subsample(data, p_prime, seed, max_size=None):
     """The literal loop with a per-draw np.searchsorted over the cumulative
-    p', as the subsampler drew before it searched a Python list."""
+    p', as the subsampler drew before it searched a Python list; no checks."""
     p_prime = np.asarray(p_prime, dtype=float)
     pools = [np.flatnonzero(data.strata == k) for k in range(data.n_strata)]
     rng = np.random.default_rng(seed)
@@ -196,26 +196,7 @@ def reference_subsample(data, p_prime, seed, max_size=None):
         chosen.append(int(pools[k][j]))
         pools[k][j] = pools[k][sizes[k] - 1]
         sizes[k] -= 1
-    return chosen
-
-
-class TestSubsampleMatchesReference:
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_same_draws(self, seed):
-        rng = np.random.default_rng(seed)
-        K = int(rng.integers(1, 6))
-        data = strata_dataset(rng.integers(0, K, int(rng.integers(K, 400))), seed=seed)
-        data.n_strata = K
-        p_prime = rng.random(K) * (rng.random(K) < 0.8)  # some strata without mass
-        if p_prime.sum() == 0 or np.any((p_prime > 0) & (data.stratum_counts() == 0)):
-            p_prime = data.stratum_counts() / data.n
-        p_prime = p_prime / p_prime.sum()
-        max_size = None if seed % 2 else int(rng.integers(1, 300))
-        out = subsample_to_distribution(data, p_prime, seed, max_size=max_size)
-        chosen = reference_subsample(data, p_prime, seed, max_size=max_size)
-        np.testing.assert_array_equal(out.features, data.features[chosen])
-        np.testing.assert_array_equal(out.strata, data.strata[chosen])
+    return data.take(chosen)
 
 
 class TestApplyBias:
@@ -241,13 +222,13 @@ class TestApplyBias:
 
 
 # ---------------------------------------------------------------------------
-# The replayed random stream against numpy's Generator
+# The subsampler's law against the per-draw loop
 # ---------------------------------------------------------------------------
 
 
 def per_draw_subsample(data, p_prime, seed, max_size=None):
-    """The subsampler as it drew before it replayed its PCG64 in blocks: one
-    ``rng.random()`` and one ``rng.integers(size)`` per draw, with its checks."""
+    """The subsampler as a per-draw loop: one ``rng.random()`` and one
+    ``rng.integers(size)`` per draw, with its checks."""
     p_prime = np.asarray(p_prime, dtype=float)
     if p_prime.min() < 0 or abs(p_prime.sum() - 1.0) > 1e-9:
         raise ValidationError("p_prime must be a distribution summing to 1")
@@ -298,70 +279,120 @@ def subsample_cases(draw):
 def _outcome(fn, case):
     data, p_prime, seed, max_size = case
     try:
-        out = fn(data, p_prime, seed, max_size=max_size)
+        return fn(data, p_prime, seed, max_size=max_size)
     except ValidationError as exc:
         return type(exc)
-    return out.features.tobytes(), out.strata.tobytes()
 
 
 @given(subsample_cases())
 @settings(max_examples=300, deadline=None)
-def test_replay_equals_per_draw_loop(case):
-    assert _outcome(subsample_to_distribution, case) == _outcome(per_draw_subsample, case)
+def test_same_rules_as_per_draw_loop(case):
+    """The same error type as the loop; else distinct records of the input,
+    at most ``limit`` of them, and the same output for the same seed."""
+    data, p_prime, seed, max_size = case
+    out = _outcome(subsample_to_distribution, case)
+    loop = _outcome(per_draw_subsample, case)
+    if isinstance(out, type):
+        assert out is loop
+        return
+    assert not isinstance(loop, type)
+    rows = {row.tobytes(): k for row, k in zip(data.features, data.strata)}
+    taken = [row.tobytes() for row in out.features]
+    assert len(set(taken)) == len(taken)
+    assert [rows[row] for row in taken] == out.strata.tolist()
+    assert 1 <= out.n <= min(data.n if max_size is None else max_size, data.n)
+    assert np.all(p_prime[out.strata] > 0)
+    again = subsample_to_distribution(data, p_prime, seed, max_size=max_size)
+    assert again.features.tobytes() == out.features.tobytes()
 
 
-def test_rejected_draws_in_a_large_pool(monkeypatch):
-    """A pool of 2**20 + 1 records rejects about one 32-bit draw in 8,000.
-    Below size 2 nothing else breaks the block layout here, so every draw
-    taken one at a time follows a rejection."""
-    n = 2**20 + 1
-    data = Dataset(features=np.arange(n, dtype=float)[:, None], strata=np.zeros(n, dtype=int))
-    singles = []
-    below = biasgen._Stream.below
-    monkeypatch.setattr(biasgen._Stream, "below", lambda self, s: singles.append(s) or below(self, s))
-    out = subsample_to_distribution(data, [1.0], 0, max_size=40_000)
-    assert singles
-    assert out.features.tobytes() == per_draw_subsample(data, [1.0], 0, max_size=40_000).features.tobytes()
+def halting_law(sizes, p_prime, max_size=None):
+    """The exact probability of each output record sequence, by recursion
+    over the halting process: draw a stratum from p'; halt if it has no
+    records left, else take each of its untaken records with equal chance;
+    stop after ``max_size`` records.  Records are numbered stratum by
+    stratum."""
+    pools = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+    limit = sum(sizes) if max_size is None else min(max_size, sum(sizes))
+    law = {}
+
+    def walk(taken, prob):
+        if len(taken) == limit:
+            law[taken] = law.get(taken, 0.0) + prob
+            return
+        for pool, pk in zip(pools, p_prime):
+            if pk == 0:
+                continue
+            left = [r for r in pool.tolist() if r not in taken]
+            if not left:
+                law[taken] = law.get(taken, 0.0) + prob * pk
+            for r in left:
+                walk(taken + (r,), prob * pk / len(left))
+
+    walk((), 1.0)
+    return law
 
 
-def test_default_generator_is_pcg64():
-    """The replay reads PCG64 words as default_rng's Generator does."""
-    assert type(np.random.default_rng(0).bit_generator) is np.random.PCG64
+LAW_CASES = {
+    "sizes (2, 1)": ((2, 1), (0.5, 0.5), None),
+    "one stratum of 3": ((3,), (1.0,), None),
+    "(2, 2, 0), max_size 2": ((2, 2, 0), (0.6, 0.4, 0.0), 2),
+}
+# fixed before the first run
+LAW_SEEDS = range(50_000, 70_000)
 
 
-BOUNDS = [1, 2, 3, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 5]
+@pytest.mark.parametrize("fn", [subsample_to_distribution, per_draw_subsample, reference_subsample])
+@pytest.mark.parametrize("case", sorted(LAW_CASES))
+def test_output_sequences_follow_the_halting_law(case, fn):
+    """Over 20,000 seeds the output record sequences of the subsampler and of
+    both reference loops pass a chi-square test against their exact
+    probabilities at p >= 1e-6."""
+    sizes, p_prime, max_size = LAW_CASES[case]
+    law = halting_law(sizes, p_prime, max_size)
+    assert abs(sum(law.values()) - 1.0) < 1e-12
+    data = Dataset(features=np.arange(sum(sizes), dtype=float)[:, None],
+                   strata=np.repeat(np.arange(len(sizes)), sizes), n_strata=len(sizes))
+    seen = dict.fromkeys(law, 0)
+    for seed in LAW_SEEDS:
+        out = fn(data, p_prime, seed, max_size=max_size)
+        seen[tuple(out.features[:, 0].astype(int).tolist())] += 1
+    expected = np.array([law[k] for k in seen]) * len(LAW_SEEDS)
+    assert scipy.stats.chisquare(list(seen.values()), expected).pvalue >= 1e-6
 
 
-@pytest.mark.parametrize("m", BOUNDS)
-def test_scalar_draws_match_generator(m):
-    """random() and integers(m) interleaved: an integer after an integer
-    takes the buffered half, and the half is carried across a double."""
-    rng = np.random.default_rng([m, 3])
-    stream = biasgen._Stream([m, 3])
-    for op in "ididdiidiiiddi" * 50:
-        if op == "d":
-            assert stream.double() == rng.random()
-        else:
-            assert stream.below(m) == rng.integers(m)
+def test_many_single_record_strata():
+    """K = 20,000 strata of one record each under a uniform p': a run takes
+    distinct strata until the first stratum drawn twice, so its length L has
+    P(L >= m) = prod_{i < m} (1 - i/K); the mean over 100 seeds lies within
+    5 standard errors of E[L]."""
+    K = 20_000
+    data = Dataset(features=np.arange(K, dtype=float)[:, None], strata=np.arange(K))
+    i = np.arange(1, K)
+    survival = np.concatenate(([1.0], np.cumprod(1.0 - i / K)))
+    mean = survival.sum()
+    sd = np.sqrt((2 * np.arange(K) + 1) @ survival - mean**2)
+    lengths = []
+    for seed in range(100):
+        out = subsample_to_distribution(data, np.full(K, 1 / K), seed)
+        np.testing.assert_array_equal(out.features[:, 0], out.strata)
+        assert np.unique(out.strata).size == out.n
+        lengths.append(out.n)
+    assert abs(np.mean(lengths) - mean) <= 5 * sd / 10
 
 
-@pytest.mark.parametrize("m", BOUNDS[1:])
-@pytest.mark.parametrize("seed", range(12))
-def test_block_layout_matches_generator(m, seed):
-    """The block layout up to its first rejection, then the one-at-a-time
-    draws from the words and buffer it leaves (odd and even cuts)."""
-    rng = np.random.default_rng(seed)
-    stream = biasgen._Stream(seed)
-    u, x = stream.layout(301)
-    j, rejected = biasgen._lemire(x, np.full(301, m, dtype=np.uint64))
-    kept = int(rejected.argmax()) if rejected.any() else 301
-    for t in range(kept):
-        assert u[t] == rng.random()
-        assert j[t] == rng.integers(m)
-    stream.consume_layout(kept)
-    for _ in range(20):
-        assert stream.double() == rng.random()
-        assert stream.below(m) == rng.integers(m)
+def test_many_two_record_strata():
+    """K = 10,000 strata of two records each: distinct records, each of its
+    own stratum, at most two per stratum, and a halt before exhaustion."""
+    K = 10_000
+    strata = np.repeat(np.arange(K), 2)
+    data = Dataset(features=np.arange(2 * K, dtype=float)[:, None], strata=strata)
+    for seed in range(20):
+        out = subsample_to_distribution(data, np.full(K, 1 / K), seed)
+        picked = out.features[:, 0].astype(int)
+        assert np.unique(picked).size == out.n < data.n
+        np.testing.assert_array_equal(strata[picked], out.strata)
+        assert np.bincount(out.strata).max() <= 2
 
 
 class TestSubsampleArguments:
@@ -380,12 +411,11 @@ class TestSubsampleArguments:
         with pytest.raises(ValidationError, match="p_prime"):
             subsample_to_distribution(data, [np.nan, 1.0], 0)
 
-    def test_pool_beyond_32_bit_draws_refused(self, monkeypatch):
-        monkeypatch.setattr(biasgen, "_MAX_POOL", 20)
-        with pytest.raises(ValidationError, match="fewer than 20 records"):
-            subsample_to_distribution(strata_dataset(np.repeat([0, 1], [19, 20])), [0.5, 0.5], 0)
-        out = subsample_to_distribution(strata_dataset(np.repeat([0, 1], 19)), [0.5, 0.5], 0)
-        assert out.n > 0
+    @pytest.mark.parametrize("max_size", [0, -1, 2.5, True, "3"])
+    def test_max_size_refused(self, max_size):
+        data = strata_dataset(np.repeat([0, 1], 20))
+        with pytest.raises(ValidationError, match="max_size must be an integer >= 1"):
+            subsample_to_distribution(data, [0.5, 0.5], 0, max_size=max_size)
 
     def test_perm_seed_refused(self):
         with pytest.raises(ValidationError, match="perm_seed must be"):

@@ -410,7 +410,12 @@ class TestFormulaParity:
     def test_equal_to_branch_per_kind_formulas(self, kind, **fields):
         """value, terms, required_n and valid are ==-equal to the formulas
         written out per kind, errors included; the excess kinds' plug-in
-        term is 2 x the paired deviation bound at delta/2."""
+        term is 2 x the paired deviation bound at delta/2.  Inputs whose
+        epsilon**2 underflows to 0 are refused when they are built."""
+        if fields["epsilon"] is not None and fields["epsilon"] ** 2 == 0.0:
+            with pytest.raises(ValidationError, match="epsilon"):
+                BoundInputs(**fields)
+            return
         inputs = BoundInputs(**fields)
         evaluate = evaluate_bound if kind in EXCESS_BOUND_KINDS else deviation_bound
         got = _outcome(lambda: evaluate(kind, inputs))

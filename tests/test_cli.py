@@ -278,6 +278,19 @@ class TestWeightsCommand:
         assert f"{src}: line {line}: field larger than field limit" in err
         assert not (tmp_path / "w.csv").exists()
 
+    @pytest.mark.parametrize("doc", ['["a", 0.5, 0.5]', "[null, 0.5, 0.5]", "[{}, 1, 0]", "[[1], 0, 0]"])
+    @pytest.mark.parametrize("command", ["weights", "train"])
+    def test_junk_pk_file_entries_exit_2(self, tmp_path, capsys, command, doc):
+        """The parsed list goes to TargetPrior, whose stratum rule refuses it."""
+        src = write_strata_csv(tmp_path / "d.csv")
+        pk_file = tmp_path / "pk.json"
+        pk_file.write_text(doc)
+        argv = {"weights": ["--in", str(src), "--out", str(tmp_path / "w.csv"), "--mode"],
+                "train": ["--train", str(src), "--test", str(src), "--weights"]}[command]
+        code, out, err = run_cli(capsys, command, *argv, "strata", "--pk-file", str(pk_file))
+        assert (code, out) == (2, "")
+        assert "pk must be a nonempty vector of finite" in err
+
 
 class TestTrainCommand:
     def test_train_and_curve_contract(self, tmp_path, capsys):

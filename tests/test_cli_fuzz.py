@@ -1,6 +1,7 @@
 """``werm.cli.main`` under fuzzed input: experiment documents over every
-scenario, at tiny sizes, and ``bounds`` flag sets.  Each call returns one
-of the documented exit codes; only argparse's own usage exit escapes."""
+scenario, at tiny sizes, ``bounds`` flag sets, and ``biasgen``,
+``weights`` and ``train`` flags on tiny CSVs.  Each call returns one of the
+documented exit codes; only argparse's own usage exit escapes."""
 
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from werm import cli, experiment, synthetic
+from werm import analytic, cli, experiment, synthetic
 from werm.bounds import DEVIATION_BOUND_KINDS, EXCESS_BOUND_KINDS
 from werm.core import write_csv
 
@@ -92,13 +93,16 @@ def spec_documents(draw):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """A directory holding a small stratified CSV and one with labels only."""
+    """A directory holding a small stratified CSV, one with labels only, a
+    binary one and a censored one."""
     path = tmp_path_factory.mktemp("fuzz")
     gspec = synthetic.GaussianStrataSpec(n_strata=3, n_classes=3)
     data = synthetic.gaussian_strata_sample(gspec, 40, [0.5, 0.3, 0.2], 0)
     write_csv(data, path / "strata.csv")
     data.strata, data.n_strata = None, None
     write_csv(data, path / "labels.csv")
+    write_csv(analytic.sample(analytic.AnalyticModel(1.0, 1.0, 0.3), 40, 0.5, 0), path / "binary.csv")
+    write_csv(synthetic.censored_train_sample(synthetic.CensoredSpec(), 40, 0), path / "censored.csv")
     return path
 
 
@@ -159,3 +163,82 @@ def bound_argv(draw):
 @given(argv=bound_argv())
 def test_bounds_flags_exit_with_a_documented_code(workdir, argv):
     assert _main_in(workdir, argv) in EXIT_CODES
+
+
+# subcommand -> (an argv in range, and per flag the edge values it may get);
+# every output goes under out/, which _main_in removes
+DATA_COMMANDS = {
+    "biasgen": (
+        ["--in", "strata.csv", "--out", "out/b.csv", "--gamma", "0.5", "--seed", "1"],
+        {"--max-size": ["0", "-1", str(10**6), "1", "2.5"], "--gamma": ["0", "1", "2", "nan", "inf"],
+         "--seed": ["-1", str(2**64)], "--perm-seed": ["0", "-1"],
+         "--in": ["labels.csv", "binary.csv", "absent.csv"]},
+    ),
+    "weights": (
+        ["--in", "strata.csv", "--out", "out/w.csv", "--mode", "strata", "--pk-file", "pk.json",
+         "--p", "0.4"],
+        {"--mode": ["class", "pu", "ipcw"], "--p": ["0", "1", "nan", "-inf"],
+         "--in": ["binary.csv", "censored.csv", "labels.csv"], "--pk-file": ["absent.json"],
+         "--km-out": ["out/km.csv"]},
+    ),
+    "train": (
+        ["--train", "strata.csv", "--test", "strata.csv", "--weights", "strata", "--pk-file",
+         "pk.json", "--p", "0.4", "--epochs", "2", "--batch", "16"],
+        {"--batch": ["0", "-3"], "--epochs": ["-1", "0"], "--top-k": ["0", "3", "9"],
+         "--p": ["0", "1", "nan"], "--weights": ["none", "class", "pu", "ipcw"],
+         "--model": ["mlp"], "--lr": ["nan", "1e300"], "--seed": ["-1"],
+         "--train": ["binary.csv", "censored.csv"], "--test": ["labels.csv", "binary.csv"],
+         "--curve": ["out/curve.csv"]},
+    ),
+}
+# contents of pk.json: a distribution over the 3 strata, then junk
+PK_DOCS = [
+    "[0.5, 0.3, 0.2]", "[1.0]", '["a", 0.5, 0.5]', "[null, 1.0]", "[{}, 1]", "[[0.5], 0.5]",
+    "[NaN, 0.5, 0.5]", "[1e400, 0, 0]", "[true, false, false]", '{"pk": 1}', '"x"', "not json", "",
+]
+
+
+def _data_argv(command, edits):
+    argv = list(DATA_COMMANDS[command][0])
+    for flag, value in edits:
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    return [command, *argv]
+
+
+def _run_data_command(workdir, pk_doc, argv) -> int:
+    (workdir / "pk.json").write_text(pk_doc)
+    (workdir / "out").mkdir(exist_ok=True)
+    return _main_in(workdir, argv)
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value)
+    for command, (_, edges) in DATA_COMMANDS.items()
+    for flag, values in edges.items() for value in values
+])
+def test_each_edge_flag_exits_with_a_documented_code(workdir, command, flag, value):
+    assert _run_data_command(workdir, PK_DOCS[0], _data_argv(command, [(flag, value)])) in EXIT_CODES
+
+
+@pytest.mark.parametrize("command", ["weights", "train"])
+@pytest.mark.parametrize("pk_doc", PK_DOCS)
+def test_each_pk_file_exits_with_a_documented_code(workdir, command, pk_doc):
+    assert _run_data_command(workdir, pk_doc, _data_argv(command, [])) in EXIT_CODES
+
+
+@st.composite
+def data_argv(draw):
+    """``biasgen``, ``weights`` or ``train``, with up to three flags at an edge."""
+    command = draw(st.sampled_from(sorted(DATA_COMMANDS)))
+    edges = DATA_COMMANDS[command][1]
+    flags = draw(st.lists(st.sampled_from(sorted(edges)), max_size=3, unique=True))
+    return _data_argv(command, [(flag, draw(st.sampled_from(edges[flag]))) for flag in flags])
+
+
+@settings(FUZZ, max_examples=100)
+@given(argv=data_argv(), pk_doc=st.sampled_from(PK_DOCS))
+def test_data_commands_exit_with_a_documented_code(workdir, argv, pk_doc):
+    assert _run_data_command(workdir, pk_doc, argv) in EXIT_CODES

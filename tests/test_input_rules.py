@@ -94,16 +94,30 @@ RATE_SITES = {
     "oracle_class_shift_weights.p_train": (
         "p_train", lambda v: weights.oracle_class_shift_weights(STRATA_DATA, 0.5, v)),
     "oracle_pu_weights.q": ("q", lambda v: weights.oracle_pu_weights(STRATA_DATA, 0.5, v)),
+    "ExperimentSpec synthetic.p": ("synthetic.p", lambda v: experiment.ExperimentSpec(
+        scenario="analytic_excess", synthetic={"p": v})),
+    "ExperimentSpec synthetic.p_train": ("synthetic.p_train", lambda v: experiment.ExperimentSpec(
+        scenario="class_shift", synthetic={"p": 0.3, "p_train": v})),
 }
 
 
-@pytest.mark.parametrize("value", [0.0, 1.0, NAN])
+@pytest.mark.parametrize("value", [0.0, 1.0, NAN, "x"])
 @pytest.mark.parametrize("site", sorted(RATE_SITES))
 def test_rate_rule(site, value):
+    """A rate of the wrong type is refused like one out of range, not with
+    a raw TypeError from the comparison."""
     name, call = RATE_SITES[site]
     with pytest.raises(ValidationError) as err:
         call(value)
     assert str(err.value) == f"{name} must lie in (0, 1)"
+
+
+# a rate that a field requires: None is refused by the rate rule too
+@pytest.mark.parametrize("site", sorted(set(RATE_SITES) - {"TargetPrior.p", "BoundInputs.p"}))
+def test_required_rate_refuses_none(site):
+    name, call = RATE_SITES[site]
+    with pytest.raises(ValidationError, match=rf"^{name} must lie in \(0, 1\)$"):
+        call(None)
 
 
 # a NaN where a bound is required: rejected with the message a value out of
@@ -147,6 +161,19 @@ def test_nan_rejected(case):
 def test_bound_inputs_must_be_finite(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be >= 0 and finite"):
         bounds.BoundInputs(n=10, delta=0.1, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [({"epsilon": 1e-200}, "underflows"), ({"epsilon": 5e-324}, "underflows"),
+     ({"n": 10**400}, "float range"), ({"K": 10**309}, "float range")],
+)
+def test_bound_inputs_refuse_what_the_formulas_cannot_evaluate(fields, message):
+    """These used to reach the formulas and raise ZeroDivisionError or
+    OverflowError there."""
+    with pytest.raises(ValidationError, match=message):
+        bounds.BoundInputs(**{"n": 10, "delta": 0.5, **fields})
+    bounds.deviation_bound("approx1", bounds.BoundInputs(n=10**300, delta=0.5, epsilon=1e-150))
 
 
 @pytest.mark.parametrize(
@@ -268,7 +295,7 @@ BAD_SPECS = {
     "pairs a number": ({"scenario": "analytic_excess", "synthetic": {"pairs": 5}},
                        r"synthetic.pairs must be a list of \[alpha, beta\] pairs"),
     "p text, no pairs": ({"scenario": "analytic_excess", "synthetic": {"p": "x", "pairs": []}},
-                         "spec: .*not supported"),
+                         r"synthetic.p must lie in \(0, 1\)"),
     "p 1, no pairs": ({"scenario": "analytic_excess", "synthetic": {"p": 1.0, "pairs": []}},
                       r"synthetic.p must lie in \(0, 1\)"),
     "prior.pk too short": ({**STRATA, "prior": {"pk": [0.5, 0.5]}},

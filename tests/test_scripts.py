@@ -42,5 +42,5 @@ def test_strata_shift_seed_7_tree_is_pinned(tmp_path):
     proc = run_script("run_strata_shift.py", "out", 7, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert tree_digest(tmp_path / "out") == (
-        "beaf35897647fd2d0ca9aa23e45b4dbd35f8d2724f2dd30abff4dbbd7d1549b2"
+        "ea1f8c50fabccf3c089c704f519f6115b7609e2ab0866eaf21c8915db2c481df"
     )
