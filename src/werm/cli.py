@@ -102,8 +102,8 @@ def _cmd_train(args) -> None:
     )
     top_k = args.top_k if args.top_k is not None else min(5, J)
     _check_top_k(top_k, J)  # checked before training, not after it
-    metrics, log = experiment._fit_and_score(
-        train_data, w, test_data, args.model, cfg, top_k, curve=bool(args.curve)
+    [(metrics, log)] = experiment._fit_and_score(
+        train_data, [w], test_data, args.model, cfg, top_k, curve=bool(args.curve)
     )
     if args.curve:
         experiment.write_curve(args.curve, log.rows())
@@ -111,7 +111,7 @@ def _cmd_train(args) -> None:
         {
             "miss_rate": metrics["miss_rate"],
             "top_k_error": metrics["top_k_error"],
-            "sce": metrics["mean_sce"],
+            "sce": metrics["sce"],
             "top_k": top_k,
             "curve": args.curve,
         }

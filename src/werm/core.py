@@ -359,24 +359,32 @@ def weighted_empirical_risk(
 _PAIRWISE_BLOCK = 8
 
 
+def _class_rows(a: np.ndarray):
+    """Class-major (..., J, B) logits as (J, ..., B), so that iterating
+    gives the J class rows in order."""
+    return a.transpose(-2, *range(a.ndim - 2), -1)
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log softmax over the classes of class-major (J, B) logits, whose
-    column i holds record i's J logits, with max-logit subtraction.
+    """Log softmax over the classes of class-major (..., J, B) logits, whose
+    column i holds record i's J logits, with max-logit subtraction; any
+    leading axes (a stack of models) are independent.
 
     With J < 8 the max and the sum of exponentials fold over the J rows,
     J - 1 vector operations along B each: the max is ``np.maximum`` of
     rows 0, 1, ... and the sum is (e0 + e1) + e2 ....  The result is
-    bit-equal to the row reductions ``.max(axis=1)`` and ``.sum(axis=1)``
-    of the record-major (B, J) array, which is what the J >= 8 path runs,
-    on a record-major copy, because numpy's sum changes its order there
-    (see ``_PAIRWISE_BLOCK``); that path returns a transposed view.
+    bit-equal to the row reductions ``.max(axis=-1)`` and ``.sum(axis=-1)``
+    of the record-major (..., B, J) array, which is what the J >= 8 path
+    runs, on a record-major copy, because numpy's sum changes its order
+    there (see ``_PAIRWISE_BLOCK``); that path returns a transposed view.
     """
-    if len(logits) < _PAIRWISE_BLOCK:
-        z = logits - functools.reduce(np.maximum, logits)
-        return z - np.log(functools.reduce(np.add, np.exp(z)))
-    rows = np.ascontiguousarray(logits.T)
-    z = rows - rows.max(axis=1, keepdims=True)
-    return (z - np.log(np.exp(z).sum(axis=1))[:, None]).T
+    if logits.shape[-2] < _PAIRWISE_BLOCK:
+        z = logits - functools.reduce(np.maximum, _class_rows(logits))[..., None, :]
+        total = functools.reduce(np.add, _class_rows(np.exp(z)))
+        return z - np.log(total)[..., None, :]
+    rows = np.ascontiguousarray(logits.swapaxes(-1, -2))
+    z = rows - rows.max(axis=-1, keepdims=True)
+    return (z - np.log(np.exp(z).sum(axis=-1))[..., None]).swapaxes(-1, -2)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -384,8 +392,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
+def _class_major(data: Dataset, logits: np.ndarray, k: int | None = None) -> np.ndarray:
+    """A checked (J, n) copy of given (n, J) logits; ``k`` is checked as a
+    top-k over J classes when given."""
+    if data.labels is None:
+        raise SchemaError("metrics need labels")
+    logits = np.asarray(logits, dtype=float)
+    J = data.n_classes
+    if logits.shape != (data.n, J):
+        raise SchemaError(f"logits must have shape {(data.n, J)}")
+    if k is not None:
+        _check_top_k(k, J)
+    lt = np.ascontiguousarray(logits.T)
+    if not np.isfinite(lt).all():
+        raise NumericError("non-finite logits")
+    return lt
+
+
 def classification_metrics(data: Dataset, logits: np.ndarray, k: int) -> dict:
-    """Miss rate, top-k error, and mean cross-entropy of given (n, J) logits.
+    """Miss rate and top-k error of given (n, J) logits.
 
     Ties in the logit ranking are broken toward the lowest class id, so
     the metrics are deterministic.  ``miss_rate`` equals the top-1 error.
@@ -394,25 +419,17 @@ def classification_metrics(data: Dataset, logits: np.ndarray, k: int) -> dict:
     is counted: the classes with a larger logit, plus the lower-id classes
     with an equal one, which is its place in a stable descending sort.
     """
-    if data.labels is None:
-        raise SchemaError("metrics need labels")
-    logits = np.asarray(logits, dtype=float)
-    J = data.n_classes
-    if logits.shape != (data.n, J):
-        raise SchemaError(f"logits must have shape {(data.n, J)}")
-    _check_top_k(k, J)
-    lt = np.ascontiguousarray(logits.T)
-    if not np.isfinite(lt).all():
-        raise NumericError("non-finite logits")
-
-    records = np.arange(data.n)
-    own = lt[data.labels, records]
-    ahead = (lt > own) | ((lt == own) & (np.arange(J)[:, None] < data.labels))
+    lt = _class_major(data, logits, k)
+    own = lt[data.labels, np.arange(data.n)]
+    ahead = (lt > own) | ((lt == own) & (np.arange(data.n_classes)[:, None] < data.labels))
     ranks = ahead.sum(axis=0)
-    miss_rate = float(np.mean(ranks != 0))
-    top_k_error = float(np.mean(ranks >= k))
-    mean_sce = float(np.mean(-log_softmax(lt)[data.labels, records]))
-    return {"miss_rate": miss_rate, "top_k_error": top_k_error, "mean_sce": mean_sce}
+    return {"miss_rate": float(np.mean(ranks != 0)), "top_k_error": float(np.mean(ranks >= k))}
+
+
+def mean_cross_entropy(data: Dataset, logits: np.ndarray) -> float:
+    """Mean softmax cross-entropy of given (n, J) logits at the labels."""
+    lt = _class_major(data, logits)
+    return float(np.mean(-log_softmax(lt)[data.labels, np.arange(data.n)]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ seeds) next to its results so any bundle can be reproduced byte for byte
 from its own echo.  All randomness flows through seeds derived from
 ``base_seed``; the test set is drawn (or its CSV read, along with the
 training source CSV) once per experiment, training draws vary per
-replicate.  Only replicate 0's learning curves are emitted, so only its
-fits evaluate the test set every epoch.
+replicate.  A replicate's modes share one training set and one config,
+so they train as one stacked fit (``train.fit`` over their weight
+vectors), which gives each mode the bytes of a fit of its own.  Only
+replicate 0's learning curves are emitted, so only its fit evaluates the
+test set every epoch.
 
 Reweighting modes (:data:`MODE_WEIGHTS`)
 ----------------------------------------
@@ -48,6 +51,7 @@ from .core import (
     _check_seed,
     _check_top_k,
     classification_metrics,
+    mean_cross_entropy,
     read_csv,
     write_rows,
 )
@@ -370,16 +374,21 @@ def _analytic_excess_bundle(spec: ExperimentSpec) -> dict:
 
 
 def _fit_and_score(
-    trainset: Dataset, w: WeightVector, test: Dataset, model_kind: str,
+    trainset: Dataset, weights: list[WeightVector], test: Dataset, model_kind: str,
     cfg: train_mod.TrainConfig, top_k: int, curve: bool,
-) -> tuple[dict, train_mod.TrainingLog]:
-    """Train, then score the test set; returns its metrics and the training
-    log, whose per-epoch test scores are taken only when ``curve`` is set."""
-    params, log = train_mod.fit(
-        trainset, w, model_kind, cfg, eval_data=test if curve else None, top_k=top_k
+) -> list[tuple[dict, train_mod.TrainingLog]]:
+    """Train one model per weight vector in one stacked fit, then score the
+    test set with each; returns each model's test metrics and training log,
+    whose per-epoch test scores are taken only when ``curve`` is set."""
+    fits = train_mod.fit(
+        trainset, weights, model_kind, cfg, eval_data=test if curve else None, top_k=top_k
     )
-    metrics = classification_metrics(test, train_mod.logits_batch(params, test.features), k=top_k)
-    return metrics, log
+    scored = []
+    for params, log in fits:
+        logits = train_mod.logits_batch(params, test.features)
+        metrics = classification_metrics(test, logits, k=top_k)
+        scored.append(({**metrics, "sce": mean_cross_entropy(test, logits)}, log))
+    return scored
 
 
 def _failure(replicate: int, mode: str, exc: Exception) -> dict:
@@ -390,8 +399,12 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute generate/ingest -> bias -> weights -> fit -> evaluate per
     replicate; fully deterministic per base seed.
 
-    A ``WermError`` in a replicate is recorded in ``failures`` and the run
-    goes on; any other exception is a bug and propagates."""
+    A replicate computes every mode's weights, then fits the modes whose
+    weights it got in one stacked fit.  If that fit raises a ``WermError``
+    (say, one mode's logits blow up), the replicate refits those modes one
+    at a time, so a failure belongs to its own mode.  A ``WermError`` is
+    recorded in ``failures``, in replicate and mode order, and the run goes
+    on; any other exception is a bug and propagates."""
     bundle: dict = {
         "scenario": spec.scenario,
         "replicates": spec.replicates,
@@ -423,20 +436,34 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             continue
         if "p_prime" in ctx:
             realized_p_prime = [float(v) for v in ctx["p_prime"]]
+        cfg = spec.train_config(seed=rep_seed)
+        outcome: dict = {}  # mode -> its weights, then its (metrics, log); or its WermError
         for mode in spec.modes:
             try:
-                w = MODE_WEIGHTS[mode](trainset, ctx)
-                cfg = spec.train_config(seed=rep_seed)
-                # only replicate 0's learning curves are kept
-                metrics, log = _fit_and_score(
-                    trainset, w, test, spec.model_kind, cfg, spec.top_k, curve=r == 0
-                )
+                outcome[mode] = MODE_WEIGHTS[mode](trainset, ctx)
             except WermError as exc:  # replicate failure is data
-                bundle["failures"].append(_failure(r, mode, exc))
+                outcome[mode] = exc
+        ready = [m for m in spec.modes if not isinstance(outcome[m], WermError)]
+
+        def fit_and_score(modes):  # only replicate 0's learning curves are kept
+            return _fit_and_score(trainset, [outcome[m] for m in modes], test,
+                                  spec.model_kind, cfg, spec.top_k, curve=r == 0)
+
+        try:
+            outcome.update(zip(ready, fit_and_score(ready)) if ready else ())
+        except WermError:  # refit alone, so only the failing modes fail
+            for mode in ready:
+                try:
+                    (outcome[mode],) = fit_and_score([mode])
+                except WermError as exc:
+                    outcome[mode] = exc
+        for mode in spec.modes:
+            if isinstance(outcome[mode], WermError):
+                bundle["failures"].append(_failure(r, mode, outcome[mode]))
                 continue
-            per_mode[mode]["miss_rate"].append(metrics["miss_rate"])
-            per_mode[mode]["top_k_error"].append(metrics["top_k_error"])
-            per_mode[mode]["sce"].append(metrics["mean_sce"])
+            metrics, log = outcome[mode]
+            for metric, values in per_mode[mode].items():
+                values.append(metrics[metric])
             if r == 0:
                 curves[mode] = list(log.rows())
 

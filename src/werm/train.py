@@ -10,20 +10,25 @@ subtraction) and the penalty covers weight matrices only, never biases.
 Updates follow the classical momentum rule v <- momentum*v + lr*grad,
 params <- params - v, with velocity starting at zero.
 
-``fit`` gathers the rows of each epoch's shuffle once (``take``) with a
-(J, n) one-hot of their labels, and trains on batch slices of both; the
-public ``weighted_objective`` and ``gradient`` check a batch's schema and
-share the same step.  Per-epoch test metrics are computed only when
-``fit`` is given ``eval_data``.
+``fit`` trains one model per weight vector over one dataset, model kind
+and config.  The models share the init and every epoch's shuffle, so each
+epoch gathers the rows once (``take``), with a (J, n) one-hot of their
+labels and the (M, n) weights of the M models, and each batch slice takes
+one stacked step: parameters carry a leading M axis, logits are
+(M, J, B), and one ``momentum_step`` updates all M.  One vector is the
+stack M = 1, as is the step the public ``weighted_objective`` and
+``gradient`` run on a checked batch.  Per-epoch test metrics are
+computed, per model, only when ``fit`` is given ``eval_data``.
 
-The step holds logits and their gradient class-major, as (J, B) arrays,
-so its elementwise ops and ``core.log_softmax`` run along the B records.
-It keeps the bits of the record-major step it replaced: ``W.T @ X.T`` is
-the same BLAS product as ``X @ W``; subtracting the one-hot changes only
-the label entries (x - 0.0 is x); a bias gradient is the sequential sum
-along B (``_batch_sum``); and a weight gradient takes the gradient back to
-rows when the layer input is one column wide, where numpy computes a gemv
-whose sums depend on layout.
+The class-major (M, J, B) layout lets elementwise ops and
+``core.log_softmax`` run along the B records.  Each model keeps the bits
+of the one-model, record-major step this replaced: ``W.T @ X.T`` is the
+BLAS product of ``X @ W``, which a stacked matmul calls once per model;
+subtracting the one-hot changes only the label entries (x - 0.0 is x); an
+output-layer bias gradient is the sequential sum along B (``_batch_sum``);
+a weight gradient takes the gradient back to rows when the layer input is
+one column wide, where numpy computes a gemv whose sums depend on layout;
+and a model's epoch objective is a 1-d mean.
 
 Everything here is single-threaded and bit-reproducible per seed.
 """
@@ -31,6 +36,7 @@ Everything here is single-threaded and bit-reproducible per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -118,15 +124,21 @@ def init_params(kind: str, d: int, J: int, cfg: TrainConfig) -> ModelParams:
     )
 
 
+def _T(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix in a stack (of a lone matrix, ``a.T``)."""
+    return a.swapaxes(-1, -2)
+
+
 def _forward(params: ModelParams, X: np.ndarray):
-    """Class-major (J, B) logits of the (B, d) rows X, plus the (B, h)
-    hidden pre-activations and activations of an mlp."""
+    """Class-major (..., J, B) logits of the (B, d) rows X, plus the
+    (..., B, h) hidden pre-activations and activations of an mlp; the
+    leading axes are those of the parameter arrays."""
     p = params.params
     if params.kind == "linear":
-        return p["W"].T @ X.T + p["b"][:, None], None, None
-    pre = X @ p["W1"] + p["b1"]
+        return _T(p["W"]) @ X.T + p["b"][..., None], None, None
+    pre = X @ p["W1"] + p["b1"][..., None, :]
     hidden = np.maximum(pre, 0.0)
-    return p["W2"].T @ hidden.T + p["b2"][:, None], pre, hidden
+    return _T(p["W2"]) @ _T(hidden) + p["b2"][..., None], pre, hidden
 
 
 def logits_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
@@ -137,8 +149,8 @@ def logits_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return _forward(params, X)[0].T
 
 
-def _penalty(params: ModelParams) -> float:
-    return 0.5 * sum(float((params.params[k] ** 2).sum()) for k in params.weight_keys())
+def _penalty(params: ModelParams) -> np.ndarray:
+    return 0.5 * sum((params.params[k] ** 2).sum(axis=(-2, -1)) for k in params.weight_keys())
 
 
 def _one_hot(labels: np.ndarray, J: int) -> np.ndarray:
@@ -146,46 +158,50 @@ def _one_hot(labels: np.ndarray, J: int) -> np.ndarray:
 
 
 def _batch_sum(gout: np.ndarray) -> np.ndarray:
-    """The record-major ``.sum(axis=0)`` of a (J, B) gradient: numpy adds the
-    B rows in turn to +0.0, and a cumsum would keep a sum of -0.0s negative.
-    (At J = 1 numpy sums pairwise, but the gradient is then all +0.0.)"""
-    return gout.cumsum(axis=1)[:, -1] + 0.0
+    """The record-major ``.sum(axis=0)`` of a (..., J, B) gradient: numpy
+    adds the B rows in turn to +0.0, and a cumsum would keep a sum of -0.0s
+    negative.  (At J = 1 numpy sums pairwise, but the output-layer gradient
+    is then all +0.0.)"""
+    return gout.cumsum(axis=-1)[..., -1] + 0.0
 
 
 def _objective_and_gradient(
     params: ModelParams, X: np.ndarray, onehot: np.ndarray, w: np.ndarray, cfg: TrainConfig
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Objective and its exact gradient on raw batch arrays (rows X, the
-    (J, B) one-hot labels, weights w), from one forward pass and one
-    log-softmax.  The caller vouches for the schema."""
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Objectives and exact gradients of M models on one batch, from one
+    forward pass and one log-softmax.  The models are stacked along the
+    leading axis of each parameter array; the batch is the rows X, the
+    (J, B) one-hot labels, and one row of weights per model, (M, B).
+    Returns the (M,) objectives and gradients stacked like the params.
+    The caller vouches for the schema."""
     logits, pre, hidden = _forward(params, X)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits")
     logp = log_softmax(logits)
-    B = len(w)
-    picked = (logp * onehot).sum(axis=0)  # the other classes add z * 0.0
-    objective = float((w * -picked).sum() / B + cfg.weight_decay * _penalty(params))
+    B = w.shape[-1]
+    picked = (logp * onehot).sum(axis=-2)  # the other classes add z * 0.0
+    wd = cfg.weight_decay
+    objective = (w * -picked).sum(axis=-1) / B + wd * _penalty(params)
 
     gout = np.exp(logp)
     gout -= onehot
-    gout *= w / B  # d(objective)/d(logits), class-major
+    gout *= (w / B)[..., None, :]  # d(objective)/d(logits), class-major
     # a one-column layer input turns the products below into gemv
-    g = gout.T if params.dims[-2] > 1 else np.ascontiguousarray(gout.T)
-    wd = cfg.weight_decay
+    g = _T(gout) if params.dims[-2] > 1 else np.ascontiguousarray(_T(gout))
     p = params.params
     if params.kind == "linear":
         return objective, {"W": X.T @ g + wd * p["W"], "b": _batch_sum(gout)}
-    ghid = (g @ p["W2"].T) * (pre > 0.0)
+    ghid = (g @ _T(p["W2"])) * (pre > 0.0)
     return objective, {
         "W1": X.T @ ghid + wd * p["W1"],
-        "b1": ghid.sum(axis=0),
-        "W2": hidden.T @ g + wd * p["W2"],
+        "b1": ghid.sum(axis=-2),
+        "W2": _T(hidden) @ g + wd * p["W2"],
         "b2": _batch_sum(gout),
     }
 
 
-def _batch_arrays(params: ModelParams, batch: Dataset, w: WeightVector):
-    """The step's rows, one-hot labels and weights of a checked batch."""
+def _one_model_step(params: ModelParams, batch: Dataset, w: WeightVector, cfg: TrainConfig):
+    """The step of one model on a checked batch: a stack of M = 1."""
     if batch.labels is None:
         raise SchemaError("training batch needs labels")
     if len(w) != batch.n:
@@ -194,21 +210,24 @@ def _batch_arrays(params: ModelParams, batch: Dataset, w: WeightVector):
         raise SchemaError(f"feature dim {batch.d} != model dim {params.dims[0]}")
     if batch.labels.max() >= params.dims[-1]:
         raise SchemaError(f"label id exceeds the model's {params.dims[-1]} classes")
-    return batch.features, _one_hot(batch.labels, params.dims[-1]), w.weights
+    stack = ModelParams(params.kind, {k: v[None] for k, v in params.params.items()}, params.dims)
+    onehot = _one_hot(batch.labels, params.dims[-1])
+    objective, grad = _objective_and_gradient(stack, batch.features, onehot, w.weights[None], cfg)
+    return float(objective[0]), {k: v[0] for k, v in grad.items()}
 
 
 def weighted_objective(
     params: ModelParams, batch: Dataset, w: WeightVector, cfg: TrainConfig
 ) -> float:
     """Weighted mean cross-entropy plus the L2 penalty."""
-    return _objective_and_gradient(params, *_batch_arrays(params, batch, w), cfg)[0]
+    return _one_model_step(params, batch, w, cfg)[0]
 
 
 def gradient(
     params: ModelParams, batch: Dataset, w: WeightVector, cfg: TrainConfig
 ) -> dict[str, np.ndarray]:
     """Exact gradient of :func:`weighted_objective`, keyed like params."""
-    return _objective_and_gradient(params, *_batch_arrays(params, batch, w), cfg)[1]
+    return _one_model_step(params, batch, w, cfg)[1]
 
 
 def momentum_step(
@@ -246,44 +265,57 @@ class TrainingLog:
         return zip(self.epochs, self.objective, self.miss_rate, self.top_k_error)
 
 
+def _model(stack: ModelParams, m: int) -> ModelParams:
+    """Model m of a stack, as views."""
+    return ModelParams(stack.kind, {k: v[m] for k, v in stack.params.items()}, stack.dims)
+
+
 def fit(
     data: Dataset,
-    w: WeightVector,
+    weights: Sequence[WeightVector],
     kind: str,
     cfg: TrainConfig,
     eval_data: Dataset | None = None,
     top_k: int = 1,
-) -> tuple[ModelParams, TrainingLog]:
-    """Momentum batch gradient descent over seeded epoch shuffles.
+) -> list[tuple[ModelParams, TrainingLog]]:
+    """Momentum batch gradient descent over seeded epoch shuffles, one
+    model per weight vector, trained as one stack; returns a (params, log)
+    pair per vector, with the bits of a fit of that vector alone.
 
-    The log records, per epoch, the mean weighted batch objective and,
-    when ``eval_data`` is given, the miss / top-k error on it; with
+    A log records, per epoch, the mean weighted batch objective and, when
+    ``eval_data`` is given, the miss / top-k error on it; with
     ``eval_data=None`` nothing is evaluated and those lists stay empty.
     Evaluation never changes the trained parameters.  The final short
-    batch of an epoch is kept, averaged over its actual size.  Numeric
-    failures abort with the epoch and batch index.
+    batch of an epoch is kept, averaged over its actual size.  A numeric
+    failure of any model aborts with the epoch and batch index.
     """
     if data.labels is None:
         raise SchemaError("training data needs labels")
-    if len(w) != data.n:
+    if isinstance(weights, WeightVector) or not weights:
+        raise ValidationError("fit needs a sequence of one or more weight vectors")
+    if any(len(w) != data.n for w in weights):
         raise SchemaError("weights must match the dataset size")
-    params = init_params(kind, data.d, data.n_classes, cfg)
+    model = init_params(kind, data.d, data.n_classes, cfg)
+    params = ModelParams(
+        kind, {k: np.stack([v] * len(weights)) for k, v in model.params.items()}, model.dims
+    )
     velocity = zero_velocity(params)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
-    log = TrainingLog()
-    X, y, weights = data.features, data.labels, w.weights
+    logs = [TrainingLog() for _ in weights]
+    X, y = data.features, data.labels
+    W = np.stack([w.weights for w in weights])
 
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(data.n)
         # one gather per epoch; each batch is a slice of these
-        X_epoch, w_epoch = X.take(order, axis=0), weights.take(order)
+        X_epoch, w_epoch = X.take(order, axis=0), W.take(order, axis=1)
         onehot = _one_hot(y.take(order), data.n_classes)
         batch_objectives = []
         for start in range(0, data.n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
             try:
                 objective, grad = _objective_and_gradient(
-                    params, X_epoch[batch], onehot[:, batch], w_epoch[batch], cfg
+                    params, X_epoch[batch], onehot[:, batch], w_epoch[:, batch], cfg
                 )
             except NumericError as exc:
                 raise NumericError(
@@ -291,16 +323,19 @@ def fit(
                 ) from exc
             batch_objectives.append(objective)
             momentum_step(params, velocity, grad, cfg)
-        log.epochs.append(epoch)
-        log.objective.append(float(np.mean(batch_objectives)))
+        # a 1-d mean per model: numpy sums a 2-d array's columns in another order
+        for log, objectives in zip(logs, np.array(batch_objectives).T.copy()):
+            log.epochs.append(epoch)
+            log.objective.append(float(np.mean(objectives)))
         if eval_data is None:
             continue
-        try:
-            metrics = classification_metrics(
-                eval_data, logits_batch(params, eval_data.features), k=top_k
-            )
-        except NumericError as exc:
-            raise NumericError(f"{exc} (epoch {epoch}, evaluation)") from exc
-        log.miss_rate.append(metrics["miss_rate"])
-        log.top_k_error.append(metrics["top_k_error"])
-    return params, log
+        for m, log in enumerate(logs):
+            try:
+                metrics = classification_metrics(
+                    eval_data, logits_batch(_model(params, m), eval_data.features), k=top_k
+                )
+            except NumericError as exc:
+                raise NumericError(f"{exc} (epoch {epoch}, evaluation)") from exc
+            log.miss_rate.append(metrics["miss_rate"])
+            log.top_k_error.append(metrics["top_k_error"])
+    return [(_model(params, m), log) for m, log in enumerate(logs)]

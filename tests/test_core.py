@@ -16,6 +16,7 @@ from werm.core import (
     classification_metrics,
     empirical_risk,
     log_softmax,
+    mean_cross_entropy,
     per_record_losses,
     read_csv,
     softmax,
@@ -117,8 +118,8 @@ class TestMetrics:
 
     def test_per_record_sce_value(self):
         data = Dataset(features=np.zeros((1, 1)), labels=[0], n_classes=2)
-        out = classification_metrics(data, np.array([[1.0, 0.0]]), k=1)
-        assert out["mean_sce"] == pytest.approx(0.313262, abs=1e-6)
+        sce = mean_cross_entropy(data, np.array([[1.0, 0.0]]))
+        assert sce == pytest.approx(0.313262, abs=1e-6)
 
     def test_tie_broken_toward_lowest_class(self):
         data = Dataset(features=np.zeros((1, 1)), labels=[1], n_classes=3)
@@ -159,6 +160,8 @@ class TestSoftmax:
         data = Dataset(features=np.zeros((1, 1)), labels=[0], n_classes=2)
         with pytest.raises(NumericError):
             classification_metrics(data, np.array([[np.nan, 0.0]]), k=1)
+        with pytest.raises(NumericError):
+            mean_cross_entropy(data, np.array([[np.nan, 0.0]]))
 
 
 def row_log_softmax(logits):
@@ -179,7 +182,8 @@ class TestLogSoftmaxMatchesRowReductions:
     """The class-major kernel keeps the bits of the record-major row
     reductions on both sides of the J = 8 width where numpy's sum changes
     its order, for C-contiguous class-major input and for the transposed
-    view of record-major input; a numpy whose sum order moves fails here
+    view of record-major input, and for each (J, B) block of a stack with
+    one or two leading axes; a numpy whose sum order moves fails here
     instead of shifting results."""
 
     FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
@@ -202,6 +206,15 @@ class TestLogSoftmaxMatchesRowReductions:
             want = row_log_softmax(logits)
             assert_same_bits(log_softmax(np.ascontiguousarray(logits.T)).T, want)
             assert_same_bits(log_softmax(logits.T).T, want)
+            stack = log_softmax(np.stack([logits[::-1].T, logits.T]))
+            assert_same_bits(stack[1].T, want)
+            assert_same_bits(stack[0].T, want[::-1])
+            # two leading axes: each (J, B) block stays its own
+            grid = log_softmax(np.stack([[logits.T, logits[::-1].T], [-logits.T, logits.T]]))
+            assert_same_bits(grid[0, 0].T, want)
+            assert_same_bits(grid[0, 1].T, want[::-1])
+            assert_same_bits(grid[1, 0].T, row_log_softmax(-logits))
+            assert_same_bits(grid[1, 1].T, want)
 
     @pytest.mark.parametrize("J", [1, 2, 3, 7, 8, 9, 16])
     @pytest.mark.parametrize("B", [1000, 5000, 20000])
@@ -219,14 +232,19 @@ def argsort_metrics(data, logits, k):
     return {
         "miss_rate": float(np.mean(ranks != 0)),
         "top_k_error": float(np.mean(ranks >= k)),
-        "mean_sce": float(np.mean(-row_log_softmax(logits)[np.arange(data.n), data.labels])),
     }
 
 
+def row_mean_cross_entropy(data, logits):
+    """mean_cross_entropy on record-major logits, with row reductions."""
+    return float(np.mean(-row_log_softmax(logits)[np.arange(data.n), data.labels]))
+
+
 class TestMetricsMatchArgsortRanks:
-    """Counted ranks give the metrics of the stable argsort, ties and
-    mixed-sign zeros included, for record-major logits and for the
-    transposed view of class-major ones."""
+    """Counted ranks give the metrics of the stable argsort, and
+    ``mean_cross_entropy`` that of the row reductions, ties and mixed-sign
+    zeros included, for record-major logits and for the transposed view of
+    class-major ones."""
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -245,6 +263,9 @@ class TestMetricsMatchArgsortRanks:
         want = argsort_metrics(ds, logits, k)
         assert classification_metrics(ds, logits, k) == want
         assert classification_metrics(ds, np.ascontiguousarray(logits.T).T, k) == want
+        sce = row_mean_cross_entropy(ds, logits)
+        assert mean_cross_entropy(ds, logits) == sce
+        assert mean_cross_entropy(ds, np.ascontiguousarray(logits.T).T) == sce
 
     @pytest.mark.parametrize("J", [2, 3, 7, 8, 10])
     def test_equal_at_test_set_size(self, J):
@@ -255,6 +276,7 @@ class TestMetricsMatchArgsortRanks:
         ds = Dataset(features=np.zeros((n, 1)), labels=rng.integers(0, J, n), n_classes=J)
         for k in range(1, J + 1):
             assert classification_metrics(ds, logits, k) == argsort_metrics(ds, logits, k)
+        assert mean_cross_entropy(ds, logits) == row_mean_cross_entropy(ds, logits)
 
 
 class TestDatasetValidation:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from werm import analytic, biasgen, synthetic, train as train_mod, weights as weights_mod
-from werm.core import EmptyStratumError, ValidationError, write_csv
+from werm.core import EmptyStratumError, ValidationError, WeightVector, write_csv
 from werm.experiment import (
     MODE_WEIGHTS,
     SCENARIO_MODES,
@@ -244,6 +244,7 @@ class TestEmittedBytes:
 
 class TestEvaluationCount:
     def test_only_the_curve_replicate_is_evaluated_per_epoch(self, monkeypatch):
+        """Replicate 0's stacked fit scores each mode's model once an epoch."""
         calls = []
         real = train_mod.classification_metrics
 
@@ -351,6 +352,42 @@ class TestScenarios:
         ]
         assert len(bundle["modes"]["uniform"]["miss_rate"]["values"]) == spec.replicates
         assert bundle["modes"]["strata"]["miss_rate"]["values"] == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_modes_leave_the_others_alone(self, monkeypatch):
+        """A replicate's modes train as one stacked fit.  When one mode's
+        weights blow the logits up and another's raise a typed error, the
+        failures read as if each mode had been fitted alone, in mode order,
+        and the other modes keep the bytes of a run without those two."""
+
+        def blowup(data, ctx):
+            return WeightVector(np.full(data.n, 1e308))
+
+        def empty(data, ctx):
+            raise EmptyStratumError(2)
+
+        def spec(*modes):
+            # at this rate lr * gradient overflows under weights of 1e308,
+            # while the unit-scale weights of the other modes stay finite
+            return small_strata_spec(modes=modes, train={**FAST_TRAIN, "lr": 1000.0})
+
+        monkeypatch.setitem(MODE_WEIGHTS, "strata", blowup)
+        monkeypatch.setitem(MODE_WEIGHTS, "oracle", empty)
+        bundle = run_experiment(spec("uniform", "strata", "class", "oracle"))
+        alone = run_experiment(spec("strata"))["failures"]
+        replicates = bundle["replicates"]
+        assert [f["replicate"] for f in alone] == list(range(replicates))
+        assert all(f["error"].startswith("NumericError: non-finite logits (epoch ") for f in alone)
+        oracle = "EmptyStratumError: stratum 2 is empty"
+        assert bundle["failures"] == [
+            f for r in range(replicates)
+            for f in (alone[r], {"replicate": r, "mode": "oracle", "error": oracle})
+        ]
+        rest = run_experiment(spec("uniform", "class"))
+        for mode in ("uniform", "class"):
+            assert json.dumps(bundle["modes"][mode]) == json.dumps(rest["modes"][mode])
+            assert bundle["curves"][mode] == rest["curves"][mode]
+        assert set(bundle["curves"]) == {"uniform", "class"}
 
     @pytest.mark.parametrize(
         "module,name,exc",

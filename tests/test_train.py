@@ -31,6 +31,12 @@ def blob_dataset(n=60, seed=0, separation=3.0):
     return Dataset(features=X, labels=y, n_classes=2)
 
 
+def fit_one(data, w, kind, cfg, **kwargs):
+    """fit over one weight vector; its (params, log)."""
+    (result,) = fit(data, [w], kind, cfg, **kwargs)
+    return result
+
+
 def random_instance(rng, kind):
     d = int(rng.integers(1, 6))
     J = int(rng.integers(2, 5))
@@ -331,13 +337,13 @@ class TestFit:
     def test_descends_on_separable_blob(self):
         data = blob_dataset()
         cfg = TrainConfig(lr=1e-4, epochs=5, batch_size=20, seed=3)
-        _, log = fit(data, WeightVector.ones(data.n), "linear", cfg)
+        _, log = fit_one(data, WeightVector.ones(data.n), "linear", cfg)
         assert log.objective[-1] < log.objective[0]
 
     def test_zero_epochs_returns_initial_params(self):
         data = blob_dataset()
         cfg = TrainConfig(epochs=0, seed=4)
-        params, log = fit(data, WeightVector.ones(data.n), "linear", cfg)
+        params, log = fit_one(data, WeightVector.ones(data.n), "linear", cfg)
         expected = init_params("linear", data.d, data.n_classes, cfg)
         np.testing.assert_array_equal(params.params["W"], expected.params["W"])
         assert log.epochs == []
@@ -347,8 +353,8 @@ class TestFit:
         test = blob_dataset(seed=16)
         cfg = TrainConfig(lr=0.01, epochs=4, batch_size=16, seed=6)
         w = WeightVector.ones(data.n)
-        p1, log1 = fit(data, w, "mlp", cfg, eval_data=test)
-        p2, log2 = fit(data, w, "mlp", cfg, eval_data=test)
+        p1, log1 = fit_one(data, w, "mlp", cfg, eval_data=test)
+        p2, log2 = fit_one(data, w, "mlp", cfg, eval_data=test)
         assert log1.objective == log2.objective
         assert len(log1.miss_rate) == 4
         assert log1.miss_rate == log2.miss_rate
@@ -361,7 +367,7 @@ class TestFit:
             lr=1e-4, momentum=0.0, weight_decay=0.1, epochs=15,
             batch_size=data.n, seed=8,
         )
-        _, log = fit(data, WeightVector.ones(data.n), "linear", cfg)
+        _, log = fit_one(data, WeightVector.ones(data.n), "linear", cfg)
         assert all(b <= a + 1e-12 for a, b in zip(log.objective, log.objective[1:]))
 
     def test_integer_weights_equal_duplicated_records(self):
@@ -376,15 +382,15 @@ class TestFit:
         dup = base.take(dup_idx)
         cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=0.01,
                           epochs=6, batch_size=4, seed=10)
-        _, log_w = fit(base, WeightVector(w), "linear", cfg)
-        _, log_d = fit(dup, WeightVector.ones(4), "linear", cfg)
+        _, log_w = fit_one(base, WeightVector(w), "linear", cfg)
+        _, log_d = fit_one(dup, WeightVector.ones(4), "linear", cfg)
         np.testing.assert_allclose(log_w.objective, log_d.objective, atol=1e-10)
 
     def test_eval_data_drives_metrics(self):
         train = blob_dataset(seed=11)
         test = blob_dataset(seed=12)
         cfg = TrainConfig(lr=0.05, epochs=3, batch_size=30, seed=13)
-        _, log = fit(train, WeightVector.ones(train.n), "linear", cfg, eval_data=test)
+        _, log = fit_one(train, WeightVector.ones(train.n), "linear", cfg, eval_data=test)
         assert len(log.miss_rate) == 3
         assert all(0.0 <= m <= 1.0 for m in log.miss_rate)
 
@@ -393,8 +399,8 @@ class TestFit:
         test = blob_dataset(seed=18)
         cfg = TrainConfig(lr=0.05, epochs=3, batch_size=25, seed=19)
         w = WeightVector.ones(train.n)
-        p_lean, log_lean = fit(train, w, "mlp", cfg)
-        p_eval, log_eval = fit(train, w, "mlp", cfg, eval_data=test)
+        p_lean, log_lean = fit_one(train, w, "mlp", cfg)
+        p_eval, log_eval = fit_one(train, w, "mlp", cfg, eval_data=test)
         for k in p_eval.params:
             np.testing.assert_array_equal(p_lean.params[k], p_eval.params[k])
         assert log_lean.objective == log_eval.objective
@@ -407,7 +413,7 @@ class TestFit:
         data = blob_dataset(seed=14)
         cfg = TrainConfig(lr=1e18, epochs=30, batch_size=60, seed=15, weight_decay=1.0)
         with pytest.raises(NumericError, match=r"non-finite logits \(epoch \d+, batch 0\)"):
-            fit(data, WeightVector.ones(data.n), "linear", cfg)
+            fit_one(data, WeightVector.ones(data.n), "linear", cfg)
 
 
 class TestFitMatchesReferenceLoop:
@@ -425,7 +431,7 @@ class TestFitMatchesReferenceLoop:
             w[:] = 0.0
         cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3,
                           epochs=5, batch_size=10, seed=22, init_std=0.1)
-        params, log = fit(data, WeightVector(w), kind, cfg)
+        params, log = fit_one(data, WeightVector(w), kind, cfg)
         ref_params, ref_objective = reference_fit(data, WeightVector(w), kind, cfg)
         for k in ref_params.params:
             np.testing.assert_array_equal(params.params[k], ref_params.params[k])
@@ -463,7 +469,11 @@ class TestStepMatchesRowMajor:
         elif weights == "some_zero":
             w[rng.random(n) < 0.4] = 0.0
         onehot = train_mod._one_hot(y, J)
-        got = train_mod._objective_and_gradient(params, X[batch], onehot[:, batch], w[batch], cfg)
+        stack = ModelParams(kind, {k: v[None] for k, v in params.params.items()}, params.dims)
+        obj, grad = train_mod._objective_and_gradient(
+            stack, X[batch], onehot[:, batch], w[None, batch], cfg
+        )
+        got = float(obj[0]), {k: v[0] for k, v in grad.items()}
         want = row_major_step(params, X[batch], y[batch], w[batch], cfg)
         return (B, d, J), got, want
 
@@ -503,10 +513,66 @@ class TestFitLeavesInputsAlone:
         arrays = [data.features, data.labels, data.strata, w.weights, test.features, test.labels]
         before = [a.copy() for a in arrays]
         cfg = TrainConfig(lr=0.1, epochs=3, batch_size=8, seed=26, weight_decay=0.01)
-        params, _ = fit(data, w, kind, cfg, eval_data=test)
+        params, _ = fit_one(data, w, kind, cfg, eval_data=test)
         for a, b in zip(arrays, before):
             assert a.tobytes() == b.tobytes()
         assert all(not np.shares_memory(p, a) for p in params.params.values() for a in arrays)
+
+
+class TestStackedFit:
+    """fit over M weight vectors gives each model the bytes of its own
+    one-vector fit, and evaluates each model once per epoch."""
+
+    CASES = [  # (n, d, J, batch_size)
+        (53, 2, 3, 10),  # a short final batch; J on log_softmax's fold path
+        (41, 3, 9, 8),  # J on the row path
+        (12, 1, 4, 1),  # B = 1 and d = 1; 12 batch objectives, summed pairwise
+        (30, 1, 12, 7),  # d = 1 on the row path
+        (20, 1, 2, 2),  # the mlp has one hidden unit
+    ]
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("n,d,J,B", CASES)
+    def test_same_bytes_as_one_vector_fits(self, monkeypatch, kind, n, d, J, B):
+        rng = np.random.default_rng([n, d, J, B])
+        data = Dataset(features=rng.normal(scale=2.0, size=(n, d)),
+                       labels=rng.integers(0, J, n), n_classes=J)
+        test = Dataset(features=rng.normal(size=(25, d)), labels=rng.integers(0, J, 25),
+                       n_classes=J)
+        some_zero = rng.uniform(0.0, 3.0, n)
+        some_zero[::3] = 0.0
+        weights = [WeightVector(v) for v in
+                   (rng.uniform(0.0, 3.0, n), np.zeros(n), some_zero, np.ones(n))]
+        cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=4,
+                          batch_size=B, seed=n, init_std=0.3)
+        calls = []
+        real = train_mod.classification_metrics
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "classification_metrics", counting)
+        stacked = fit(data, weights, kind, cfg, eval_data=test, top_k=2)
+        stacked_calls = len(calls)
+        alone = [fit_one(data, w, kind, cfg, eval_data=test, top_k=2) for w in weights]
+        assert stacked_calls == len(calls) - stacked_calls == cfg.epochs * len(weights)
+        assert len(stacked) == len(weights)
+        for (params, log), (ref_params, ref_log) in zip(stacked, alone):
+            assert sorted(params.params) == sorted(ref_params.params)
+            for k in params.params:
+                assert params.params[k].tobytes() == ref_params.params[k].tobytes(), k
+            assert np.asarray(log.objective).tobytes() == np.asarray(ref_log.objective).tobytes()
+            assert list(log.rows()) == list(ref_log.rows())
+
+    def test_weight_vectors_checked(self):
+        data = blob_dataset(n=10)
+        cfg = TrainConfig(epochs=1)
+        for bad in (WeightVector.ones(10), []):
+            with pytest.raises(ValidationError, match="sequence"):
+                fit(data, bad, "linear", cfg)
+        with pytest.raises(SchemaError, match="dataset size"):
+            fit(data, [WeightVector.ones(10), WeightVector.ones(9)], "linear", cfg)
 
 
 def golden_instance(J, d=4):
@@ -564,7 +630,7 @@ class TestFitGoldenDigests:
         data, w = golden_instance(J, d)
         cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3,
                           epochs=6, batch_size=32, seed=40, init_std=0.1)
-        params, log = fit(data, w, kind, cfg)
+        params, log = fit_one(data, w, kind, cfg)
         h = hashlib.sha256()
         for k in sorted(params.params):
             h.update(k.encode())
