@@ -131,11 +131,10 @@ def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-    if args.seed is not None:
-        doc["base_seed"] = args.seed
-    if args.out is not None:
-        doc["out_dir"] = args.out
-    spec = experiment.ExperimentSpec.from_json(doc)
+    overrides = {"base_seed": args.seed, "out_dir": args.out}
+    spec = experiment.ExperimentSpec.from_json(
+        doc, **{k: v for k, v in overrides.items() if v is not None}
+    )
     bundle = experiment.run_experiment(spec)
     if spec.out_dir:
         written = experiment.emit_results(bundle, spec.out_dir)

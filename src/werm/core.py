@@ -24,7 +24,6 @@ A missing optional column means the field is absent for every record.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -351,45 +350,18 @@ def weighted_empirical_risk(
 # ---------------------------------------------------------------------------
 
 
-# numpy's pairwise summation (``pairwise_sum`` in
-# numpy/_core/src/umath/loops_utils.h.src) adds a row of fewer than 8 terms
-# left to right, but from 8 terms on it keeps 8 partial sums and adds them
-# as a tree.  Only below this width does the fold (e0 + e1) + e2 ... over
-# the class rows give the bits of the record-major ``.sum(axis=1)``.
-_PAIRWISE_BLOCK = 8
-
-
-def _class_rows(a: np.ndarray):
-    """Class-major (..., J, B) logits as (J, ..., B), so that iterating
-    gives the J class rows in order."""
-    return a.transpose(-2, *range(a.ndim - 2), -1)
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log softmax over the classes of class-major (..., J, B) logits, whose
     column i holds record i's J logits, with max-logit subtraction; any
     leading axes (a stack of models) are independent.
 
-    With J < 8 the max and the sum of exponentials fold over the J rows,
-    J - 1 vector operations along B each: the max is ``np.maximum`` of
-    rows 0, 1, ... and the sum is (e0 + e1) + e2 ....  The result is
-    bit-equal to the row reductions ``.max(axis=-1)`` and ``.sum(axis=-1)``
-    of the record-major (..., B, J) array, which is what the J >= 8 path
-    runs, on a record-major copy, because numpy's sum changes its order
-    there (see ``_PAIRWISE_BLOCK``); that path returns a transposed view.
+    The logits are made C-contiguous first (a no-op for the class-major
+    arrays werm passes), so the bits do not depend on the input's layout and
+    each (J, B) block of a stack gets the bits it gets alone.
     """
-    if logits.shape[-2] < _PAIRWISE_BLOCK:
-        z = logits - functools.reduce(np.maximum, _class_rows(logits))[..., None, :]
-        total = functools.reduce(np.add, _class_rows(np.exp(z)))
-        return z - np.log(total)[..., None, :]
-    rows = np.ascontiguousarray(logits.swapaxes(-1, -2))
-    z = rows - rows.max(axis=-1, keepdims=True)
-    return (z - np.log(np.exp(z).sum(axis=-1))[..., None]).swapaxes(-1, -2)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the classes of class-major (J, B) logits."""
-    return np.exp(log_softmax(logits))
+    logits = np.ascontiguousarray(logits)
+    z = logits - logits.max(axis=-2, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-2, keepdims=True))
 
 
 def _class_major(data: Dataset, logits: np.ndarray, k: int | None = None) -> np.ndarray:

@@ -95,6 +95,8 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not (isinstance(value, dict) or (name == "bias" and value is None)):
                 raise ValidationError(f"spec field {name!r} must be a JSON object")
+        if not isinstance(self.modes, (list, tuple)) or not self.modes:
+            raise ValidationError("modes must be a nonempty list of reweighting mode names")
         self.modes = tuple(self.modes)
         allowed = SCENARIO_MODES[self.scenario]
         for m in self.modes:
@@ -103,6 +105,8 @@ class ExperimentSpec:
                     f"scenario {self.scenario!r} cannot run reweighting mode {m!r}; "
                     f"it runs {', '.join(allowed)}"
                 )
+        if len(set(self.modes)) != len(self.modes):
+            raise ValidationError(f"modes repeat a mode: {list(self.modes)}")
         for name in ("top_k", "replicates", "n_train", "n_test"):
             _check_count(getattr(self, name), name, 1)
         csvs = [p for p in (self.train_csv, self.test_csv) if p is not None]
@@ -173,7 +177,12 @@ class ExperimentSpec:
         return _build(analytic.AnalyticModel, "synthetic", {"alpha": 1.0, "beta": 1.0, **syn})
 
     @staticmethod
-    def from_json(doc: dict) -> "ExperimentSpec":
+    def from_json(doc: dict, **overrides) -> "ExperimentSpec":
+        """The spec of a parsed JSON document, with ``overrides`` set over
+        its fields; a document that is not an object raises ValidationError."""
+        if not isinstance(doc, dict):
+            raise ValidationError("a spec document must be a JSON object")
+        doc = {**doc, **overrides}
         known = {f.name for f in dataclasses.fields(ExperimentSpec)}
         unknown = set(doc) - known
         if unknown:

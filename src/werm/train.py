@@ -21,14 +21,12 @@ stack M = 1, as is the step the public ``weighted_objective`` and
 computed, per model, only when ``fit`` is given ``eval_data``.
 
 The class-major (M, J, B) layout lets elementwise ops and
-``core.log_softmax`` run along the B records.  Each model keeps the bits
-of the one-model, record-major step this replaced: ``W.T @ X.T`` is the
-BLAS product of ``X @ W``, which a stacked matmul calls once per model;
-subtracting the one-hot changes only the label entries (x - 0.0 is x); an
-output-layer bias gradient is the sequential sum along B (``_batch_sum``);
-a weight gradient takes the gradient back to rows when the layer input is
-one column wide, where numpy computes a gemv whose sums depend on layout;
-and a model's epoch objective is a 1-d mean.
+``core.log_softmax`` run along the B records.  A stacked fit gives each
+model the bytes of its own one-vector fit: a stacked matmul calls the
+BLAS product once per model, the reductions run per model, and a model's
+epoch objective is a 1-d mean.  No summation order is part of the step's
+definition: tests hold it within a rounding bound of the same step in
+extended precision.
 
 Everything here is single-threaded and bit-reproducible per seed.
 """
@@ -157,14 +155,6 @@ def _one_hot(labels: np.ndarray, J: int) -> np.ndarray:
     return (np.arange(J)[:, None] == labels).astype(float)
 
 
-def _batch_sum(gout: np.ndarray) -> np.ndarray:
-    """The record-major ``.sum(axis=0)`` of a (..., J, B) gradient: numpy
-    adds the B rows in turn to +0.0, and a cumsum would keep a sum of -0.0s
-    negative.  (At J = 1 numpy sums pairwise, but the output-layer gradient
-    is then all +0.0.)"""
-    return gout.cumsum(axis=-1)[..., -1] + 0.0
-
-
 def _objective_and_gradient(
     params: ModelParams, X: np.ndarray, onehot: np.ndarray, w: np.ndarray, cfg: TrainConfig
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -186,17 +176,16 @@ def _objective_and_gradient(
     gout = np.exp(logp)
     gout -= onehot
     gout *= (w / B)[..., None, :]  # d(objective)/d(logits), class-major
-    # a one-column layer input turns the products below into gemv
-    g = _T(gout) if params.dims[-2] > 1 else np.ascontiguousarray(_T(gout))
+    g = _T(gout)
     p = params.params
     if params.kind == "linear":
-        return objective, {"W": X.T @ g + wd * p["W"], "b": _batch_sum(gout)}
+        return objective, {"W": X.T @ g + wd * p["W"], "b": gout.sum(axis=-1)}
     ghid = (g @ _T(p["W2"])) * (pre > 0.0)
     return objective, {
         "W1": X.T @ ghid + wd * p["W1"],
         "b1": ghid.sum(axis=-2),
         "W2": _T(hidden) @ g + wd * p["W2"],
-        "b2": _batch_sum(gout),
+        "b2": gout.sum(axis=-1),
     }
 
 

@@ -69,12 +69,16 @@ CSV_PAIRS = st.sampled_from([
 JUNK = st.sampled_from(
     [None, True, -1, 0, 2.5, float("nan"), math.inf, "x", [], {}, [1], [[1]], [["a", 1]]]
 )
+# whole documents that are not JSON objects
+NOT_OBJECTS = st.sampled_from([None, 5, "s", [], [1], [["scenario", "pu"]]])
 
 
 @st.composite
 def spec_documents(draw):
     """A document for one scenario, with up to two of its fields, or of its
-    synthetic fields, set to junk."""
+    synthetic fields, set to junk; one in ten is not an object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(NOT_OBJECTS)
     scenario = draw(st.sampled_from(sorted(SYNTHETIC)))
     required, optional = SYNTHETIC[scenario]
     modes = st.lists(st.sampled_from(experiment.SCENARIO_MODES[scenario]), min_size=1, max_size=3)
@@ -121,10 +125,11 @@ def _main_in(directory, argv) -> int:
 
 
 @FUZZ
-@given(doc=spec_documents(), out=st.booleans())
-def test_experiment_documents_exit_with_a_documented_code(workdir, doc, out):
+@given(doc=spec_documents(), out=st.booleans(), seed=st.booleans())
+def test_experiment_documents_exit_with_a_documented_code(workdir, doc, out, seed):
     (workdir / "spec.json").write_text(json.dumps(doc))
     argv = ["experiment", "--config", "spec.json"] + (["--out", "out"] if out else [])
+    argv += ["--seed", "3"] if seed else []
     assert _main_in(workdir, argv) in EXIT_CODES
 
 

@@ -19,7 +19,6 @@ from werm.core import (
     mean_cross_entropy,
     per_record_losses,
     read_csv,
-    softmax,
     weighted_empirical_risk,
     write_csv,
 )
@@ -147,9 +146,9 @@ class TestSoftmax:
     def test_rows_sum_to_one_and_shift_invariant(self, seed):
         rng = np.random.default_rng(seed)
         logits = rng.normal(scale=5.0, size=(5, 8))  # class-major: 8 records
-        probs = softmax(logits)
+        probs = np.exp(log_softmax(logits))
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-12)
-        shifted = softmax(logits + 42.0)
+        shifted = np.exp(log_softmax(logits + 42.0))
         np.testing.assert_allclose(probs, shifted, atol=1e-12)
 
     def test_log_softmax_stable_for_large_logits(self):
@@ -164,10 +163,35 @@ class TestSoftmax:
             mean_cross_entropy(data, np.array([[np.nan, 0.0]]))
 
 
-def row_log_softmax(logits):
-    """log_softmax as one max and one sum reduction along each row."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+U = 2.0**-53  # the unit roundoff of float64
+# the reference computations run in np.longdouble, which must be wider
+LONGDOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is float64 here"
+)
+
+
+def longdouble_log_softmax(logits):
+    """log_softmax of class-major (..., J, B) logits, one max and one sum
+    reduction over the classes, in np.longdouble; also returns z, the
+    logits less their max."""
+    x = np.asarray(logits, dtype=np.longdouble)
+    z = x - x.max(axis=-2, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-2, keepdims=True)), z
+
+
+def assert_within_longdouble(got, logits):
+    """Each entry of log_softmax(logits) within 4 J u (|z| + log J + 1) of
+    the longdouble reference; a non-finite reference entry is matched
+    exactly."""
+    want, z = longdouble_log_softmax(logits)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    assert (got[np.isinf(want)] == want[np.isinf(want)]).all()
+    J = logits.shape[-2]
+    bound = 4 * J * U * (np.abs(z) + np.log(np.longdouble(J)) + 1)
+    err = np.abs(got.astype(np.longdouble) - want)
+    assert (err[finite] <= bound[finite]).all(), float((err / bound)[finite].max())
 
 
 def assert_same_bits(got, want):
@@ -178,19 +202,33 @@ def assert_same_bits(got, want):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
+def assert_layout_and_stack_bits(logits):
+    """log_softmax of record-major (B, J) logits given class-major gives the
+    same bits for a C-contiguous copy and for the transposed view, and for
+    each (J, B) block of a stack with one or two leading axes."""
+    lt = np.ascontiguousarray(logits.T)
+    flipped = np.ascontiguousarray(logits[::-1].T)
+    want = log_softmax(lt)
+    assert_same_bits(log_softmax(logits.T), want)
+    stack = log_softmax(np.stack([flipped, lt]))
+    assert_same_bits(stack[1], want)
+    assert_same_bits(stack[0], log_softmax(flipped))
+    grid = log_softmax(np.stack([[lt, flipped], [-lt, lt]]))
+    assert_same_bits(grid[0, 0], want)
+    assert_same_bits(grid[0, 1], log_softmax(flipped))
+    assert_same_bits(grid[1, 0], log_softmax(-lt))
+    assert_same_bits(grid[1, 1], want)
+
+
 class TestLogSoftmaxMatchesRowReductions:
-    """The class-major kernel keeps the bits of the record-major row
-    reductions on both sides of the J = 8 width where numpy's sum changes
-    its order, for C-contiguous class-major input and for the transposed
-    view of record-major input, and for each (J, B) block of a stack with
-    one or two leading axes; a numpy whose sum order moves fails here
-    instead of shifting results."""
+    """The class-major kernel is within a few ulps of the row reductions
+    computed in np.longdouble, on both sides of the J = 8 width where
+    numpy's pairwise sum changes its order, and its bits depend neither on
+    the input's layout nor on the other blocks of a stack."""
 
     FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_bits(self, data):
+    def draw_logits(self, data):
         B = data.draw(st.integers(1, 64), label="B")
         J = data.draw(st.integers(2, 32), label="J")
         # a small pool of values makes exact ties and mixed-sign zeros common
@@ -198,30 +236,34 @@ class TestLogSoftmaxMatchesRowReductions:
         pool += [0.0, -0.0]
         if data.draw(st.booleans(), label="non-finite"):
             pool += [np.inf, -np.inf, np.nan]
-        logits = data.draw(
+        return data.draw(
             hnp.arrays(float, (B, J), elements=st.one_of(st.sampled_from(pool), self.FINITE)),
             label="logits",
         )
-        with np.errstate(all="ignore"):
-            want = row_log_softmax(logits)
-            assert_same_bits(log_softmax(np.ascontiguousarray(logits.T)).T, want)
-            assert_same_bits(log_softmax(logits.T).T, want)
-            stack = log_softmax(np.stack([logits[::-1].T, logits.T]))
-            assert_same_bits(stack[1].T, want)
-            assert_same_bits(stack[0].T, want[::-1])
-            # two leading axes: each (J, B) block stays its own
-            grid = log_softmax(np.stack([[logits.T, logits[::-1].T], [-logits.T, logits.T]]))
-            assert_same_bits(grid[0, 0].T, want)
-            assert_same_bits(grid[0, 1].T, want[::-1])
-            assert_same_bits(grid[1, 0].T, row_log_softmax(-logits))
-            assert_same_bits(grid[1, 1].T, want)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bits(self, data):
+        logits = self.draw_logits(data)
+        with np.errstate(all="ignore"):
+            assert_layout_and_stack_bits(logits)
+
+    @LONGDOUBLE
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_within_longdouble_bound(self, data):
+        lt = np.ascontiguousarray(self.draw_logits(data).T)
+        with np.errstate(all="ignore"):
+            assert_within_longdouble(log_softmax(lt), lt)
+
+    @LONGDOUBLE
     @pytest.mark.parametrize("J", [1, 2, 3, 7, 8, 9, 16])
     @pytest.mark.parametrize("B", [1000, 5000, 20000])
     def test_bits_at_batch_and_test_set_sizes(self, B, J):
         logits = np.random.default_rng(B + J).normal(scale=4.0, size=(B, J))
-        got = log_softmax(np.ascontiguousarray(logits.T)).T
-        assert_same_bits(got, row_log_softmax(logits))
+        assert_layout_and_stack_bits(logits)
+        lt = np.ascontiguousarray(logits.T)
+        assert_within_longdouble(log_softmax(lt), lt)
 
 
 def argsort_metrics(data, logits, k):
@@ -235,16 +277,24 @@ def argsort_metrics(data, logits, k):
     }
 
 
-def row_mean_cross_entropy(data, logits):
-    """mean_cross_entropy on record-major logits, with row reductions."""
-    return float(np.mean(-row_log_softmax(logits)[np.arange(data.n), data.labels]))
+def assert_mean_cross_entropy_within_longdouble(data, logits):
+    """mean_cross_entropy of record-major logits within
+    4 (J + n) u mean(|z| + log J + 1) at the labels of the longdouble
+    reference: the log-softmax bound plus the mean's own rounding."""
+    logp, z = longdouble_log_softmax(logits.T)
+    at = (data.labels, np.arange(data.n))
+    want = np.mean(-logp[at])
+    J = data.n_classes
+    bound = 4 * (J + data.n) * U * np.mean(np.abs(z[at]) + np.log(np.longdouble(J)) + 1)
+    for lg in (logits, np.ascontiguousarray(logits.T).T):
+        assert abs(np.longdouble(mean_cross_entropy(data, lg)) - want) <= bound
 
 
 class TestMetricsMatchArgsortRanks:
     """Counted ranks give the metrics of the stable argsort, and
-    ``mean_cross_entropy`` that of the row reductions, ties and mixed-sign
-    zeros included, for record-major logits and for the transposed view of
-    class-major ones."""
+    ``mean_cross_entropy`` is within its bound of the longdouble row
+    reductions, ties and mixed-sign zeros included, for record-major logits
+    and for the transposed view of class-major ones."""
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -263,9 +313,7 @@ class TestMetricsMatchArgsortRanks:
         want = argsort_metrics(ds, logits, k)
         assert classification_metrics(ds, logits, k) == want
         assert classification_metrics(ds, np.ascontiguousarray(logits.T).T, k) == want
-        sce = row_mean_cross_entropy(ds, logits)
-        assert mean_cross_entropy(ds, logits) == sce
-        assert mean_cross_entropy(ds, np.ascontiguousarray(logits.T).T) == sce
+        assert_mean_cross_entropy_within_longdouble(ds, logits)
 
     @pytest.mark.parametrize("J", [2, 3, 7, 8, 10])
     def test_equal_at_test_set_size(self, J):
@@ -276,7 +324,7 @@ class TestMetricsMatchArgsortRanks:
         ds = Dataset(features=np.zeros((n, 1)), labels=rng.integers(0, J, n), n_classes=J)
         for k in range(1, J + 1):
             assert classification_metrics(ds, logits, k) == argsort_metrics(ds, logits, k)
-        assert mean_cross_entropy(ds, logits) == row_mean_cross_entropy(ds, logits)
+        assert_mean_cross_entropy_within_longdouble(ds, logits)
 
 
 class TestDatasetValidation:

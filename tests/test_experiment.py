@@ -54,11 +54,10 @@ class TestSpec:
         with an error naming both, before any data is drawn."""
         synthetic_fields = {"class_shift": {"p": 0.3, "p_train": 0.6}, "pu": {"p": 0.3, "q": 0.4}}
         build = lambda: ExperimentSpec(  # noqa: E731
-            scenario=scenario, modes=("uniform", mode),
-            synthetic=synthetic_fields.get(scenario, {}),
+            scenario=scenario, modes=(mode,), synthetic=synthetic_fields.get(scenario, {}),
         )
         if mode in SCENARIO_MODES[scenario]:
-            assert build().modes == ("uniform", mode)
+            assert build().modes == (mode,)
         else:
             with pytest.raises(ValidationError, match=f"{scenario}.*{mode}"):
                 build()
@@ -172,14 +171,14 @@ def small_csv_spec(tmp_path, monkeypatch):
 
 
 class TestEmittedBytes:
-    """The emitted trees are pinned to the bytes werm wrote before training
-    moved onto raw arrays and shared data were drawn once per run; the
-    strata_shift trees were re-pinned when the subsampler began to draw in
-    bulk, which changed its random stream (digests taken with numpy 2.4 and
-    OpenBLAS; another BLAS build may differ in the last bits)."""
+    """The emitted trees are pinned.  Every tree that trains a model was
+    re-pinned when the training step's plain class-major sums became its
+    definition; only analytic_excess, which trains nothing, keeps its older
+    pin (digests taken with numpy 2.4 and OpenBLAS; another BLAS build may
+    differ in the last bits)."""
 
-    SYNTHETIC = "93fe15853385e94dae1e0883d0c51c2dd782d0c8d85d8e5d6d88fccddcde4d61"
-    CSV = "6b7027064f986694f0977c39c1157281c245dc1ad52118e46f1ed19f9b86021a"
+    SYNTHETIC = "c1e2f260f9909b0b92ff59ec38c489e121c3ecf1a640badb257563b28b6bf560"
+    CSV = "8aee1e9b1f47b1557f1905bd94688ae91a4e83e4758892de9d544bf209a85db1"
 
     def test_synthetic_strata_tree(self, tmp_path):
         emit_results(run_experiment(small_strata_spec()), tmp_path / "out")
@@ -190,22 +189,21 @@ class TestEmittedBytes:
         emit_results(run_experiment(spec), tmp_path / "out")
         assert tree_digest(tmp_path / "out") == self.CSV
 
-    # the other scenarios, pinned before their settings moved into one lookup
-    # in werm.weights; the analytic pairs are integers, which results.json
-    # keeps as integers
+    # the other scenarios; the analytic pairs are integers, which
+    # results.json keeps as integers
     SCENARIOS = {
         "class_shift": (
             dict(modes=("uniform", "class", "pu", "oracle"), synthetic={"p": 0.3, "p_train": 0.7}),
-            "730c54ea3262071217f383b19db646bdc385328b88785a03c757276e7c94505d",
+            "93e5154e0dd383ffc5d0d2d6fb75ddfbed20c2affb805098c9654d1981ccbb0c",
         ),
         "pu": (
             dict(modes=("uniform", "class", "pu", "oracle"),
                  synthetic={"alpha": 2.0, "beta": 0.5, "p": 0.4, "q": 0.3}),
-            "c28b1573059c0da75ece7b8454bfff2dd3daa6907a72b542fc89eac02decca11",
+            "261f536a068324d766b48fee96ce94ee4ab55daa44523f8af94bb8993a833b93",
         ),
         "censored": (
             dict(modes=("uniform", "ipcw", "oracle"), synthetic={"slope": 2.0, "censor_rate": 0.7}),
-            "730eac6425a0ee7175d0ffc7fcce61adaa28e78988adff4fc2cbafbfcbc34701",
+            "7013acdc832b46c1d1ea15cc8174eb5d3f2468aefcb0426eeb1622ac84d183d3",
         ),
         "analytic_excess": (
             dict(synthetic={"p": 0.3, "pairs": [[0, 0], [1, 1], [0.5, 2]]}),
@@ -223,10 +221,9 @@ class TestEmittedBytes:
         emit_results(run_experiment(spec), tmp_path / "out")
         assert tree_digest(tmp_path / "out") == digest
 
-    # the c10 acceptance spec (as in test_acceptance), pinned when the
-    # subsampler began to draw in bulk; perfbench's strata_c10 seed-7 output
-    # digest is the same hash
-    C10 = "3289da4cc1a913831219a85fec297df3aea89a9d26e4fbb615e73da5d10edcdc"
+    # the c10 acceptance spec (as in test_acceptance); perfbench's strata_c10
+    # seed-7 output digest is the same hash
+    C10 = "c9c139c7a1fd9ad9bd9065321d322c10560a0a7306ab09ed324c6c9316d3846b"
 
     def test_c10_tree(self, tmp_path):
         spec = ExperimentSpec(

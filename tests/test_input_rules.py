@@ -309,6 +309,12 @@ BAD_SPECS = {
     "prior.pk NaN with csvs": ({**STRATA, "prior": {"pk": [NAN, 1.0]}, "train_csv": "a.csv",
                                 "test_csv": "b.csv"},
                                "prior.pk must be a nonempty vector of finite, nonnegative"),
+    "modes repeated": ({**STRATA, "modes": ["uniform", "uniform"]}, "modes repeat a mode"),
+    "modes empty": ({**STRATA, "modes": []}, "modes must be a nonempty list"),
+    "modes a string": ({**STRATA, "modes": "uniform"}, "modes must be a nonempty list"),
+    "document a number": (5, "a spec document must be a JSON object"),
+    "document a list": ([["scenario", "pu"]], "a spec document must be a JSON object"),
+    "document a string": ("s", "a spec document must be a JSON object"),
 }
 
 

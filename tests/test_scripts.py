@@ -42,5 +42,5 @@ def test_strata_shift_seed_7_tree_is_pinned(tmp_path):
     proc = run_script("run_strata_shift.py", "out", 7, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert tree_digest(tmp_path / "out") == (
-        "ea1f8c50fabccf3c089c704f519f6115b7609e2ab0866eaf21c8915db2c481df"
+        "622d1cba211d2dee32f85926f44c6e0bcaed499c85e299ce66011036167d279d"
     )

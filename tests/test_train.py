@@ -101,35 +101,66 @@ def reference_fit(data, w, kind, cfg):
 
 
 def row_major_step(params, X, y, w, cfg):
-    """The record-major (B, J) training step that the class-major step
-    replaced, kept as its oracle; the log-softmax is written as the row
-    reductions its column kernel was pinned to (tests/test_core.py)."""
-    p = params.params
+    """The record-major (B, J) training step in np.longdouble, the oracle
+    of the class-major step.  Returns the objective and gradients, and for
+    each of them the scale of the float64 step's rounding error: each sum
+    taken over its terms' absolute values, with (p + onehot) in place of
+    |p - onehot| (the label entry cancels), times max|logit| + log J + 1 for
+    the log-softmax's own error.  A logit is itself a sum, so max|logit| is
+    taken over the absolute values of its terms."""
+    ld = np.longdouble
+    p = {k: v.astype(ld) for k, v in params.params.items()}
+    a = {k: np.abs(v) for k, v in p.items()}
+    X, w = X.astype(ld), w.astype(ld)
     if params.kind == "linear":
         logits = X @ p["W"] + p["b"]
+        abs_logits = np.abs(X) @ a["W"] + a["b"]
     else:
         pre = X @ p["W1"] + p["b1"]
         hidden = np.maximum(pre, 0.0)
+        abs_hidden = (np.abs(X) @ a["W1"] + a["b1"]) * (pre > 0.0)
         logits = hidden @ p["W2"] + p["b2"]
+        abs_logits = abs_hidden @ a["W2"] + a["b2"]
+    B, J = logits.shape
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    B, J = logits.shape
-    picked = np.arange(0, B * J, J) + y
-    penalty = 0.5 * sum(float((p[k] ** 2).sum()) for k in params.weight_keys())
-    objective = float((w * -logp.take(picked)).sum() / B + cfg.weight_decay * penalty)
-    probs = np.exp(logp)
-    probs.put(picked, probs.take(picked) - 1.0)
-    gout = probs * (w / B)[:, None]
+    onehot = np.arange(J) == y[:, None]
+    picked = logp[np.arange(B), y]
     wd = cfg.weight_decay
+    penalty = 0.5 * sum((p[k] ** 2).sum() for k in params.weight_keys())
+    probs = np.exp(logp)
+    gout = (probs - onehot) * (w / B)[:, None]
+    terms = (probs + onehot) * (w / B)[:, None]
+    factor = abs_logits.max() + np.log(ld(J)) + 1
+    objective = ((w * -picked).sum() / B + wd * penalty,
+                 factor * (w * (np.abs(picked) + 1)).sum() / B + wd * penalty)
     if params.kind == "linear":
-        return objective, {"W": X.T @ gout + wd * p["W"], "b": gout.sum(axis=0)}
+        return objective, {
+            "W": (X.T @ gout + wd * p["W"], factor * (np.abs(X).T @ terms) + wd * a["W"]),
+            "b": (gout.sum(axis=0), factor * terms.sum(axis=0)),
+        }
     ghid = (gout @ p["W2"].T) * (pre > 0.0)
+    hid_terms = (terms @ a["W2"].T) * (pre > 0.0)
     return objective, {
-        "W1": X.T @ ghid + wd * p["W1"],
-        "b1": ghid.sum(axis=0),
-        "W2": hidden.T @ gout + wd * p["W2"],
-        "b2": gout.sum(axis=0),
+        "W1": (X.T @ ghid + wd * p["W1"], factor * (np.abs(X).T @ hid_terms) + wd * a["W1"]),
+        "b1": (ghid.sum(axis=0), factor * hid_terms.sum(axis=0)),
+        "W2": (hidden.T @ gout + wd * p["W2"], factor * (abs_hidden.T @ terms) + wd * a["W2"]),
+        "b2": (gout.sum(axis=0), factor * terms.sum(axis=0)),
     }
+
+
+def assert_within_row_major(params, obj, grad, X, y, w, cfg):
+    """The objective and each gradient entry within 16 n u scale of the
+    longdouble oracle, n = B + max(dims) + J and u = 2**-53."""
+    (ref_obj, obj_scale), ref_grad = row_major_step(params, X, y, w, cfg)
+    B, J = len(y), params.dims[-1]
+    tol = 16 * (B + max(params.dims) + J) * 2.0**-53
+    shape = (B, params.dims)
+    assert abs(np.longdouble(obj) - ref_obj) <= tol * obj_scale, shape
+    assert sorted(grad) == sorted(ref_grad)
+    for k, (ref, scale) in ref_grad.items():
+        assert grad[k].shape == ref.shape, (shape, k)
+        assert (np.abs(grad[k] - ref) <= tol * scale).all(), (shape, k)
 
 
 class TestInit:
@@ -438,12 +469,13 @@ class TestFitMatchesReferenceLoop:
         np.testing.assert_array_equal(log.objective, ref_objective)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is float64 here")
 class TestStepMatchesRowMajor:
-    """The class-major step gives ==-equal objectives and byte-equal
-    gradients to the record-major oracle, on batches sliced out of larger
-    epoch arrays as fit slices them.  B = 1 and d = 1 (and, for the mlp,
-    one hidden unit at d = 1, J = 2) are the shapes where numpy computes
-    some products as gemv/dot."""
+    """The class-major step is within a rounding bound of the record-major
+    step computed in np.longdouble, on batches sliced out of larger epoch
+    arrays as fit slices them, with B = 1, d = 1 and zero weights among the
+    shapes."""
 
     @staticmethod
     def case(rng, kind, weights):
@@ -473,32 +505,25 @@ class TestStepMatchesRowMajor:
         obj, grad = train_mod._objective_and_gradient(
             stack, X[batch], onehot[:, batch], w[None, batch], cfg
         )
-        got = float(obj[0]), {k: v[0] for k, v in grad.items()}
-        want = row_major_step(params, X[batch], y[batch], w[batch], cfg)
-        return (B, d, J), got, want
+        grad = {k: v[0] for k, v in grad.items()}
+        return params, float(obj[0]), grad, (X[batch], y[batch], w[batch], cfg)
 
     @pytest.mark.parametrize("weights", ["zero", "some_zero", "random"])
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_objective_and_gradient(self, kind, weights):
         rng = np.random.default_rng(["linear", "mlp"].index(kind) * 10 + len(weights))
         for _ in range(150):
-            shape, (obj, grad), (ref_obj, ref_grad) = self.case(rng, kind, weights)
-            assert obj == ref_obj, shape
-            assert sorted(grad) == sorted(ref_grad)
-            for k in grad:
-                assert grad[k].shape == ref_grad[k].shape, (shape, k)
-                assert grad[k].tobytes() == np.ascontiguousarray(ref_grad[k]).tobytes(), (shape, k)
+            params, obj, grad, batch = self.case(rng, kind, weights)
+            assert_within_row_major(params, obj, grad, *batch)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_public_wrappers(self, kind):
         rng = np.random.default_rng(7)
         for _ in range(40):
             params, batch, w, cfg = random_instance(rng, kind)
-            ref_obj, ref_grad = row_major_step(params, batch.features, batch.labels, w.weights, cfg)
-            assert weighted_objective(params, batch, w, cfg) == ref_obj
+            obj = weighted_objective(params, batch, w, cfg)
             grad = gradient(params, batch, w, cfg)
-            for k in grad:
-                assert grad[k].tobytes() == np.ascontiguousarray(ref_grad[k]).tobytes()
+            assert_within_row_major(params, obj, grad, batch.features, batch.labels, w.weights, cfg)
 
 
 class TestFitLeavesInputsAlone:
@@ -587,42 +612,43 @@ def golden_instance(J, d=4):
 
 
 class TestFitGoldenDigests:
-    """SHA-256 of fit's final params and objective log, taken before the
-    log-softmax moved onto a column kernel.  The reference-loop test shares
-    the training step with fit and so cannot see a change to that kernel;
-    these pins can.  J = 3 takes the column path, J = 10 the row path."""
+    """SHA-256 of fit's final params and objective log, taken when the
+    class-major step with one log-softmax and plain axis sums became the
+    definition.  The reference-loop test shares the training step with fit
+    and so cannot see a change to that kernel; these pins can.  J = 3 and
+    J = 10 lie on both sides of the J = 8 width where numpy's pairwise sum
+    changes its order."""
 
     DIGESTS = {
-        ("linear", 3): ("6ef64658ca947c156c833647c04dee2203ae2b88ddcd92edf12a80b8c051af3f",
-                        "153e95080e0a507d5697a1781ba99f12333ad0902ce78e10bddd61bc4e6a7191"),
-        ("linear", 10): ("3624624e89ecb32b86bf1b21574e60ee5c5666327036e7e601ecdef2500a2299",
-                         "02bc192a7bddc3f2000e3b25dbea04ebbb632a2e2f4caf8a62066f5e0db59d8c"),
-        ("mlp", 3): ("8ef6ac4dd215d7dc128f174f850f255357bfd9319d39cb4eee30fa93f48c9386",
-                     "92abf11eb13449afdfd7f5a6f1f368face68871ccd93e8b8f53aa25b366ea992"),
-        ("mlp", 10): ("4411bd83670d0e681ee6c9d1138a46faea151942be29260ae8334c4c77846778",
+        ("linear", 3): ("da993c5e25759a2be48f170bd69873143af0189fec1aecbbf6ee1dd47477a4c9",
+                        "13f554405155e28da91c8bb7d3181746ec27395bd34e026bf41dc60cd17a45f4"),
+        ("linear", 10): ("5fe279f6f0eac700a36c8b54ecf6264110148071b7820c6c087971716e057fcc",
+                         "0b6118e4b4ba0941dd8cd4fe48603d97f793918fbabf3c5709fededcd9279d5c"),
+        ("mlp", 3): ("51f91286cddc8fdf3ebd3632f09c110ff46202b44c80f19ba26b16e5db76737a",
+                     "6c1cc888167694e543b83aebe1e7f55c7ae02ddb10134d22c4e9d6f66f9e9c94"),
+        ("mlp", 10): ("3ae4ee6b0e27b78c694ba2b36786a2d556d7558c151f395d86ad94842efdce01",
                       "47541a54d18ebe0d310ec0d3439676f9f975c424154ce83e8dbce7aa9bcc1020"),
     }
 
-    # d = 1 and d = 2 (an mlp hidden layer of (d + J) // 2 units), taken
-    # before training moved onto class-major arrays: numpy takes a product
-    # with a unit dimension through gemv/dot, whose sums depend on layout
+    # d = 1 and d = 2 (an mlp hidden layer of (d + J) // 2 units): numpy
+    # takes a product with a unit dimension through gemv/dot
     SMALL_D = {
-        ("linear", 3, 1): ("eb7698b10cc165007660e0c7729dc6fca3bf81099cb969595413284bca0becb4",
-                           "cb291b3949bb8bd77de42376e3a00d8d9428a58d9d8850a5c74a108850bf832b"),
-        ("linear", 3, 2): ("e356fb622a123649d870c80e8b59b6f3ca9cfdd9867f00a53e95f296d87e6b15",
+        ("linear", 3, 1): ("2016fb75f423b1b043d0b0f638c1b31e825893a1ffa8045a101f4cbb8f0d5791",
+                           "d2633d745cd0053912aa96ec8107d8f23960aa7fb8a00895caa4867709b993f2"),
+        ("linear", 3, 2): ("008b53e726e279dc103fcc74f87f17e115612c6d63c7768cfda708839e9baa93",
                            "41c98a15886efd117228b7a0391d207c77567ae9563b20c148ecae8297088b1c"),
-        ("linear", 10, 1): ("a586c0b3a462a5862fa28f8a3412f88ededbf7a14c2ab8da8c0aaa651b254f9a",
-                            "352a86b3ec53c217cd6f7f05e4854f5f01fb7fdfec9565e554627f09dca9d0f2"),
-        ("linear", 10, 2): ("a79fd21413b4400f6419bfa186522e6b2bfd6b85fac2e57c62130c35a79e8acf",
-                            "3d3ba8c0a4eeb415abcf4d9399c1db97114ead0e76cb92b17b09e546822ea7bc"),
-        ("mlp", 3, 1): ("76fdcc5a6ec4a88d37f0a46091e454efeeb8230d4cb464f3661f3d121e0d75eb",
+        ("linear", 10, 1): ("7b01a588e977ea4cfa2a28ca70298606dbccea93e3f34083472b1fc6e8e21a4a",
+                            "7e573d716dbf051aa775143b0f4913abb2f1dfea6bb8baa140c6bd4f7b604d01"),
+        ("linear", 10, 2): ("f3680dae921b0aeda6f49ecc10dd35515c390247e612d75d57477ff9b7685a8d",
+                            "fbd37ca3bc5ed5eea46ae23675ea9064e840c1632bf293b4932d45885a358bee"),
+        ("mlp", 3, 1): ("a67bb9a08ecdab87bb5b4c21a19e0baf1b6f4ddcf5869e75b974bf5f4cbde810",
                         "277cf343fba10949c1f2eb5bdac82debb2a535ff2a306141ad6e23e160c96003"),
-        ("mlp", 3, 2): ("5dbda8be9de379aff7aab280362b0e18f6a5e584269a9bed0b5c44e4e28e20fb",
-                        "768a7090944009e8d448e118bda99030a4b9d01cc71d3d569e9e96cac8606a3c"),
-        ("mlp", 10, 1): ("478683a3ac6574f318bbe91447201bb4c36252962e89ee6f035fa84223317185",
-                         "1fea5d296c93df3d0104b68afd04b876ce8357bc353345fdc78d2480d9fbde62"),
-        ("mlp", 10, 2): ("4c5d5e9556b415582f90eeb49c0f7fbdd7c3712ce480d26fb612e931f2a82c99",
-                         "43b98178a5fb272431bddbf7f5853c70369eb63689b8f471e103df532a49c9f7"),
+        ("mlp", 3, 2): ("d19377c3ad7db98e58e92e4f9f5331832605050ab4157e2c207a567bb7f62004",
+                        "d15e6eb7024ed0774f772d84d5686eebe4623f38bcf968a179f91ea8b27ad9d6"),
+        ("mlp", 10, 1): ("cde91ec8dfa92c9c0d3376c74fa0371353846adfc09a3e021ce384688555dfcf",
+                         "7b2479e8a85cbf3d6cfd5a2f42832f3e9fd1e7ac1cd4d80eb2d5d6736bd1753d"),
+        ("mlp", 10, 2): ("20f85b35318faebb3af0a265df77433dee2413d625bb3cebeb05cbf04af53faf",
+                         "6f34fef40eb6ffc71daeafdac5efe8149fb5e5fedcef3aa693d7c432b370618c"),
     }
 
     @staticmethod
