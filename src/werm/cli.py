@@ -15,7 +15,7 @@ import dataclasses
 import json
 import sys
 
-from . import biasgen, bounds as bounds_mod, experiment, train as train_mod
+from . import biasgen, bounds as bounds_mod, experiment, train as train_mod, weights as weights_mod
 from .core import (
     Dataset,
     NumericError,
@@ -41,14 +41,23 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _weights_from_flags(data: Dataset, mode: str, args) -> tuple[WeightVector, dict]:
-    """Weights of a mode of :data:`experiment.MODE_WEIGHTS`, with ``--p`` and
-    ``--pk-file`` as its context; mode ``none`` is all-ones.  Returns the
-    weights and the context, which then holds what the mode fitted."""
+def _weights_from_flags(
+    data: Dataset, mode: str, args
+) -> tuple[WeightVector, weights_mod.KmCurve | None]:
+    """A mode's weights, by the runner's estimator toward ``--p`` or ``--pk-file``,
+    and for ``ipcw`` its censoring curve (else None); ``none`` is all-ones."""
     if mode == "none":
-        return WeightVector.ones(data.n), {}
-    ctx = {"p": args.p, "pk": None if args.pk_file is None else _load_pk(args.pk_file)}
-    return experiment.MODE_WEIGHTS[mode](data, ctx), ctx
+        return WeightVector.ones(data.n), None
+    pk = None if args.pk_file is None else _load_pk(args.pk_file)
+    if mode == "ipcw":
+        return experiment._ipcw_weights(data)
+    need, given = ("pk", pk) if mode == "strata" else ("p", args.p)
+    if given is None:
+        raise ValidationError(f"reweighting mode {mode!r} needs {need}")
+    if mode == "strata":
+        return weights_mod.stratum_shift_weights(data, weights_mod.TargetPrior(pk=pk)), None
+    weigh = weights_mod.class_shift_weights if mode == "class" else weights_mod.pu_weights
+    return weigh(data, weights_mod.TargetPrior(p=given)), None
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +87,13 @@ def _cmd_biasgen(args) -> None:
 
 
 def _cmd_weights(args) -> None:
+    if args.km_out and args.mode != "ipcw":
+        raise ValidationError("--km-out writes the censoring curve of --mode ipcw only")
     data, report = experiment.ingest_csv(args.infile)
-    w, ctx = _weights_from_flags(data, args.mode, args)
+    w, km = _weights_from_flags(data, args.mode, args)
     w.to_csv(args.outfile)
-    if "km" in ctx and args.km_out:
-        ctx["km"].to_csv(args.km_out)
+    if args.km_out:
+        km.to_csv(args.km_out)
     _emit({"mode": args.mode, "n": data.n, "mean_weight": w.mean, "load": report})
 
 

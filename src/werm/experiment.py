@@ -13,8 +13,12 @@ vectors), which gives each mode the bytes of a fit of its own.  Only
 replicate 0's learning curves are emitted, so only its fit evaluates the
 test set every epoch.
 
-Reweighting modes (:data:`MODE_WEIGHTS`)
-----------------------------------------
+Each scenario is one record of :data:`SCENARIOS`, which names the
+reweighting modes, ``prior`` keys and CSVs it takes; a spec that asks for
+any other is rejected when it is built.
+
+Reweighting modes
+-----------------
 uniform   all-ones weights (for censored data: the event indicator, i.e.
           complete-case analysis, since censored records carry no label).
 class     label-based plug-in weights toward the test class distribution.
@@ -23,9 +27,6 @@ pu        positive-unlabeled plug-in weights.
 ipcw      inverse-probability-of-censoring weights via Kaplan-Meier.
 oracle    exact likelihood-ratio weights from the known generator, to
           separate estimation error from the effect of reweighting.
-
-:data:`SCENARIO_MODES` lists the modes each scenario can run; a spec that
-asks for any other is rejected when it is built.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -57,15 +58,6 @@ from .core import (
 )
 
 
-# The reweighting modes each scenario can run; analytic_excess trains nothing.
-SCENARIO_MODES = {
-    "analytic_excess": ("uniform",),
-    "class_shift": ("uniform", "class", "pu", "oracle"),
-    "strata_shift": ("uniform", "class", "strata", "oracle"),
-    "pu": ("uniform", "class", "pu", "oracle"),
-    "censored": ("uniform", "ipcw", "oracle"),
-}
-
 ANALYTIC_PAIRS = ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (2.0, 2.0))
 
 
@@ -83,14 +75,15 @@ class ExperimentSpec:
     train: dict = field(default_factory=dict)  # TrainConfig overrides
     bias: dict | None = None  # BiasSpec fields
     synthetic: dict = field(default_factory=dict)  # generator parameters
-    prior: dict = field(default_factory=dict)  # {"p": ..., "pk": [...]}
+    prior: dict = field(default_factory=dict)  # {"pk": [...]}, strata_shift only
     train_csv: str | None = None
     test_csv: str | None = None
     replicate_seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.scenario, str) or self.scenario not in SCENARIO_MODES:
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
+        scenario = SCENARIOS[self.scenario]
         for name in ("train", "synthetic", "prior", "bias"):
             value = getattr(self, name)
             if not (isinstance(value, dict) or (name == "bias" and value is None)):
@@ -98,21 +91,24 @@ class ExperimentSpec:
         if not isinstance(self.modes, (list, tuple)) or not self.modes:
             raise ValidationError("modes must be a nonempty list of reweighting mode names")
         self.modes = tuple(self.modes)
-        allowed = SCENARIO_MODES[self.scenario]
         for m in self.modes:
-            if m not in allowed:
+            if m not in scenario.weights:
                 raise ValidationError(
                     f"scenario {self.scenario!r} cannot run reweighting mode {m!r}; "
-                    f"it runs {', '.join(allowed)}"
+                    f"it runs {', '.join(scenario.weights)}"
                 )
         if len(set(self.modes)) != len(self.modes):
             raise ValidationError(f"modes repeat a mode: {list(self.modes)}")
         for name in ("top_k", "replicates", "n_train", "n_test"):
             _check_count(getattr(self, name), name, 1)
         csvs = [p for p in (self.train_csv, self.test_csv) if p is not None]
-        if csvs and (len(csvs) < 2 or self.scenario != "strata_shift"
+        if csvs and (len(csvs) < 2 or not scenario.csv
                      or not all(isinstance(p, str) for p in csvs)):
             raise ValidationError("train_csv and test_csv: both paths or neither, strata_shift only")
+        for key in [k for k in self.prior if k not in scenario.priors]:
+            hint = "a test positive rate is synthetic.p" if key == "p" else "it reads " + (
+                ", ".join(scenario.priors) or "none")
+            raise ValidationError(f"scenario {self.scenario!r} does not read prior.{key}; {hint}")
         if self.model_kind not in train_mod.MODEL_KINDS:
             raise ValidationError(f"unknown model kind {self.model_kind!r}")
         _check_seed(self.base_seed, "base_seed")
@@ -122,12 +118,7 @@ class ExperimentSpec:
             if len(self.replicate_seeds) != self.replicates:
                 raise ValidationError("replicate_seeds length must equal replicates")
         # built once here so a bad override fails before any data is drawn
-        generator = self.generator()
-        if self.scenario == "strata_shift" and self.prior.get("pk") is not None:
-            pk = _check_distribution(self.prior["pk"], "prior.pk", 1e-12)
-            K = generator.n_strata
-            if self.train_csv is None and pk.size != K:
-                raise ValidationError(f"prior.pk needs {K} entries, one per stratum")
+        self.generator()
         self.bias_spec()
         self.train_config(seed=0)
 
@@ -149,32 +140,10 @@ class ExperimentSpec:
         return None if self.bias is None else _build(biasgen.BiasSpec, "bias", self.bias)
 
     def generator(self):
-        """The scenario's generator built from ``synthetic``, less the
-        training rate or source size it also holds: an AnalyticModel
-        (alpha and beta default to 1), a GaussianStrataSpec, a
-        CensoredSpec, or for analytic_excess the AnalyticModel of each of
-        its pairs at its p.  A bad key or value raises ValidationError."""
-        syn = dict(self.synthetic)
-        if self.scenario == "strata_shift":
-            if "n_source" in syn:
-                _check_count(syn.pop("n_source"), "synthetic.n_source", 1)
-            return _build(synthetic.GaussianStrataSpec, "synthetic", syn)
-        if self.scenario == "censored":
-            return _build(synthetic.CensoredSpec, "synthetic", syn)
-        if self.scenario == "analytic_excess":
-            if set(syn) - {"p", "pairs"}:
-                raise ValidationError(f"spec field 'synthetic': {self.scenario!r} takes p, pairs")
-            pairs, seq = syn.get("pairs", ANALYTIC_PAIRS), (list, tuple)
-            if not (isinstance(pairs, seq) and all(isinstance(v, seq) for v in pairs)):
-                raise ValidationError("synthetic.pairs must be a list of [alpha, beta] pairs")
-            p = syn.get("p", 0.3)
-            _check_rate(p, "synthetic.p")
-            return [_build(analytic.AnalyticModel, "synthetic", {"p": p}, *pr) for pr in pairs]
-        rate = weights_mod.setting(self.scenario).rate
-        if rate not in syn:
-            raise ValidationError(f"scenario {self.scenario!r} needs synthetic.{rate}")
-        _check_rate(syn.pop(rate), f"synthetic.{rate}")
-        return _build(analytic.AnalyticModel, "synthetic", {"alpha": 1.0, "beta": 1.0, **syn})
+        """The scenario's generator, built by its record from ``synthetic``
+        less the training rate or source size it also holds; a bad key or
+        value, there or in ``prior``, raises ValidationError."""
+        return SCENARIOS[self.scenario].generator(self)
 
     @staticmethod
     def from_json(doc: dict, **overrides) -> "ExperimentSpec":
@@ -220,153 +189,80 @@ def ingest_csv(path) -> tuple[Dataset, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Reweighting modes
+# Scenarios
 # ---------------------------------------------------------------------------
 
+# What a scenario's replicates share, built once before any of them: the
+# test set, draw_train(rep_seed) -> a training set, and the test-side facts:
+# the exact-ratio oracle(data), the plug-ins' prior, and p_prime as emitted.
+_SharedData = namedtuple("SharedData", "test draw_train oracle prior p_prime",
+                         defaults=(None, None))
 
-def _need(ctx: dict, key: str, mode: str):
-    if ctx.get(key) is None:
-        raise ValidationError(f"reweighting mode {mode!r} needs {key}")
-    return ctx[key]
+# A scenario: generator(spec) builds it from spec.synthetic and checks the
+# ``priors`` keys it reads; ``csv`` says if it takes train_csv/test_csv;
+# shared(spec, test_seed) draws or ingests its _SharedData; ``weights`` maps
+# each mode to weigh(trainset, shared).  curves(spec), for ``shared``, gives
+# the closed-form results of a scenario that trains nothing.
+_Scenario = namedtuple("Scenario", "generator weights shared curves priors csv",
+                       defaults=(None, None, (), False))
 
 
-def _uniform_weights(data: Dataset, ctx: dict) -> WeightVector:
+def _uniform_weights(data: Dataset, shared: _SharedData) -> WeightVector:
     if data.events is not None:
         return WeightVector(data.events.astype(float))
     return WeightVector.ones(data.n)
 
 
-def _class_weights(data: Dataset, ctx: dict) -> WeightVector:
-    if "class_pk" not in ctx:
-        prior = weights_mod.TargetPrior(p=_need(ctx, "p", "class"))
-        return weights_mod.class_shift_weights(data, prior)
-    labels_as_strata = dataclasses.replace(data, strata=data.labels, n_strata=data.n_classes)
-    return weights_mod.stratum_shift_weights(
-        labels_as_strata, weights_mod.TargetPrior(pk=ctx["class_pk"])
-    )
-
-
-def _strata_weights(data: Dataset, ctx: dict) -> WeightVector:
-    prior = weights_mod.TargetPrior(pk=_need(ctx, "pk", "strata"))
-    return weights_mod.stratum_shift_weights(data, prior)
-
-
-def _pu_weights(data: Dataset, ctx: dict) -> WeightVector:
-    prior = weights_mod.TargetPrior(p=_need(ctx, "p", "pu"))
-    return weights_mod.pu_weights(data, prior)
-
-
-def _ipcw_weights(data: Dataset, ctx: dict) -> WeightVector:
+def _ipcw_weights(data: Dataset) -> tuple[WeightVector, weights_mod.KmCurve]:
+    """The IPCW weights and the Kaplan-Meier censoring curve they divide by."""
     if data.times is None:
         raise SchemaError("reweighting mode 'ipcw' needs survival times and events (t, e)")
-    ctx["km"] = weights_mod.km_fit(data.times, ~data.events)
-    return weights_mod.ipcw_weights(data, ctx["km"])
+    km = weights_mod.km_fit(data.times, ~data.events)
+    return weights_mod.ipcw_weights(data, km), km
 
 
-def _oracle_weights(data: Dataset, ctx: dict) -> WeightVector:
-    return _need(ctx, "oracle", "oracle")(data)
-
-
-# mode name -> fn(train_data, context) -> WeightVector.  The context holds
-# the known test-side facts: "p" (positive rate), "pk" (stratum
-# probabilities), "class_pk" (target class distribution, multi-class) and
-# "oracle" (the scenario's exact-ratio weights).  "ipcw" leaves its fitted
-# censoring curve in the context under "km".
-MODE_WEIGHTS: dict[str, Callable[[Dataset, dict], WeightVector]] = {
-    "uniform": _uniform_weights,
-    "class": _class_weights,
-    "strata": _strata_weights,
-    "pu": _pu_weights,
-    "ipcw": _ipcw_weights,
-    "oracle": _oracle_weights,
-}
-
-
-# ---------------------------------------------------------------------------
-# Per-scenario data
-# ---------------------------------------------------------------------------
+def _oracle_weights(data: Dataset, shared: _SharedData) -> WeightVector:
+    return shared.oracle(data)
 
 
 def _align_classes(a: Dataset, b: Dataset) -> None:
-    J = max(a.n_classes or 2, b.n_classes or 2)
-    a.n_classes = J
-    b.n_classes = J
+    a.n_classes = b.n_classes = max(a.n_classes or 2, b.n_classes or 2)
 
 
-def _shared_data(spec: ExperimentSpec) -> tuple[Dataset, dict, Callable[[int], Dataset]]:
-    """Ingest or draw the test set once and set up the scenario.
+def _analytic_model(spec: ExperimentSpec) -> analytic.AnalyticModel:
+    syn = dict(spec.synthetic)
+    rate = weights_mod.setting(spec.scenario).rate
+    if rate not in syn:
+        raise ValidationError(f"scenario {spec.scenario!r} needs synthetic.{rate}")
+    _check_rate(syn.pop(rate), f"synthetic.{rate}")
+    return _build(analytic.AnalyticModel, "synthetic", {"alpha": 1.0, "beta": 1.0, **syn})
 
-    Returns the test set, the weight context every replicate shares, and
-    ``draw_train(rep_seed)``, which draws one replicate's training set.
-    """
+
+def _analytic_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
+    m = spec.generator()
+    _, rate_name, sampler, _, oracle = weights_mod.setting(spec.scenario)
+    rate = spec.synthetic[rate_name]
+    return _SharedData(
+        analytic.sample(m, spec.n_test, m.p, test_seed),
+        lambda seed: sampler(m, spec.n_train, rate, [seed, 0]),
+        lambda d: oracle(d, m.p, rate),
+        weights_mod.TargetPrior(p=m.p),
+    )
+
+
+def _excess_models(spec: ExperimentSpec) -> list[analytic.AnalyticModel]:
     syn = spec.synthetic
-    test_seed = [spec.base_seed, 999]
-    if spec.scenario in ("class_shift", "pu"):
-        m = spec.generator()
-        test = analytic.sample(m, spec.n_test, m.p, test_seed)
-        _, rate_name, sampler, _, oracle = weights_mod.setting(spec.scenario)
-        rate = syn[rate_name]
-        ctx = {"p": m.p, "oracle": lambda d: oracle(d, m.p, rate)}
-
-        def draw_train(seed):
-            return sampler(m, spec.n_train, rate, [seed, 0])
-
-    elif spec.scenario == "strata_shift":
-        if spec.train_csv is not None:
-            source, _ = ingest_csv(spec.train_csv)
-            test, _ = ingest_csv(spec.test_csv)
-            _align_classes(source, test)
-            pk = np.asarray(
-                spec.prior.get("pk")
-                or source.stratum_counts() / source.n
-            )
-            draw_source = lambda seed: source  # noqa: E731 - subsampled as it is
-        else:
-            generator = spec.generator()
-            K = generator.n_strata
-            pk = np.asarray(spec.prior.get("pk") or [1.0 / K] * K)
-            test = synthetic.gaussian_strata_sample(generator, spec.n_test, pk, test_seed)
-            n_source = syn.get("n_source", 4 * spec.n_train)
-            draw_source = lambda seed: synthetic.gaussian_strata_sample(  # noqa: E731
-                generator, n_source, pk, [seed, 0]
-            )
-        bias = spec.bias_spec() or biasgen.BiasSpec(gamma=1.0)
-        if bias.target_pk is None:
-            bias = dataclasses.replace(bias, target_pk=tuple(float(v) for v in pk))
-        p_prime = biasgen.power_law_distribution(bias, len(pk))
-        J = test.n_classes
-        ctx = {
-            "pk": pk,
-            "p_prime": p_prime,
-            "class_pk": tuple([1.0 / J] * J),
-            "oracle": lambda d: weights_mod.oracle_stratum_shift_weights(d, pk, p_prime),
-        }
-
-        def draw_train(seed):
-            return biasgen.subsample_to_distribution(
-                draw_source(seed), p_prime, [seed, 1], max_size=spec.n_train
-            )
-
-    else:  # censored
-        cspec = spec.generator()
-        test = synthetic.censored_test_sample(cspec, spec.n_test, test_seed)
-        ctx = {"oracle": lambda d: synthetic.oracle_censoring_weights(cspec, d)}
-
-        def draw_train(seed):
-            trainset = synthetic.censored_train_sample(cspec, spec.n_train, [seed, 0])
-            _align_classes(trainset, test)
-            return trainset
-
-    _check_top_k(spec.top_k, test.n_classes)  # checked before any training
-    return test, ctx, draw_train
+    if set(syn) - {"p", "pairs"}:
+        raise ValidationError(f"spec field 'synthetic': {spec.scenario!r} takes p, pairs")
+    pairs, seq = syn.get("pairs", ANALYTIC_PAIRS), (list, tuple)
+    if not (isinstance(pairs, seq) and all(isinstance(v, seq) for v in pairs)):
+        raise ValidationError("synthetic.pairs must be a list of [alpha, beta] pairs")
+    p = syn.get("p", 0.3)
+    _check_rate(p, "synthetic.p")
+    return [_build(analytic.AnalyticModel, "synthetic", {"p": p}, *pr) for pr in pairs]
 
 
-# ---------------------------------------------------------------------------
-# The runner
-# ---------------------------------------------------------------------------
-
-
-def _analytic_excess_bundle(spec: ExperimentSpec) -> dict:
+def _excess_curves(spec: ExperimentSpec) -> dict:
     curves = {}
     for m in spec.generator():
         thetas, risks = analytic.risk_curve(m)
@@ -380,6 +276,98 @@ def _analytic_excess_bundle(spec: ExperimentSpec) -> dict:
             "excess": excess.tolist(),
         }
     return {"p": spec.synthetic.get("p", 0.3), "curves": curves}
+
+
+def _strata_generator(spec: ExperimentSpec) -> synthetic.GaussianStrataSpec:
+    syn = dict(spec.synthetic)
+    if "n_source" in syn:
+        _check_count(syn.pop("n_source"), "synthetic.n_source", 1)
+    generator = _build(synthetic.GaussianStrataSpec, "synthetic", syn)
+    if spec.prior.get("pk") is not None:
+        pk = _check_distribution(spec.prior["pk"], "prior.pk", 1e-12)
+        if spec.train_csv is None and pk.size != generator.n_strata:
+            raise ValidationError(f"prior.pk needs {generator.n_strata} entries, one per stratum")
+    return generator
+
+
+def _strata_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
+    if spec.train_csv is not None:
+        source, _ = ingest_csv(spec.train_csv)
+        test, _ = ingest_csv(spec.test_csv)
+        _align_classes(source, test)
+        pk = np.asarray(spec.prior.get("pk") or source.stratum_counts() / source.n)
+        draw_source = lambda seed: source  # noqa: E731 - subsampled as it is
+    else:
+        generator = spec.generator()
+        K = generator.n_strata
+        pk = np.asarray(spec.prior.get("pk") or [1.0 / K] * K)
+        test = synthetic.gaussian_strata_sample(generator, spec.n_test, pk, test_seed)
+        n_source = spec.synthetic.get("n_source", 4 * spec.n_train)
+        draw_source = lambda seed: synthetic.gaussian_strata_sample(  # noqa: E731
+            generator, n_source, pk, [seed, 0]
+        )
+    bias = spec.bias_spec() or biasgen.BiasSpec(gamma=1.0)
+    if bias.target_pk is None:
+        bias = dataclasses.replace(bias, target_pk=tuple(float(v) for v in pk))
+    p_prime = biasgen.power_law_distribution(bias, len(pk))
+    return _SharedData(
+        test,
+        lambda seed: biasgen.subsample_to_distribution(draw_source(seed), p_prime, [seed, 1],
+                                                       max_size=spec.n_train),
+        lambda d: weights_mod.oracle_stratum_shift_weights(d, pk, p_prime),
+        weights_mod.TargetPrior(pk=pk),
+        [float(v) for v in p_prime],
+    )
+
+
+def _uniform_class_weights(data: Dataset, shared: _SharedData) -> WeightVector:
+    """Class weights toward uniform test classes, the labels taken as strata."""
+    J = shared.test.n_classes
+    labels_as_strata = dataclasses.replace(data, strata=data.labels, n_strata=data.n_classes)
+    uniform = weights_mod.TargetPrior(pk=(1.0 / J,) * J)
+    return weights_mod.stratum_shift_weights(labels_as_strata, uniform)
+
+
+def _censored_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
+    cspec = spec.generator()  # both samplers fix n_classes = 2
+    return _SharedData(
+        synthetic.censored_test_sample(cspec, spec.n_test, test_seed),
+        lambda seed: synthetic.censored_train_sample(cspec, spec.n_train, [seed, 0]),
+        lambda d: synthetic.oracle_censoring_weights(cspec, d),
+    )
+
+
+# class_shift and pu differ only in the weights.setting they name
+_ANALYTIC = _Scenario(_analytic_model, {
+    "uniform": _uniform_weights,
+    "class": lambda data, shared: weights_mod.class_shift_weights(data, shared.prior),
+    "pu": lambda data, shared: weights_mod.pu_weights(data, shared.prior),
+    "oracle": _oracle_weights,
+}, _analytic_shared)
+
+SCENARIOS: dict[str, _Scenario] = {
+    "analytic_excess": _Scenario(_excess_models, {"uniform": _uniform_weights},
+                                curves=_excess_curves),
+    "class_shift": _ANALYTIC,
+    "strata_shift": _Scenario(_strata_generator, {
+        "uniform": _uniform_weights,
+        "class": _uniform_class_weights,
+        "strata": lambda data, shared: weights_mod.stratum_shift_weights(data, shared.prior),
+        "oracle": _oracle_weights,
+    }, _strata_shared, priors=("pk",), csv=True),
+    "pu": _ANALYTIC,
+    "censored": _Scenario(
+        lambda spec: _build(synthetic.CensoredSpec, "synthetic", spec.synthetic), {
+            "uniform": _uniform_weights,
+            "ipcw": lambda data, shared: _ipcw_weights(data)[0],
+            "oracle": _oracle_weights,
+        }, _censored_shared),
+}
+
+
+# ---------------------------------------------------------------------------
+# The runner
+# ---------------------------------------------------------------------------
 
 
 def _fit_and_score(
@@ -421,8 +409,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "resolved_spec": spec.resolved(),
         "failures": [],
     }
-    if spec.scenario == "analytic_excess":
-        bundle["analytic"] = _analytic_excess_bundle(spec)
+    scenario = SCENARIOS[spec.scenario]
+    if scenario.curves is not None:
+        bundle["analytic"] = scenario.curves(spec)
         return bundle
 
     seeds = spec.seeds()
@@ -430,32 +419,32 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         m: {"miss_rate": [], "top_k_error": [], "sce": []} for m in spec.modes
     }
     curves: dict[str, list] = {}
-    realized_p_prime = None
+    bundle["realized_p_prime"] = None
     try:
-        test, ctx, draw_train = _shared_data(spec)
+        shared = scenario.shared(spec, [spec.base_seed, 999])
+        _check_top_k(spec.top_k, shared.test.n_classes)  # checked before any training
     except WermError as exc:  # every replicate reports it
         bundle["failures"] = [_failure(r, "*", exc) for r in range(len(seeds))]
         seeds = ()
 
     for r, rep_seed in enumerate(seeds):
         try:
-            trainset = draw_train(rep_seed)
+            trainset = shared.draw_train(rep_seed)
         except WermError as exc:  # partial completion is reported
             bundle["failures"].append(_failure(r, "*", exc))
             continue
-        if "p_prime" in ctx:
-            realized_p_prime = [float(v) for v in ctx["p_prime"]]
+        bundle["realized_p_prime"] = shared.p_prime
         cfg = spec.train_config(seed=rep_seed)
         outcome: dict = {}  # mode -> its weights, then its (metrics, log); or its WermError
         for mode in spec.modes:
             try:
-                outcome[mode] = MODE_WEIGHTS[mode](trainset, ctx)
+                outcome[mode] = scenario.weights[mode](trainset, shared)
             except WermError as exc:  # replicate failure is data
                 outcome[mode] = exc
         ready = [m for m in spec.modes if not isinstance(outcome[m], WermError)]
 
         def fit_and_score(modes):  # only replicate 0's learning curves are kept
-            return _fit_and_score(trainset, [outcome[m] for m in modes], test,
+            return _fit_and_score(trainset, [outcome[m] for m in modes], shared.test,
                                   spec.model_kind, cfg, spec.top_k, curve=r == 0)
 
         try:
@@ -476,7 +465,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             if r == 0:
                 curves[mode] = list(log.rows())
 
-    bundle["realized_p_prime"] = realized_p_prime
     bundle["modes"] = {
         mode: {
             metric: {

@@ -7,10 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from werm import train as train_mod
+from werm import train as train_mod, weights as weights_mod
 from werm.cli import main
 from werm.core import EmptyStratumError, WeightVector, read_csv
-from werm.experiment import MODE_WEIGHTS
+from werm.experiment import SCENARIOS, _SharedData
 
 
 def run_cli(capsys, *argv):
@@ -216,15 +216,19 @@ class TestWeightsCommand:
         assert km_out.read_text().splitlines()[0] == "t,s"
 
     @pytest.mark.parametrize(
-        "mode, writer, flags, ctx",
+        "mode, writer, flags, ctx",  # ctx: the scenario and its plug-ins' prior
         [
-            ("class", write_binary_csv, ["--p", "0.4"], {"p": 0.4}),
-            ("pu", write_binary_csv, ["--p", "0.4"], {"p": 0.4}),
-            ("strata", write_strata_csv, ["--pk-file", "PK"], {"pk": (0.2, 0.5, 0.3)}),
-            ("ipcw", write_survival_csv, [], {}),
+            ("class", write_binary_csv, ["--p", "0.4"], ("class_shift", {"p": 0.4})),
+            ("pu", write_binary_csv, ["--p", "0.4"], ("pu", {"p": 0.4})),
+            ("strata", write_strata_csv, ["--pk-file", "PK"],
+             ("strata_shift", {"pk": (0.2, 0.5, 0.3)})),
+            ("ipcw", write_survival_csv, [], ("censored", {})),
         ],
     )
     def test_same_vector_as_mode_table(self, tmp_path, capsys, mode, writer, flags, ctx):
+        """The CLI's weights are those of the runner's weight function for
+        the mode, given the same test-side facts."""
+        scenario, prior = ctx
         src = writer(tmp_path / "d.csv")
         pk_file = tmp_path / "pk.json"
         pk_file.write_text("[0.2, 0.5, 0.3]")
@@ -234,9 +238,25 @@ class TestWeightsCommand:
             "--mode", mode, *flags,
         )
         assert code == 0
-        expected = MODE_WEIGHTS[mode](read_csv(src), dict(ctx)).weights
+        shared = _SharedData(None, None, None, weights_mod.TargetPrior(**prior))
+        expected = SCENARIOS[scenario].weights[mode](read_csv(src), shared).weights
         back = WeightVector.from_csv(tmp_path / "w.csv").weights
         np.testing.assert_array_equal(back, expected)
+
+    @pytest.mark.parametrize("mode", ["class", "strata", "pu"])
+    def test_km_out_outside_ipcw_exits_2_before_reading(self, tmp_path, capsys, mode):
+        """Only ipcw fits a censoring curve; --km-out with another mode is
+        refused before the input is read, so a missing input is no IO error."""
+        pk_file = tmp_path / "pk.json"
+        pk_file.write_text("[0.2, 0.5, 0.3]")
+        code, out, err = run_cli(
+            capsys, "weights", "--in", str(tmp_path / "absent.csv"),
+            "--out", str(tmp_path / "w.csv"), "--mode", mode, "--p", "0.4",
+            "--pk-file", str(pk_file), "--km-out", str(tmp_path / "km.csv"),
+        )
+        assert code == 2 and out == ""
+        assert "--km-out" in err and "ipcw" in err
+        assert not (tmp_path / "w.csv").exists() and not (tmp_path / "km.csv").exists()
 
     @pytest.mark.parametrize(
         "mode, writer, needs",
@@ -442,10 +462,10 @@ class TestExperimentCommand:
         assert not (tmp_path / "m").exists()
 
     def test_failed_runs_exit_5_and_still_write(self, tmp_path, capsys, monkeypatch):
-        def broken(data, ctx):
+        def broken(data, shared):
             raise EmptyStratumError(2)
 
-        monkeypatch.setitem(MODE_WEIGHTS, "strata", broken)
+        monkeypatch.setitem(SCENARIOS["strata_shift"].weights, "strata", broken)
         cfg = self.config(tmp_path, "f")
         code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
         assert code == 5

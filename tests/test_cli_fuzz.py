@@ -81,9 +81,12 @@ def spec_documents(draw):
         return draw(NOT_OBJECTS)
     scenario = draw(st.sampled_from(sorted(SYNTHETIC)))
     required, optional = SYNTHETIC[scenario]
-    modes = st.lists(st.sampled_from(experiment.SCENARIO_MODES[scenario]), min_size=1, max_size=3)
+    record = experiment.SCENARIOS[scenario]
+    modes = st.lists(st.sampled_from(list(record.weights)), min_size=1, max_size=3)
+    # a prior only where the scenario reads one; BAD_SPECS covers the refusal
+    extra = {k: v for k, v in OPTIONAL.items() if k != "prior" or record.priors}
     doc = draw(st.fixed_dictionaries(
-        {"scenario": st.just(scenario), **SIZES}, optional={"modes": modes, **OPTIONAL}
+        {"scenario": st.just(scenario), **SIZES}, optional={"modes": modes, **extra}
     ))
     doc["synthetic"] = draw(st.fixed_dictionaries(required, optional=optional))
     csvs = dict(zip(("train_csv", "test_csv"), draw(CSV_PAIRS))) if scenario == "strata_shift" else {}

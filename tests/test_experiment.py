@@ -3,6 +3,8 @@ scenario structure, and emission contracts."""
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,7 @@ import pytest
 from werm import analytic, biasgen, synthetic, train as train_mod, weights as weights_mod
 from werm.core import EmptyStratumError, ValidationError, WeightVector, write_csv
 from werm.experiment import (
-    MODE_WEIGHTS,
-    SCENARIO_MODES,
+    SCENARIOS,
     ExperimentSpec,
     emit_results,
     ingest_csv,
@@ -47,20 +48,29 @@ class TestSpec:
         with pytest.raises(ValidationError):
             ExperimentSpec(scenario="pu", modes=("magic",))
 
-    @pytest.mark.parametrize("scenario", sorted(SCENARIO_MODES))
-    @pytest.mark.parametrize("mode", sorted(MODE_WEIGHTS))
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("mode", sorted({m for s in SCENARIOS.values() for m in s.weights}))
     def test_scenario_mode_table(self, scenario, mode):
-        """Exactly the pairs of SCENARIO_MODES build; any other is rejected
-        with an error naming both, before any data is drawn."""
+        """Exactly the modes of each scenario's record build; any other is
+        rejected with an error naming both, before any data is drawn."""
         synthetic_fields = {"class_shift": {"p": 0.3, "p_train": 0.6}, "pu": {"p": 0.3, "q": 0.4}}
         build = lambda: ExperimentSpec(  # noqa: E731
             scenario=scenario, modes=(mode,), synthetic=synthetic_fields.get(scenario, {}),
         )
-        if mode in SCENARIO_MODES[scenario]:
+        if mode in SCENARIOS[scenario].weights:
             assert build().modes == (mode,)
         else:
             with pytest.raises(ValidationError, match=f"{scenario}.*{mode}"):
                 build()
+
+    def test_readme_table_lists_each_scenarios_modes(self):
+        """README's scenario table names each scenario once, with exactly
+        the modes of its record, in the record's order."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \|.*\| ([^|]*) \|$", readme, re.M)
+        listed = {name: tuple(re.findall(r"`(\w+)`", modes)) for name, modes in rows}
+        assert len(listed) == len(rows)
+        assert listed == {name: tuple(s.weights) for name, s in SCENARIOS.items()}
 
     @pytest.mark.parametrize(
         "overrides,match",
@@ -357,10 +367,10 @@ class TestScenarios:
         failures read as if each mode had been fitted alone, in mode order,
         and the other modes keep the bytes of a run without those two."""
 
-        def blowup(data, ctx):
+        def blowup(data, shared):
             return WeightVector(np.full(data.n, 1e308))
 
-        def empty(data, ctx):
+        def empty(data, shared):
             raise EmptyStratumError(2)
 
         def spec(*modes):
@@ -368,8 +378,9 @@ class TestScenarios:
             # while the unit-scale weights of the other modes stay finite
             return small_strata_spec(modes=modes, train={**FAST_TRAIN, "lr": 1000.0})
 
-        monkeypatch.setitem(MODE_WEIGHTS, "strata", blowup)
-        monkeypatch.setitem(MODE_WEIGHTS, "oracle", empty)
+        modes = SCENARIOS["strata_shift"].weights
+        monkeypatch.setitem(modes, "strata", blowup)
+        monkeypatch.setitem(modes, "oracle", empty)
         bundle = run_experiment(spec("uniform", "strata", "class", "oracle"))
         alone = run_experiment(spec("strata"))["failures"]
         replicates = bundle["replicates"]

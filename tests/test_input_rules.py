@@ -309,6 +309,16 @@ BAD_SPECS = {
     "prior.pk NaN with csvs": ({**STRATA, "prior": {"pk": [NAN, 1.0]}, "train_csv": "a.csv",
                                 "test_csv": "b.csv"},
                                "prior.pk must be a nonempty vector of finite, nonnegative"),
+    "prior.p on class_shift": ({**CLASS_SHIFT, "prior": {"p": 0.9}}, "'class_shift' does not "
+                               "read prior.p; a test positive rate is synthetic.p"),
+    "prior.pK on strata_shift": ({**STRATA, "prior": {"pK": [1]}},
+                                 "'strata_shift' does not read prior.pK; it reads pk$"),
+    "prior.pk on pu": ({"scenario": "pu", "synthetic": {"p": 0.3, "q": 0.4},
+                        "prior": {"pk": [1.0]}}, "'pu' does not read prior.pk; it reads none"),
+    "prior.pk on censored": ({"scenario": "censored", "prior": {"pk": [0.5, 0.5]}},
+                             "'censored' does not read prior.pk"),
+    "prior.p on analytic_excess": ({"scenario": "analytic_excess", "prior": {"p": 0.3}},
+                                   "'analytic_excess' does not read prior.p; .* synthetic.p"),
     "modes repeated": ({**STRATA, "modes": ["uniform", "uniform"]}, "modes repeat a mode"),
     "modes empty": ({**STRATA, "modes": []}, "modes must be a nonempty list"),
     "modes a string": ({**STRATA, "modes": "uniform"}, "modes must be a nonempty list"),

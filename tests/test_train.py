@@ -549,10 +549,10 @@ class TestStackedFit:
     one-vector fit, and evaluates each model once per epoch."""
 
     CASES = [  # (n, d, J, batch_size)
-        (53, 2, 3, 10),  # a short final batch; J on log_softmax's fold path
-        (41, 3, 9, 8),  # J on the row path
+        (53, 2, 3, 10),  # a short final batch
+        (41, 3, 9, 8),  # J = 9
         (12, 1, 4, 1),  # B = 1 and d = 1; 12 batch objectives, summed pairwise
-        (30, 1, 12, 7),  # d = 1 on the row path
+        (30, 1, 12, 7),  # J = 12 with d = 1
         (20, 1, 2, 2),  # the mlp has one hidden unit
     ]
 
