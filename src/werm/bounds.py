@@ -308,7 +308,9 @@ def coverage_check(
     fraction of replicates where it stays below the matching deviation
     bound.  The contract is coverage >= 1 - delta; the bounds are loose,
     so coverage near 1 is the norm.  Replicate r draws its seed from
-    (seed, r), making results independent of any work split.
+    (seed, r), making results independent of any work split.  class_shift
+    reads ``p_train``, pu ``q``, and stratum_shift ``pk`` (its target) and
+    ``pk_train``; a rate keyword the setting does not read is refused.
     """
     _check_count(reps, "reps", 1)
     _check_count(grid_size, "grid_size", 1)
@@ -319,10 +321,13 @@ def coverage_check(
     model_type, rate_arg, sampler, plug_in, oracle = weights.setting(setting)
     # a stratum setting's rates are a distribution, and its target is pk
     stratified = rate_arg == "pk_train"
-    rates = {"p_train": p_train, "q": q, "pk_train": pk_train}[rate_arg]
-    if rates is None or (stratified and pk is None):
-        needs = "pk and pk_train" if stratified else rate_arg
-        raise ValidationError(f"{setting} coverage needs {needs}")
+    given = {"p_train": p_train, "q": q, "pk": pk, "pk_train": pk_train}
+    reads = ("pk", rate_arg) if stratified else (rate_arg,)
+    for key in [k for k, v in given.items() if v is not None and k not in reads]:
+        raise ValidationError(f"{setting} coverage reads {' and '.join(reads)}, not {key}")
+    if any(given[key] is None for key in reads):
+        raise ValidationError(f"{setting} coverage needs {' and '.join(reads)}")
+    rates = given[rate_arg]
     rates = _check_distribution(rates, "pk_train", 1e-9) if stratified else rates
     if not isinstance(model, model_type):
         raise ValidationError(f"{setting} coverage needs a {model_type.__name__}")

@@ -41,6 +41,16 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _check_prior_flags(mode: str, args) -> None:
+    """Refuse, before any input is read, a missing prior flag that ``mode``
+    reads and a given one that it does not (``none`` and ``ipcw`` read neither)."""
+    reads = {"class": "--p", "pu": "--p", "strata": "--pk-file"}.get(mode)
+    for flag, value in (("--p", args.p), ("--pk-file", args.pk_file)):
+        if (value is None) == (flag == reads):
+            verb = "needs" if value is None else "does not read"
+            raise ValidationError(f"reweighting mode {mode!r} {verb} {flag}")
+
+
 def _weights_from_flags(
     data: Dataset, mode: str, args
 ) -> tuple[WeightVector, weights_mod.KmCurve | None]:
@@ -48,16 +58,12 @@ def _weights_from_flags(
     and for ``ipcw`` its censoring curve (else None); ``none`` is all-ones."""
     if mode == "none":
         return WeightVector.ones(data.n), None
-    pk = None if args.pk_file is None else _load_pk(args.pk_file)
     if mode == "ipcw":
         return experiment._ipcw_weights(data)
-    need, given = ("pk", pk) if mode == "strata" else ("p", args.p)
-    if given is None:
-        raise ValidationError(f"reweighting mode {mode!r} needs {need}")
-    if mode == "strata":
-        return weights_mod.stratum_shift_weights(data, weights_mod.TargetPrior(pk=pk)), None
-    weigh = weights_mod.class_shift_weights if mode == "class" else weights_mod.pu_weights
-    return weigh(data, weights_mod.TargetPrior(p=given)), None
+    pk = None if args.pk_file is None else _load_pk(args.pk_file)
+    weigh = {"class": weights_mod.class_shift_weights, "pu": weights_mod.pu_weights,
+             "strata": weights_mod.stratum_shift_weights}[mode]
+    return weigh(data, weights_mod.TargetPrior(p=args.p, pk=pk)), None
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +95,7 @@ def _cmd_biasgen(args) -> None:
 def _cmd_weights(args) -> None:
     if args.km_out and args.mode != "ipcw":
         raise ValidationError("--km-out writes the censoring curve of --mode ipcw only")
+    _check_prior_flags(args.mode, args)
     data, report = experiment.ingest_csv(args.infile)
     w, km = _weights_from_flags(data, args.mode, args)
     w.to_csv(args.outfile)
@@ -98,6 +105,7 @@ def _cmd_weights(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    _check_prior_flags(args.weights, args)
     train_data, _ = experiment.ingest_csv(args.train)
     test_data, _ = experiment.ingest_csv(args.test)
     experiment._align_classes(train_data, test_data)
@@ -210,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pt.add_argument("--p", type=float)
     pt.add_argument("--pk-file")
-    pt.add_argument("--lr", type=float, default=0.001)
-    pt.add_argument("--momentum", type=float, default=0.9)
-    pt.add_argument("--wd", type=float, default=0.0)
-    pt.add_argument("--batch", type=int, default=1000)
-    pt.add_argument("--epochs", type=int, default=10)
-    pt.add_argument("--seed", type=int, default=0)
+    pt.add_argument("--lr", type=float, default=train_mod.TrainConfig.lr)
+    pt.add_argument("--momentum", type=float, default=train_mod.TrainConfig.momentum)
+    pt.add_argument("--wd", type=float, default=train_mod.TrainConfig.weight_decay)
+    pt.add_argument("--batch", type=int, default=train_mod.TrainConfig.batch_size)
+    pt.add_argument("--epochs", type=int, default=train_mod.TrainConfig.epochs)
+    pt.add_argument("--seed", type=int, default=train_mod.TrainConfig.seed)
     pt.add_argument("--top-k", type=int, default=None)
     pt.add_argument("--curve", help="write the per-epoch learning curve CSV here")
     pt.set_defaults(func=_cmd_train)
@@ -229,12 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--n", type=int, required=True)
     pd.add_argument("--delta", type=float, required=True)
     pd.add_argument("--epsilon", type=float)
-    pd.add_argument("--L", type=float, default=1.0)
+    pd.add_argument("--L", type=float, default=bounds_mod.BoundInputs.L)
     pd.add_argument("--p", type=float)
     pd.add_argument("--K", type=int)
     pd.add_argument("--max-pk", dest="max_pk", type=float)
     pd.add_argument("--phi-sup", dest="phi_sup", type=float)
-    pd.add_argument("--rademacher", type=float, default=0.0)
+    pd.add_argument("--rademacher", type=float, default=bounds_mod.BoundInputs.rademacher)
     pd.set_defaults(func=_cmd_bounds)
 
     pe = sub.add_parser("experiment", help="run an experiment spec end to end")

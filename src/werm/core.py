@@ -27,7 +27,7 @@ import csv
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -293,11 +293,6 @@ class WeightVector:
     def to_csv(self, path) -> None:
         write_rows(path, ["w"], [self.weights])
 
-    @staticmethod
-    def from_csv(path) -> "WeightVector":
-        kinds_of = _exact_header(["w"], "weight CSV must have the single header 'w'")
-        return WeightVector(_read_columns(path, kinds_of)["w"])
-
 
 # ---------------------------------------------------------------------------
 # Losses
@@ -493,22 +488,19 @@ def _records(path, fh):
         raise SchemaError(f"{path}: line {line_no + 1}: {exc}") from exc
 
 
-def _read_columns(path, kinds_of: Callable[[list[str]], dict]) -> dict[str, np.ndarray]:
-    """Parse a CSV into one array per column with numpy's C reader.
-
-    ``kinds_of(header)`` checks the raw header and maps each stripped
-    column name to its cell kind (``float``, ``int`` or ``_event``), in the
-    order cells are checked.  Blank lines are skipped; a malformed file
-    raises :class:`SchemaError` naming its first bad line.  Columns may be
-    empty (a header-only file).
-    """
+def read_csv(path) -> Dataset:
+    """Parse a dataset CSV with numpy's C reader; blank lines are skipped,
+    and a malformed file raises :class:`SchemaError` naming its first bad line."""
     # universal newlines: numpy's reader splits rows at "\n" only
     with open(path) as fh:
         _, header = next(_records(path, fh), (1, None))
         if header is None:
             raise SchemaError(f"{path}: empty file")
-        kinds = kinds_of(header)
         names = [h.strip() for h in header]
+        d = _parse_header(names)
+        # cell kinds in the order cells are checked: features, then y, s, t, e
+        kinds = {f"x{j}": float for j in range(d)}
+        kinds.update((name, kind) for name, kind in _OPTIONAL_KINDS.items() if name in names)
         dtype = np.dtype([(name, _FIELD_TYPES[kinds[name]]) for name in names])
         try:
             with warnings.catch_warnings():
@@ -516,7 +508,7 @@ def _read_columns(path, kinds_of: Callable[[list[str]], dict]) -> dict[str, np.n
                 table = np.loadtxt(
                     fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
                 )
-            return {
+            cols = {
                 name: _events(table[name]) if kind is _event
                 else np.ascontiguousarray(table[name])
                 for name, kind in kinds.items()
@@ -524,6 +516,17 @@ def _read_columns(path, kinds_of: Callable[[list[str]], dict]) -> dict[str, np.n
         except ValueError as exc:
             _raise_bad_line(path, names, kinds)
             raise SchemaError(f"{path}: {exc}") from exc
+    if not cols["x0"].size:
+        raise SchemaError(f"{path}: no data rows")
+    if ("t" in cols) != ("e" in cols):
+        raise SchemaError(f"{path}: columns t and e must appear together")
+    return Dataset(
+        features=np.column_stack([cols[f"x{j}"] for j in range(d)]),
+        labels=cols.get("y"),
+        strata=cols.get("s"),
+        times=cols.get("t"),
+        events=cols.get("e"),
+    )
 
 
 def _events(cells: np.ndarray) -> np.ndarray:
@@ -534,42 +537,6 @@ def _events(cells: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~(flags | (cells == "0"))):
         flags[i] = _event(cells[i])
     return flags
-
-
-def _exact_header(names: list[str], message: str) -> Callable[[list[str]], dict]:
-    """``kinds_of`` for :func:`_read_columns`: the header must be exactly
-    ``names`` (else SchemaError(message)); every cell is a float."""
-
-    def kinds_of(header: list[str]) -> dict:
-        if header != names:
-            raise SchemaError(message)
-        return dict.fromkeys(names, float)
-
-    return kinds_of
-
-
-def _dataset_kinds(header: list[str]) -> dict:
-    names = [h.strip() for h in header]
-    d = _parse_header(names)
-    kinds = {f"x{j}": float for j in range(d)}
-    kinds.update((name, kind) for name, kind in _OPTIONAL_KINDS.items() if name in names)
-    return kinds
-
-
-def read_csv(path) -> Dataset:
-    """Parse a dataset CSV; malformed cells raise with their file line."""
-    cols = _read_columns(path, _dataset_kinds)
-    if not cols["x0"].size:
-        raise SchemaError(f"{path}: no data rows")
-    if ("t" in cols) != ("e" in cols):
-        raise SchemaError(f"{path}: columns t and e must appear together")
-    return Dataset(
-        features=np.column_stack([c for name, c in cols.items() if name.startswith("x")]),
-        labels=cols.get("y"),
-        strata=cols.get("s"),
-        times=cols.get("t"),
-        events=cols.get("e"),
-    )
 
 
 def write_csv(data: Dataset, path) -> None:

@@ -295,7 +295,10 @@ def _strata_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
         source, _ = ingest_csv(spec.train_csv)
         test, _ = ingest_csv(spec.test_csv)
         _align_classes(source, test)
-        pk = np.asarray(spec.prior.get("pk") or source.stratum_counts() / source.n)
+        counts = source.stratum_counts()
+        pk = np.asarray(spec.prior.get("pk") or counts / source.n)
+        if pk.size != counts.size:
+            raise ValidationError(f"prior.pk has {pk.size} entries, train_csv {counts.size} strata")
         draw_source = lambda seed: source  # noqa: E731 - subsampled as it is
     else:
         generator = spec.generator()

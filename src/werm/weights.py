@@ -55,8 +55,6 @@ from .core import (
     WeightVector,
     _check_distribution,
     _check_rate,
-    _exact_header,
-    _read_columns,
     write_rows,
 )
 
@@ -266,12 +264,6 @@ class KmCurve:
 
     def to_csv(self, path) -> None:
         write_rows(path, ["t", "s"], [self.times, self.survival])
-
-    @staticmethod
-    def from_csv(path) -> "KmCurve":
-        kinds_of = _exact_header(["t", "s"], "survival CSV must have header 't,s'")
-        cols = _read_columns(path, kinds_of)
-        return KmCurve(times=cols["t"], survival=cols["s"])
 
 
 def km_fit(times, events) -> KmCurve:

@@ -646,12 +646,19 @@ def test_sup_deviation_bit_equal_to_argsort_sweep(case):
      ("stratum_shift", {"pk_train": [0.4, 0.3, 0.2, 0.2]}),
      ("stratum_shift", {"pk_train": [0.6, 0.5, -0.1, 0.0]}),
      ("stratum_shift", {"pk_train": [np.nan, 0.3, 0.2, 0.1]}),
-     ("stratum_shift", {"pk_train": []})],
+     ("stratum_shift", {"pk_train": []}),
+     # a rate keyword the setting does not read
+     ("class_shift", {"q": 0.9}), ("class_shift", {"pk": [0.5, 0.5]}),
+     ("class_shift", {"pk_train": [1.0]}), ("pu", {"p_train": 0.6}), ("pu", {"pk": [1.0]}),
+     ("pu", {"pk_train": [1.0]}), ("stratum_shift", {"p_train": 0.6}),
+     ("stratum_shift", {"q": 0.4})],
 )
 def test_bad_arguments_rejected_before_any_draw(monkeypatch, setting, bad):
     _no_draws(monkeypatch)
     model, kw = C04_CALLS[setting]
-    with pytest.raises(ValidationError):
+    unread = (set(bad) - set(kw)) & {"p_train", "q", "pk", "pk_train"}
+    match = f"{setting} coverage reads .*, not {unread.pop()}$" if unread else None
+    with pytest.raises(ValidationError, match=match):
         coverage_check(setting, model, n=100, delta=0.1, reps=2, epsilon=0.3, **{**kw, **bad})
 
 

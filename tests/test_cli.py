@@ -9,7 +9,7 @@ import pytest
 
 from werm import train as train_mod, weights as weights_mod
 from werm.cli import main
-from werm.core import EmptyStratumError, WeightVector, read_csv
+from werm.core import EmptyStratumError, read_csv
 from werm.experiment import SCENARIOS, _SharedData
 
 
@@ -240,7 +240,7 @@ class TestWeightsCommand:
         assert code == 0
         shared = _SharedData(None, None, None, weights_mod.TargetPrior(**prior))
         expected = SCENARIOS[scenario].weights[mode](read_csv(src), shared).weights
-        back = WeightVector.from_csv(tmp_path / "w.csv").weights
+        back = np.loadtxt(tmp_path / "w.csv", delimiter=",", skiprows=1, ndmin=1)
         np.testing.assert_array_equal(back, expected)
 
     @pytest.mark.parametrize("mode", ["class", "strata", "pu"])
@@ -257,6 +257,40 @@ class TestWeightsCommand:
         assert code == 2 and out == ""
         assert "--km-out" in err and "ipcw" in err
         assert not (tmp_path / "w.csv").exists() and not (tmp_path / "km.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, mode, flag",
+        [
+            ("weights", "strata", "--p"),
+            ("weights", "ipcw", "--p"),
+            ("weights", "class", "--pk-file"),
+            ("weights", "pu", "--pk-file"),
+            ("weights", "ipcw", "--pk-file"),
+            ("train", "strata", "--p"),
+            ("train", "ipcw", "--p"),
+            ("train", "class", "--pk-file"),
+            ("train", "pu", "--pk-file"),
+            ("train", "ipcw", "--pk-file"),
+            ("train", "none", "--p"),
+            ("train", "none", "--pk-file"),
+        ],
+    )
+    def test_unread_prior_flag_exits_2_before_reading(self, tmp_path, capsys, command, mode,
+                                                      flag):
+        """A prior flag the mode does not read is refused before the input
+        is read, so a missing input is no IO error."""
+        pk_file = tmp_path / "pk.json"
+        pk_file.write_text("[0.2, 0.5, 0.3]")
+        absent = str(tmp_path / "absent.csv")
+        given = {"--p": ["--p", "0.4"], "--pk-file": ["--pk-file", str(pk_file)]}
+        reads = {"class": "--p", "pu": "--p", "strata": "--pk-file"}.get(mode)
+        flags = (given[reads] if reads else []) + given[flag]  # the mode's own flag too
+        argv = {"weights": ["--in", absent, "--out", str(tmp_path / "w.csv"), "--mode"],
+                "train": ["--train", absent, "--test", absent, "--weights"]}[command]
+        code, out, err = run_cli(capsys, command, *argv, mode, *flags)
+        assert (code, out) == (2, "")
+        assert f"mode {mode!r} does not read {flag}" in err
+        assert not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize(
         "mode, writer, needs",

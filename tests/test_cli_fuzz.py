@@ -183,15 +183,14 @@ DATA_COMMANDS = {
          "--in": ["labels.csv", "binary.csv", "absent.csv"]},
     ),
     "weights": (
-        ["--in", "strata.csv", "--out", "out/w.csv", "--mode", "strata", "--pk-file", "pk.json",
-         "--p", "0.4"],
+        ["--in", "strata.csv", "--out", "out/w.csv", "--mode", "strata"],
         {"--mode": ["class", "pu", "ipcw"], "--p": ["0", "1", "nan", "-inf"],
          "--in": ["binary.csv", "censored.csv", "labels.csv"], "--pk-file": ["absent.json"],
          "--km-out": ["out/km.csv"]},
     ),
     "train": (
-        ["--train", "strata.csv", "--test", "strata.csv", "--weights", "strata", "--pk-file",
-         "pk.json", "--p", "0.4", "--epochs", "2", "--batch", "16"],
+        ["--train", "strata.csv", "--test", "strata.csv", "--weights", "strata",
+         "--epochs", "2", "--batch", "16"],
         {"--batch": ["0", "-3"], "--epochs": ["-1", "0"], "--top-k": ["0", "3", "9"],
          "--p": ["0", "1", "nan"], "--weights": ["none", "class", "pu", "ipcw"],
          "--model": ["mlp"], "--lr": ["nan", "1e300"], "--seed": ["-1"],
@@ -206,13 +205,24 @@ PK_DOCS = [
 ]
 
 
+# the prior flag, in range, that each reweighting mode reads
+MODE_PRIOR = {"class": ["--p", "0.4"], "pu": ["--p", "0.4"], "strata": ["--pk-file", "pk.json"]}
+
+
 def _data_argv(command, edits):
+    """The command's argv with ``edits`` applied, plus the prior flag its
+    final mode reads unless an edit set that flag."""
     argv = list(DATA_COMMANDS[command][0])
     for flag, value in edits:
         if flag in argv:
             argv[argv.index(flag) + 1] = value
         else:
             argv += [flag, value]
+    if command != "biasgen":
+        mode = argv[argv.index({"weights": "--mode", "train": "--weights"}[command]) + 1]
+        prior = MODE_PRIOR.get(mode)
+        if prior and prior[0] not in argv:
+            argv += prior
     return [command, *argv]
 
 

@@ -1,5 +1,6 @@
-"""CSV readers: parity of the columnar dataset parser with the per-row
-parser it replaced, and typed errors from the weight and survival readers."""
+"""CSV input and output: the dataset reader, the package's only CSV parser,
+against the per-row parser it replaced; the column writer against the csv
+module; the event column against the per-cell parse."""
 
 import csv
 import io
@@ -10,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from werm import core
-from werm.core import Dataset, SchemaError, WeightVector, WermError, read_csv, write_rows
-from werm.weights import KmCurve
+from werm.core import Dataset, SchemaError, WermError, read_csv, write_rows
 
 
 def row_loop_read_csv(path) -> Dataset:
@@ -255,70 +255,6 @@ def test_differential_against_row_loop(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("diff") / "d.csv"
     path.write_bytes(text.encode())
     assert_same_outcome(path)
-
-
-# ---------------------------------------------------------------------------
-# Weight and survival readers
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "text,line",
-    [
-        ("w\n1.0\noops\n", 3),
-        ("w\n1.0\n\n2.0,3.0\n", 4),
-        ("w\n1.0\n \n", 3),
-    ],
-)
-def test_weight_csv_errors_name_line(tmp_path, text, line):
-    path = tmp_path / "w.csv"
-    path.write_text(text)
-    with pytest.raises(SchemaError, match=f"line {line}:"):
-        WeightVector.from_csv(path)
-
-
-def test_weight_csv_skips_blank_lines(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("w\r\n\r\n0.5\r\n\r\n2.0\r\n")
-    np.testing.assert_array_equal(WeightVector.from_csv(path).weights, [0.5, 2.0])
-
-
-def test_weight_csv_header_checked(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("weight\n1.0\n")
-    with pytest.raises(SchemaError, match="single header 'w'"):
-        WeightVector.from_csv(path)
-
-
-@pytest.mark.parametrize(
-    "text,line",
-    [
-        ("t,s\n1.0,0.5\n2.0,oops\n", 3),
-        ("t,s\n1.0,0.5,0.1\n", 2),
-        ("t,s\n1.0\n", 2),
-        ("t,s\n1.0,0.5\n\n2.0,\n", 4),
-    ],
-)
-def test_survival_csv_errors_name_line(tmp_path, text, line):
-    path = tmp_path / "km.csv"
-    path.write_text(text)
-    with pytest.raises(SchemaError, match=f"line {line}:"):
-        KmCurve.from_csv(path)
-
-
-def test_survival_csv_header_only_is_empty_curve(tmp_path):
-    path = tmp_path / "km.csv"
-    path.write_text("t,s\n")
-    km = KmCurve.from_csv(path)
-    assert km.times.shape == km.survival.shape == (0,)
-    assert km.survival_at([0.0, 5.0]).tolist() == [1.0, 1.0]
-
-
-def test_survival_csv_round_trip_with_blank_lines(tmp_path):
-    path = tmp_path / "km.csv"
-    path.write_text("t,s\n\n1.5,0.75\n\n3.0,0.25\n")
-    km = KmCurve.from_csv(path)
-    assert km.times.tolist() == [1.5, 3.0] and km.survival.tolist() == [0.75, 0.25]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Experiment runner: determinism, reproducibility from the echoed spec,
 scenario structure, and emission contracts."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -426,6 +427,18 @@ class TestScenarios:
         assert bundle["failures"] == [
             {"replicate": r, "mode": "*", "error": "EmptyStratumError: stratum 1 is empty"}
             for r in range(spec.replicates)
+        ]
+
+    def test_csv_prior_length_checked_once_before_any_draw(self, tmp_path, monkeypatch):
+        """A prior.pk whose length is not the train_csv's stratum count is
+        one shared-data failure, reported for every replicate."""
+        spec = dataclasses.replace(small_csv_spec(tmp_path, monkeypatch), prior={"pk": [0.5, 0.5]})
+        monkeypatch.setattr(biasgen, "subsample_to_distribution",
+                            lambda *a, **k: pytest.fail("drew"))
+        bundle = run_experiment(spec)
+        error = "ValidationError: prior.pk has 2 entries, train_csv 4 strata"
+        assert bundle["failures"] == [
+            {"replicate": r, "mode": "*", "error": error} for r in range(spec.replicates)
         ]
 
     def test_top_k_above_class_count_fails_once_without_training(self, monkeypatch):
