@@ -48,6 +48,7 @@ from .core import (
     Dataset,
     LossSpec,
     ValidationError,
+    _as_float,
     _check_count,
     _check_distribution,
     _check_rate,
@@ -60,11 +61,16 @@ EXCESS_BOUND_KINDS = ("lemma1", "corollary1", "theorem1", "theorem2")
 DEVIATION_BOUND_KINDS = ("approx1", "approx2", "approx3")
 
 _RADEMACHER_BLOCK = 1024
+# sign rows drawn and multiplied at a time inside a block: the working set
+# is O(rows * n); far fewer rows make the GEMM skinny and slow
+_RADEMACHER_ROWS = 64
 
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Inputs shared by the bound formulas; unused fields may stay None."""
+    """Inputs shared by the bound formulas.  A field whose default is None
+    may stay None when the formula does not read it; any other value must be
+    a real number in the field's range, so that no formula meets a raw type."""
 
     n: int
     delta: float
@@ -79,17 +85,17 @@ class BoundInputs:
     def __post_init__(self):
         _check_count(self.n, "n", 1)
         _check_rate(self.delta, "delta")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 0.5:
+        if self.epsilon is not None and not 0.0 < _as_float(self.epsilon) < 0.5:
             raise ValidationError("epsilon must lie in (0, 1/2)")
         if self.epsilon is not None and self.epsilon**2 == 0.0:
             raise ValidationError("epsilon**2 underflows to 0")
         for name in ("L", "phi_sup", "rademacher"):
             value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
+            if (value is not None or name != "phi_sup") and not 0 <= _as_float(value) < math.inf:
                 raise ValidationError(f"{name} must be >= 0 and finite")
         if self.p is not None:
             _check_rate(self.p, "p")
-        if self.max_pk is not None and not 0.0 < self.max_pk <= 1.0:
+        if self.max_pk is not None and not 0.0 < _as_float(self.max_pk) <= 1.0:
             raise ValidationError("max_pk must lie in (0, 1]")
         if self.K is not None:
             _check_count(self.K, "K", 1)
@@ -196,8 +202,8 @@ def _deviation(kind: str, inputs: BoundInputs, times: int) -> BoundResult:
 def prior_sensitivity_bound(zeta: float) -> float:
     """Bound 2*zeta on the risk change from using a prior within zeta of
     the true positive rate."""
-    if zeta < 0:
-        raise ValidationError("zeta must be >= 0")
+    if not 0 <= _as_float(zeta) < math.inf:
+        raise ValidationError("zeta must be >= 0 and finite")
     return 2.0 * zeta
 
 
@@ -212,27 +218,48 @@ def rademacher_mc(
     """Monte-Carlo Rademacher average of the loss class over a finite grid.
 
     Averages, over ``reps`` sign draws, the maximum over the grid of
-    |(1/n) * sum_i sigma_i * loss_i|.  Deterministic per seed.
+    |(1/n) * sum_i sigma_i * loss_i|.  The grid holds thresholds: real
+    numbers, +-inf included (the two constant classifiers), NaN not.
+
+    Draws come in blocks of 1,024: block b takes its signs from
+    ``SeedSequence((seed, b))``, so a draw does not depend on ``reps``, and
+    the result is deterministic per seed.  A block's signs are drawn and
+    used a few rows at a time, so the working set is O(rows * n) beside the
+    (grid, n) loss matrix, not O(1024 * n).  The row count changes neither
+    the sign stream nor a bit of the result: each draw's maximum is an
+    integer over n, whatever the summation order.
     """
     mean, _ = _rademacher_mc_detail(data, hypothesis_grid, loss, reps, seed)
     return mean
 
 
 def _rademacher_mc_detail(data, hypothesis_grid, loss, reps, seed):
-    grid = list(hypothesis_grid)
+    try:
+        grid = list(hypothesis_grid)
+    except TypeError:
+        grid = []
     if not grid:
-        raise ValidationError("hypothesis grid must be nonempty")
+        raise ValidationError("hypothesis grid must be a nonempty sequence of thresholds")
     _check_count(reps, "reps", 1)
     _check_seed(seed)
     M = np.stack([per_record_losses(data, loss, h) for h in grid])
     n = M.shape[1]
     total = 0.0
     total_sq = 0.0
-    # block b draws its signs from (seed, b), so a block's draws do not depend on reps
+    # one buffer for every chunk's signs: with a fresh float array beside
+    # each int draw, malloc gives the heap top back after every chunk and
+    # faults it in again (about 5x the page faults of one 1024-row draw)
+    buffer = np.empty((min(_RADEMACHER_ROWS, reps), n))
     for b, done in enumerate(range(0, reps, _RADEMACHER_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        size = (min(_RADEMACHER_BLOCK, reps - done), n)
-        vals = np.abs(M @ (rng.integers(0, 2, size=size) * 2.0 - 1.0).T).max(axis=0) / n
+        vals = np.empty(min(_RADEMACHER_BLOCK, reps - done))
+        # consecutive draws continue one stream, so the chunks are the block's rows
+        for lo in range(0, vals.size, _RADEMACHER_ROWS):
+            signs = buffer[: min(_RADEMACHER_ROWS, vals.size - lo)]
+            np.multiply(rng.integers(0, 2, size=signs.shape), 2.0, out=signs)
+            signs -= 1.0
+            vals[lo : lo + len(signs)] = np.abs(M @ signs.T).max(axis=0)
+        vals /= n
         total += vals.sum()
         total_sq += (vals**2).sum()
     mean = total / reps
@@ -328,7 +355,10 @@ def coverage_check(
     if any(given[key] is None for key in reads):
         raise ValidationError(f"{setting} coverage needs {' and '.join(reads)}")
     rates = given[rate_arg]
-    rates = _check_distribution(rates, "pk_train", 1e-9) if stratified else rates
+    if stratified:
+        rates = _check_distribution(rates, "pk_train", 1e-9)
+    else:
+        _check_rate(rates, rate_arg)
     if not isinstance(model, model_type):
         raise ValidationError(f"{setting} coverage needs a {model_type.__name__}")
     if epsilon is None:

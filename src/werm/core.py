@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -100,10 +101,23 @@ def _check_seed(seed, name: str = "seed") -> None:
         ) from None
 
 
+def _as_float(value) -> float:
+    """``value`` as a float, or NaN unless it is a real number (a Python or
+    numpy int or float, bool excluded) within the float range.  A caller
+    that refuses NaN then compares floats, and never meets a raw TypeError
+    or OverflowError, whatever it was given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
 def _check_rate(value: float, name: str) -> None:
     """ValidationError unless ``value`` is a real number in the open interval
     (0, 1); the type is tested first, and NaN is refused."""
-    if not (isinstance(value, (int, float, np.integer, np.floating)) and 0.0 < value < 1.0):
+    if not 0.0 < _as_float(value) < 1.0:
         raise ValidationError(f"{name} must lie in (0, 1)")
 
 
@@ -316,12 +330,19 @@ class LossSpec:
 
 
 def per_record_losses(data: Dataset, loss: LossSpec, params) -> np.ndarray:
-    """Evaluate loss(params, z_i) for every record, as a float vector."""
+    """Evaluate loss(params, z_i) for every record, as a float vector.
+
+    ``params`` is the threshold: a real number within the float range, or
+    +-inf (the two constant classifiers); NaN is refused."""
+    if not isinstance(loss, LossSpec):
+        raise ValidationError("loss must be a LossSpec")
+    theta = _as_float(params)
+    if math.isnan(theta):
+        raise ValidationError("a threshold must be a real number in the float range, or +-inf")
     if data.d != 1:
         raise SchemaError("threshold-sign loss needs scalar features")
     if data.labels is None or data.labels.max() > 1:
         raise SchemaError("threshold-sign loss needs binary labels")
-    theta = float(params)
     above = data.features[:, 0] >= theta
     return np.where(data.labels == 1, ~above, above).astype(float)
 

@@ -2,12 +2,13 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from werm import analytic, weights
+from werm import analytic, bounds, weights
 from werm.analytic import AnalyticModel, sample, true_risk
 from werm.bounds import (
     DEVIATION_BOUND_KINDS,
@@ -22,7 +23,7 @@ from werm.bounds import (
     prior_sensitivity_bound,
     rademacher_mc,
 )
-from werm.core import Dataset, LossSpec, ValidationError
+from werm.core import Dataset, LossSpec, ValidationError, per_record_losses
 from werm.experiment import ExperimentSpec, run_experiment
 from werm.synthetic import StratifiedThresholdModel
 from werm.weights import TargetPrior, class_shift_weights, oracle_class_shift_weights
@@ -200,14 +201,6 @@ class TestRademacher:
         est, sd = _rademacher_mc_detail(data, grid, THRESH, 10_000, seed=1)
         ref = rademacher_mc(data, grid, THRESH, reps=1_000_000, seed=2)
         assert abs(est - ref) <= 3 * sd / math.sqrt(10_000)
-
-    def test_deterministic_and_block_invariant(self):
-        m = AnalyticModel(1.0, 1.0, 0.5)
-        data = sample(m, 64, 0.5, 6)
-        grid = list(np.linspace(0, 1, 11))
-        a = rademacher_mc(data, grid, THRESH, reps=3000, seed=9)
-        b = rademacher_mc(data, grid, THRESH, reps=3000, seed=9)
-        assert a == b
 
     def test_bad_args(self):
         data = Dataset(features=np.array([[0.2]]), labels=[1], n_classes=2)
@@ -458,6 +451,55 @@ def test_rademacher_pinned_at_block_edges(reps):
     data = sample(AnalyticModel(1.0, 1.0, 0.5), 64, 0.5, 6)
     grid = list(np.linspace(0, 1, 11))
     assert _rademacher_mc_detail(data, grid, THRESH, reps, 9) == RADEMACHER_PINS[reps]
+
+
+def _one_call_rademacher(data, grid, reps, seed):
+    """The block loop as it was before row chunking: each block draws its
+    whole (size, n) sign matrix in one call."""
+    M = np.stack([per_record_losses(data, THRESH, h) for h in grid])
+    n = M.shape[1]
+    total = total_sq = 0.0
+    for b, done in enumerate(range(0, reps, 1024)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+        size = (min(1024, reps - done), n)
+        vals = np.abs(M @ (rng.integers(0, 2, size=size) * 2.0 - 1.0).T).max(axis=0) / n
+        total += vals.sum()
+        total_sq += (vals**2).sum()
+    mean = total / reps
+    return float(mean), float(math.sqrt(max(total_sq / reps - mean**2, 0.0)))
+
+
+RADEMACHER_GRID = [-math.inf, *np.linspace(0, 1, 9), math.inf]
+
+
+# reps at the row-chunk edges (64 rows) and at the block edges (1,024 draws)
+@pytest.mark.parametrize("reps", [1, 63, 64, 65, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("n", [1, 7, 64, 333, 2001])
+def test_rademacher_equals_one_call_blocks(n, reps):
+    data = sample(AnalyticModel(1.0, 1.0, 0.5), n, 0.5, n)
+    got = _rademacher_mc_detail(data, RADEMACHER_GRID, THRESH, reps, 9)
+    assert got == _one_call_rademacher(data, RADEMACHER_GRID, reps, 9)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 1024])
+def test_rademacher_does_not_depend_on_row_count(monkeypatch, rows):
+    data = sample(AnalyticModel(1.0, 1.0, 0.5), 333, 0.5, 6)
+    want = _rademacher_mc_detail(data, RADEMACHER_GRID, THRESH, 2049, 9)
+    monkeypatch.setattr(bounds, "_RADEMACHER_ROWS", rows)
+    assert _rademacher_mc_detail(data, RADEMACHER_GRID, THRESH, 2049, 9) == want
+
+
+def test_rademacher_working_set_is_a_few_sign_rows():
+    """At n = 4,000 one block's whole sign matrix, as int64 and as float64,
+    is about 63 MB; drawn a few rows at a time it stays under 8 MB."""
+    data = sample(AnalyticModel(1.0, 1.0, 0.5), 4000, 0.5, 6)
+    tracemalloc.start()
+    try:
+        _rademacher_mc_detail(data, RADEMACHER_GRID, THRESH, 1024, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import werm
-from werm import analytic, biasgen, bounds, cli, experiment, synthetic, train, weights
-from werm.core import Dataset, DomainError, ValidationError
+from werm import analytic, biasgen, bounds, cli, core, experiment, synthetic, train, weights
+from werm.core import Dataset, DomainError, ValidationError, WermError
 
 NAN = float("nan")
 GOOD_PK = [0.5, 0.25, 0.25]
@@ -94,6 +94,10 @@ RATE_SITES = {
     "oracle_class_shift_weights.p_train": (
         "p_train", lambda v: weights.oracle_class_shift_weights(STRATA_DATA, 0.5, v)),
     "oracle_pu_weights.q": ("q", lambda v: weights.oracle_pu_weights(STRATA_DATA, 0.5, v)),
+    "coverage_check.p_train": ("p_train", lambda v: bounds.coverage_check(
+        "class_shift", MODEL, n=50, delta=0.1, reps=1, seed=0, p_train=v)),
+    "coverage_check.q": ("q", lambda v: bounds.coverage_check(
+        "pu", MODEL, n=50, delta=0.1, reps=1, seed=0, q=v)),
     "ExperimentSpec synthetic.p": ("synthetic.p", lambda v: experiment.ExperimentSpec(
         scenario="analytic_excess", synthetic={"p": v})),
     "ExperimentSpec synthetic.p_train": ("synthetic.p_train", lambda v: experiment.ExperimentSpec(
@@ -113,7 +117,9 @@ def test_rate_rule(site, value):
 
 
 # a rate that a field requires: None is refused by the rate rule too
-@pytest.mark.parametrize("site", sorted(set(RATE_SITES) - {"TargetPrior.p", "BoundInputs.p"}))
+# (coverage_check names the rate keyword its setting needs instead)
+@pytest.mark.parametrize("site", sorted(set(RATE_SITES) - {
+    "TargetPrior.p", "BoundInputs.p", "coverage_check.p_train", "coverage_check.q"}))
 def test_required_rate_refuses_none(site):
     name, call = RATE_SITES[site]
     with pytest.raises(ValidationError, match=rf"^{name} must lie in \(0, 1\)$"):
@@ -174,6 +180,92 @@ def test_bound_inputs_refuse_what_the_formulas_cannot_evaluate(fields, message):
     with pytest.raises(ValidationError, match=message):
         bounds.BoundInputs(**{"n": 10, "delta": 0.5, **fields})
     bounds.deviation_bound("approx1", bounds.BoundInputs(n=10**300, delta=0.5, epsilon=1e-150))
+
+
+HUGE = 10**400  # past the float range: a formula's float() of it overflows
+
+
+def _huge_id(value):
+    return "huge" if value is HUGE else None
+
+
+# BoundInputs field -> the start of the message that names it
+BOUND_FIELDS = {
+    "epsilon": "epsilon must lie in", "L": "L must be >= 0", "phi_sup": "phi_sup must be >= 0",
+    "max_pk": "max_pk must lie in", "rademacher": "rademacher must be >= 0",
+}
+# values each field used to take, or meet with a raw TypeError
+BOUND_FIELD_VALUES = [
+    *[("epsilon", v) for v in ("x", [0.3])],
+    *[("max_pk", v) for v in ("x", [0.3], True)],
+    *[("phi_sup", v) for v in ("x", [0.3], True, HUGE)],
+    *[(f, v) for f in ("L", "rademacher") for v in ("x", [0.3], True, HUGE, None)],
+]
+
+
+@pytest.mark.parametrize("field,value", BOUND_FIELD_VALUES, ids=_huge_id)
+def test_bound_inputs_test_the_type_first(field, value):
+    """Not a raw TypeError from the range comparison, nor one or an
+    OverflowError later in a formula; None is refused where every formula
+    reads the field."""
+    with pytest.raises(ValidationError, match=f"^{BOUND_FIELDS[field]}"):
+        bounds.BoundInputs(n=10, delta=0.1, **{field: value})
+
+
+def test_coverage_check_refuses_a_text_epsilon():
+    with pytest.raises(ValidationError, match="^epsilon must lie in"):
+        bounds.coverage_check("class_shift", MODEL, n=50, delta=0.1, reps=1, seed=0,
+                              p_train=0.6, epsilon="0.3")
+
+
+@pytest.mark.parametrize("zeta", [NAN, math.inf, "x", None, True, HUGE], ids=_huge_id)
+def test_prior_sensitivity_refuses_what_is_not_a_finite_zeta(zeta):
+    with pytest.raises(ValidationError, match="^zeta must be >= 0 and finite$"):
+        bounds.prior_sensitivity_bound(zeta)
+
+
+THRESHOLD_DATA = Dataset(features=np.array([[0.2], [0.7], [0.4]]), labels=np.array([1, 0, 1]))
+THRESH = core.LossSpec("threshold-sign")
+THRESHOLD_MESSAGE = r"^a threshold must be a real number in the float range, or \+-inf$"
+
+
+def _no_signs(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+
+
+@pytest.mark.parametrize(
+    "theta", [NAN, "a", None, [0.1, 0.2], True, HUGE, np.array(0.5)], ids=_huge_id
+)
+def test_thresholds_are_checked(monkeypatch, theta):
+    _no_signs(monkeypatch)
+    for call in (
+        lambda: core.empirical_risk(THRESHOLD_DATA, THRESH, theta),
+        lambda: bounds.rademacher_mc(THRESHOLD_DATA, [0.5, theta], THRESH, reps=10, seed=0),
+    ):
+        with pytest.raises(ValidationError, match=THRESHOLD_MESSAGE):
+            call()
+
+
+@pytest.mark.parametrize("grid", [0.5, None, []])
+def test_rademacher_grid_must_be_a_nonempty_sequence(monkeypatch, grid):
+    _no_signs(monkeypatch)
+    with pytest.raises(ValidationError, match="^hypothesis grid must be a nonempty sequence"):
+        bounds.rademacher_mc(THRESHOLD_DATA, grid, THRESH, reps=10, seed=0)
+
+
+def test_loss_must_be_a_loss_spec(monkeypatch):
+    _no_signs(monkeypatch)
+    with pytest.raises(ValidationError, match="^loss must be a LossSpec$"):
+        core.empirical_risk(THRESHOLD_DATA, "threshold-sign", 0.5)
+    with pytest.raises(ValidationError, match="^loss must be a LossSpec$"):
+        bounds.rademacher_mc(THRESHOLD_DATA, [0.5], None, reps=10, seed=0)
+
+
+def test_infinite_thresholds_are_the_constant_classifiers():
+    # -inf predicts class 1 everywhere, +inf class 0 everywhere
+    assert core.empirical_risk(THRESHOLD_DATA, THRESH, -math.inf) == pytest.approx(1 / 3)
+    assert core.empirical_risk(THRESHOLD_DATA, THRESH, math.inf) == pytest.approx(2 / 3)
+    assert core.empirical_risk(THRESHOLD_DATA, THRESH, np.float32(0.3)) == pytest.approx(2 / 3)
 
 
 @pytest.mark.parametrize(
@@ -399,3 +491,48 @@ def test_spec_from_json_builds_or_refuses(scenario, edits):
             experiment.ExperimentSpec.from_json(doc)
         except ValidationError:
             pass
+
+
+# any value a caller might pass where the bound API wants a number
+ANY_VALUE = (
+    st.sampled_from([None, True, False, NAN, math.inf, -math.inf, HUGE, -HUGE, 2**1024])
+    | st.text(max_size=3) | st.floats() | st.integers() | st.lists(st.floats(), max_size=2)
+)
+# each BoundInputs field: a value that is often valid, or any value
+BOUND_INPUT_FIELDS = {
+    "n": st.integers(1, 10**6), "delta": st.floats(0.0, 1.0), "epsilon": st.floats(0.0, 0.5),
+    "L": st.floats(0.0, 10.0), "phi_sup": st.floats(0.0, 10.0), "p": st.floats(0.0, 1.0),
+    "max_pk": st.floats(0.0, 1.0), "K": st.integers(1, 100), "rademacher": st.floats(0.0, 1.0),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.fixed_dictionaries(
+        {}, optional={name: valid | ANY_VALUE for name, valid in BOUND_INPUT_FIELDS.items()}
+    ),
+    zeta=st.floats(0.0, 1.0) | ANY_VALUE,
+    grid=st.lists(st.floats(0.0, 1.0) | ANY_VALUE, max_size=3) | ANY_VALUE,
+)
+@example(fields={"L": None, "K": 2, "epsilon": 0.3}, zeta=NAN, grid=0.5)
+def test_bound_api_fails_only_with_werm_errors(fields, zeta, grid):
+    """BoundInputs and every bound kind, prior_sensitivity_bound and
+    rademacher_mc's grid, fed any value, give a result or a WermError."""
+    try:
+        inputs = bounds.BoundInputs(**{"n": 10, "delta": 0.1, **fields})
+    except WermError:
+        inputs = None
+    if inputs is not None:
+        for kind in bounds.EXCESS_BOUND_KINDS + bounds.DEVIATION_BOUND_KINDS:
+            try:
+                bounds.evaluate_bound(kind, inputs)
+            except WermError:
+                pass
+    try:
+        bounds.prior_sensitivity_bound(zeta)
+    except WermError:
+        pass
+    try:
+        bounds.rademacher_mc(THRESHOLD_DATA, grid, THRESH, reps=3, seed=0)
+    except WermError:
+        pass
