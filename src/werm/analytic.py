@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, DomainError, ValidationError, _check_count, _check_rate
+from .core import Dataset, DomainError, ValidationError, _as_float, _check_count, _check_rate
 
 
 BISECTION_TOL = 1e-10
@@ -45,7 +45,7 @@ class AnalyticModel:
 
 def true_risk(m: AnalyticModel, theta: float) -> float:
     """Exact risk p*theta^(1+alpha) + (1-p)*(1-theta)^(1+beta)."""
-    if not 0.0 <= theta <= 1.0:
+    if not 0.0 <= _as_float(theta) <= 1.0:
         raise DomainError(f"theta={theta} outside [0, 1]")
     return m.p * theta ** (1.0 + m.alpha) + (1.0 - m.p) * (1.0 - theta) ** (
         1.0 + m.beta
@@ -162,6 +162,7 @@ def sample_pu(m: AnalyticModel, n: int, q: float, seed) -> Dataset:
 
 
 def risk_curve(m: AnalyticModel, n_points: int = 201) -> tuple[np.ndarray, np.ndarray]:
+    _check_count(n_points, "n_points", 1)
     thetas = np.linspace(0.0, 1.0, n_points)
     risks = np.array([true_risk(m, t) for t in thetas])
     return thetas, risks

@@ -329,20 +329,31 @@ class LossSpec:
             raise ValidationError(f"unknown loss kind {self.kind!r}")
 
 
-def per_record_losses(data: Dataset, loss: LossSpec, params) -> np.ndarray:
-    """Evaluate loss(params, z_i) for every record, as a float vector.
-
-    ``params`` is the threshold: a real number within the float range, or
-    +-inf (the two constant classifiers); NaN is refused."""
+def _threshold_checks(data: Dataset, loss: LossSpec, thresholds) -> np.ndarray:
+    """The thresholds as a float array, once ``data`` is a Dataset with
+    scalar features and binary labels, ``loss`` a LossSpec, and each
+    threshold a real number within the float range, or +-inf (the two
+    constant classifiers); NaN is refused."""
+    if not isinstance(data, Dataset):
+        raise ValidationError("data must be a Dataset")
     if not isinstance(loss, LossSpec):
         raise ValidationError("loss must be a LossSpec")
-    theta = _as_float(params)
-    if math.isnan(theta):
+    thetas = np.array([_as_float(t) for t in thresholds])
+    if np.isnan(thetas).any():
         raise ValidationError("a threshold must be a real number in the float range, or +-inf")
     if data.d != 1:
         raise SchemaError("threshold-sign loss needs scalar features")
     if data.labels is None or data.labels.max() > 1:
         raise SchemaError("threshold-sign loss needs binary labels")
+    return thetas
+
+
+def per_record_losses(data: Dataset, loss: LossSpec, params) -> np.ndarray:
+    """Evaluate loss(params, z_i) for every record, as a float vector.
+
+    ``params`` is the threshold: a real number within the float range, or
+    +-inf (the two constant classifiers); NaN is refused."""
+    (theta,) = _threshold_checks(data, loss, [params])
     above = data.features[:, 0] >= theta
     return np.where(data.labels == 1, ~above, above).astype(float)
 
@@ -356,9 +367,12 @@ def weighted_empirical_risk(
     data: Dataset, w: WeightVector, loss: LossSpec, params
 ) -> float:
     """(1/n) * sum_i w_i * loss(params, z_i)."""
+    losses = per_record_losses(data, loss, params)
+    if not isinstance(w, WeightVector):
+        raise ValidationError("weights must be a WeightVector")
     if len(w) != data.n:
         raise SchemaError(f"weight length {len(w)} != dataset size {data.n}")
-    return float(np.mean(w.weights * per_record_losses(data, loss, params)))
+    return float(np.mean(w.weights * losses))
 
 
 # ---------------------------------------------------------------------------

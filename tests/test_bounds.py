@@ -472,8 +472,9 @@ def _one_call_rademacher(data, grid, reps, seed):
 RADEMACHER_GRID = [-math.inf, *np.linspace(0, 1, 9), math.inf]
 
 
-# reps at the row-chunk edges (64 rows) and at the block edges (1,024 draws)
-@pytest.mark.parametrize("reps", [1, 63, 64, 65, 1023, 1024, 1025, 2049])
+# reps at the row-chunk edges (16 rows, and 64 before), and at the block
+# edges (1,024 draws)
+@pytest.mark.parametrize("reps", [1, 15, 16, 17, 63, 64, 65, 1023, 1024, 1025, 2049])
 @pytest.mark.parametrize("n", [1, 7, 64, 333, 2001])
 def test_rademacher_equals_one_call_blocks(n, reps):
     data = sample(AnalyticModel(1.0, 1.0, 0.5), n, 0.5, n)
@@ -500,6 +501,50 @@ def test_rademacher_working_set_is_a_few_sign_rows():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_rademacher_working_set_does_not_grow_with_the_grid():
+    """At n = 4,000 a (1001, n) loss matrix alone would be 32 MB: a
+    1,001-threshold grid peaks within 1 MB of an 11-threshold grid."""
+    data = sample(AnalyticModel(1.0, 1.0, 0.5), 4000, 0.5, 6)
+    peaks = []
+    for size in (11, 1001):
+        grid = list(np.linspace(0, 1, size))
+        tracemalloc.start()
+        try:
+            _rademacher_mc_detail(data, grid, THRESH, 1024, 9)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6, peaks
+
+
+_tied_x = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(-0.5, 1.5)
+_thresholds = st.sampled_from([-math.inf, math.inf, 0.0, -0.0, 0.5]) | st.floats(-1.0, 2.0)
+
+
+@st.composite
+def _rademacher_cases(draw):
+    """Heavily tied x from a pool of at most 6 values, labels that may leave
+    a class empty (n = 1 included), and an unsorted grid with repeats."""
+    n = draw(st.integers(1, 50))
+    pool = draw(st.lists(_tied_x, min_size=1, max_size=6))
+    x = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    classes = draw(st.sampled_from([[0], [1], [0, 1]]))
+    labels = np.array(draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n)))
+    grid = draw(st.lists(_thresholds, min_size=1, max_size=12))
+    grid += draw(st.lists(st.sampled_from(grid), max_size=4))
+    data = Dataset(features=x[:, None], labels=labels, n_classes=2)
+    return data, grid, draw(st.integers(1, 70)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rademacher_cases())
+def test_rademacher_equals_loss_matrix_reference(case):
+    """The prefix-sum kernel against the (grid, n) loss-matrix product."""
+    data, grid, reps, seed = case
+    got = _rademacher_mc_detail(data, grid, THRESH, reps, seed)
+    assert got == _one_call_rademacher(data, grid, reps, seed)
 
 
 # ---------------------------------------------------------------------------

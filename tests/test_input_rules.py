@@ -152,6 +152,8 @@ NAN_CASES = {
     "BoundInputs.rademacher": (
         ValidationError, "rademacher must be >= 0",
         lambda: bounds.BoundInputs(n=10, delta=0.1, rademacher=NAN)),
+    "true_risk.theta": (
+        DomainError, r"theta=nan outside \[0, 1\]", lambda: analytic.true_risk(MODEL, NAN)),
 }
 
 
@@ -268,6 +270,35 @@ def test_infinite_thresholds_are_the_constant_classifiers():
     assert core.empirical_risk(THRESHOLD_DATA, THRESH, np.float32(0.3)) == pytest.approx(2 / 3)
 
 
+# a loss entry point, called with ``data`` in place of a Dataset
+NOT_A_DATASET = {
+    "rademacher_mc": lambda data: bounds.rademacher_mc(data, [0.5], THRESH, reps=10, seed=0),
+    "empirical_risk": lambda data: core.empirical_risk(data, THRESH, 0.5),
+    "weighted_empirical_risk": lambda data: core.weighted_empirical_risk(
+        data, core.WeightVector.ones(3), THRESH, 0.5),
+}
+
+
+@pytest.mark.parametrize("data", [None, THRESHOLD_DATA.features, "data"], ids=["None", "array", "str"])
+@pytest.mark.parametrize("site", sorted(NOT_A_DATASET))
+def test_loss_entry_points_refuse_what_is_not_a_dataset(monkeypatch, site, data):
+    _no_signs(monkeypatch)
+    with pytest.raises(ValidationError, match="^data must be a Dataset$"):
+        NOT_A_DATASET[site](data)
+
+
+@pytest.mark.parametrize("w", [None, np.ones(3), [1.0, 1.0, 1.0]], ids=["None", "array", "list"])
+def test_weighted_risk_refuses_what_is_not_a_weight_vector(w):
+    with pytest.raises(ValidationError, match="^weights must be a WeightVector$"):
+        core.weighted_empirical_risk(THRESHOLD_DATA, w, THRESH, 0.5)
+
+
+@pytest.mark.parametrize("theta", ["x", None, [0.5], True, HUGE], ids=_huge_id)
+def test_true_risk_tests_the_type_first(theta):
+    with pytest.raises(DomainError, match=r"outside \[0, 1\]$"):
+        analytic.true_risk(MODEL, theta)
+
+
 @pytest.mark.parametrize(
     "field,value", [("batch_size", 2.5), ("batch_size", 10.0), ("epochs", 2.5), ("epochs", NAN)]
 )
@@ -287,6 +318,7 @@ COUNT_SITES = {
         biasgen.BiasSpec(gamma=0.5, target_pk=(1.0,)), v)),
     "coverage_check.grid_size": ("grid_size", lambda v: bounds.coverage_check(
         "class_shift", MODEL, n=50, delta=0.1, reps=1, seed=0, p_train=0.6, grid_size=v)),
+    "risk_curve": ("n_points", lambda v: analytic.risk_curve(MODEL, v)),
 }
 
 
@@ -536,3 +568,34 @@ def test_bound_api_fails_only_with_werm_errors(fields, zeta, grid):
         bounds.rademacher_mc(THRESHOLD_DATA, grid, THRESH, reps=3, seed=0)
     except WermError:
         pass
+
+
+# a count past what numpy can allocate is left out: risk_curve(MODEL, 2**63)
+# raises a raw IndexError from np.linspace, and a count just below that
+# would try to allocate it
+SMALL_COUNT_OR_ANY_VALUE = st.integers(-3, 300) | ANY_VALUE.filter(
+    lambda v: not isinstance(v, int) or v <= 300
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.just(THRESHOLD_DATA) | ANY_VALUE,
+    w=st.sampled_from([core.WeightVector.ones(3), core.WeightVector.ones(2), np.ones(3)])
+    | ANY_VALUE,
+    theta=st.floats(-0.5, 1.5) | ANY_VALUE,
+    n_points=SMALL_COUNT_OR_ANY_VALUE,
+)
+def test_loss_and_curve_api_fail_only_with_werm_errors(data, w, theta, n_points):
+    """empirical_risk, weighted_empirical_risk, true_risk and risk_curve, fed
+    any value, give a result or a WermError."""
+    for call in (
+        lambda: core.empirical_risk(data, THRESH, theta),
+        lambda: core.weighted_empirical_risk(data, w, THRESH, theta),
+        lambda: analytic.true_risk(MODEL, theta),
+        lambda: analytic.risk_curve(MODEL, n_points),
+    ):
+        try:
+            call()
+        except WermError:
+            pass
