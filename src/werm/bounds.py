@@ -370,9 +370,9 @@ def coverage_check(
     grid = np.linspace(0.0, 1.0, grid_size)
     if setting not in _SETTING_BOUNDS:
         raise ValidationError(f"unknown coverage setting {setting!r}")
-    model_type, rate_arg, sampler, plug_in, oracle = weights.setting(setting)
+    model_type, rate_arg, group, sampler, _, plug_in_table, oracle_table = weights.setting(setting)
     # a stratum setting's rates are a distribution, and its target is pk
-    stratified = rate_arg == "pk_train"
+    stratified = group == "strata"
     given = {"p_train": p_train, "q": q, "pk": pk, "pk_train": pk_train}
     reads = ("pk", rate_arg) if stratified else (rate_arg,)
     for key in [k for k, v in given.items() if v is not None and k not in reads]:
@@ -398,10 +398,13 @@ def coverage_check(
     inputs = BoundInputs(n=n, delta=delta, epsilon=epsilon, p=prior.p, K=np.size(rates))
     bound = deviation_bound(_SETTING_BOUNDS[setting], inputs)
 
+    oracle = oracle_table(target, rates)
     deviations = []
     for r in range(reps):
         data = sampler(model, n, rates, np.random.SeedSequence((seed, r)))
-        diffs = plug_in(data, prior).weights - oracle(data, target, rates).weights
+        groups = getattr(data, group)
+        counts = np.bincount(groups, minlength=oracle.size)
+        diffs = (plug_in_table(counts, n, prior) - oracle)[groups]
         deviations.append(_sup_threshold_deviation(data, diffs, grid))
     deviations = np.array(deviations)
     coverage = float(np.mean(deviations <= bound.value))

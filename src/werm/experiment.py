@@ -240,12 +240,12 @@ def _analytic_model(spec: ExperimentSpec) -> analytic.AnalyticModel:
 
 def _analytic_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
     m = spec.generator()
-    _, rate_name, sampler, _, oracle = weights_mod.setting(spec.scenario)
-    rate = spec.synthetic[rate_name]
+    row = weights_mod.setting(spec.scenario)
+    rate = spec.synthetic[row.rate]
     return _SharedData(
         analytic.sample(m, spec.n_test, m.p, test_seed),
-        lambda seed: sampler(m, spec.n_train, rate, [seed, 0]),
-        lambda d: oracle(d, m.p, rate),
+        lambda seed: row.sampler(m, spec.n_train, rate, [seed, 0]),
+        lambda d: row.oracle(d, m.p, rate),
         weights_mod.TargetPrior(p=m.p),
     )
 

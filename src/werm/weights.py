@@ -32,9 +32,10 @@ estimation error from the effect of reweighting itself.
 
 :func:`setting` is the one place that names, for each of the paper's
 settings with a closed-form test bed (``class_shift``, ``pu`` and
-``stratum_shift``), its model type, training-rate name, sampler, plug-in
-and oracle.  ``bounds.coverage_check`` draws its replicates through it,
-and the experiment runner its class_shift and pu training sets.
+``stratum_shift``), its model type, training-rate name, group column,
+sampler and oracle, and its plug-in and oracle as group tables.
+``bounds.coverage_check`` reads the group tables, and the experiment runner
+draws its class_shift and pu training sets through the sampler.
 """
 
 from __future__ import annotations
@@ -87,30 +88,83 @@ class TargetPrior:
 
 
 # ---------------------------------------------------------------------------
-# Label / stratum plug-ins
+# Group tables: one weight per label (class shift, PU) or stratum
 # ---------------------------------------------------------------------------
+#
+# A plug-in table maps (group counts, n, prior) to the groups' weights,
+# vectorised over the leading axes of the counts; an oracle table maps
+# (target, rate).  An empty group is named from the first row, in C order,
+# that has one.  The record functions index a table by each record's group.
 
 
-def _check_binary(data: Dataset) -> None:
-    if data.labels is None:
-        raise SchemaError("dataset has no labels")
-    if data.labels.max() > 1:
-        raise SchemaError("binary labels required")
-
-
-def _populated_counts(data: Dataset, prior: TargetPrior, what: str) -> tuple[int, int]:
-    """(n_pos, n_neg) of binary data whose two classes are both populated;
+def _label_counts(counts, prior: TargetPrior, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(n_neg, n_pos) of label counts whose two classes are both populated;
     ``what`` names the weights in the error for a missing prior.p."""
     if prior.p is None:
         raise ValidationError(f"{what} need prior.p")
-    _check_binary(data)
-    n_pos = data.n_pos
-    n_neg = data.n - n_pos
-    if n_pos == 0:
-        raise DegenerateClassError(1)
-    if n_neg == 0:
-        raise DegenerateClassError(0)
-    return n_pos, n_neg
+    counts = np.asarray(counts)
+    empty = counts == 0
+    if empty.any():
+        raise DegenerateClassError(int(np.argwhere(empty)[0, -1]))
+    return counts[..., 0], counts[..., 1]
+
+
+def _class_shift_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
+    n_neg, n_pos = _label_counts(counts, prior, "class shift weights")
+    return np.stack([n * (1.0 - prior.p) / n_neg, n * prior.p / n_pos], axis=-1)
+
+
+def _pu_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
+    n_unl, n_pos = _label_counts(counts, prior, "PU weights")
+    return np.stack([n / n_unl, 2.0 * prior.p * n / n_pos], axis=-1)
+
+
+def _stratum_shift_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
+    pk = prior.pk_array()
+    counts = np.asarray(counts)
+    empty = (pk > 0) & (counts == 0)
+    if empty.any():
+        raise EmptyStratumError(int(np.argwhere(empty)[0, -1]))
+    return np.divide(n * pk, counts, out=np.zeros(counts.shape), where=counts > 0)
+
+
+def _oracle_class_shift_table(p: float, p_train: float) -> np.ndarray:
+    _check_rate(p, "p")
+    _check_rate(p_train, "p_train")
+    return np.array([(1.0 - p) / (1.0 - p_train), p / p_train])
+
+
+def _oracle_pu_table(p: float, q: float) -> np.ndarray:
+    _check_rate(p, "p")
+    _check_rate(q, "q")
+    return np.array([1.0 / (1.0 - q), 2.0 * p / q])
+
+
+def _oracle_stratum_shift_table(pk, pk_train) -> np.ndarray:
+    pk = np.asarray(pk, dtype=float)
+    pk_train = np.asarray(pk_train, dtype=float)
+    if pk.shape != pk_train.shape:
+        raise ValidationError("pk and pk_train must have equal length")
+    if np.any((pk > 0) & (pk_train <= 0)):
+        raise ValidationError("pk_train must be positive wherever pk is")
+    return np.divide(pk, pk_train, out=np.zeros(pk.size), where=pk_train > 0)
+
+
+def _groups(data: Dataset, column: str, size: int) -> np.ndarray:
+    """``data``'s group column (``labels`` or ``strata``), refused unless its
+    ids index a table of ``size`` groups."""
+    groups = getattr(data, column)
+    if groups is None:
+        raise SchemaError(f"dataset has no {column}")
+    found = data.n_strata if column == "strata" else int(groups.max()) + 1
+    if found > size:
+        raise SchemaError(f"dataset {column} take {found} values but the weights cover {size}")
+    return groups
+
+
+def _plug_in(data: Dataset, column: str, size: int, table, prior: TargetPrior) -> WeightVector:
+    groups = _groups(data, column, size)
+    return WeightVector(table(np.bincount(groups, minlength=size), data.n, prior)[groups])
 
 
 def class_shift_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
@@ -119,29 +173,12 @@ def class_shift_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
     The weight vector has mean exactly 1 whenever both classes are
     populated; empty classes raise :class:`DegenerateClassError`.
     """
-    n_pos, n_neg = _populated_counts(data, prior, "class shift weights")
-    n = data.n
-    w_pos = n * prior.p / n_pos
-    w_neg = n * (1.0 - prior.p) / n_neg
-    return WeightVector(np.array([w_neg, w_pos])[data.labels])
+    return _plug_in(data, "labels", 2, _class_shift_table, prior)
 
 
 def stratum_shift_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
     """w_i = n * p_k / n_k for the record's stratum k."""
-    if data.strata is None:
-        raise SchemaError("dataset has no strata")
-    pk = prior.pk_array()
-    if data.n_strata > pk.size:
-        raise SchemaError(
-            f"dataset has {data.n_strata} strata but prior gives {pk.size}"
-        )
-    counts = np.bincount(data.strata, minlength=pk.size)
-    for k in np.flatnonzero((pk > 0) & (counts == 0)):
-        raise EmptyStratumError(int(k))
-    per_stratum = np.zeros(pk.size)
-    populated = counts > 0
-    per_stratum[populated] = data.n * pk[populated] / counts[populated]
-    return WeightVector(per_stratum[data.strata])
+    return _plug_in(data, "strata", prior.pk_array().size, _stratum_shift_table, prior)
 
 
 def pu_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
@@ -151,11 +188,7 @@ def pu_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
     estimates the test risk shifted by the constant +p; add
     :func:`pu_risk_offset` to recover the risk estimate itself.
     """
-    n_pos, n_unl = _populated_counts(data, prior, "PU weights")
-    n = data.n
-    w_pos = 2.0 * prior.p * n / n_pos
-    w_unl = n / n_unl
-    return WeightVector(np.array([w_unl, w_pos])[data.labels])
+    return _plug_in(data, "labels", 2, _pu_table, prior)
 
 
 def pu_risk_offset(prior: TargetPrior) -> float:
@@ -165,58 +198,43 @@ def pu_risk_offset(prior: TargetPrior) -> float:
     return -prior.p
 
 
-# ---------------------------------------------------------------------------
-# Oracle (exact likelihood-ratio) weights
-# ---------------------------------------------------------------------------
-
-
 def oracle_class_shift_weights(data: Dataset, p: float, p_train: float) -> WeightVector:
     """Exact class-shift weights p/p_train and (1-p)/(1-p_train)."""
-    _check_rate(p, "p")
-    _check_rate(p_train, "p_train")
-    _check_binary(data)
-    return WeightVector(np.array([(1.0 - p) / (1.0 - p_train), p / p_train])[data.labels])
+    return WeightVector(_oracle_class_shift_table(p, p_train)[_groups(data, "labels", 2)])
 
 
 def oracle_stratum_shift_weights(data: Dataset, pk, pk_train) -> WeightVector:
     """Exact stratum-shift weights p_k / p_train_k."""
-    if data.strata is None:
-        raise SchemaError("dataset has no strata")
-    pk = np.asarray(pk, dtype=float)
-    pk_train = np.asarray(pk_train, dtype=float)
-    if pk.shape != pk_train.shape:
-        raise ValidationError("pk and pk_train must have equal length")
-    if np.any((pk > 0) & (pk_train <= 0)):
-        raise ValidationError("pk_train must be positive wherever pk is")
-    ratio = np.zeros(pk.size)
-    pos = pk_train > 0
-    ratio[pos] = pk[pos] / pk_train[pos]
-    return WeightVector(ratio[data.strata])
+    ratio = _oracle_stratum_shift_table(pk, pk_train)
+    return WeightVector(ratio[_groups(data, "strata", ratio.size)])
 
 
 def oracle_pu_weights(data: Dataset, p: float, q: float) -> WeightVector:
     """Exact PU weights 2p/q for labeled positives and 1/(1-q) for unlabeled."""
-    _check_rate(p, "p")
-    _check_rate(q, "q")
-    _check_binary(data)
-    return WeightVector(np.array([1.0 / (1.0 - q), 2.0 * p / q])[data.labels])
+    return WeightVector(_oracle_pu_table(p, q)[_groups(data, "labels", 2)])
 
 
-Setting = namedtuple("Setting", "model_type rate sampler plug_in oracle")
+Setting = namedtuple("Setting", "model_type rate group sampler oracle plug_in_table oracle_table")
 
 
 def setting(name: str) -> Setting:
     """class_shift, pu or stratum_shift as its model type, training-rate
-    name, ``sampler(model, n, rate, seed)``, ``plug_in(data, prior)`` and
-    ``oracle(data, target, rate)``, target being the prior's p or pk.  Each
-    function is read at call time, so a rebinding reaches every caller."""
+    name, group column (``labels`` or ``strata``), ``sampler(model, n, rate,
+    seed)``, record oracle ``oracle(data, target, rate)``, and its two group
+    tables: ``plug_in_table(counts, n, prior)``, with the group counts on the
+    last axis, and ``oracle_table(target, rate)``, target being the prior's p
+    or pk.  Each function is read at call time, so a rebinding reaches every
+    caller."""
     strata_model = synthetic.StratifiedThresholdModel
     table = {
-        "class_shift": (analytic.AnalyticModel, "p_train", analytic.sample,
-                        class_shift_weights, oracle_class_shift_weights),
-        "pu": (analytic.AnalyticModel, "q", analytic.sample_pu, pu_weights, oracle_pu_weights),
-        "stratum_shift": (strata_model, "pk_train", strata_model.sample,
-                          stratum_shift_weights, oracle_stratum_shift_weights),
+        "class_shift": (analytic.AnalyticModel, "p_train", "labels", analytic.sample,
+                        oracle_class_shift_weights, _class_shift_table,
+                        _oracle_class_shift_table),
+        "pu": (analytic.AnalyticModel, "q", "labels", analytic.sample_pu, oracle_pu_weights,
+               _pu_table, _oracle_pu_table),
+        "stratum_shift": (strata_model, "pk_train", "strata", strata_model.sample,
+                          oracle_stratum_shift_weights, _stratum_shift_table,
+                          _oracle_stratum_shift_table),
     }
     if name not in table:
         raise ValidationError(f"unknown setting {name!r}")

@@ -642,12 +642,12 @@ SETTING_CALLS = {
 
 @pytest.mark.parametrize("setting", sorted(C04_CALLS))
 def test_coverage_calls_go_through_home_names(monkeypatch, setting):
-    """Rebinding a sampler or an estimator where it is defined reaches every
-    call coverage_check makes."""
+    """Rebinding a sampler where it is defined reaches every draw
+    coverage_check makes; its weights come from the group tables."""
     calls = _record_setting_calls(monkeypatch)
     model, kw = C04_CALLS[setting]
     coverage_check(setting, model, n=200, delta=0.1, reps=3, epsilon=0.3, **kw)
-    assert calls == SETTING_CALLS[setting] * 3
+    assert calls == SETTING_CALLS[setting][:1] * 3
 
 
 @pytest.mark.parametrize(
