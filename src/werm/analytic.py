@@ -124,12 +124,13 @@ def excess_error(m: AnalyticModel, p_train: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draw_positive(m: AnalyticModel, u: np.ndarray) -> np.ndarray:
-    return u ** (1.0 / (1.0 + m.alpha))
-
-
-def _draw_negative(m: AnalyticModel, u: np.ndarray) -> np.ndarray:
-    return 1.0 - u ** (1.0 / (1.0 + m.beta))
+def _draw(m: AnalyticModel, u: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Each record's feature by the inverse CDF of its own class: u^(1/(1+alpha))
+    for a positive, 1 - u^(1/(1+beta)) for a negative."""
+    x = np.empty_like(u)
+    x[positive] = u[positive] ** (1.0 / (1.0 + m.alpha))
+    x[~positive] = 1.0 - u[~positive] ** (1.0 / (1.0 + m.beta))
+    return x
 
 
 def sample(m: AnalyticModel, n: int, class_rate: float, seed) -> Dataset:
@@ -138,8 +139,7 @@ def sample(m: AnalyticModel, n: int, class_rate: float, seed) -> Dataset:
     _check_rate(class_rate, "class_rate")
     rng = np.random.default_rng(seed)
     labels = (rng.random(n) < class_rate).astype(int)
-    u = rng.random(n)
-    x = np.where(labels == 1, _draw_positive(m, u), _draw_negative(m, u))
+    x = _draw(m, rng.random(n), labels == 1)
     return Dataset(features=x[:, None], labels=labels, n_classes=2)
 
 
@@ -151,8 +151,7 @@ def sample_pu(m: AnalyticModel, n: int, q: float, seed) -> Dataset:
     rng = np.random.default_rng(seed)
     labeled = rng.random(n) < q
     from_pos = rng.random(n) < m.p  # class of the latent unlabeled draw
-    u = rng.random(n)
-    x = np.where(labeled | from_pos, _draw_positive(m, u), _draw_negative(m, u))
+    x = _draw(m, rng.random(n), labeled | from_pos)
     return Dataset(features=x[:, None], labels=labeled.astype(int), n_classes=2)
 
 

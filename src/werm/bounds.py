@@ -60,11 +60,14 @@ from .core import (
 EXCESS_BOUND_KINDS = ("lemma1", "corollary1", "theorem1", "theorem2")
 DEVIATION_BOUND_KINDS = ("approx1", "approx2", "approx3")
 
-_RADEMACHER_BLOCK = 1024
+# replicates per seeded block, in rademacher_mc and coverage_check
+_BLOCK = 1024
 # sign rows drawn and summed at a time inside a block: the working set is
 # O(rows * n).  At n = 2,000, 8, 16 and 64 rows took about the same time,
 # and a bounds_coverage pass peaked at 37.7, 38.0 and 39.6 MB
 _RADEMACHER_ROWS = 16
+# coverage replicates drawn at a time inside a block: O(rows * cells * grid)
+_COVERAGE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ class BoundInputs:
     rademacher: float = 0.0
 
     def __post_init__(self):
-        _check_count(self.n, "n", 1)
+        _check_count(self.n, "n", 1, math.inf)
         _check_rate(self.delta, "delta")
         if self.epsilon is not None and not 0.0 < _as_float(self.epsilon) < 0.5:
             raise ValidationError("epsilon must lie in (0, 1/2)")
@@ -99,7 +102,7 @@ class BoundInputs:
         if self.max_pk is not None and not 0.0 < _as_float(self.max_pk) <= 1.0:
             raise ValidationError("max_pk must lie in (0, 1]")
         if self.K is not None:
-            _check_count(self.K, "K", 1)
+            _check_count(self.K, "K", 1, math.inf)
         if max(self.n, self.K or 1) > sys.float_info.max:
             raise ValidationError("n and K must not exceed the float range")
 
@@ -271,9 +274,9 @@ def _rademacher_mc_detail(data, hypothesis_grid, loss, reps, seed):
     prefix = np.zeros((len(signs), edges.size), dtype=np.int64)
     total = 0.0
     total_sq = 0.0
-    for b, done in enumerate(range(0, reps, _RADEMACHER_BLOCK)):
+    for b, done in enumerate(range(0, reps, _BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        vals = np.empty(min(_RADEMACHER_BLOCK, reps - done))
+        vals = np.empty(min(_BLOCK, reps - done))
         # consecutive draws continue one stream, so the chunks are the block's rows
         for lo in range(0, vals.size, _RADEMACHER_ROWS):
             s = signs[: min(_RADEMACHER_ROWS, vals.size - lo)]
@@ -309,33 +312,39 @@ class CoverageResult:
     deviations: np.ndarray
 
 
-def _sup_threshold_deviation(data: Dataset, diffs: np.ndarray, grid: np.ndarray) -> float:
-    """sup over the theta grid of |(1/n) sum_i diffs_i * loss_i(theta)|,
-    for the positive-above threshold loss.
+def _cell_law(setting: str, model, rates, grid: np.ndarray) -> np.ndarray:
+    """The (group, class, bin) probabilities of a record: its group, its label,
+    and its bin of the grid.  Bin j holds x in [grid[j-1], grid[j]), the first
+    and last bins x < grid[0] and x >= grid[-1].  The bins come from the
+    class-conditional CDFs at the grid: x^(1+alpha) for positives,
+    1 - (1-x)^(1+beta) for negatives, their p-mixture for PU's unlabeled
+    records, and x in every stratum."""
+    if setting == "stratum_shift":
+        if np.size(rates) != model.n_strata:
+            raise ValidationError("pk_train length must match the strata count")
+        r = np.asarray(model.pos_rates)
+        prob, cdf = np.stack([rates * (1.0 - r), rates * r], axis=1), grid
+    else:
+        pos = grid ** (1.0 + model.alpha)
+        neg = 1.0 - (1.0 - grid) ** (1.0 + model.beta)
+        if setting == "pu":
+            neg = model.p * pos + (1.0 - model.p) * neg
+        # the group is the label: group g holds class g alone
+        prob, cdf = np.diag([1.0 - rates, rates]), np.stack([neg, pos])
+    joint = prob[..., None] * np.maximum(np.diff(cdf, prepend=0.0, append=1.0), 0.0)
+    return joint / joint.sum()
 
-    Each class's x values are sorted and its diffs prefix-summed, so that
-    one searchsorted per class reads the sum over x < theta.  A class whose
-    diffs are all equal (every class_shift and pu replicate, whose weights
-    depend on the label alone) sorts x alone and sums its diffs in row
-    order: the k-th prefix sum adds the same term k times whatever the
-    order, ties included, so it equals the sum in x order bit for bit.
-    Any other class (stratum_shift) gathers its diffs in argsort order.
-    """
-    x = data.features[:, 0]
-    pos = data.labels == 1
-    out = np.zeros(grid.size)
-    for rows, flip in ((np.flatnonzero(pos), False), (np.flatnonzero(~pos), True)):
-        xs = x[rows]
-        ds = diffs[rows]
-        if (ds == ds[:1]).all():
-            xs = np.sort(xs)
-        else:
-            order = np.argsort(xs)
-            xs, ds = xs[order], ds[order]
-        cum = np.concatenate(([0.0], np.cumsum(ds)))
-        below = cum[np.searchsorted(xs, grid, side="left")]  # sum over x < theta
-        out += (cum[-1] - below) if flip else below
-    return float(np.abs(out).max() / data.n)
+
+def _count_deviations(counts, diff) -> np.ndarray:
+    """Each replicate's sup over the grid of |sum_i diffs_i * loss_i(theta)|
+    from its (group, class, bin) counts, ``diff(group counts)`` giving each
+    group's plug-in minus oracle weight: a positive record adds its group's
+    difference below theta, a negative one at or above theta."""
+    per_class = counts.sum(axis=3)
+    d = diff(per_class.sum(axis=2))
+    below = np.cumsum(((counts[:, :, 1] - counts[:, :, 0]) * d[:, :, None]).sum(axis=1), axis=1)
+    above = (per_class[:, :, 0] * d).sum(axis=1)
+    return np.abs(below[:, :-1] + above[:, None]).max(axis=1)
 
 
 def coverage_check(
@@ -359,20 +368,28 @@ def coverage_check(
     grid of |plug-in weighted risk - exact-rate weighted risk| and the
     fraction of replicates where it stays below the matching deviation
     bound.  The contract is coverage >= 1 - delta; the bounds are loose,
-    so coverage near 1 is the norm.  Replicate r draws its seed from
-    (seed, r), making results independent of any work split.  class_shift
-    reads ``p_train``, pu ``q``, and stratum_shift ``pk`` (its target) and
-    ``pk_train``; a rate keyword the setting does not read is refused.
+    so coverage near 1 is the norm.  class_shift reads ``p_train``, pu
+    ``q``, and stratum_shift ``pk`` (its target) and ``pk_train``; a rate
+    keyword the setting does not read is refused.
+
+    No record is drawn.  Both weightings depend on n and the group counts
+    alone (see ``weights.setting``), so a draw's deviation depends only on
+    how many of its records fall in each (group, class) cell and grid bin.
+    Each replicate draws those counts from their multinomial law, at a
+    cost that does not grow with n.  Replicates come in blocks of 1,024:
+    block b draws from ``SeedSequence((seed, b))``, a few replicates at a
+    time, so neither the work split nor ``reps`` changes a draw, and fewer
+    ``reps`` give a prefix of ``deviations``.
     """
-    _check_count(reps, "reps", 1)
-    _check_count(grid_size, "grid_size", 1)
+    for name, count in (("n", n), ("reps", reps), ("grid_size", grid_size)):
+        _check_count(count, name, 1)
     _check_seed(seed)
     grid = np.linspace(0.0, 1.0, grid_size)
     if setting not in _SETTING_BOUNDS:
         raise ValidationError(f"unknown coverage setting {setting!r}")
-    model_type, rate_arg, group, sampler, _, plug_in_table, oracle_table = weights.setting(setting)
+    model_type, rate_arg, column, _, _, plug_in_table, oracle_table = weights.setting(setting)
     # a stratum setting's rates are a distribution, and its target is pk
-    stratified = group == "strata"
+    stratified = column == "strata"
     given = {"p_train": p_train, "q": q, "pk": pk, "pk_train": pk_train}
     reads = ("pk", rate_arg) if stratified else (rate_arg,)
     for key in [k for k, v in given.items() if v is not None and k not in reads]:
@@ -399,20 +416,17 @@ def coverage_check(
     bound = deviation_bound(_SETTING_BOUNDS[setting], inputs)
 
     oracle = oracle_table(target, rates)
-    deviations = []
-    for r in range(reps):
-        data = sampler(model, n, rates, np.random.SeedSequence((seed, r)))
-        groups = getattr(data, group)
-        counts = np.bincount(groups, minlength=oracle.size)
-        diffs = (plug_in_table(counts, n, prior) - oracle)[groups]
-        deviations.append(_sup_threshold_deviation(data, diffs, grid))
-    deviations = np.array(deviations)
+    joint = _cell_law(setting, model, rates, grid)
+    deviations = np.empty(reps)
+    for b, done in enumerate(range(0, reps, _BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+        end = min(done + _BLOCK, reps)
+        # consecutive calls continue one stream, so the chunks are the block's rows
+        for lo in range(done, end, _COVERAGE_ROWS):
+            rows = min(_COVERAGE_ROWS, end - lo)
+            counts = rng.multinomial(n, joint.ravel(), size=rows).reshape(rows, *joint.shape)
+            deviations[lo : lo + rows] = _count_deviations(
+                counts, lambda c: plug_in_table(c, n, prior) - oracle)
+    deviations /= n
     coverage = float(np.mean(deviations <= bound.value))
-    return CoverageResult(
-        coverage=coverage,
-        bound_value=bound.value,
-        required_n=bound.required_n,
-        valid=bound.valid,
-        reps=reps,
-        deviations=deviations,
-    )
+    return CoverageResult(coverage, bound.value, bound.required_n, bound.valid, reps, deviations)

@@ -82,14 +82,8 @@ def _cmd_biasgen(args) -> None:
         data, spec, seed=args.seed, max_size=args.max_size
     )
     write_csv(out, args.outfile)
-    _emit(
-        {
-            "p_prime": [float(v) for v in p_prime],
-            "output_size": out.n,
-            "input_size": data.n,
-            "outfile": args.outfile,
-        }
-    )
+    _emit({"p_prime": [float(v) for v in p_prime], "output_size": out.n, "input_size": data.n,
+           "outfile": args.outfile})
 
 
 def _cmd_weights(args) -> None:
@@ -111,14 +105,8 @@ def _cmd_train(args) -> None:
     experiment._align_classes(train_data, test_data)
     J = train_data.n_classes
     w, _ = _weights_from_flags(train_data, args.weights, args)
-    cfg = train_mod.TrainConfig(
-        lr=args.lr,
-        momentum=args.momentum,
-        weight_decay=args.wd,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
+    cfg = train_mod.TrainConfig(lr=args.lr, momentum=args.momentum, weight_decay=args.wd,
+                                batch_size=args.batch, epochs=args.epochs, seed=args.seed)
     top_k = args.top_k if args.top_k is not None else min(5, J)
     _check_top_k(top_k, J)  # checked before training, not after it
     [(metrics, log)] = experiment._fit_and_score(
@@ -126,15 +114,8 @@ def _cmd_train(args) -> None:
     )
     if args.curve:
         experiment.write_curve(args.curve, log.rows())
-    _emit(
-        {
-            "miss_rate": metrics["miss_rate"],
-            "top_k_error": metrics["top_k_error"],
-            "sce": metrics["sce"],
-            "top_k": top_k,
-            "curve": args.curve,
-        }
-    )
+    _emit({**{k: metrics[k] for k in ("miss_rate", "top_k_error", "sce")}, "top_k": top_k,
+           "curve": args.curve})
 
 
 def _cmd_bounds(args) -> None:
@@ -155,16 +136,9 @@ def _cmd_experiment(args) -> int:
         doc, **{k: v for k, v in overrides.items() if v is not None}
     )
     bundle = experiment.run_experiment(spec)
-    if spec.out_dir:
-        written = experiment.emit_results(bundle, spec.out_dir)
-    else:
-        written = []
-    summary = {
-        "scenario": bundle["scenario"],
-        "replicates": bundle["replicates"],
-        "failures": bundle["failures"],
-        "written": written,
-    }
+    written = experiment.emit_results(bundle, spec.out_dir) if spec.out_dir else []
+    summary = {k: bundle[k] for k in ("scenario", "replicates", "failures")}
+    summary["written"] = written
     if "modes" in bundle:
         summary["modes"] = {
             mode: {metric: vals["mean"] for metric, vals in by_metric.items()}

@@ -121,13 +121,18 @@ def _check_rate(value: float, name: str) -> None:
         raise ValidationError(f"{name} must lie in (0, 1)")
 
 
-def _check_count(value, name: str, minimum: int) -> None:
-    """ValidationError unless ``value`` is an integer >= ``minimum``; the
-    type is tested first, so a value of any other type, bool included, is
-    refused too."""
+def _check_count(value, name: str, minimum: int, ceiling: float = 2**20) -> None:
+    """ValidationError unless ``value`` is an integer in [``minimum``,
+    ``ceiling``]; the type is tested first, so a value of any other type,
+    bool included, is refused too.  Every count that sizes an array or a
+    loop (records, grid points, replicates, strata, epochs) has the ceiling
+    2**20 = 1,048,576, so none reaches numpy's own size errors; only
+    ``bounds.BoundInputs`` lifts it, for n and K, which size nothing."""
     if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and value >= minimum):
         raise ValidationError(f"{name} must be an integer >= {minimum}")
+    if value > ceiling:
+        raise ValidationError(f"{name} must be at most {ceiling:,}")
 
 
 def _check_top_k(k: int, J: int) -> None:

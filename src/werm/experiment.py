@@ -513,13 +513,9 @@ def emit_results(bundle: dict, out_dir) -> list[str]:
     written = []
 
     results = {k: v for k, v in bundle.items() if k not in ("curves", "resolved_spec")}
-    results_path = os.path.join(out_dir, "results.json")
-    _write_json(results_path, results)
-    written.append(results_path)
-
-    spec_path = os.path.join(out_dir, "spec_resolved.json")
-    _write_json(spec_path, bundle["resolved_spec"])
-    written.append(spec_path)
+    for name, doc in (("results.json", results), ("spec_resolved.json", bundle["resolved_spec"])):
+        written.append(os.path.join(out_dir, name))
+        _write_json(written[-1], doc)
 
     curves_dir = os.path.join(out_dir, "curves")
     if bundle.get("curves"):

@@ -63,6 +63,7 @@ def gaussian_strata_sample(
     """n records with strata ~ pk, uniform labels, Gaussian features."""
     if np.size(pk) != spec.n_strata:
         raise ValidationError("pk must be a distribution over the strata")
+    _check_count(n, "n", 1)
     rng = np.random.default_rng(seed)
     strata = _draw_strata(rng, pk, n)
     labels = rng.integers(spec.n_classes, size=n)
@@ -101,6 +102,7 @@ class StratifiedThresholdModel:
     def sample(self, n: int, pk_train, seed) -> Dataset:
         if np.size(pk_train) != self.n_strata:
             raise ValidationError("pk_train length must match the strata count")
+        _check_count(n, "n", 1)
         rng = np.random.default_rng(seed)
         strata = _draw_strata(rng, pk_train, n, "pk_train")
         rates = np.asarray(self.pos_rates)[strata]
@@ -152,6 +154,7 @@ def censored_train_sample(spec: CensoredSpec, n: int, seed) -> Dataset:
     """Training view: (x, observed time, event flag) plus the horizon label
     computed from the observed time (meaningful only where event=1; the
     weighting schemes give censored records zero weight)."""
+    _check_count(n, "n", 1)
     rng = np.random.default_rng(seed)
     x = rng.random(n)
     y_time = rng.exponential(1.0 / spec.event_rate(x))
@@ -170,6 +173,7 @@ def censored_train_sample(spec: CensoredSpec, n: int, seed) -> Dataset:
 
 def censored_test_sample(spec: CensoredSpec, n: int, seed) -> Dataset:
     """Test view: uncensored durations, labels = event by the horizon."""
+    _check_count(n, "n", 1)
     rng = np.random.default_rng(seed)
     x = rng.random(n)
     y_time = rng.exponential(1.0 / spec.event_rate(x))

@@ -102,24 +102,13 @@ def init_params(kind: str, d: int, J: int, cfg: TrainConfig) -> ModelParams:
         raise ValidationError("need d >= 1 and J >= 1")
     rng = np.random.default_rng(cfg.seed)
     s = cfg.init_std
-    if kind == "linear":
-        return ModelParams(
-            kind,
-            {"W": rng.normal(0.0, s, (d, J)) if s else np.zeros((d, J)),
-             "b": np.zeros(J)},
-            (d, J),
-        )
-    h = hidden_size(d, J)
-    return ModelParams(
-        kind,
-        {
-            "W1": rng.normal(0.0, s, (d, h)) if s else np.zeros((d, h)),
-            "b1": np.zeros(h),
-            "W2": rng.normal(0.0, s, (h, J)) if s else np.zeros((h, J)),
-            "b2": np.zeros(J),
-        },
-        (d, h, J),
-    )
+    dims = (d, J) if kind == "linear" else (d, hidden_size(d, J), J)
+    layers = [""] if kind == "linear" else ["1", "2"]
+    params = {}
+    for layer, shape in zip(layers, zip(dims, dims[1:])):
+        params["W" + layer] = rng.normal(0.0, s, shape) if s else np.zeros(shape)
+        params["b" + layer] = np.zeros(shape[1])
+    return ModelParams(kind, params, dims)
 
 
 def _T(a: np.ndarray) -> np.ndarray:

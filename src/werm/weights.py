@@ -88,44 +88,32 @@ class TargetPrior:
 
 
 # ---------------------------------------------------------------------------
-# Group tables: one weight per label (class shift, PU) or stratum
+# Group tables (see setting): one weight per label or stratum
 # ---------------------------------------------------------------------------
-#
-# A plug-in table maps (group counts, n, prior) to the groups' weights,
-# vectorised over the leading axes of the counts; an oracle table maps
-# (target, rate).  An empty group is named from the first row, in C order,
-# that has one.  The record functions index a table by each record's group.
 
 
-def _label_counts(counts, prior: TargetPrior, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(n_neg, n_pos) of label counts whose two classes are both populated;
-    ``what`` names the weights in the error for a missing prior.p."""
-    if prior.p is None:
-        raise ValidationError(f"{what} need prior.p")
+def _per_group(counts, n: int, rates: np.ndarray, empty_error) -> np.ndarray:
+    """n * rate / count for each group on the last axis of ``counts``: 0 for
+    an empty group of rate 0, ``empty_error(group)`` for one of positive rate."""
     counts = np.asarray(counts)
-    empty = counts == 0
+    empty = (rates > 0) & (counts == 0)
     if empty.any():
-        raise DegenerateClassError(int(np.argwhere(empty)[0, -1]))
-    return counts[..., 0], counts[..., 1]
+        raise empty_error(int(np.argwhere(empty)[0, -1]))
+    return np.divide(rates * n, counts, out=np.zeros(counts.shape), where=counts > 0)
 
 
 def _class_shift_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
-    n_neg, n_pos = _label_counts(counts, prior, "class shift weights")
-    return np.stack([n * (1.0 - prior.p) / n_neg, n * prior.p / n_pos], axis=-1)
+    _check_rate(prior.p, "prior.p")
+    return _per_group(counts, n, np.array([1.0 - prior.p, prior.p]), DegenerateClassError)
 
 
 def _pu_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
-    n_unl, n_pos = _label_counts(counts, prior, "PU weights")
-    return np.stack([n / n_unl, 2.0 * prior.p * n / n_pos], axis=-1)
+    _check_rate(prior.p, "prior.p")
+    return _per_group(counts, n, np.array([1.0, 2.0 * prior.p]), DegenerateClassError)
 
 
 def _stratum_shift_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
-    pk = prior.pk_array()
-    counts = np.asarray(counts)
-    empty = (pk > 0) & (counts == 0)
-    if empty.any():
-        raise EmptyStratumError(int(np.argwhere(empty)[0, -1]))
-    return np.divide(n * pk, counts, out=np.zeros(counts.shape), where=counts > 0)
+    return _per_group(counts, n, prior.pk_array(), EmptyStratumError)
 
 
 def _oracle_class_shift_table(p: float, p_train: float) -> np.ndarray:
@@ -221,10 +209,12 @@ def setting(name: str) -> Setting:
     """class_shift, pu or stratum_shift as its model type, training-rate
     name, group column (``labels`` or ``strata``), ``sampler(model, n, rate,
     seed)``, record oracle ``oracle(data, target, rate)``, and its two group
-    tables: ``plug_in_table(counts, n, prior)``, with the group counts on the
-    last axis, and ``oracle_table(target, rate)``, target being the prior's p
-    or pk.  Each function is read at call time, so a rebinding reaches every
-    caller."""
+    tables: ``plug_in_table(counts, n, prior)``, vectorised over the leading
+    axes of the group counts, and ``oracle_table(target, rate)``, target being
+    the prior's p or pk.  An empty group is named from the first row, in C
+    order, that has one.  The record estimators index these tables by each
+    record's group.  Each function is read at call time, so a rebinding
+    reaches every caller."""
     strata_model = synthetic.StratifiedThresholdModel
     table = {
         "class_shift": (analytic.AnalyticModel, "p_train", "labels", analytic.sample,

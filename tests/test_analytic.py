@@ -148,6 +148,59 @@ class TestSampler:
         assert stats.kstest(x_unl, cdf).statistic <= 1.63 / np.sqrt(x_unl.size)
 
 
+# ---------------------------------------------------------------------------
+# Each record's own inverse CDF: the same floats as both CDFs then np.where
+# ---------------------------------------------------------------------------
+
+EXPONENTS = [1.0 / 1.5, 1.0 / 2.0, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("c", EXPONENTS)
+def test_power_of_a_gathered_subset_equals_the_gathered_power(c):
+    """u ** c on a gathered subset gives the floats of u ** c on the whole
+    array, gathered: over sizes across SIMD widths, offsets into a larger
+    buffer (so unaligned starts) and random masks."""
+    rng = np.random.default_rng(3181)
+    for n in list(range(1, 70)) + [127, 128, 129, 1000, 4097]:
+        for offset in (0, 1, 3, 7):
+            u = rng.random(n + offset)[offset:]
+            whole = u**c
+            for density in (0.1, 0.5, 0.9):
+                mask = rng.random(n) < density
+                assert (u[mask] ** c).tobytes() == whole[mask].tobytes(), (n, offset)
+                assert (1.0 - u[~mask] ** c).tobytes() == (1.0 - whole)[~mask].tobytes()
+
+
+def _where_sample(m, n, class_rate, seed):
+    """analytic.sample as it stood: both inverse CDFs for every record."""
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(n) < class_rate).astype(int)
+    u = rng.random(n)
+    return labels, np.where(labels == 1, u ** (1.0 / (1.0 + m.alpha)),
+                            1.0 - u ** (1.0 / (1.0 + m.beta)))
+
+
+def _where_sample_pu(m, n, q, seed):
+    rng = np.random.default_rng(seed)
+    labeled = rng.random(n) < q
+    from_pos = rng.random(n) < m.p
+    u = rng.random(n)
+    return labeled.astype(int), np.where(labeled | from_pos, u ** (1.0 / (1.0 + m.alpha)),
+                                         1.0 - u ** (1.0 / (1.0 + m.beta)))
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (1.0, 2.0), (2.0, 0.0)])
+def test_samplers_equal_both_cdfs_then_where(alpha, beta):
+    m = AnalyticModel(alpha, beta, 0.3)
+    for n in list(range(1, 40)) + [64, 65, 2000, 2001]:
+        for rate in (0.05, 0.6):
+            for draw, where in ((sample, _where_sample), (sample_pu, _where_sample_pu)):
+                data = draw(m, n, rate, [n, 17])
+                labels, x = where(m, n, rate, [n, 17])
+                assert data.labels.tobytes() == labels.tobytes()
+                assert data.features[:, 0].tobytes() == x.tobytes(), (draw.__name__, n)
+
+
 class TestThresholdLoss:
     """The threshold-sign loss of the rule "predict positive iff x >= theta"."""
 

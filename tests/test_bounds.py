@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from werm import analytic, bounds, weights
 from werm.analytic import AnalyticModel, sample, true_risk
@@ -16,19 +17,51 @@ from werm.bounds import (
     BoundInputs,
     BoundResult,
     _rademacher_mc_detail,
-    _sup_threshold_deviation,
     coverage_check,
     deviation_bound,
     evaluate_bound,
     prior_sensitivity_bound,
     rademacher_mc,
 )
-from werm.core import Dataset, LossSpec, ValidationError, per_record_losses
+from werm.core import (
+    Dataset,
+    DegenerateClassError,
+    EmptyStratumError,
+    LossSpec,
+    ValidationError,
+    per_record_losses,
+)
 from werm.experiment import ExperimentSpec, run_experiment
 from werm.synthetic import StratifiedThresholdModel
-from werm.weights import TargetPrior, class_shift_weights, oracle_class_shift_weights
+from werm.weights import (
+    TargetPrior,
+    class_shift_weights,
+    oracle_class_shift_weights,
+    pu_weights,
+    stratum_shift_weights,
+)
 
 THRESH = LossSpec("threshold-sign")
+
+
+def _sup_threshold_deviation(data, diffs, grid):
+    """sup over the theta grid of |(1/n) sum_i diffs_i * loss_i(theta)| for
+    the positive-above threshold loss, swept over the records: the reference
+    for coverage_check's count formula.  Each class's x values are sorted
+    and its diffs prefix-summed in that order, so that one searchsorted per
+    class reads the sum over x < theta."""
+    x = data.features[:, 0]
+    pos = data.labels == 1
+    out = np.zeros(grid.size)
+    for mask, flip in ((pos, False), (~pos, True)):
+        xs = x[mask]
+        ds = diffs[mask]
+        order = np.argsort(xs)
+        xs = xs[order]
+        cum = np.concatenate(([0.0], np.cumsum(ds[order])))
+        below = cum[np.searchsorted(xs, grid, side="left")]
+        out += (cum[-1] - below) if flip else below
+    return float(np.abs(out).max() / data.n)
 
 
 class TestExcessBounds:
@@ -548,7 +581,7 @@ def test_rademacher_equals_loss_matrix_reference(case):
 
 
 # ---------------------------------------------------------------------------
-# coverage_check: one path for the three settings
+# coverage_check: the c04 calls, pinned
 # ---------------------------------------------------------------------------
 
 C04_MODEL = AnalyticModel(1.0, 1.0, 0.3)
@@ -560,18 +593,18 @@ C04_CALLS = {
 }
 # SHA-256 of repr((coverage, bound_value)) + deviations.tobytes() at the c04
 # parameters (n=2000, delta=0.1, epsilon=0.3) with 40 replicates, taken
-# from the three-branch implementation
+# from the count kernel (multinomial cell and bin counts, blocks of 1,024)
 COVERAGE_PINS = {
-    "class_shift": "8879fdf4546b3087e1c2291cb5095996b172d6117e5f378320b99ff1b8757f10",
-    "stratum_shift": "74e2303ad4a4d23f63efc22cf4b93beab9befe1aa75441455dba9dd37c04d265",
-    "pu": "d7c21193f4bf98db1881cefaf55dad238d09d09df3be3c3338ecf73bb4710280",
+    "class_shift": "a3141624e0d67ea952c7c9805dfbd978ed86d63804564be74ef3473bfdbb469a",
+    "stratum_shift": "35ac8ab7d4d0297ce35d5a0b343f88921ad253c0fa2bbfeccae371796b38e583",
+    "pu": "a8b3b21e239bac67f1edbe57bbe2045ef6dc7caf6b2b0de68dc6532e82ac3cae",
 }
 # the same with the default epsilon and 5 replicates, hashing
 # repr((coverage, bound_value, required_n, valid)) + deviations.tobytes()
 DEFAULT_EPSILON_PINS = {
-    "class_shift": "46d107217327a587c3fcd8499616f5aa46f3af9e26c64a2323b1a8e5d40cd6e5",
-    "stratum_shift": "d42837482572297250f8ea9694166ae5a6658b8dcfcbdd87ced67043f6a89193",
-    "pu": "9b555a90428ad003e63abb3d144800775dbf9b32cb04591d9a2f5cf6a4e679f7",
+    "class_shift": "1b0f591c74c24c3b0df1b684ad0e8b994b8eea43e69aeccd7c5a059ad0020907",
+    "stratum_shift": "f139303ae48adcaae854069758fb8520e22ee8502e23e986287142033b3d7f1d",
+    "pu": "b679001ed44b3af93be5a7f1478370cad09e74dc73bb5dffe6889ba29c885bfe",
 }
 
 
@@ -640,16 +673,6 @@ SETTING_CALLS = {
 }
 
 
-@pytest.mark.parametrize("setting", sorted(C04_CALLS))
-def test_coverage_calls_go_through_home_names(monkeypatch, setting):
-    """Rebinding a sampler where it is defined reaches every draw
-    coverage_check makes; its weights come from the group tables."""
-    calls = _record_setting_calls(monkeypatch)
-    model, kw = C04_CALLS[setting]
-    coverage_check(setting, model, n=200, delta=0.1, reps=3, epsilon=0.3, **kw)
-    assert calls == SETTING_CALLS[setting][:1] * 3
-
-
 @pytest.mark.parametrize(
     "scenario,rate", [("class_shift", {"p_train": 0.6}), ("pu", {"q": 0.4})]
 )
@@ -667,57 +690,183 @@ def test_experiment_draws_go_through_home_names(monkeypatch, scenario, rate):
 
 
 # ---------------------------------------------------------------------------
-# _sup_threshold_deviation: sort-only path for label-constant diffs
+# coverage_check: cell and bin counts, not records
 # ---------------------------------------------------------------------------
 
-
-def _argsort_sup_deviation(data, diffs, grid):
-    """The sweep as it stood with one argsort per class for every replicate."""
-    x = data.features[:, 0]
-    pos = data.labels == 1
-    out = np.zeros(grid.size)
-    for mask, flip in ((pos, False), (~pos, True)):
-        xs = x[mask]
-        ds = diffs[mask]
-        order = np.argsort(xs)
-        xs = xs[order]
-        cum = np.concatenate(([0.0], np.cumsum(ds[order])))
-        below = cum[np.searchsorted(xs, grid, side="left")]
-        out += (cum[-1] - below) if flip else below
-    return float(np.abs(out).max() / data.n)
+PLUG_INS = {"class_shift": class_shift_weights, "pu": pu_weights,
+            "stratum_shift": stratum_shift_weights}
 
 
-_diff_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e3, 1e3))
+def _law_inputs(setting, grid):
+    """What coverage_check derives from the c04 arguments: the setting's row,
+    its rates, prior and oracle table, and the cell law on the grid."""
+    model, kw = C04_CALLS[setting]
+    row = weights.setting(setting)
+    rates = np.asarray(kw[row.rate]) if "pk" in kw else kw[row.rate]
+    prior = TargetPrior(pk=kw["pk"]) if "pk" in kw else TargetPrior(p=model.p)
+    target = prior.pk_array() if "pk" in kw else prior.p
+    return model, row, rates, prior, target, bounds._cell_law(setting, model, rates, grid)
+
+
+def _record_counts(data, grid, groups):
+    """A record draw's (group, class, bin) counts: the group is the stratum,
+    else the label; bin j holds x in [grid[j-1], grid[j])."""
+    group = data.labels if data.strata is None else data.strata
+    counts = np.zeros((groups, 2, grid.size + 1), dtype=np.int64)
+    bins = np.searchsorted(grid, data.features[:, 0], side="right")
+    np.add.at(counts, (group, data.labels, bins), 1)
+    return counts
+
+
+@pytest.mark.parametrize("grid_size", [1, 2, 11, 101])
+@pytest.mark.parametrize("n", [50, 2000])
+@pytest.mark.parametrize("setting", sorted(C04_CALLS))
+def test_count_formula_matches_record_sweep(setting, n, grid_size):
+    """From one record draw's own cell and bin counts, the count formula
+    gives the per-record sweep's sup deviation within 1e-12, on grids that
+    hold only theta = 0, only the end points, or more."""
+    grid = np.linspace(0.0, 1.0, grid_size)
+    model, row, rates, prior, target, joint = _law_inputs(setting, grid)
+    oracle = row.oracle_table(target, rates)
+    checked = 0
+    for r in range(20):
+        data = row.sampler(model, n, rates, [2611, n, r])
+        try:
+            diffs = PLUG_INS[setting](data, prior).weights - row.oracle(data, target, rates).weights
+        except (DegenerateClassError, EmptyStratumError):
+            continue
+        want = _sup_threshold_deviation(data, diffs, grid)
+        counts = _record_counts(data, grid, joint.shape[0])[None]
+        got = bounds._count_deviations(
+            counts, lambda c: row.plug_in_table(c, n, prior) - oracle)[0] / n
+        assert abs(got - want) <= 1e-12, (r, got, want)
+        checked += 1
+    assert checked >= 15
+
+
+_label_diffs = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e3, 1e3))
 
 
 @st.composite
-def _sweep_cases(draw):
-    """Heavily tied x from a pool of at most 8 values, labels that may leave
-    a class empty, and diffs that are constant per label or free."""
+def _tied_cases(draw):
+    """x from a pool of at most 8 values that often sit on the grid or off
+    [0, 1], labels that may leave a class empty, a diff per label."""
     n = draw(st.integers(1, 60))
-    pool = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+    grid = np.linspace(0.0, 1.0, draw(st.integers(1, 30)))
+    pool = draw(st.lists(st.one_of(st.sampled_from(list(grid[:3]) + [0.5, 1.0]),
                                    st.floats(-0.5, 1.5)), min_size=1, max_size=8))
     x = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
     labels = np.array(draw(st.lists(st.sampled_from(draw(st.sampled_from([[0], [1], [0, 1]]))),
                                     min_size=n, max_size=n)))
-    kind = draw(st.sampled_from(["label", "free", "zeros"]))
-    if kind == "label":
-        diffs = np.array([draw(_diff_values), draw(_diff_values)])[labels]
-    elif kind == "free":
-        diffs = np.array(draw(st.lists(_diff_values, min_size=n, max_size=n)))
-    else:
-        diffs = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)))
     data = Dataset(features=x[:, None], labels=labels, n_classes=2)
-    return data, diffs, np.linspace(0.0, 1.0, draw(st.integers(1, 30)))
+    return data, np.array([draw(_label_diffs), draw(_label_diffs)]), grid
 
 
-@settings(max_examples=600, deadline=None)
-@given(_sweep_cases())
-def test_sup_deviation_bit_equal_to_argsort_sweep(case):
-    data, diffs, grid = case
-    got = _sup_threshold_deviation(data, diffs, grid)
-    want = _argsort_sup_deviation(data, diffs, grid)
-    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+@settings(max_examples=400, deadline=None)
+@given(_tied_cases())
+def test_count_formula_matches_record_sweep_on_ties(case):
+    """Records on a threshold count as at or above it in both sweeps."""
+    data, label_diffs, grid = case
+    want = _sup_threshold_deviation(data, label_diffs[data.labels], grid)
+    got = bounds._count_deviations(
+        _record_counts(data, grid, 2)[None], lambda c: np.broadcast_to(label_diffs, c.shape)
+    )[0] / data.n
+    assert abs(got - want) <= 1e-12 * (1.0 + np.abs(label_diffs).max()), (got, want)
+
+
+@pytest.mark.parametrize("setting", sorted(C04_CALLS))
+def test_counts_follow_the_record_law(monkeypatch, setting):
+    """Summed over 100 replicates of n = 1,000, the record sampler's cell and
+    bin counts and the counts coverage_check draws each pass a chi-square
+    test against the cell law at the 1e-3 level."""
+    grid = np.linspace(0.0, 1.0, 21)
+    model, row, rates, _, _, joint = _law_inputs(setting, grid)
+    n, reps = 1000, 100
+    records = sum(_record_counts(row.sampler(model, n, rates, [5309, r]), grid, joint.shape[0])
+                  for r in range(reps))
+    seen = []
+    monkeypatch.setattr(bounds, "_count_deviations",
+                        lambda counts, *_: seen.append(counts.sum(axis=0)) or np.ones(len(counts)))
+    coverage_check(setting, model, n=n, delta=0.1, reps=reps, epsilon=0.3, grid_size=21,
+                   **{**C04_CALLS[setting][1], "seed": 5310})
+    drawn = sum(seen)
+    expected = reps * n * joint
+    live = expected > 0
+    for observed in (records, drawn):
+        assert observed.sum() == reps * n and observed[~live].sum() == 0
+        assert stats.chisquare(observed[live], expected[live]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("setting", sorted(C04_CALLS))
+def test_coverage_reps_give_a_prefix(setting):
+    """Fewer replicates give a prefix of the deviations, within the first
+    block of 1,024 and across it."""
+    model, kw = C04_CALLS[setting]
+    run = lambda reps: coverage_check(  # noqa: E731
+        setting, model, n=2000, delta=0.1, reps=reps, epsilon=0.3, **kw).deviations
+    long = run(2000)
+    for reps in (40, 1100):
+        assert run(reps).tobytes() == long[:reps].tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_coverage_does_not_depend_on_row_count(monkeypatch, rows):
+    monkeypatch.setattr(bounds, "_COVERAGE_ROWS", rows)
+    for setting in sorted(C04_CALLS):
+        test_coverage_pinned(setting)
+
+
+@pytest.mark.parametrize("grid_size", [1, 2])
+@pytest.mark.parametrize("setting", sorted(C04_CALLS))
+def test_coverage_on_the_grid_end_points(setting, grid_size):
+    model, kw = C04_CALLS[setting]
+    r = coverage_check(setting, model, n=2000, delta=0.1, reps=20, epsilon=0.3,
+                       grid_size=grid_size, **kw)
+    assert r.deviations.shape == (20,) and np.all(np.isfinite(r.deviations))
+    assert np.all(r.deviations >= 0) and 0.0 <= r.coverage <= 1.0
+
+
+def _empty_group_error(call):
+    try:
+        call()
+    except (DegenerateClassError, EmptyStratumError) as err:
+        return type(err), str(err), vars(err)
+    return None
+
+
+@pytest.mark.parametrize("setting", sorted(C04_CALLS))
+def test_empty_group_same_error_on_both_paths(setting):
+    """At n = 1 every replicate has an empty class or stratum: coverage_check
+    raises what the record estimator raises.  On equal counts, the group
+    table and the record estimator name the same group."""
+    model, row, rates, prior, _, _ = _law_inputs(setting, np.linspace(0.0, 1.0, 3))
+    model, kw = C04_CALLS[setting]
+    count_path = _empty_group_error(lambda: coverage_check(
+        setting, model, n=1, delta=0.1, reps=3, epsilon=0.3, **kw))
+    record = row.sampler(model, 1, rates, [77, 0])
+    assert count_path is not None
+    assert count_path[0] == _empty_group_error(lambda: PLUG_INS[setting](record, prior))[0]
+    seen = set()
+    for r in range(60):
+        data = row.sampler(model, 3, rates, [4407, r])
+        counts = np.bincount(getattr(data, row.group), minlength=max(np.size(rates), 2))
+        on_records = _empty_group_error(lambda: PLUG_INS[setting](data, prior))
+        assert _empty_group_error(lambda: row.plug_in_table(counts, 3, prior)) == on_records
+        assert _empty_group_error(lambda: row.plug_in_table(counts[None], 3, prior)) == on_records
+        seen.add(on_records and on_records[1])
+    assert len(seen) >= 2
+
+
+@pytest.mark.parametrize("setting", sorted(C04_CALLS))
+def test_coverage_draws_no_records(monkeypatch, setting):
+    """coverage_check draws counts: no sampler or record estimator runs, and
+    no Dataset is built."""
+    calls = _record_setting_calls(monkeypatch)
+    _no_draws(monkeypatch)
+    monkeypatch.setattr(Dataset, "__post_init__", lambda self: pytest.fail("built a Dataset"))
+    model, kw = C04_CALLS[setting]
+    assert coverage_check(setting, model, n=200, delta=0.1, reps=3, epsilon=0.3, **kw).reps == 3
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

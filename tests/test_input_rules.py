@@ -333,6 +333,55 @@ def test_count_rule(site, value):
     call(np.int64(1))
 
 
+# a count that sizes an array: each entry point refuses one past the ceiling
+CEILING_SITES = {
+    **{site: COUNT_SITES[site] for site in COUNT_SITES if not site.startswith("BoundInputs")},
+    "coverage_check.n": ("n", lambda v: bounds.coverage_check(
+        "class_shift", MODEL, n=v, delta=0.1, reps=1, seed=0, p_train=0.6)),
+    "coverage_check.reps": ("reps", lambda v: bounds.coverage_check(
+        "class_shift", MODEL, n=50, delta=0.1, reps=v, seed=0, p_train=0.6)),
+    "rademacher_mc.reps": ("reps", lambda v: bounds.rademacher_mc(
+        THRESHOLD_DATA, [0.5], THRESH, reps=v, seed=0)),
+    "StratifiedThresholdModel.sample": ("n", lambda v: synthetic.StratifiedThresholdModel(
+        pos_rates=(0.2, 0.5)).sample(v, [0.5, 0.5], 0)),
+    "gaussian_strata_sample": ("n", lambda v: synthetic.gaussian_strata_sample(
+        synthetic.GaussianStrataSpec(n_strata=2), v, [0.5, 0.5], 0)),
+    "censored_train_sample": ("n", lambda v: synthetic.censored_train_sample(
+        synthetic.CensoredSpec(), v, 0)),
+    "censored_test_sample": ("n", lambda v: synthetic.censored_test_sample(
+        synthetic.CensoredSpec(), v, 0)),
+    "subsample_to_distribution": ("max_size", lambda v: biasgen.subsample_to_distribution(
+        STRATA_DATA, GOOD_PK, 0, max_size=v)),
+    "ExperimentSpec.n_train": ("n_train", lambda v: experiment.ExperimentSpec(
+        scenario="analytic_excess", n_train=v)),
+    "TrainConfig.epochs": ("epochs", lambda v: train.TrainConfig(epochs=v)),
+}
+
+
+@pytest.mark.parametrize("value", [2**20 + 1, 2**63, 2**70, 2**1024])
+@pytest.mark.parametrize("site", sorted(CEILING_SITES))
+def test_count_ceiling(site, value):
+    """Past 2**20 a count is refused before numpy sees it: no raw
+    OverflowError, IndexError or size error, and no huge allocation."""
+    name, call = CEILING_SITES[site]
+    with pytest.raises(ValidationError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be at most 1,048,576"
+
+
+def test_count_ceiling_is_inclusive_and_bound_inputs_keep_none():
+    """coverage_check draws counts, so n = 2**20 costs no more than n = 2,000;
+    BoundInputs.n and .K size nothing and go up to the float range."""
+    r = bounds.coverage_check("class_shift", MODEL, n=2**20, delta=0.1, reps=2, seed=0,
+                              p_train=0.6, epsilon=0.3)
+    assert r.reps == 2 and r.valid
+    for value in (2**63, 2**70):
+        bounds.BoundInputs(n=value, delta=0.1, K=value)
+    for field in ("n", "K"):
+        with pytest.raises(ValidationError, match="float range"):
+            bounds.BoundInputs(**{"n": 10, "delta": 0.1, field: 2**1024})
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("slope", NAN), ("slope", math.inf), ("censor_rate", 0.0), ("censor_rate", -1.0),
@@ -570,21 +619,14 @@ def test_bound_api_fails_only_with_werm_errors(fields, zeta, grid):
         pass
 
 
-# a count past what numpy can allocate is left out: risk_curve(MODEL, 2**63)
-# raises a raw IndexError from np.linspace, and a count just below that
-# would try to allocate it
-SMALL_COUNT_OR_ANY_VALUE = st.integers(-3, 300) | ANY_VALUE.filter(
-    lambda v: not isinstance(v, int) or v <= 300
-)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.just(THRESHOLD_DATA) | ANY_VALUE,
     w=st.sampled_from([core.WeightVector.ones(3), core.WeightVector.ones(2), np.ones(3)])
     | ANY_VALUE,
     theta=st.floats(-0.5, 1.5) | ANY_VALUE,
-    n_points=SMALL_COUNT_OR_ANY_VALUE,
+    n_points=st.integers(-3, 300) | st.sampled_from([2**20 + 1, 2**63, 2**70])
+    | ANY_VALUE,
 )
 def test_loss_and_curve_api_fail_only_with_werm_errors(data, w, theta, n_points):
     """empirical_risk, weighted_empirical_risk, true_risk and risk_curve, fed
