@@ -372,9 +372,10 @@ def coverage_check(
     ``q``, and stratum_shift ``pk`` (its target) and ``pk_train``; a rate
     keyword the setting does not read is refused.
 
-    No record is drawn.  Both weightings depend on n and the group counts
-    alone (see ``weights.setting``), so a draw's deviation depends only on
-    how many of its records fall in each (group, class) cell and grid bin.
+    No record is drawn.  The plug-in weights depend on n and the group
+    counts alone, the exact ratios on neither (see ``weights.setting``), so
+    a draw's deviation depends only on how many of its records fall in each
+    (group, class) cell and grid bin.
     Each replicate draws those counts from their multinomial law, at a
     cost that does not grow with n.  Replicates come in blocks of 1,024:
     block b draws from ``SeedSequence((seed, b))``, a few replicates at a

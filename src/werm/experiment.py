@@ -280,8 +280,8 @@ def _excess_curves(spec: ExperimentSpec) -> dict:
 
 def _strata_generator(spec: ExperimentSpec) -> synthetic.GaussianStrataSpec:
     syn = dict(spec.synthetic)
-    if "n_source" in syn:
-        _check_count(syn.pop("n_source"), "synthetic.n_source", 1)
+    if "n_source" in syn or spec.train_csv is None:  # drawn when no CSV is given
+        _check_count(syn.pop("n_source", 4 * spec.n_train), "synthetic.n_source", 1)
     generator = _build(synthetic.GaussianStrataSpec, "synthetic", syn)
     if spec.prior.get("pk") is not None:
         pk = _check_distribution(spec.prior["pk"], "prior.pk", 1e-12)

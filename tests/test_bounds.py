@@ -840,7 +840,7 @@ def test_empty_group_same_error_on_both_paths(setting):
     raises what the record estimator raises.  On equal counts, the group
     table and the record estimator name the same group."""
     model, row, rates, prior, _, _ = _law_inputs(setting, np.linspace(0.0, 1.0, 3))
-    model, kw = C04_CALLS[setting]
+    kw = C04_CALLS[setting][1]
     count_path = _empty_group_error(lambda: coverage_check(
         setting, model, n=1, delta=0.1, reps=3, epsilon=0.3, **kw))
     record = row.sampler(model, 1, rates, [77, 0])

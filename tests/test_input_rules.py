@@ -369,6 +369,15 @@ def test_count_ceiling(site, value):
     assert str(err.value) == f"{name} must be at most 1,048,576"
 
 
+def test_default_source_size_is_refused_before_work():
+    """strata_shift draws 4 * n_train source records when synthetic.n_source
+    is not given; past the ceiling the spec is refused, not each replicate."""
+    with pytest.raises(ValidationError, match=r"^synthetic.n_source must be at most 1,048,576$"):
+        experiment.ExperimentSpec(scenario="strata_shift", n_train=2**18 + 1)
+    experiment.ExperimentSpec(scenario="strata_shift", n_train=2**18 + 1,
+                              synthetic={"n_source": 2**20})
+
+
 def test_count_ceiling_is_inclusive_and_bound_inputs_keep_none():
     """coverage_check draws counts, so n = 2**20 costs no more than n = 2,000;
     BoundInputs.n and .K size nothing and go up to the float range."""
