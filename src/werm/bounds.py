@@ -60,14 +60,9 @@ from .core import (
 EXCESS_BOUND_KINDS = ("lemma1", "corollary1", "theorem1", "theorem2")
 DEVIATION_BOUND_KINDS = ("approx1", "approx2", "approx3")
 
-# replicates per seeded block, in rademacher_mc and coverage_check
-_BLOCK = 1024
-# sign rows drawn and summed at a time inside a block: the working set is
-# O(rows * n).  At n = 2,000, 8, 16 and 64 rows took about the same time,
-# and a bounds_coverage pass peaked at 37.7, 38.0 and 39.6 MB
-_RADEMACHER_ROWS = 16
-# coverage replicates drawn at a time inside a block: O(rows * cells * grid)
-_COVERAGE_ROWS = 64
+_BLOCK = 1024  # draws per seeded block, in rademacher_mc and coverage_check
+_RADEMACHER_ROWS = 16  # draws at a time inside a block: O(rows * grid) memory
+_COVERAGE_ROWS = 64  # the same in coverage_check: O(rows * cells * grid)
 
 
 @dataclass(frozen=True)
@@ -216,83 +211,66 @@ def prior_sensitivity_bound(zeta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rademacher_mc(
-    data: Dataset, hypothesis_grid, loss: LossSpec, reps: int, seed
-) -> float:
+def rademacher_mc(data: Dataset, hypothesis_grid, loss: LossSpec, reps: int, seed) -> float:
     """Monte-Carlo Rademacher average of the loss class over a finite grid.
 
     Averages, over ``reps`` sign draws, the maximum over the grid of
     |(1/n) * sum_i sigma_i * loss_i|.  The grid holds thresholds: real
     numbers, +-inf included (the two constant classifiers), NaN not.
 
-    Draws come in blocks of 1,024: block b takes its signs from
-    ``SeedSequence((seed, b))``, so a draw does not depend on ``reps``, and
-    the result is deterministic per seed.  No loss matrix is built: the
-    records are sorted once per class, and a draw's sum at each threshold
-    is read from prefix sums of its signs in that order.  The cost is
-    O(n log n) once, then O(n + grid) per draw, with no BLAS; a block's
-    signs are drawn a few rows at a time, so the working set is
-    O(rows * n + grid).  Neither the row count nor the summation order
-    changes the sign stream or a bit of the result: each draw's maximum is
+    Records of one class between two adjacent distinct thresholds have the
+    same loss at every threshold, so a draw needs only each such (class,
+    bin) cell's sign sum: 2 * Binomial(c, 1/2) - c for c records, the law of
+    c summed signs.  The records are binned once; a draw then costs
+    O(grid), whatever n.  Draws are seeded in blocks of 1,024 (see
+    ``_seeded_rows``), so ``reps`` changes no draw.  Each draw's maximum is
     an integer over n.
     """
-    mean, _ = _rademacher_mc_detail(data, hypothesis_grid, loss, reps, seed)
-    return mean
+    return float(_rademacher_draws(data, hypothesis_grid, loss, reps, seed).mean())
 
 
-def _rademacher_mc_detail(data, hypothesis_grid, loss, reps, seed):
-    try:
-        grid = list(hypothesis_grid)
-    except TypeError:
-        grid = []
+def _rademacher_draws(data, hypothesis_grid, loss, reps, seed) -> np.ndarray:
+    """The ``reps`` per-draw maxima whose mean is :func:`rademacher_mc`."""
+    grid = list(hypothesis_grid) if np.iterable(hypothesis_grid) else []
     if not grid:
         raise ValidationError("hypothesis grid must be a nonempty sequence of thresholds")
     _check_count(reps, "reps", 1)
     _check_seed(seed)
-    thetas = _threshold_checks(data, loss, grid)
-    n = data.n
-    x = data.features[:, 0]
-    # the positives sorted by x, then the negatives sorted by x: at theta the
-    # records of loss 1 are the first below_pos of this order (positives with
-    # x < theta) and those from below_neg on (negatives with x >= theta),
-    # ties included and whatever the grid's order
-    order = np.lexsort((x, data.labels != 1))
-    n_pos = np.count_nonzero(data.labels == 1)
-    below_pos = np.searchsorted(x[order[:n_pos]], thetas, "left")
-    below_neg = n_pos + np.searchsorted(x[order[n_pos:]], thetas, "left")
-    # sigma = 2s - 1 for the 0/1 draw s, so sigma summed over those records
-    # is 2 * (s summed over them) - count
-    count = below_pos + n - below_neg
-    # s is summed only up to the distinct edges, 0 and n included: a chunk's
-    # prefix[:, at[i]] is s summed over order[:edges[i]]
-    edges, at = np.unique(np.concatenate(([0, n], below_pos, below_neg)), return_inverse=True)
-    at_pos, at_neg = np.split(at[2:], 2)
-    # the gathered signs go into a reused buffer: with a fresh gather beside
-    # each fresh draw, the heap top is given back and faulted in again after
-    # every chunk
-    signs = np.empty((min(_RADEMACHER_ROWS, reps), n), dtype=np.int64)
-    prefix = np.zeros((len(signs), edges.size), dtype=np.int64)
-    total = 0.0
-    total_sq = 0.0
+    edges = np.unique(_threshold_checks(data, loss, grid))
+    # a record's cell is class * bins + bin; bin j holds x in [edges[j-1], edges[j])
+    cells = np.searchsorted(edges, data.features[:, 0], side="right")
+    np.add(cells, edges.size + 1, out=cells, where=data.labels == 1)
+    counts = np.bincount(cells, minlength=2 * edges.size + 2).reshape(2, -1)
+    draws = np.empty(reps)
+    for rng, lo, rows in _seeded_rows(seed, reps, _RADEMACHER_ROWS):
+        sums = rng.binomial(counts, 0.5, size=(rows, *counts.shape))
+        sums *= 2
+        sums -= counts
+        draws[lo : lo + rows] = _sign_sweep(sums)
+    return draws / data.n
+
+
+def _sign_sweep(sums: np.ndarray) -> np.ndarray:
+    """Each row's max over the thresholds of |sum_i sigma_i * loss_i| from its
+    (class, bin) sign sums: a positive loses below a threshold, a negative at or above."""
+    return _sweep(sums[:, 1] - sums[:, 0], sums[:, 0].sum(axis=1))
+
+
+def _sweep(steps: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Each row's max over the thresholds of |base + (steps summed over the
+    bins below the threshold)|: the last bin lies above every threshold."""
+    return np.abs(np.cumsum(steps, axis=1)[:, :-1] + base[:, None]).max(axis=1)
+
+
+def _seeded_rows(seed, reps: int, rows: int):
+    """(rng, first, count) of each chunk of at most ``rows`` of ``reps`` draws
+    in blocks of 1,024, block b from ``SeedSequence((seed, b))``: consecutive
+    calls continue one stream, so ``rows`` changes no draw."""
     for b, done in enumerate(range(0, reps, _BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        vals = np.empty(min(_BLOCK, reps - done))
-        # consecutive draws continue one stream, so the chunks are the block's rows
-        for lo in range(0, vals.size, _RADEMACHER_ROWS):
-            s = signs[: min(_RADEMACHER_ROWS, vals.size - lo)]
-            cum = prefix[: len(s)]
-            # mode="clip" writes into s directly; the default mode buffers it
-            np.take(rng.integers(0, 2, size=s.shape), order, axis=1, out=s, mode="clip")
-            np.cumsum(np.add.reduceat(s, edges[:-1], axis=1), axis=1, out=cum[:, 1:])
-            hits = cum[:, at_pos] - cum[:, at_neg] + cum[:, -1:]
-            # each draw's sum is an integer, exact in any summation order
-            vals[lo : lo + len(s)] = np.abs(2 * hits - count).max(axis=1)
-        vals /= n
-        total += vals.sum()
-        total_sq += (vals**2).sum()
-    mean = total / reps
-    var = max(total_sq / reps - mean**2, 0.0)
-    return float(mean), float(math.sqrt(var))
+        end = min(done + _BLOCK, reps)
+        for lo in range(done, end, rows):
+            yield rng, lo, min(rows, end - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +320,8 @@ def _count_deviations(counts, diff) -> np.ndarray:
     difference below theta, a negative one at or above theta."""
     per_class = counts.sum(axis=3)
     d = diff(per_class.sum(axis=2))
-    below = np.cumsum(((counts[:, :, 1] - counts[:, :, 0]) * d[:, :, None]).sum(axis=1), axis=1)
-    above = (per_class[:, :, 0] * d).sum(axis=1)
-    return np.abs(below[:, :-1] + above[:, None]).max(axis=1)
+    steps = ((counts[:, :, 1] - counts[:, :, 0]) * d[:, :, None]).sum(axis=1)
+    return _sweep(steps, (per_class[:, :, 0] * d).sum(axis=1))
 
 
 def coverage_check(
@@ -375,12 +352,9 @@ def coverage_check(
     No record is drawn.  The plug-in weights depend on n and the group
     counts alone, the exact ratios on neither (see ``weights.setting``), so
     a draw's deviation depends only on how many of its records fall in each
-    (group, class) cell and grid bin.
-    Each replicate draws those counts from their multinomial law, at a
-    cost that does not grow with n.  Replicates come in blocks of 1,024:
-    block b draws from ``SeedSequence((seed, b))``, a few replicates at a
-    time, so neither the work split nor ``reps`` changes a draw, and fewer
-    ``reps`` give a prefix of ``deviations``.
+    (group, class) cell and grid bin.  Each replicate draws those counts from
+    their multinomial law, at a cost that does not grow with n, seeded as in
+    ``_seeded_rows``, so fewer ``reps`` give a prefix of ``deviations``.
     """
     for name, count in (("n", n), ("reps", reps), ("grid_size", grid_size)):
         _check_count(count, name, 1)
@@ -419,15 +393,10 @@ def coverage_check(
     oracle = oracle_table(target, rates)
     joint = _cell_law(setting, model, rates, grid)
     deviations = np.empty(reps)
-    for b, done in enumerate(range(0, reps, _BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        end = min(done + _BLOCK, reps)
-        # consecutive calls continue one stream, so the chunks are the block's rows
-        for lo in range(done, end, _COVERAGE_ROWS):
-            rows = min(_COVERAGE_ROWS, end - lo)
-            counts = rng.multinomial(n, joint.ravel(), size=rows).reshape(rows, *joint.shape)
-            deviations[lo : lo + rows] = _count_deviations(
-                counts, lambda c: plug_in_table(c, n, prior) - oracle)
+    for rng, lo, rows in _seeded_rows(seed, reps, _COVERAGE_ROWS):
+        counts = rng.multinomial(n, joint.ravel(), size=rows).reshape(rows, *joint.shape)
+        deviations[lo : lo + rows] = _count_deviations(
+            counts, lambda c: plug_in_table(c, n, prior) - oracle)
     deviations /= n
     coverage = float(np.mean(deviations <= bound.value))
     return CoverageResult(coverage, bound.value, bound.required_n, bound.valid, reps, deviations)

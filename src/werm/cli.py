@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # a --config or --pk-file
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except WermError as exc:

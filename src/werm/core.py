@@ -519,13 +519,15 @@ def _raise_bad_line(path, names: list[str], kinds: dict) -> None:
 def _records(path, fh):
     """Yield (line number, cells) for each ``csv.reader`` record of ``fh``;
     a cell longer than ``csv.field_size_limit()`` raises SchemaError naming
-    its line."""
+    its line, and bytes that do not decode one naming the file."""
     line_no = 0
     try:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             yield line_no, row
     except csv.Error as exc:
         raise SchemaError(f"{path}: line {line_no + 1}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # text is decoded in chunks: no line
+        raise SchemaError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
 
 
 def read_csv(path) -> Dataset:

@@ -59,6 +59,7 @@ from .core import (
 
 
 ANALYTIC_PAIRS = ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (2.0, 2.0))
+_CURVE_NAME = "a{0.alpha:g}_b{0.beta:g}"  # an analytic_excess curve's key, from its model
 
 
 @dataclass
@@ -259,7 +260,11 @@ def _excess_models(spec: ExperimentSpec) -> list[analytic.AnalyticModel]:
         raise ValidationError("synthetic.pairs must be a list of [alpha, beta] pairs")
     p = syn.get("p", 0.3)
     _check_rate(p, "synthetic.p")
-    return [_build(analytic.AnalyticModel, "synthetic", {"p": p}, *pr) for pr in pairs]
+    models = [_build(analytic.AnalyticModel, "synthetic", {"p": p}, *pr) for pr in pairs]
+    names = [_CURVE_NAME.format(m) for m in models]
+    if len(set(names)) < len(names):
+        raise ValidationError(f"synthetic.pairs name a curve twice: {names}")
+    return models
 
 
 def _excess_curves(spec: ExperimentSpec) -> dict:
@@ -267,7 +272,7 @@ def _excess_curves(spec: ExperimentSpec) -> dict:
     for m in spec.generator():
         thetas, risks = analytic.risk_curve(m)
         p_grid, excess = analytic.excess_curve(m)
-        curves[f"a{m.alpha:g}_b{m.beta:g}"] = {
+        curves[_CURVE_NAME.format(m)] = {
             "alpha": m.alpha,
             "beta": m.beta,
             "theta": thetas.tolist(),
@@ -279,15 +284,19 @@ def _excess_curves(spec: ExperimentSpec) -> dict:
 
 
 def _strata_generator(spec: ExperimentSpec) -> synthetic.GaussianStrataSpec:
-    syn = dict(spec.synthetic)
-    if "n_source" in syn or spec.train_csv is None:  # drawn when no CSV is given
-        _check_count(syn.pop("n_source", 4 * spec.n_train), "synthetic.n_source", 1)
+    syn = {k: v for k, v in spec.synthetic.items() if k != "n_source"}
+    if "n_source" in spec.synthetic or spec.train_csv is None:  # drawn when no CSV is given
+        _check_count(_n_source(spec), "synthetic.n_source", 1)
     generator = _build(synthetic.GaussianStrataSpec, "synthetic", syn)
     if spec.prior.get("pk") is not None:
         pk = _check_distribution(spec.prior["pk"], "prior.pk", 1e-12)
         if spec.train_csv is None and pk.size != generator.n_strata:
             raise ValidationError(f"prior.pk needs {generator.n_strata} entries, one per stratum")
     return generator
+
+
+def _n_source(spec: ExperimentSpec) -> int:  # records in each drawn strata source
+    return spec.synthetic.get("n_source", 4 * spec.n_train)
 
 
 def _strata_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
@@ -305,9 +314,8 @@ def _strata_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
         K = generator.n_strata
         pk = np.asarray(spec.prior.get("pk") or [1.0 / K] * K)
         test = synthetic.gaussian_strata_sample(generator, spec.n_test, pk, test_seed)
-        n_source = spec.synthetic.get("n_source", 4 * spec.n_train)
         draw_source = lambda seed: synthetic.gaussian_strata_sample(  # noqa: E731
-            generator, n_source, pk, [seed, 0]
+            generator, _n_source(spec), pk, [seed, 0]
         )
     bias = spec.bias_spec() or biasgen.BiasSpec(gamma=1.0)
     if bias.target_pk is None:

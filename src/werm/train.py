@@ -160,7 +160,8 @@ def _objective_and_gradient(
     B = w.shape[-1]
     picked = (logp * onehot).sum(axis=-2)  # the other classes add z * 0.0
     wd = cfg.weight_decay
-    objective = (w * -picked).sum(axis=-1) / B + wd * _penalty(params)
+    # wd = 0 adds exactly 0.0, also where a squared weight overflows
+    objective = (w * -picked).sum(axis=-1) / B + (wd * _penalty(params) if wd else 0.0)
 
     gout = np.exp(logp)
     gout -= onehot

@@ -16,7 +16,7 @@ from werm.bounds import (
     EXCESS_BOUND_KINDS,
     BoundInputs,
     BoundResult,
-    _rademacher_mc_detail,
+    _rademacher_draws,
     coverage_check,
     deviation_bound,
     evaluate_bound,
@@ -231,9 +231,9 @@ class TestRademacher:
         m = AnalyticModel(0.0, 0.0, 0.5)
         data = sample(m, 100, 0.5, 5)
         grid = list(np.linspace(0, 1, 21))
-        est, sd = _rademacher_mc_detail(data, grid, THRESH, 10_000, seed=1)
+        draws = _rademacher_draws(data, grid, THRESH, 10_000, seed=1)
         ref = rademacher_mc(data, grid, THRESH, reps=1_000_000, seed=2)
-        assert abs(est - ref) <= 3 * sd / math.sqrt(10_000)
+        assert abs(draws.mean() - ref) <= 3 * draws.std() / math.sqrt(10_000)
 
     def test_bad_args(self):
         data = Dataset(features=np.array([[0.2]]), labels=[1], n_classes=2)
@@ -469,13 +469,13 @@ class TestFormulaParity:
             assert (res.required_n, res.valid) == (dev.required_n, dev.valid)
 
 
-# values taken from the block-generator implementation before it was folded
-# into one loop; block b draws from (seed, b), 1024 draws per block
+# (mean, sd) of the draws at the block edges, taken from the cell kernel
+# (binomial sign sums per (class, bin) cell, blocks of 1,024)
 RADEMACHER_PINS = {
-    1: (0.203125, 0.0),
-    1023: (0.11921126588465299, 0.04489757417935074),
-    1024: (0.119171142578125, 0.044893992104873943),
-    1025: (0.11922256097560975, 0.04490224402456303),
+    1: (0.140625, 0.0),
+    1023: (0.11791300097751711, 0.04582082925945838),
+    1024: (0.1179656982421875, 0.04582945479207477),
+    1025: (0.11792682926829268, 0.04582397703881428),
 }
 
 
@@ -483,23 +483,48 @@ RADEMACHER_PINS = {
 def test_rademacher_pinned_at_block_edges(reps):
     data = sample(AnalyticModel(1.0, 1.0, 0.5), 64, 0.5, 6)
     grid = list(np.linspace(0, 1, 11))
-    assert _rademacher_mc_detail(data, grid, THRESH, reps, 9) == RADEMACHER_PINS[reps]
+    draws = _rademacher_draws(data, grid, THRESH, reps, 9)
+    got = (rademacher_mc(data, grid, THRESH, reps, 9), float(draws.std()))
+    assert got == RADEMACHER_PINS[reps]
 
 
 def _one_call_rademacher(data, grid, reps, seed):
-    """The block loop as it was before row chunking: each block draws its
-    whole (size, n) sign matrix in one call."""
+    """Per-draw maxima from one sign per record, the estimator's law by its
+    definition: each block's (size, n) sign matrix is drawn in one call and
+    multiplied by the (grid, n) loss matrix."""
     M = np.stack([per_record_losses(data, THRESH, h) for h in grid])
     n = M.shape[1]
-    total = total_sq = 0.0
+    vals = []
     for b, done in enumerate(range(0, reps, 1024)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
         size = (min(1024, reps - done), n)
-        vals = np.abs(M @ (rng.integers(0, 2, size=size) * 2.0 - 1.0).T).max(axis=0) / n
-        total += vals.sum()
-        total_sq += (vals**2).sum()
-    mean = total / reps
-    return float(mean), float(math.sqrt(max(total_sq / reps - mean**2, 0.0)))
+        vals.append(np.abs(M @ (rng.integers(0, 2, size=size) * 2.0 - 1.0).T).max(axis=0) / n)
+    return np.concatenate(vals)
+
+
+def _record_cells(data, grid):
+    """Each record's (class, bin) cell as class * bins + bin, its bin being
+    the number of distinct thresholds at or below its x, and the bin count."""
+    edges = np.unique(grid)
+    bins = (edges[None, :] <= data.features[:, :1]).sum(axis=1)
+    return bins + (edges.size + 1) * (data.labels == 1), edges.size + 1
+
+
+def _one_call_cells(data, grid, reps, seed):
+    """The cell kernel written out: each block draws all its (class, bin)
+    heads in one call, and a draw's maximum is its sign sums times the
+    (threshold, class, bin) loss matrix of the cells."""
+    cells, size = _record_cells(data, grid)
+    counts = np.bincount(cells, minlength=2 * size).reshape(2, size)
+    k, j = np.arange(size - 1)[:, None], np.arange(size)[None, :]
+    loss = np.stack([j > k, j <= k], axis=1).reshape(size - 1, -1)
+    vals = []
+    for b, done in enumerate(range(0, reps, 1024)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+        heads = rng.binomial(counts, 0.5, size=(min(1024, reps - done), *counts.shape))
+        sums = (2 * heads - counts).reshape(len(heads), -1)
+        vals.append(np.abs(sums @ loss.T).max(axis=1) / data.n)
+    return np.concatenate(vals)
 
 
 RADEMACHER_GRID = [-math.inf, *np.linspace(0, 1, 9), math.inf]
@@ -511,28 +536,49 @@ RADEMACHER_GRID = [-math.inf, *np.linspace(0, 1, 9), math.inf]
 @pytest.mark.parametrize("n", [1, 7, 64, 333, 2001])
 def test_rademacher_equals_one_call_blocks(n, reps):
     data = sample(AnalyticModel(1.0, 1.0, 0.5), n, 0.5, n)
-    got = _rademacher_mc_detail(data, RADEMACHER_GRID, THRESH, reps, 9)
-    assert got == _one_call_rademacher(data, RADEMACHER_GRID, reps, 9)
+    got = _rademacher_draws(data, RADEMACHER_GRID, THRESH, reps, 9)
+    assert np.array_equal(got, _one_call_cells(data, RADEMACHER_GRID, reps, 9))
+
+
+def test_rademacher_reps_give_a_prefix():
+    data = sample(AnalyticModel(1.0, 1.0, 0.5), 333, 0.5, 6)
+    want = _rademacher_draws(data, RADEMACHER_GRID, THRESH, 2049, 9)[:1023]
+    assert np.array_equal(_rademacher_draws(data, RADEMACHER_GRID, THRESH, 1023, 9), want)
+
+
+def test_rademacher_law_is_the_record_sign_law():
+    """Cell sign sums against one sign per record, on independent seeds
+    fixed before the first run: the means agree within 4 standard errors."""
+    data = sample(AnalyticModel(1.0, 1.0, 0.3), 2000, 0.3, 5)
+    grid = list(np.linspace(0, 1, 101))
+    got = _rademacher_draws(data, grid, THRESH, 20_000, 11)
+    ref = _one_call_rademacher(data, grid, 20_000, 12)
+    se = math.sqrt(got.var() / got.size + ref.var() / ref.size)
+    assert abs(got.mean() - ref.mean()) <= 4 * se
 
 
 @pytest.mark.parametrize("rows", [1, 3, 1024])
 def test_rademacher_does_not_depend_on_row_count(monkeypatch, rows):
     data = sample(AnalyticModel(1.0, 1.0, 0.5), 333, 0.5, 6)
-    want = _rademacher_mc_detail(data, RADEMACHER_GRID, THRESH, 2049, 9)
+    want = _rademacher_draws(data, RADEMACHER_GRID, THRESH, 2049, 9)
     monkeypatch.setattr(bounds, "_RADEMACHER_ROWS", rows)
-    assert _rademacher_mc_detail(data, RADEMACHER_GRID, THRESH, 2049, 9) == want
+    assert np.array_equal(_rademacher_draws(data, RADEMACHER_GRID, THRESH, 2049, 9), want)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_rademacher_working_set_is_a_few_sign_rows():
     """At n = 4,000 one block's whole sign matrix, as int64 and as float64,
-    is about 63 MB; drawn a few rows at a time it stays under 8 MB."""
+    is about 63 MB; a few rows of cell sign sums stay under 8 MB."""
     data = sample(AnalyticModel(1.0, 1.0, 0.5), 4000, 0.5, 6)
-    tracemalloc.start()
-    try:
-        _rademacher_mc_detail(data, RADEMACHER_GRID, THRESH, 1024, 9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: _rademacher_draws(data, RADEMACHER_GRID, THRESH, 1024, 9))
     assert peak < 8e6
 
 
@@ -540,16 +586,18 @@ def test_rademacher_working_set_does_not_grow_with_the_grid():
     """At n = 4,000 a (1001, n) loss matrix alone would be 32 MB: a
     1,001-threshold grid peaks within 1 MB of an 11-threshold grid."""
     data = sample(AnalyticModel(1.0, 1.0, 0.5), 4000, 0.5, 6)
-    peaks = []
-    for size in (11, 1001):
-        grid = list(np.linspace(0, 1, size))
-        tracemalloc.start()
-        try:
-            _rademacher_mc_detail(data, grid, THRESH, 1024, 9)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_traced_peak(lambda: _rademacher_draws(data, list(np.linspace(0, 1, size)),
+                                                    THRESH, 1024, 9))
+             for size in (11, 1001)]
     assert peaks[1] - peaks[0] < 1e6, peaks
+
+
+def test_rademacher_working_set_at_the_count_ceiling():
+    """At n = 2**20 records a per-record sign block of 16 rows is 134 MB
+    as int64; the records are binned once, within 32 MB."""
+    data = sample(AnalyticModel(1.0, 1.0, 0.5), 2**20, 0.5, 6)
+    peak = _traced_peak(lambda: rademacher_mc(data, RADEMACHER_GRID, THRESH, 1024, 9))
+    assert peak < 32e6
 
 
 _tied_x = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(-0.5, 1.5)
@@ -574,10 +622,18 @@ def _rademacher_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_rademacher_cases())
 def test_rademacher_equals_loss_matrix_reference(case):
-    """The prefix-sum kernel against the (grid, n) loss-matrix product."""
+    """For any signs, the (class, bin) cell sums swept equal max |M sigma|
+    over the (grid, n) loss matrix M, so the cells lose nothing; and the
+    records fall in the same cells, ties with the grid included."""
     data, grid, reps, seed = case
-    got = _rademacher_mc_detail(data, grid, THRESH, reps, seed)
-    assert got == _one_call_rademacher(data, grid, reps, seed)
+    signs = np.random.default_rng(seed).choice([-1, 1], size=(10, data.n))
+    cells, size = _record_cells(data, grid)
+    sums = np.stack([np.bincount(cells, weights=s, minlength=2 * size) for s in signs])
+    M = np.stack([per_record_losses(data, THRESH, h) for h in grid])
+    want = np.abs(M @ signs.T).max(axis=0)
+    assert np.array_equal(bounds._sign_sweep(sums.reshape(len(signs), 2, size)), want)
+    got = _rademacher_draws(data, grid, THRESH, reps, seed)
+    assert np.array_equal(got, _one_call_cells(data, grid, reps, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,21 @@ class TestWeightsCommand:
         assert f"{src}: line {line}: field larger than field limit" in err
         assert not (tmp_path / "w.csv").exists()
 
+    @pytest.mark.parametrize("bad", ["in", "pk_file"])
+    def test_undecodable_input_exits_2(self, tmp_path, capsys, bad):
+        """Bytes that are not UTF-8 text in the dataset CSV or in the
+        --pk-file exit 2, not with a UnicodeDecodeError traceback."""
+        paths = {"in": write_strata_csv(tmp_path / "d.csv"), "pk_file": tmp_path / "pk.json"}
+        paths["pk_file"].write_text("[0.3, 0.3, 0.4]")
+        paths[bad].write_bytes(paths[bad].read_bytes() + b"\xff\n")
+        code, out, err = run_cli(
+            capsys, "weights", "--in", str(paths["in"]), "--out", str(tmp_path / "w.csv"),
+            "--mode", "strata", "--pk-file", str(paths["pk_file"]),
+        )
+        assert (code, out) == (2, "")
+        assert bad == "pk_file" or f"{paths['in']}: not utf-8 text" in err
+        assert not (tmp_path / "w.csv").exists()
+
     @pytest.mark.parametrize("doc", ['["a", 0.5, 0.5]', "[null, 0.5, 0.5]", "[{}, 1, 0]", "[[1], 0, 0]"])
     @pytest.mark.parametrize("command", ["weights", "train"])
     def test_junk_pk_file_entries_exit_2(self, tmp_path, capsys, command, doc):
@@ -536,6 +551,32 @@ class TestExperimentCommand:
         bad.write_text("{not json")
         code, _, _ = run_cli(capsys, "experiment", "--config", str(bad))
         assert code == 2
+
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "u")
+        cfg.write_bytes(cfg.read_bytes().replace(b'"uniform"', b'"unif\xffrm"'))
+        code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert not (tmp_path / "u").exists()
+
+    def test_undecodable_train_csv_is_a_shared_data_failure(self, tmp_path, capsys):
+        """A train_csv that is not UTF-8 text fails every replicate once,
+        with a SchemaError naming the file, and exits 5."""
+        train = write_strata_csv(tmp_path / "train.csv")
+        train.write_bytes(train.read_bytes() + b"0.\xff,1,0\n")
+        cfg = tmp_path / "csv.json"
+        cfg.write_text(json.dumps({
+            "scenario": "strata_shift", "modes": ["uniform"], "replicates": 2,
+            "train_csv": str(train), "test_csv": str(write_strata_csv(tmp_path / "test.csv")),
+            "out_dir": str(tmp_path / "v"),
+        }))
+        code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg))
+        error = f"SchemaError: {train}: not utf-8 text (invalid start byte)"
+        assert code == 5
+        assert json.loads(out)["failures"] == [
+            {"replicate": r, "mode": "*", "error": error} for r in range(2)
+        ]
 
 
 class TestTypedSeeds:

@@ -4,6 +4,7 @@ module; the event column against the per-cell parse."""
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,18 @@ def test_cells_only_python_accepts_raise_schema_error(tmp_path, row):
     path = tmp_path / "d.csv"
     path.write_text(f"x0,y\n1,1\n\n{row}\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="line 4:"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("data", [
+    b"x\xff0,y\n0.5,1\n",
+    b"x0,y\n0.5,1\n0.\xff,0\n",
+    b"x0,y\n" + b"0.5,1\n" * 5000 + b"0.\xff,0\n",  # met by numpy's reader
+], ids=["header", "first_decoded_chunk", "past_the_first_chunk"])
+def test_undecodable_bytes_raise_schema_error_naming_the_file(tmp_path, data):
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: not utf-8 text")):
         read_csv(path)
 
 

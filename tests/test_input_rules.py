@@ -476,6 +476,10 @@ BAD_SPECS = {
                          "'synthetic'.*not supported"),
     "pairs a number": ({"scenario": "analytic_excess", "synthetic": {"pairs": 5}},
                        r"synthetic.pairs must be a list of \[alpha, beta\] pairs"),
+    # both first pairs print as a1_b1, and one curve would overwrite the other
+    "pairs naming a curve twice": ({"scenario": "analytic_excess",
+                                    "synthetic": {"pairs": [[1, 1], [1.0000001, 1], [2, 2]]}},
+                                   r"synthetic.pairs name a curve twice: \['a1_b1', 'a1_b1', 'a2_b2'\]"),
     "p text, no pairs": ({"scenario": "analytic_excess", "synthetic": {"p": "x", "pairs": []}},
                          r"synthetic.p must lie in \(0, 1\)"),
     "p 1, no pairs": ({"scenario": "analytic_excess", "synthetic": {"p": 1.0, "pairs": []}},

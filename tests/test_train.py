@@ -439,6 +439,19 @@ class TestFit:
         assert log_lean.miss_rate == [] and log_lean.top_k_error == []
         assert list(log_lean.rows()) == []
 
+    def test_zero_decay_adds_nothing_where_squares_overflow(self):
+        """With weight_decay = 0 the penalty term is exactly 0.0: weights
+        past 1.3e154, whose squares overflow, leave the objective finite,
+        and equal to a run whose weights stay below that."""
+        data = blob_dataset(n=200, seed=21)
+        logs = [
+            fit_one(data, WeightVector.ones(data.n), "linear",
+                    TrainConfig(lr=lr, momentum=0.0, epochs=3, batch_size=200, seed=22))[1]
+            for lr in (1e150, 1e155)
+        ]
+        assert np.isfinite(logs[1].objective).all()
+        assert logs[1].objective == logs[0].objective
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_reports_location(self):
         data = blob_dataset(seed=14)
