@@ -244,7 +244,7 @@ def _rademacher_draws(data, hypothesis_grid, loss, reps, seed) -> np.ndarray:
     draws = np.empty(reps)
     for rng, lo, rows in _seeded_rows(seed, reps, _RADEMACHER_ROWS):
         sums = rng.binomial(counts, 0.5, size=(rows, *counts.shape))
-        sums *= 2
+        sums *= 2  # in place: a chunk holds one (rows, 2, bins) array
         sums -= counts
         draws[lo : lo + rows] = _sign_sweep(sums)
     return draws / data.n
