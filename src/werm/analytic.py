@@ -167,10 +167,6 @@ def risk_curve(m: AnalyticModel, n_points: int = 201) -> tuple[np.ndarray, np.nd
     return thetas, risks
 
 
-def excess_curve(
-    m: AnalyticModel, p_grid: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    if p_grid is None:
-        p_grid = np.linspace(0.05, 0.95, 19)
-    excess = np.array([excess_error(m, pp) for pp in p_grid])
-    return np.asarray(p_grid, dtype=float), excess
+def excess_curve(m: AnalyticModel) -> tuple[np.ndarray, np.ndarray]:
+    p_grid = np.linspace(0.05, 0.95, 19)  # the training rates p'
+    return p_grid, np.array([excess_error(m, pp) for pp in p_grid])

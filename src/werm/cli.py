@@ -36,11 +36,6 @@ def _load_pk(path) -> list:
     return doc
 
 
-def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
 def _check_prior_flags(mode: str, args) -> None:
     """Refuse, before any input is read, a missing prior flag that ``mode``
     reads and a given one that it does not (``none`` and ``ipcw`` read neither)."""
@@ -82,8 +77,8 @@ def _cmd_biasgen(args) -> None:
         data, spec, seed=args.seed, max_size=args.max_size
     )
     write_csv(out, args.outfile)
-    _emit({"p_prime": [float(v) for v in p_prime], "output_size": out.n, "input_size": data.n,
-           "outfile": args.outfile})
+    experiment._dump_json({"p_prime": [float(v) for v in p_prime], "output_size": out.n,
+                           "input_size": data.n, "outfile": args.outfile}, sys.stdout)
 
 
 def _cmd_weights(args) -> None:
@@ -95,7 +90,8 @@ def _cmd_weights(args) -> None:
     w.to_csv(args.outfile)
     if args.km_out:
         km.to_csv(args.km_out)
-    _emit({"mode": args.mode, "n": data.n, "mean_weight": w.mean, "load": report})
+    experiment._dump_json({"mode": args.mode, "n": data.n, "mean_weight": w.mean, "load": report},
+                          sys.stdout)
 
 
 def _cmd_train(args) -> None:
@@ -114,8 +110,8 @@ def _cmd_train(args) -> None:
     )
     if args.curve:
         experiment.write_curve(args.curve, log.rows())
-    _emit({**{k: metrics[k] for k in ("miss_rate", "top_k_error", "sce")}, "top_k": top_k,
-           "curve": args.curve})
+    experiment._dump_json({**{k: metrics[k] for k in ("miss_rate", "top_k_error", "sce")},
+                           "top_k": top_k, "curve": args.curve}, sys.stdout)
 
 
 def _cmd_bounds(args) -> None:
@@ -123,7 +119,7 @@ def _cmd_bounds(args) -> None:
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(bounds_mod.BoundInputs)}
     )
     result = bounds_mod.evaluate_bound(args.kind, inputs)
-    _emit({"kind": args.kind, **dataclasses.asdict(result)})
+    experiment._dump_json({"kind": args.kind, **dataclasses.asdict(result)}, sys.stdout)
 
 
 def _cmd_experiment(args) -> int:
@@ -144,7 +140,7 @@ def _cmd_experiment(args) -> int:
             mode: {metric: vals["mean"] for metric, vals in by_metric.items()}
             for mode, by_metric in bundle["modes"].items()
         }
-    _emit(summary)
+    experiment._dump_json(summary, sys.stdout)
     if bundle["failures"]:
         print(f"error: {len(bundle['failures'])} replicate x mode runs failed", file=sys.stderr)
         return 5
@@ -208,15 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=bounds_mod.EXCESS_BOUND_KINDS + bounds_mod.DEVIATION_BOUND_KINDS,
     )
-    pd.add_argument("--n", type=int, required=True)
-    pd.add_argument("--delta", type=float, required=True)
-    pd.add_argument("--epsilon", type=float)
-    pd.add_argument("--L", type=float, default=bounds_mod.BoundInputs.L)
-    pd.add_argument("--p", type=float)
-    pd.add_argument("--K", type=int)
-    pd.add_argument("--max-pk", dest="max_pk", type=float)
-    pd.add_argument("--phi-sup", dest="phi_sup", type=float)
-    pd.add_argument("--rademacher", type=float, default=bounds_mod.BoundInputs.rademacher)
+    for f in dataclasses.fields(bounds_mod.BoundInputs):  # one flag per field
+        required = f.default is dataclasses.MISSING
+        pd.add_argument("--" + f.name.replace("_", "-"), dest=f.name, required=required,
+                        type=int if f.type.startswith("int") else float,
+                        default=None if required else f.default)
     pd.set_defaults(func=_cmd_bounds)
 
     pe = sub.add_parser("experiment", help="run an experiment spec end to end")

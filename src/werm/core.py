@@ -454,7 +454,7 @@ def _parse_header(header: list[str]) -> int:
         raise SchemaError("duplicate CSV column names")
     x_cols = [name for name in header if name.startswith("x")]
     for name in header:
-        if name in _OPTIONAL_KINDS or name.startswith("x"):
+        if name in _OPTIONAL_COLUMNS or name.startswith("x"):
             continue
         raise SchemaError(f"unknown CSV column {name!r}")
     d = len(x_cols)
@@ -476,7 +476,9 @@ def _event(cell: str) -> bool:
 # cell kind -> the numpy field it is parsed into; event flags are read as
 # text (an object field, so no width truncates them) and checked after.
 _FIELD_TYPES = {float: "f8", int: "i8", _event: "O"}
-_OPTIONAL_KINDS = {"y": int, "s": int, "t": float, "e": _event}
+# optional CSV column -> (its Dataset field, its cell kind), in check order
+_OPTIONAL_COLUMNS = {"y": ("labels", int), "s": ("strata", int), "t": ("times", float),
+                     "e": ("events", _event)}
 
 
 def _check_cell(kind, cell: str) -> None:
@@ -542,7 +544,7 @@ def read_csv(path) -> Dataset:
         d = _parse_header(names)
         # cell kinds in the order cells are checked: features, then y, s, t, e
         kinds = {f"x{j}": float for j in range(d)}
-        kinds.update((name, kind) for name, kind in _OPTIONAL_KINDS.items() if name in names)
+        kinds.update((c, kind) for c, (_, kind) in _OPTIONAL_COLUMNS.items() if c in names)
         dtype = np.dtype([(name, _FIELD_TYPES[kinds[name]]) for name in names])
         try:
             with warnings.catch_warnings():
@@ -564,10 +566,7 @@ def read_csv(path) -> Dataset:
         raise SchemaError(f"{path}: columns t and e must appear together")
     return Dataset(
         features=np.column_stack([cols[f"x{j}"] for j in range(d)]),
-        labels=cols.get("y"),
-        strata=cols.get("s"),
-        times=cols.get("t"),
-        events=cols.get("e"),
+        **{field: cols.get(name) for name, (field, _) in _OPTIONAL_COLUMNS.items()},
     )
 
 
@@ -582,9 +581,8 @@ def _events(cells: np.ndarray) -> np.ndarray:
 
 
 def write_csv(data: Dataset, path) -> None:
-    events = None if data.events is None else data.events.astype(int)
-    cols = {"y": data.labels, "s": data.strata, "t": data.times, "e": events}
-    cols = {name: c for name, c in cols.items() if c is not None}
+    cols = {name: getattr(data, field) for name, (field, _) in _OPTIONAL_COLUMNS.items()}
+    cols = {name: c.astype(int) if name == "e" else c for name, c in cols.items() if c is not None}
     write_rows(
         path,
         [f"x{j}" for j in range(data.d)] + list(cols),

@@ -344,7 +344,7 @@ def _censored_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
     return _SharedData(
         synthetic.censored_test_sample(cspec, spec.n_test, test_seed),
         lambda seed: synthetic.censored_train_sample(cspec, spec.n_train, [seed, 0]),
-        lambda d: synthetic.oracle_censoring_weights(cspec, d),
+        lambda d: weights_mod.ipcw_weights(d, cspec),
     )
 
 
@@ -502,10 +502,10 @@ def write_curve(path, rows) -> None:
     write_rows(path, ["epoch", "objective", "miss_rate", "top_k_error"], zip(*rows))
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _dump_json(doc: dict, fh) -> None:
+    """The one JSON format the package writes, to a file or to stdout."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def emit_results(bundle: dict, out_dir) -> list[str]:
@@ -523,7 +523,8 @@ def emit_results(bundle: dict, out_dir) -> list[str]:
     results = {k: v for k, v in bundle.items() if k not in ("curves", "resolved_spec")}
     for name, doc in (("results.json", results), ("spec_resolved.json", bundle["resolved_spec"])):
         written.append(os.path.join(out_dir, name))
-        _write_json(written[-1], doc)
+        with open(written[-1], "w") as fh:
+            _dump_json(doc, fh)
 
     curves_dir = os.path.join(out_dir, "curves")
     if bundle.get("curves"):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ValidationError, WeightVector, _check_count, _check_distribution
+from .core import Dataset, ValidationError, _check_count, _check_distribution
 
 
 def _draw_strata(rng: np.random.Generator, pk, n: int, name: str = "pk") -> np.ndarray:
@@ -146,7 +146,8 @@ class CensoredSpec:
     def event_rate(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.slope * (x - 0.5))
 
-    def censor_survival(self, t: np.ndarray) -> np.ndarray:
+    def survival_before(self, t) -> np.ndarray:
+        """Censoring survival S_c(t-), equal to S_c(t) as the law is continuous."""
         return np.exp(-self.censor_rate * np.asarray(t, dtype=float))
 
 
@@ -180,12 +181,3 @@ def censored_test_sample(spec: CensoredSpec, n: int, seed) -> Dataset:
     labels = (y_time <= spec.horizon).astype(int)
     return Dataset(features=x[:, None], labels=labels, n_classes=2)
 
-
-def oracle_censoring_weights(spec: CensoredSpec, data: Dataset) -> WeightVector:
-    """Exact IPCW weights event / S_cens(t) from the known censoring law."""
-    if data.times is None:
-        raise ValidationError("dataset has no survival fields")
-    w = np.zeros(data.n)
-    unc = np.flatnonzero(data.events)
-    w[unc] = 1.0 / spec.censor_survival(data.times[unc])
-    return WeightVector(w)

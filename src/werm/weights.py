@@ -28,7 +28,8 @@ right censoring
 
 ``oracle_*`` variants return the exact likelihood-ratio weights for a
 known generating mechanism; they exist so experiments can separate
-estimation error from the effect of reweighting itself.
+estimation error from the effect of reweighting itself.  The censored
+oracle is :func:`ipcw_weights` given the known censoring law.
 
 :func:`setting` is the one place that names, for each of the paper's
 settings with a closed-form test bed (``class_shift``, ``pu`` and
@@ -303,13 +304,14 @@ def km_fit(times, events) -> KmCurve:
     return KmCurve(times=uniq[drop], survival=np.cumprod(factors))
 
 
-def ipcw_weights(data: Dataset, km: KmCurve) -> WeightVector:
+def ipcw_weights(data: Dataset, km) -> WeightVector:
     """w_i = event_i / S_cens(t_i-) with S_cens the censoring survival.
 
-    ``km`` must be fitted on the censoring distribution, i.e. with the
-    event indicator flipped: ``km_fit(times, ~events)``.  Censored
-    records get weight 0; an uncensored record whose censoring survival
-    has already hit zero raises :class:`PositivityViolationError`.
+    ``km`` is any censoring curve with ``survival_before(t)``: a
+    :class:`KmCurve` ``km_fit(times, ~events)`` for the plug-in, the known
+    law (a ``synthetic.CensoredSpec``) for the oracle.  Censored records get
+    weight 0; an uncensored record whose censoring survival is zero raises
+    :class:`PositivityViolationError`.
     """
     if data.times is None:
         raise SchemaError("dataset has no survival fields")
