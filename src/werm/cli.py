@@ -96,13 +96,13 @@ def _cmd_weights(args) -> None:
 
 def _cmd_train(args) -> None:
     _check_prior_flags(args.weights, args)
+    cfg = train_mod.TrainConfig(lr=args.lr, momentum=args.momentum, weight_decay=args.wd,
+                                batch_size=args.batch, epochs=args.epochs, seed=args.seed)
     train_data, _ = experiment.ingest_csv(args.train)
     test_data, _ = experiment.ingest_csv(args.test)
     experiment._align_classes(train_data, test_data)
     J = train_data.n_classes
     w, _ = _weights_from_flags(train_data, args.weights, args)
-    cfg = train_mod.TrainConfig(lr=args.lr, momentum=args.momentum, weight_decay=args.wd,
-                                batch_size=args.batch, epochs=args.epochs, seed=args.seed)
     top_k = args.top_k if args.top_k is not None else min(5, J)
     _check_top_k(top_k, J)  # checked before training, not after it
     [(metrics, log)] = experiment._fit_and_score(

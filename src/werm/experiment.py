@@ -165,12 +165,15 @@ class ExperimentSpec:
 
 def _build(cls, what: str, fields: dict, *args, **fixed):
     """``cls(*args, **fields, **fixed)``; an unknown, missing or repeated
-    field, or a value of the wrong type, raises ValidationError naming the
-    spec field ``what``."""
+    field raises ValidationError, and a refused value ``cls``'s own
+    ValidationError, each naming the spec field ``what``."""
     try:
         return cls(*args, **fields, **fixed)
     except TypeError as exc:
         raise ValidationError(f"spec field {what!r}: {exc}") from exc
+    except ValidationError as exc:  # its class kept, its message naming the field
+        exc.args = (f"spec field {what!r}: {exc}",)
+        raise
 
 
 def ingest_csv(path) -> tuple[Dataset, dict]:
@@ -403,6 +406,20 @@ def _failure(replicate: int, mode: str, exc: Exception) -> dict:
     return {"replicate": replicate, "mode": mode, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _summary(vals: list[float]) -> dict:
+    """Mean, sample sd and values of one metric.  The statistics are taken
+    over vals / 2**e, e the binary exponent of the largest magnitude, so no
+    square or sum overflows; scaling by a power of two is exact, so statistics
+    that neither overflow nor underflow keep their bits."""
+    e = np.frexp(np.max(np.abs(vals)))[1] if vals else 0
+    scaled = np.ldexp(vals, -e)
+    return {
+        "mean": float(np.ldexp(np.mean(scaled), e)) if vals else None,
+        "std": float(np.ldexp(np.std(scaled, ddof=1), e)) if len(vals) > 1 else 0.0,
+        "values": [float(v) for v in vals],
+    }
+
+
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute generate/ingest -> bias -> weights -> fit -> evaluate per
     replicate; fully deterministic per base seed.
@@ -477,14 +494,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                 curves[mode] = list(log.rows())
 
     bundle["modes"] = {
-        mode: {
-            metric: {
-                "mean": float(np.mean(vals)) if vals else None,
-                "std": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0,
-                "values": [float(v) for v in vals],
-            }
-            for metric, vals in metrics_by.items()
-        }
+        mode: {metric: _summary(vals) for metric, vals in metrics_by.items()}
         for mode, metrics_by in per_mode.items()
     }
     bundle["curves"] = curves

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ValidationError, _check_count, _check_distribution
+from .core import Dataset, ValidationError, _as_float, _check_count, _check_distribution
 
 
 def _draw_strata(rng: np.random.Generator, pk, n: int, name: str = "pk") -> np.ndarray:
@@ -51,9 +51,9 @@ class GaussianStrataSpec:
     def __post_init__(self):
         _check_count(self.n_strata, "n_strata", 1)
         _check_count(self.n_classes, "n_classes", 2)
-        if not self.noise > 0:
-            raise ValidationError("noise must be > 0")
-        if not (math.isfinite(self.class_radius) and math.isfinite(self.rotation_deg)):
+        if not 0.0 < _as_float(self.noise) < math.inf:
+            raise ValidationError("noise must be > 0 and finite")
+        if not all(math.isfinite(_as_float(v)) for v in (self.class_radius, self.rotation_deg)):
             raise ValidationError("class_radius and rotation_deg must be finite")
 
 

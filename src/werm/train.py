@@ -44,6 +44,7 @@ from .core import (
     SchemaError,
     ValidationError,
     WeightVector,
+    _as_float,
     _check_count,
     _check_seed,
     classification_metrics,
@@ -77,16 +78,15 @@ class TrainConfig:
     init_std: float = 0.01
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValidationError("lr must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
+        if not 0.0 < _as_float(self.lr) < np.inf:
+            raise ValidationError("lr must be > 0 and finite")
+        if not 0.0 <= _as_float(self.momentum) < 1.0:
             raise ValidationError("momentum must lie in [0, 1)")
-        if not self.weight_decay >= 0:
-            raise ValidationError("weight_decay must be >= 0")
+        for name in ("weight_decay", "init_std"):
+            if not 0.0 <= _as_float(getattr(self, name)) < np.inf:
+                raise ValidationError(f"{name} must be >= 0 and finite")
         _check_count(self.batch_size, "batch_size", 1)
         _check_count(self.epochs, "epochs", 0)
-        if not self.init_std >= 0:
-            raise ValidationError("init_std must be >= 0")
         _check_seed(self.seed)
 
 

@@ -1,14 +1,16 @@
 """CLI subcommands, output contracts, and exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
-from werm import train as train_mod, weights as weights_mod
-from werm.cli import main
+from werm import bounds as bounds_mod, train as train_mod, weights as weights_mod
+from werm.cli import build_parser, main
 from werm.core import EmptyStratumError, read_csv
 from werm.experiment import SCENARIOS, _SharedData
 
@@ -116,6 +118,21 @@ class TestBoundsCommand:
         code, out, err = run_cli(capsys, "bounds", "--n", "1000", "--delta", "0.05", *flags)
         assert code == 2 and out == ""
         assert "must be >= 0 and finite" in err
+
+    def test_flags_are_the_bound_inputs_fields(self):
+        """One flag per BoundInputs field, in field order: its name with
+        dashes, int for the counts n and K, its default, required iff it
+        has none."""
+        [subparsers] = [a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)]
+        flags = [a for a in subparsers.choices["bounds"]._actions if a.dest not in ("help", "kind")]
+        fields = dataclasses.fields(bounds_mod.BoundInputs)
+        assert [a.dest for a in flags] == [f.name for f in fields]
+        for action, f in zip(flags, fields):
+            required = f.default is dataclasses.MISSING
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert action.type is (int if f.name in ("n", "K") else float)
+            assert (action.required, action.default) == (required, None if required else f.default)
 
 
 class TestAnalyticCommand:
@@ -440,6 +457,18 @@ class TestTrainCommand:
         )
         assert code == 2
         assert "lr must be > 0" in err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lr", "inf", "lr must be > 0 and finite"),
+        ("--wd", "inf", "weight_decay must be >= 0 and finite"),
+        ("--momentum", "nan", r"momentum must lie in \[0, 1\)"),
+    ])
+    def test_bad_config_flag_exits_2_before_reading(self, tmp_path, capsys, flag, value, message):
+        missing = str(tmp_path / "absent.csv")  # an io error, exit 4, if it were read
+        code, out, err = run_cli(capsys, "train", "--train", missing, "--test", missing,
+                                 flag, value)
+        assert (code, out) == (2, "")
+        assert re.search(message, err)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_exits_3(self, tmp_path, capsys):

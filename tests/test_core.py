@@ -1,5 +1,7 @@
 """Core dataset / loss / risk behavior."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,6 +373,27 @@ class TestCsv:
         np.testing.assert_array_equal(back.strata, data.strata)
         np.testing.assert_array_equal(back.times, data.times)
         np.testing.assert_array_equal(back.events, data.events)
+
+    @pytest.mark.parametrize("groups", [
+        c for k in range(4) for c in itertools.combinations(("y", "s", "te"), k)
+    ], ids=lambda groups: "-".join(groups) or "none")
+    def test_round_trip_every_optional_column_subset(self, tmp_path, groups):
+        """Columns y, s and the pair (t, e), each present or absent: written
+        in the order y, s, t, e, read back into the same Dataset fields."""
+        values = {"y": [1, 0], "s": [0, 2], "t": [1.5, 0.25], "e": [True, False]}
+        fields = {"y": "labels", "s": "strata", "t": "times", "e": "events"}
+        columns = "".join(groups)
+        data = Dataset(features=np.array([[0.25], [3.0]]),
+                       **{fields[c]: values[c] for c in columns})
+        write_csv(data, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_text().splitlines()[0] == ",".join(["x0", *columns])
+        back = read_csv(tmp_path / "d.csv")
+        np.testing.assert_array_equal(back.features, data.features)
+        for c, name in fields.items():
+            if c in columns:
+                np.testing.assert_array_equal(getattr(back, name), values[c])
+            else:
+                assert getattr(back, name) is None
 
     def test_header_infers_shape(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -5,16 +5,20 @@ import dataclasses
 import hashlib
 import json
 import re
+import statistics
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from werm import analytic, biasgen, synthetic, train as train_mod, weights as weights_mod
 from werm.core import EmptyStratumError, ValidationError, WeightVector, write_csv
 from werm.experiment import (
     SCENARIOS,
     ExperimentSpec,
+    _summary,
     emit_results,
     ingest_csv,
     run_experiment,
@@ -526,6 +530,37 @@ class TestEmit:
         emit_results(bundle, tmp_path)
         assert (tmp_path / "curves" / "risk_a1_b1.csv").exists()
         assert (tmp_path / "curves" / "excess_a2_b2.csv").exists()
+
+
+class TestSummary:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.just(0.0) | st.floats(1e-100, 1e100), max_size=12))
+    def test_statistics_that_neither_overflow_nor_underflow_keep_their_bits(self, vals):
+        summary = _summary(vals)
+        assert summary["mean"] == (float(np.mean(vals)) if vals else None)
+        assert summary["std"] == (float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0)
+
+    @pytest.mark.parametrize("vals", [[1.344992570048268e300, 2.2761243815483674e300],
+                                      [1.7e308, 1.7e308, 1.0e308], [-1.5e200, 3e200, 1e-10]])
+    def test_huge_values_give_finite_statistics(self, vals):
+        """Squaring values past 1e154, or summing them near 1e308, overflows."""
+        summary = _summary(vals)
+        assert summary["mean"] == pytest.approx(statistics.mean(vals), rel=1e-14)
+        assert summary["std"] == pytest.approx(statistics.stdev(vals), rel=1e-14)
+
+    def test_results_json_holds_only_json_numbers(self, tmp_path):
+        """lr = 1e300 gives cross-entropies near 1e300; their sd is finite."""
+        spec = ExperimentSpec(scenario="censored", n_train=2, n_test=1, replicates=2,
+                              train={"lr": 1e300, "epochs": 1, "batch_size": 1})
+        emit_results(run_experiment(spec), tmp_path)
+
+        def refuse(token):
+            raise AssertionError(f"results.json holds {token}")
+
+        doc = json.loads((tmp_path / "results.json").read_text(), parse_constant=refuse)
+        sce = doc["modes"]["uniform"]["sce"]
+        assert min(sce["values"]) > 1e154 and doc["failures"] == []
+        assert sce["std"] == pytest.approx(statistics.stdev(sce["values"]), rel=1e-14)
 
 
 class TestIngest:

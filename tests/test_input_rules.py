@@ -2,6 +2,8 @@
 entry point that applies it; and the package's public surface."""
 
 import dataclasses
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -424,6 +426,32 @@ def test_submodule_imports_stay_narrow():
     assert out == "False False False False"
 
 
+def _traced_names():
+    """The (owner, attribute) pairs of ``perfbench/tracer.py``'s TARGETS,
+    the file loaded without writing a bytecode cache next to it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return [(owner, attr) for _, owner, attr, _, _ in tracer.TARGETS]
+
+
+@pytest.mark.parametrize("owner,attr", _traced_names())
+def test_benchmark_traced_names_exist(owner, attr):
+    """A traced benchmark run looks each name up on its module, and each
+    method in its class's own namespace; a rename must update the tracer."""
+    module_name, _, class_name = owner.partition(".")
+    module = importlib.import_module(f"werm.{module_name}")
+    if class_name:
+        assert callable(vars(getattr(module, class_name)).get(attr))
+    else:
+        assert callable(getattr(module, attr, None))
+
+
 def _no_draws(monkeypatch):
     """Make every sampler an experiment draws from, and its CSV reader,
     fail the test."""
@@ -451,6 +479,19 @@ BAD_SPECS = {
                          "class_radius and rotation_deg must be finite"),
     "rotation_deg inf": ({**STRATA, "synthetic": {"rotation_deg": math.inf}},
                          "class_radius and rotation_deg must be finite"),
+    "noise inf": ({**STRATA, "synthetic": {"noise": math.inf}},
+                  "'synthetic': noise must be > 0 and finite"),
+    "class_radius text": ({**STRATA, "synthetic": {"class_radius": "2"}},
+                          "'synthetic': class_radius and rotation_deg must be finite"),
+    "lr inf": ({**STRATA, "train": {"lr": math.inf}}, "'train': lr must be > 0 and finite"),
+    "lr text": ({**STRATA, "train": {"lr": "0.1"}}, "'train': lr must be > 0 and finite"),
+    "lr true": ({**STRATA, "train": {"lr": True}}, "'train': lr must be > 0 and finite"),
+    "momentum null": ({**STRATA, "train": {"momentum": None}},
+                      r"'train': momentum must lie in \[0, 1\)"),
+    "weight_decay inf": ({**STRATA, "train": {"weight_decay": math.inf}},
+                         "'train': weight_decay must be >= 0 and finite"),
+    "init_std inf": ({**STRATA, "train": {"init_std": math.inf}},
+                     "'train': init_std must be >= 0 and finite"),
     "no config": (None, "missing .*'scenario'"),
     "synthetic a list": ({**STRATA, "synthetic": [1]}, "'synthetic' must be a JSON object"),
     "train a list": ({**STRATA, "train": []}, "'train' must be a JSON object"),
@@ -592,6 +633,34 @@ ANY_VALUE = (
     st.sampled_from([None, True, False, NAN, math.inf, -math.inf, HUGE, -HUGE, 2**1024])
     | st.text(max_size=3) | st.floats() | st.integers() | st.lists(st.floats(), max_size=2)
 )
+# each TrainConfig field: a value that is often valid, or any value
+TRAIN_CONFIG_FIELDS = {
+    "lr": st.floats(1e-4, 1.0), "momentum": st.floats(0.0, 0.99),
+    "weight_decay": st.floats(0.0, 1.0), "batch_size": st.integers(1, 100),
+    "epochs": st.integers(0, 5), "seed": st.integers(0, 10), "init_std": st.floats(0.0, 1.0),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.fixed_dictionaries(
+    {}, optional={name: valid | ANY_VALUE for name, valid in TRAIN_CONFIG_FIELDS.items()}
+))
+@example(fields={"lr": "0.1"})
+@example(fields={"momentum": None})
+@example(fields={"lr": True})
+def test_train_config_builds_with_finite_reals_or_refuses(fields):
+    """TrainConfig, fed any value, raises ValidationError or holds real,
+    finite rates, so no replicate meets a raw TypeError or an inf."""
+    try:
+        cfg = train.TrainConfig(**fields)
+    except ValidationError:
+        return
+    for name in ("lr", "momentum", "weight_decay", "init_std"):
+        value = getattr(cfg, name)
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), name
+        assert math.isfinite(value), name
+
+
 # each BoundInputs field: a value that is often valid, or any value
 BOUND_INPUT_FIELDS = {
     "n": st.integers(1, 10**6), "delta": st.floats(0.0, 1.0), "epsilon": st.floats(0.0, 0.5),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from werm import analytic
+from werm import analytic, experiment, synthetic
 from werm.core import (
     Dataset,
     DegenerateClassError,
@@ -321,6 +321,31 @@ class TestIpcw:
         km = km_fit([1.0], [True])
         with pytest.raises(SchemaError):
             ipcw_weights(data, km)
+
+    @staticmethod
+    def known_law_weights(cspec, data):
+        """event / S_c(t) written out for the exponential censoring law."""
+        w = np.zeros(data.n)
+        unc = np.flatnonzero(data.events)
+        w[unc] = 1.0 / np.exp(-cspec.censor_rate * np.asarray(data.times[unc], dtype=float))
+        return w
+
+    @pytest.mark.parametrize("fields", [{}, {"slope": -1.0, "censor_rate": 2.5, "horizon": 0.5}])
+    def test_censored_oracle_is_the_known_law_formula(self, fields):
+        spec = experiment.ExperimentSpec(scenario="censored", modes=("oracle",), replicates=4,
+                                         n_train=300, synthetic=fields)
+        shared = experiment.SCENARIOS["censored"].shared(spec, [spec.base_seed, 999])
+        for seed in spec.seeds():
+            data = shared.draw_train(seed)
+            expected = self.known_law_weights(spec.generator(), data)
+            assert shared.oracle(data).weights.tobytes() == expected.tobytes()
+
+    def test_censored_oracle_refuses_an_underflowed_survival(self):
+        """exp(-t) is 0.0 past t = 746: no weight, and the plug-in's error."""
+        data = self.survival_data([1.0, 800.0, 900.0], [True, False, True])
+        with pytest.raises(PositivityViolationError) as err:
+            ipcw_weights(data, synthetic.CensoredSpec(censor_rate=1.0))
+        assert err.value.record_index == 2
 
 
 def test_weight_vector_csv_round_trip(tmp_path):
