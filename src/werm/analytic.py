@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, DomainError, ValidationError, _as_float, _check_count, _check_rate
+from .core import Dataset, DomainError, ValidationError, _as_float, _check_count, _check_real
 
 
 BISECTION_TOL = 1e-10
@@ -38,9 +38,9 @@ class AnalyticModel:
     p: float
 
     def __post_init__(self):
-        if not (self.alpha >= 0 and self.beta >= 0):
-            raise ValidationError("alpha and beta must be >= 0")
-        _check_rate(self.p, "p")
+        for value in (self.alpha, self.beta):
+            _check_real(value, "alpha and beta", "[0, inf)")
+        _check_real(self.p, "p", "(0, 1)")
 
 
 def true_risk(m: AnalyticModel, theta: float) -> float:
@@ -111,7 +111,7 @@ def closed_form_threshold(m: AnalyticModel) -> float:
 
 def excess_error(m: AnalyticModel, p_train: float) -> float:
     """Test-risk gap R(theta*_train) - R(theta*_test); nonnegative."""
-    _check_rate(p_train, "p_train")
+    _check_real(p_train, "p_train", "(0, 1)")
     theta_train = optimal_threshold(replace(m, p=p_train))
     theta_test = optimal_threshold(m)
     gap = true_risk(m, theta_train) - true_risk(m, theta_test)
@@ -136,7 +136,7 @@ def _draw(m: AnalyticModel, u: np.ndarray, positive: np.ndarray) -> np.ndarray:
 def sample(m: AnalyticModel, n: int, class_rate: float, seed) -> Dataset:
     """n records with Bernoulli(class_rate) labels and inverse-CDF features."""
     _check_count(n, "n", 1)
-    _check_rate(class_rate, "class_rate")
+    _check_real(class_rate, "class_rate", "(0, 1)")
     rng = np.random.default_rng(seed)
     labels = (rng.random(n) < class_rate).astype(int)
     x = _draw(m, rng.random(n), labels == 1)
@@ -147,7 +147,7 @@ def sample_pu(m: AnalyticModel, n: int, q: float, seed) -> Dataset:
     """Positive-unlabeled sample: with rate q a labeled positive drawn from
     the positive class, otherwise an unlabeled draw from the marginal."""
     _check_count(n, "n", 1)
-    _check_rate(q, "q")
+    _check_real(q, "q", "(0, 1)")
     rng = np.random.default_rng(seed)
     labeled = rng.random(n) < q
     from_pos = rng.random(n) < m.p  # class of the latent unlabeled draw

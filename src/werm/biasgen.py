@@ -33,6 +33,7 @@ from .core import (
     ValidationError,
     _check_count,
     _check_distribution,
+    _check_real,
     _check_seed,
 )
 from .synthetic import _draw_strata
@@ -55,10 +56,8 @@ class BiasSpec:
     target_pk: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise DomainError("gamma must be > 0")
-        if self.gamma > 1.0:
-            raise ValidationError("gamma must lie in (0, 1]")
+        _check_real(self.gamma, "gamma", "(0, inf)", DomainError)
+        _check_real(self.gamma, "gamma", "(0, 1]")
         if isinstance(self.permutation, str):
             if self.permutation not in ("identity", "random"):
                 raise ValidationError(

@@ -48,10 +48,9 @@ from .core import (
     Dataset,
     LossSpec,
     ValidationError,
-    _as_float,
     _check_count,
     _check_distribution,
-    _check_rate,
+    _check_real,
     _check_seed,
     _threshold_checks,
 )
@@ -63,6 +62,11 @@ DEVIATION_BOUND_KINDS = ("approx1", "approx2", "approx3")
 _BLOCK = 1024  # draws per seeded block, in rademacher_mc and coverage_check
 _RADEMACHER_ROWS = 16  # draws at a time inside a block: O(rows * grid) memory
 _COVERAGE_ROWS = 64  # the same in coverage_check: O(rows * cells * grid)
+# each real field of BoundInputs -> the interval its value must lie in
+_INPUT_RANGES = {
+    "delta": "(0, 1)", "epsilon": "(0, 0.5)", "L": "[0, inf)", "phi_sup": "[0, inf)",
+    "p": "(0, 1)", "max_pk": "(0, 1]", "rademacher": "[0, inf)",
+}
 
 
 @dataclass(frozen=True)
@@ -83,19 +87,12 @@ class BoundInputs:
 
     def __post_init__(self):
         _check_count(self.n, "n", 1, math.inf)
-        _check_rate(self.delta, "delta")
-        if self.epsilon is not None and not 0.0 < _as_float(self.epsilon) < 0.5:
-            raise ValidationError("epsilon must lie in (0, 1/2)")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.name in _INPUT_RANGES and (value is not None or field.default is not None):
+                _check_real(value, field.name, _INPUT_RANGES[field.name])
         if self.epsilon is not None and self.epsilon**2 == 0.0:
             raise ValidationError("epsilon**2 underflows to 0")
-        for name in ("L", "phi_sup", "rademacher"):
-            value = getattr(self, name)
-            if (value is not None or name != "phi_sup") and not 0 <= _as_float(value) < math.inf:
-                raise ValidationError(f"{name} must be >= 0 and finite")
-        if self.p is not None:
-            _check_rate(self.p, "p")
-        if self.max_pk is not None and not 0.0 < _as_float(self.max_pk) <= 1.0:
-            raise ValidationError("max_pk must lie in (0, 1]")
         if self.K is not None:
             _check_count(self.K, "K", 1, math.inf)
         if max(self.n, self.K or 1) > sys.float_info.max:
@@ -189,7 +186,7 @@ def _deviation(kind: str, inputs: BoundInputs, times: int) -> BoundResult:
         raise ValidationError(f"unknown deviation bound kind {kind!r}")
     fields, constants = _DEVIATIONS[kind]
     _require(inputs, kind, fields)
-    _check_rate(inputs.delta / times, "delta")
+    _check_real(inputs.delta / times, "delta", "(0, 1)")
     c, K = constants(inputs)
     log_term = math.log(2.0 * times * K / inputs.delta)
     value = (2.0 * times * c / inputs.epsilon**2) * math.sqrt(log_term / (2.0 * inputs.n))
@@ -201,8 +198,7 @@ def _deviation(kind: str, inputs: BoundInputs, times: int) -> BoundResult:
 def prior_sensitivity_bound(zeta: float) -> float:
     """Bound 2*zeta on the risk change from using a prior within zeta of
     the true positive rate."""
-    if not 0 <= _as_float(zeta) < math.inf:
-        raise ValidationError("zeta must be >= 0 and finite")
+    _check_real(zeta, "zeta", "[0, inf)")
     return 2.0 * zeta
 
 
@@ -375,7 +371,7 @@ def coverage_check(
     if stratified:
         rates = _check_distribution(rates, "pk_train", 1e-9)
     else:
-        _check_rate(rates, rate_arg)
+        _check_real(rates, rate_arg, "(0, 1)")
     if not isinstance(model, model_type):
         raise ValidationError(f"{setting} coverage needs a {model_type.__name__}")
     if epsilon is None:

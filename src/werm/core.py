@@ -114,11 +114,19 @@ def _as_float(value) -> float:
         return math.nan
 
 
-def _check_rate(value: float, name: str) -> None:
-    """ValidationError unless ``value`` is a real number in the open interval
-    (0, 1); the type is tested first, and NaN is refused."""
-    if not 0.0 < _as_float(value) < 1.0:
-        raise ValidationError(f"{name} must lie in (0, 1)")
+def _check_real(value, name: str, interval: str = "(-inf, inf)", error=ValidationError) -> None:
+    """``error`` unless ``value`` is a finite real number in ``interval``,
+    written like "(0, 1]"; the type is tested first, through ``_as_float``.
+    The message states the interval, or its lower end when the upper end is
+    inf: "must be > 0 and finite", "must be finite"."""
+    x, (low, high) = _as_float(value), interval[1:-1].split(", ")
+    above = x > float(low) if interval[0] == "(" else x >= float(low)
+    below = x < float(high) if interval[-1] == ")" else x <= float(high)
+    if not (above and below and math.isfinite(x)):
+        sign = ">" if interval[0] == "(" else ">="
+        rule = (f"lie in {interval}" if high != "inf" else "be finite" if low == "-inf"
+                else f"be {sign} {low} and finite")
+        raise error(f"{name} must {rule}")
 
 
 def _check_count(value, name: str, minimum: int, ceiling: float = 2**20) -> None:

@@ -48,7 +48,7 @@ from .core import (
     WermError,
     _check_count,
     _check_distribution,
-    _check_rate,
+    _check_real,
     _check_seed,
     _check_top_k,
     classification_metrics,
@@ -238,7 +238,7 @@ def _analytic_model(spec: ExperimentSpec) -> analytic.AnalyticModel:
     rate = weights_mod.setting(spec.scenario).rate
     if rate not in syn:
         raise ValidationError(f"scenario {spec.scenario!r} needs synthetic.{rate}")
-    _check_rate(syn.pop(rate), f"synthetic.{rate}")
+    _check_real(syn.pop(rate), f"synthetic.{rate}", "(0, 1)")
     return _build(analytic.AnalyticModel, "synthetic", {"alpha": 1.0, "beta": 1.0, **syn})
 
 
@@ -262,7 +262,7 @@ def _excess_models(spec: ExperimentSpec) -> list[analytic.AnalyticModel]:
     if not (isinstance(pairs, seq) and all(isinstance(v, seq) for v in pairs)):
         raise ValidationError("synthetic.pairs must be a list of [alpha, beta] pairs")
     p = syn.get("p", 0.3)
-    _check_rate(p, "synthetic.p")
+    _check_real(p, "synthetic.p", "(0, 1)")
     models = [_build(analytic.AnalyticModel, "synthetic", {"p": p}, *pr) for pr in pairs]
     names = [_CURVE_NAME.format(m) for m in models]
     if len(set(names)) < len(names):

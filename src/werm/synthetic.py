@@ -14,12 +14,11 @@ the ones ``choice`` gives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ValidationError, _as_float, _check_count, _check_distribution
+from .core import Dataset, ValidationError, _check_count, _check_distribution, _check_real
 
 
 def _draw_strata(rng: np.random.Generator, pk, n: int, name: str = "pk") -> np.ndarray:
@@ -51,10 +50,9 @@ class GaussianStrataSpec:
     def __post_init__(self):
         _check_count(self.n_strata, "n_strata", 1)
         _check_count(self.n_classes, "n_classes", 2)
-        if not 0.0 < _as_float(self.noise) < math.inf:
-            raise ValidationError("noise must be > 0 and finite")
-        if not all(math.isfinite(_as_float(v)) for v in (self.class_radius, self.rotation_deg)):
-            raise ValidationError("class_radius and rotation_deg must be finite")
+        _check_real(self.noise, "noise", "(0, inf)")
+        for value in (self.class_radius, self.rotation_deg):
+            _check_real(value, "class_radius and rotation_deg")
 
 
 def gaussian_strata_sample(
@@ -136,12 +134,12 @@ class CensoredSpec:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.slope):
-            raise ValidationError("slope must be finite")
-        if not self.censor_rate > 0:
-            raise ValidationError("censor_rate must be > 0")
-        if not self.horizon > 0:
-            raise ValidationError("horizon must be > 0")
+        _check_real(self.slope, "slope")
+        for name in ("censor_rate", "horizon"):
+            _check_real(getattr(self, name), name, "(0, inf)")
+        with np.errstate(over="ignore"):  # an overflow reads inf, which the rule refuses
+            for x in (0.0, 1.0):  # the two ends of x's range bound the rate
+                _check_real(self.event_rate(x), f"event_rate exp(slope * {x - 0.5:g})", "(0, inf)")
 
     def event_rate(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.slope * (x - 0.5))

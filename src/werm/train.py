@@ -44,8 +44,8 @@ from .core import (
     SchemaError,
     ValidationError,
     WeightVector,
-    _as_float,
     _check_count,
+    _check_real,
     _check_seed,
     classification_metrics,
     log_softmax,
@@ -78,13 +78,10 @@ class TrainConfig:
     init_std: float = 0.01
 
     def __post_init__(self):
-        if not 0.0 < _as_float(self.lr) < np.inf:
-            raise ValidationError("lr must be > 0 and finite")
-        if not 0.0 <= _as_float(self.momentum) < 1.0:
-            raise ValidationError("momentum must lie in [0, 1)")
+        _check_real(self.lr, "lr", "(0, inf)")
+        _check_real(self.momentum, "momentum", "[0, 1)")
         for name in ("weight_decay", "init_std"):
-            if not 0.0 <= _as_float(getattr(self, name)) < np.inf:
-                raise ValidationError(f"{name} must be >= 0 and finite")
+            _check_real(getattr(self, name), name, "[0, inf)")
         _check_count(self.batch_size, "batch_size", 1)
         _check_count(self.epochs, "epochs", 0)
         _check_seed(self.seed)

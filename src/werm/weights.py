@@ -56,7 +56,7 @@ from .core import (
     ValidationError,
     WeightVector,
     _check_distribution,
-    _check_rate,
+    _check_real,
     write_rows,
 )
 
@@ -77,7 +77,7 @@ class TargetPrior:
 
     def __post_init__(self):
         if self.p is not None:
-            _check_rate(self.p, "p")
+            _check_real(self.p, "p", "(0, 1)")
         if self.pk is not None:
             pk = _check_distribution(self.pk, "pk", 1e-12)
             object.__setattr__(self, "pk", tuple(float(v) for v in pk))
@@ -104,12 +104,12 @@ def _per_group(counts, n: int, rates: np.ndarray, empty_error) -> np.ndarray:
 
 
 def _class_shift_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
-    _check_rate(prior.p, "prior.p")
+    _check_real(prior.p, "prior.p", "(0, 1)")
     return _per_group(counts, n, np.array([1.0 - prior.p, prior.p]), DegenerateClassError)
 
 
 def _pu_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
-    _check_rate(prior.p, "prior.p")
+    _check_real(prior.p, "prior.p", "(0, 1)")
     return _per_group(counts, n, np.array([1.0, 2.0 * prior.p]), DegenerateClassError)
 
 
@@ -118,14 +118,14 @@ def _stratum_shift_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
 
 
 def _oracle_class_shift_table(p: float, p_train: float) -> np.ndarray:
-    _check_rate(p, "p")
-    _check_rate(p_train, "p_train")
+    _check_real(p, "p", "(0, 1)")
+    _check_real(p_train, "p_train", "(0, 1)")
     return np.array([(1.0 - p) / (1.0 - p_train), p / p_train])
 
 
 def _oracle_pu_table(p: float, q: float) -> np.ndarray:
-    _check_rate(p, "p")
-    _check_rate(q, "q")
+    _check_real(p, "p", "(0, 1)")
+    _check_real(q, "q", "(0, 1)")
     return np.array([1.0 / (1.0 - q), 2.0 * p / q])
 
 

@@ -395,14 +395,60 @@ def test_count_ceiling_is_inclusive_and_bound_inputs_keep_none():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("slope", NAN), ("slope", math.inf), ("censor_rate", 0.0), ("censor_rate", -1.0),
-     ("censor_rate", NAN), ("horizon", 0.0), ("horizon", NAN)],
+    [("slope", NAN), ("slope", math.inf), ("slope", 1e300), ("slope", -1e300),
+     ("censor_rate", 0.0), ("censor_rate", -1.0), ("censor_rate", NAN), ("censor_rate", math.inf),
+     ("horizon", 0.0), ("horizon", NAN), ("horizon", math.inf)],
 )
 def test_censored_spec_checks(field, value):
     with pytest.raises(ValidationError, match=field):
         synthetic.CensoredSpec(**{field: value})
     with pytest.raises(ValidationError, match=field):
         experiment.ExperimentSpec(scenario="censored", synthetic={field: value})
+
+
+# the records werm builds for its caller, not inputs: they take no rule
+OUTPUT_RECORDS = {"BoundResult", "CoverageResult"}
+# what each input record needs besides the field under test
+REQUIRED_ARGS = {
+    "AnalyticModel": {"alpha": 1.0, "beta": 1.0, "p": 0.3},
+    "BiasSpec": {"gamma": 0.5},
+    "BoundInputs": {"n": 10, "delta": 0.1},
+}
+
+
+def _real_fields():
+    """(class, field) for every float field of werm's input records, found
+    through ``dataclasses.fields``, so that a new one is tested too."""
+    found = []
+    for module in (analytic, biasgen, bounds, core, experiment, synthetic, train, weights):
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__ and cls.__name__ not in OUTPUT_RECORDS):
+                found += [(cls, f.name) for f in dataclasses.fields(cls)
+                          if f.type in ("float", "float | None")]
+    return found
+
+
+REAL_FIELDS = _real_fields()
+
+
+def test_the_real_fields_are_found():
+    assert {f"{cls.__name__}.{name}" for cls, name in REAL_FIELDS} >= {
+        "TrainConfig.lr", "GaussianStrataSpec.noise", "CensoredSpec.horizon", "BiasSpec.gamma",
+        "AnalyticModel.beta", "BoundInputs.max_pk", "TargetPrior.p"}
+
+
+@pytest.mark.parametrize("value", [NAN, math.inf, -math.inf, "0.5", True, False, HUGE],
+                         ids=["nan", "inf", "-inf", "text", "true", "false", "huge"])
+@pytest.mark.parametrize("cls,name", REAL_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in REAL_FIELDS])
+def test_every_real_field_takes_the_one_rule(cls, name, value):
+    """A value that is not a finite real number is refused with
+    ValidationError (or its DomainError), never a raw TypeError or
+    OverflowError, and the message names the field."""
+    args = REQUIRED_ARGS.get(cls.__name__, {})
+    cls(**args)
+    with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+        cls(**{**args, name: value})
 
 
 def _fresh(code: str) -> str:
@@ -514,7 +560,7 @@ BAD_SPECS = {
     "pairs entry short": ({"scenario": "analytic_excess", "synthetic": {"pairs": [[1]]}},
                           "'synthetic'.*missing .*'beta'"),
     "pairs entry text": ({"scenario": "analytic_excess", "synthetic": {"pairs": [["a", 1]]}},
-                         "'synthetic'.*not supported"),
+                         "^error: spec field 'synthetic': alpha and beta must be >= 0 and finite$"),
     "pairs a number": ({"scenario": "analytic_excess", "synthetic": {"pairs": 5}},
                        r"synthetic.pairs must be a list of \[alpha, beta\] pairs"),
     # both first pairs print as a1_b1, and one curve would overwrite the other
@@ -550,6 +596,15 @@ BAD_SPECS = {
     "modes empty": ({**STRATA, "modes": []}, "modes must be a nonempty list"),
     "modes a string": ({**STRATA, "modes": "uniform"}, "modes must be a nonempty list"),
     "document a number": (5, "a spec document must be a JSON object"),
+    # an infinite censoring rate or horizon once ran, censoring every record
+    # (weights all zero) or labelling every one positive, and exited 0
+    "censor_rate Infinity": ({"scenario": "censored", "synthetic": {"censor_rate": math.inf}},
+                             "'synthetic': censor_rate must be > 0 and finite"),
+    "horizon Infinity": ({"scenario": "censored", "synthetic": {"horizon": math.inf}},
+                         "'synthetic': horizon must be > 0 and finite"),
+    # exp(1e300 * 0.5) overflows: the event rate would read inf at x = 1
+    "slope 1e300": ({"scenario": "censored", "synthetic": {"slope": 1e300}},
+                    r"'synthetic': event_rate exp\(slope \* -0.5\) must be > 0 and finite"),
     "document a list": ([["scenario", "pu"]], "a spec document must be a JSON object"),
     "document a string": ("s", "a spec document must be a JSON object"),
 }
