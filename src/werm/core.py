@@ -119,7 +119,8 @@ def _check_real(value, name: str, interval: str = "(-inf, inf)", error=Validatio
     written like "(0, 1]"; the type is tested first, through ``_as_float``.
     The message states the interval, or its lower end when the upper end is
     inf: "must be > 0 and finite", "must be finite"."""
-    x, (low, high) = _as_float(value), interval[1:-1].split(", ")
+    x = _as_float(value)
+    low, high = interval[1:-1].split(", ")
     above = x > float(low) if interval[0] == "(" else x >= float(low)
     below = x < float(high) if interval[-1] == ")" else x <= float(high)
     if not (above and below and math.isfinite(x)):
