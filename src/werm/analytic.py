@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, DomainError, ValidationError, _as_float, _check_count, _check_real
+from .core import Dataset, ValidationError, _as_float, _check_count, _check_real
 
 
 BISECTION_TOL = 1e-10
@@ -46,7 +46,7 @@ class AnalyticModel:
 def true_risk(m: AnalyticModel, theta: float) -> float:
     """Exact risk p*theta^(1+alpha) + (1-p)*(1-theta)^(1+beta)."""
     if not 0.0 <= _as_float(theta) <= 1.0:
-        raise DomainError(f"theta={theta} outside [0, 1]")
+        raise ValidationError(f"theta={theta} outside [0, 1]")
     return m.p * theta ** (1.0 + m.alpha) + (1.0 - m.p) * (1.0 - theta) ** (
         1.0 + m.beta
     )

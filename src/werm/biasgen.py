@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     Dataset,
-    DomainError,
     EmptyStratumError,
     SchemaError,
     ValidationError,
@@ -56,7 +55,6 @@ class BiasSpec:
     target_pk: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_real(self.gamma, "gamma", "(0, inf)", DomainError)
         _check_real(self.gamma, "gamma", "(0, 1]")
         if isinstance(self.permutation, str):
             if self.permutation not in ("identity", "random"):

@@ -242,14 +242,9 @@ def _rademacher_draws(data, hypothesis_grid, loss, reps, seed) -> np.ndarray:
         sums = rng.binomial(counts, 0.5, size=(rows, *counts.shape))
         sums *= 2  # in place: a chunk holds one (rows, 2, bins) array
         sums -= counts
-        draws[lo : lo + rows] = _sign_sweep(sums)
+        # one group of weight 1: the integer sums keep every bit
+        draws[lo : lo + rows] = _count_deviations(sums[:, None], np.ones_like)
     return draws / data.n
-
-
-def _sign_sweep(sums: np.ndarray) -> np.ndarray:
-    """Each row's max over the thresholds of |sum_i sigma_i * loss_i| from its
-    (class, bin) sign sums: a positive loses below a threshold, a negative at or above."""
-    return _sweep(sums[:, 1] - sums[:, 0], sums[:, 0].sum(axis=1))
 
 
 def _sweep(steps: np.ndarray, base: np.ndarray) -> np.ndarray:

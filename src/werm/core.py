@@ -50,10 +50,6 @@ class SchemaError(ValidationError):
     """Structurally inconsistent data: shapes, columns, or field presence."""
 
 
-class DomainError(ValidationError):
-    """A numeric argument lies outside its mathematical domain."""
-
-
 class DegenerateClassError(ValidationError):
     """A label group that must be populated is empty.
 
@@ -114,8 +110,8 @@ def _as_float(value) -> float:
         return math.nan
 
 
-def _check_real(value, name: str, interval: str = "(-inf, inf)", error=ValidationError) -> None:
-    """``error`` unless ``value`` is a finite real number in ``interval``,
+def _check_real(value, name: str, interval: str = "(-inf, inf)") -> None:
+    """ValidationError unless ``value`` is a finite real number in ``interval``,
     written like "(0, 1]"; the type is tested first, through ``_as_float``.
     The message states the interval, or its lower end when the upper end is
     inf: "must be > 0 and finite", "must be finite"."""
@@ -127,7 +123,7 @@ def _check_real(value, name: str, interval: str = "(-inf, inf)", error=Validatio
         sign = ">" if interval[0] == "(" else ">="
         rule = (f"lie in {interval}" if high != "inf" else "be finite" if low == "-inf"
                 else f"be {sign} {low} and finite")
-        raise error(f"{name} must {rule}")
+        raise ValidationError(f"{name} must {rule}")
 
 
 def _check_count(value, name: str, minimum: int, ceiling: float = 2**20) -> None:
@@ -218,24 +214,19 @@ class Dataset:
         if not np.isfinite(self.features).all():
             raise ValidationError("features contain non-finite values")
 
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
-            _check_column(self.labels, n, "labels")
-            if self.labels.min() < 0:
-                raise ValidationError("labels must be nonnegative class ids")
-            if self.n_classes is None:
-                self.n_classes = max(2, int(self.labels.max()) + 1)
-            elif self.labels.max() >= self.n_classes:
-                raise ValidationError("label id exceeds n_classes")
-        if self.strata is not None:
-            self.strata = np.asarray(self.strata, dtype=int)
-            _check_column(self.strata, n, "strata")
-            if self.strata.min() < 0:
-                raise ValidationError("strata must be nonnegative ids")
-            if self.n_strata is None:
-                self.n_strata = int(self.strata.max()) + 1
-            elif self.strata.max() >= self.n_strata:
-                raise ValidationError("stratum id exceeds n_strata")
+        # each id column, the count it implies, and that count's floor
+        for name, count, floor in (("labels", "n_classes", 2), ("strata", "n_strata", 1)):
+            if getattr(self, name) is None:
+                continue
+            ids = np.asarray(getattr(self, name), dtype=int)
+            _check_column(ids, n, name)
+            setattr(self, name, ids)
+            if ids.min() < 0:
+                raise ValidationError(f"{name} must be nonnegative ids")
+            if getattr(self, count) is None:
+                setattr(self, count, max(floor, int(ids.max()) + 1))
+            elif ids.max() >= getattr(self, count):
+                raise ValidationError(f"an id in {name} exceeds {count}")
         if (self.times is None) != (self.events is None):
             raise SchemaError("times and events must be given together")
         if self.times is not None:

@@ -16,7 +16,6 @@ from werm.analytic import (
 )
 from werm.core import (
     Dataset,
-    DomainError,
     LossSpec,
     SchemaError,
     ValidationError,
@@ -35,7 +34,7 @@ class TestTrueRisk:
         assert true_risk(m, 1.0) == pytest.approx(m.p)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             true_risk(AnalyticModel(1, 1, 0.5), 1.2)
 
     def test_model_validation(self):

@@ -16,7 +16,7 @@ from werm.biasgen import (
     subsample_to_distribution,
     total_variation,
 )
-from werm.core import Dataset, DomainError, EmptyStratumError, ValidationError
+from werm.core import Dataset, EmptyStratumError, ValidationError
 
 
 def strata_dataset(strata, seed=0):
@@ -72,9 +72,9 @@ class TestPowerLaw:
         assert abs(a.sum() - 1.0) < 1e-12
 
     def test_gamma_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             BiasSpec(gamma=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             BiasSpec(gamma=-0.5)
         with pytest.raises(ValidationError):
             BiasSpec(gamma=1.5)

@@ -631,7 +631,8 @@ def test_rademacher_equals_loss_matrix_reference(case):
     sums = np.stack([np.bincount(cells, weights=s, minlength=2 * size) for s in signs])
     M = np.stack([per_record_losses(data, THRESH, h) for h in grid])
     want = np.abs(M @ signs.T).max(axis=0)
-    assert np.array_equal(bounds._sign_sweep(sums.reshape(len(signs), 2, size)), want)
+    one_group = sums.reshape(len(signs), 1, 2, size)
+    assert np.array_equal(bounds._count_deviations(one_group, np.ones_like), want)
     got = _rademacher_draws(data, grid, THRESH, reps, seed)
     assert np.array_equal(got, _one_call_cells(data, grid, reps, seed))
 

@@ -562,7 +562,7 @@ class TestExperimentCommand:
             ("train", {"lr": float("nan")}, "lr must be > 0"),
             ("train", {"batch_size": 2.5}, "batch_size must be an integer"),
             ("bias", {"gamma": 0.3, "target_pk": []}, "target_pk must be"),
-            ("bias", {"gamma": float("nan")}, "gamma must be > 0"),
+            ("bias", {"gamma": float("nan")}, r"gamma must lie in \(0, 1\]"),
         ],
     )
     def test_bad_override_exits_2_before_work(self, tmp_path, capsys, field, value, message):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import werm
 from werm import analytic, biasgen, bounds, cli, core, experiment, synthetic, train, weights
-from werm.core import Dataset, DomainError, ValidationError, WermError
+from werm.core import Dataset, ValidationError, WermError
 
 NAN = float("nan")
 GOOD_PK = [0.5, 0.25, 0.25]
@@ -131,7 +131,7 @@ def test_required_rate_refuses_none(site):
 # a NaN where a bound is required: rejected with the message a value out of
 # range gets, and the same error class
 NAN_CASES = {
-    "BiasSpec.gamma": (DomainError, "gamma must be > 0", lambda: biasgen.BiasSpec(gamma=NAN)),
+    "BiasSpec.gamma": (ValidationError, r"gamma must lie in \(0, 1\]", lambda: biasgen.BiasSpec(gamma=NAN)),
     "TrainConfig.lr": (ValidationError, "lr must be > 0", lambda: train.TrainConfig(lr=NAN)),
     "TrainConfig.weight_decay": (
         ValidationError, "weight_decay must be >= 0", lambda: train.TrainConfig(weight_decay=NAN)),
@@ -155,7 +155,7 @@ NAN_CASES = {
         ValidationError, "rademacher must be >= 0",
         lambda: bounds.BoundInputs(n=10, delta=0.1, rademacher=NAN)),
     "true_risk.theta": (
-        DomainError, r"theta=nan outside \[0, 1\]", lambda: analytic.true_risk(MODEL, NAN)),
+        ValidationError, r"theta=nan outside \[0, 1\]", lambda: analytic.true_risk(MODEL, NAN)),
 }
 
 
@@ -297,7 +297,7 @@ def test_weighted_risk_refuses_what_is_not_a_weight_vector(w):
 
 @pytest.mark.parametrize("theta", ["x", None, [0.5], True, HUGE], ids=_huge_id)
 def test_true_risk_tests_the_type_first(theta):
-    with pytest.raises(DomainError, match=r"outside \[0, 1\]$"):
+    with pytest.raises(ValidationError, match=r"outside \[0, 1\]$"):
         analytic.true_risk(MODEL, theta)
 
 
@@ -443,7 +443,7 @@ def test_the_real_fields_are_found():
 @pytest.mark.parametrize("cls,name", REAL_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in REAL_FIELDS])
 def test_every_real_field_takes_the_one_rule(cls, name, value):
     """A value that is not a finite real number is refused with
-    ValidationError (or its DomainError), never a raw TypeError or
+    ValidationError, never a raw TypeError or
     OverflowError, and the message names the field."""
     args = REQUIRED_ARGS.get(cls.__name__, {})
     cls(**args)

@@ -28,13 +28,6 @@ def test_coverage_study_runs():
     assert [line.split()[0] for line in proc.stdout.splitlines()[1:]] == ["class", "stratum", "pu"]
 
 
-def test_analytic_curves_runs(tmp_path):
-    proc = run_script("run_analytic_curves.py", tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "results.json").exists()
-    assert len(list((tmp_path / "curves").glob("excess_*.csv"))) == 5
-
-
 def test_strata_shift_seed_7_tree_is_pinned(tmp_path):
     """The script's seed-7 tree, written under a relative out_dir so the
     echoed spec does not depend on tmp_path, keeps its bytes (digest
