@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import biasgen, bounds as bounds_mod, experiment, train as train_mod, weights as weights_mod
@@ -98,9 +99,7 @@ def _cmd_train(args) -> None:
     _check_prior_flags(args.weights, args)
     cfg = train_mod.TrainConfig(lr=args.lr, momentum=args.momentum, weight_decay=args.wd,
                                 batch_size=args.batch, epochs=args.epochs, seed=args.seed)
-    train_data, _ = experiment.ingest_csv(args.train)
-    test_data, _ = experiment.ingest_csv(args.test)
-    experiment._align_classes(train_data, test_data)
+    train_data, test_data = experiment._read_train_test(args.train, args.test)
     J = train_data.n_classes
     w, _ = _weights_from_flags(train_data, args.weights, args)
     top_k = args.top_k if args.top_k is not None else min(5, J)
@@ -119,6 +118,8 @@ def _cmd_bounds(args) -> None:
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(bounds_mod.BoundInputs)}
     )
     result = bounds_mod.evaluate_bound(args.kind, inputs)
+    if not all(map(math.isfinite, [result.value, result.required_n, *result.terms.values()])):
+        raise NumericError(f"bound {args.kind!r} is not finite at these inputs")
     experiment._dump_json({"kind": args.kind, **dataclasses.asdict(result)}, sys.stdout)
 
 

@@ -434,9 +434,27 @@ def classification_metrics(data: Dataset, logits: np.ndarray, k: int) -> dict:
 
 
 def mean_cross_entropy(data: Dataset, logits: np.ndarray) -> float:
-    """Mean softmax cross-entropy of given (n, J) logits at the labels."""
+    """Mean softmax cross-entropy of given (n, J) logits at the labels,
+    taken through :func:`_scaled`, so finite cross-entropies give a finite
+    mean; NumericError when a record's cross-entropy is not finite (a logit
+    spread past the float range)."""
     lt = _class_major(data, logits)
-    return float(np.mean(-log_softmax(lt)[data.labels, np.arange(data.n)]))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        ce = -log_softmax(lt)[data.labels, np.arange(data.n)]
+    if not np.isfinite(ce).all():
+        raise NumericError("non-finite cross-entropy")
+    scaled, e = _scaled(ce)
+    return float(np.ldexp(np.mean(scaled), e))
+
+
+def _scaled(values) -> tuple[np.ndarray, int]:
+    """``values`` over 2**e, and e, the binary exponent of the largest
+    magnitude (0 for no values), so that no sum or square of the scaled
+    values overflows.  Scaling by a power of two is exact: a mean or sd of
+    the scaled values times 2**e keeps its bits unless it would overflow or
+    underflow."""
+    e = int(np.frexp(np.max(np.abs(values)))[1]) if len(values) else 0
+    return np.ldexp(values, -e), e
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from .core import (
     _check_real,
     _check_seed,
     _check_top_k,
+    _scaled,
     classification_metrics,
     mean_cross_entropy,
     read_csv,
@@ -229,8 +230,18 @@ def _oracle_weights(data: Dataset, shared: _SharedData) -> WeightVector:
     return shared.oracle(data)
 
 
-def _align_classes(a: Dataset, b: Dataset) -> None:
-    a.n_classes = b.n_classes = max(a.n_classes or 2, b.n_classes or 2)
+def _read_train_test(train_csv, test_csv) -> tuple[Dataset, Dataset]:
+    """The two CSVs' datasets, sharing one class count; a CSV with no ``y``
+    column raises SchemaError before any training, which needs labels, as
+    do the test metrics."""
+    pair = []
+    for path in (train_csv, test_csv):
+        data, _ = ingest_csv(path)
+        if data.labels is None:
+            raise SchemaError(f"{path}: no y column; training and its metrics need labels")
+        pair.append(data)
+    pair[0].n_classes = pair[1].n_classes = max(d.n_classes for d in pair)
+    return pair[0], pair[1]
 
 
 def _analytic_model(spec: ExperimentSpec) -> analytic.AnalyticModel:
@@ -304,9 +315,7 @@ def _n_source(spec: ExperimentSpec) -> int:  # records in each drawn strata sour
 
 def _strata_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
     if spec.train_csv is not None:
-        source, _ = ingest_csv(spec.train_csv)
-        test, _ = ingest_csv(spec.test_csv)
-        _align_classes(source, test)
+        source, test = _read_train_test(spec.train_csv, spec.test_csv)
         counts = source.stratum_counts()
         pk = np.asarray(spec.prior.get("pk") or counts / source.n)
         if pk.size != counts.size:
@@ -407,12 +416,9 @@ def _failure(replicate: int, mode: str, exc: Exception) -> dict:
 
 
 def _summary(vals: list[float]) -> dict:
-    """Mean, sample sd and values of one metric.  The statistics are taken
-    over vals / 2**e, e the binary exponent of the largest magnitude, so no
-    square or sum overflows; scaling by a power of two is exact, so statistics
-    that neither overflow nor underflow keep their bits."""
-    e = np.frexp(np.max(np.abs(vals)))[1] if vals else 0
-    scaled = np.ldexp(vals, -e)
+    """Mean, sample sd and values of one metric, the statistics taken over
+    the values scaled by ``core._scaled``, so that none overflows."""
+    scaled, e = _scaled(vals)
     return {
         "mean": float(np.ldexp(np.mean(scaled), e)) if vals else None,
         "std": float(np.ldexp(np.std(scaled, ddof=1), e)) if len(vals) > 1 else 0.0,
@@ -513,8 +519,9 @@ def write_curve(path, rows) -> None:
 
 
 def _dump_json(doc: dict, fh) -> None:
-    """The one JSON format the package writes, to a file or to stdout."""
-    json.dump(doc, fh, indent=2, sort_keys=True)
+    """The one JSON format the package writes, to a file or to stdout; NaN
+    and +-inf, which JSON has no token for, raise ValueError."""
+    json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
     fh.write("\n")
 
 

@@ -263,7 +263,8 @@ def fit(
     ``eval_data=None`` nothing is evaluated and those lists stay empty.
     Evaluation never changes the trained parameters.  The final short
     batch of an epoch is kept, averaged over its actual size.  A numeric
-    failure of any model aborts with the epoch and batch index.
+    failure of any model aborts with the epoch and batch index.  A weight
+    vector that is all zero is refused before any step.
     """
     if data.labels is None:
         raise SchemaError("training data needs labels")
@@ -271,6 +272,9 @@ def fit(
         raise ValidationError("fit needs a sequence of one or more weight vectors")
     if any(len(w) != data.n for w in weights):
         raise SchemaError("weights must match the dataset size")
+    for m, w in enumerate(weights):
+        if not w.weights.any():
+            raise ValidationError(f"weight vector {m} is all zero: it weights no record")
     model = init_params(kind, data.d, data.n_classes, cfg)
     params = ModelParams(
         kind, {k: np.stack([v] * len(weights)) for k, v in model.params.items()}, model.dims

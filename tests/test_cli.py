@@ -58,6 +58,18 @@ def write_strata_csv(path, n=300, K=3, seed=1):
 
 
 class TestBoundsCommand:
+    @pytest.mark.parametrize("argv", [
+        ("approx1", "--epsilon", "1e-160"),
+        ("lemma1", "--phi-sup", "1e308", "--rademacher", "1e308"),
+    ], ids=["approx1 value and required_n", "lemma1 terms"])
+    def test_non_finite_bound_exits_3_with_nothing_on_stdout(self, capsys, argv):
+        kind, *flags = argv
+        code, out, err = run_cli(
+            capsys, "bounds", "--kind", kind, "--n", "100", "--delta", "0.1", *flags
+        )
+        assert code == 3 and out == ""
+        assert err == f"numeric error: bound {kind!r} is not finite at these inputs\n"
+
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--kind", "approx1",
@@ -379,6 +391,18 @@ class TestWeightsCommand:
 
 
 class TestTrainCommand:
+    @pytest.mark.parametrize("which", ["--train", "--test"])
+    def test_csv_without_labels_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                        which):
+        labelled = write_binary_csv(tmp_path / "labelled.csv")
+        unlabelled = tmp_path / "unlabelled.csv"
+        unlabelled.write_text("x0\n0.1\n0.9\n")
+        monkeypatch.setattr(train_mod, "fit", lambda *a, **k: pytest.fail("trained"))
+        paths = {"--train": labelled, "--test": labelled, which: unlabelled}
+        code, out, err = run_cli(capsys, "train", *[str(v) for kv in paths.items() for v in kv])
+        assert code == 2 and out == ""
+        assert err == f"error: {unlabelled}: no y column; training and its metrics need labels\n"
+
     def test_train_and_curve_contract(self, tmp_path, capsys):
         train_csv = write_binary_csv(tmp_path / "train.csv", n=200, p=0.7, seed=4)
         test_csv = write_binary_csv(tmp_path / "test.csv", n=200, p=0.3, seed=5)
@@ -509,6 +533,21 @@ class TestExperimentCommand:
         assert doc["failures"] == []
         results = json.loads((tmp_path / "run" / "results.json").read_text())
         assert set(results["modes"]) == {"uniform", "strata"}
+
+    def test_training_set_with_no_event_fails_every_mode(self, tmp_path, capsys):
+        """censor_rate 1e300 censors every record near time 0, so every
+        mode's weights are all zero, and fit refuses each of them."""
+        cfg = tmp_path / "censored.json"
+        cfg.write_text(json.dumps({
+            "scenario": "censored", "modes": ["uniform", "ipcw", "oracle"], "replicates": 1,
+            "n_train": 200, "n_test": 200, "synthetic": {"censor_rate": 1e300},
+        }))
+        code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 5
+        error = "ValidationError: weight vector 0 is all zero: it weights no record"
+        assert json.loads(out)["failures"] == [
+            {"replicate": 0, "mode": mode, "error": error} for mode in ("uniform", "ipcw", "oracle")
+        ]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         cfg = self.config(tmp_path, "a")

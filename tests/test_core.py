@@ -122,6 +122,27 @@ class TestMetrics:
         sce = mean_cross_entropy(data, np.array([[1.0, 0.0]]))
         assert sce == pytest.approx(0.313262, abs=1e-6)
 
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(float, st.tuples(st.integers(1, 40), st.integers(2, 6)),
+                      elements=st.floats(-50.0, 50.0)), st.integers(0, 2**32))
+    def test_sce_keeps_the_plain_mean_bits(self, logits, seed):
+        n, J = logits.shape
+        labels = np.random.default_rng(seed).integers(0, J, n)
+        data = Dataset(features=np.zeros((n, 1)), labels=labels, n_classes=J)
+        ce = -log_softmax(np.ascontiguousarray(logits.T))[labels, np.arange(n)]
+        assert mean_cross_entropy(data, logits) == float(np.mean(ce))
+
+    def test_sce_of_huge_finite_cross_entropies_is_finite(self):
+        """Each cross-entropy is 1.5e308; their plain sum overflows."""
+        data = Dataset(features=np.zeros((3, 1)), labels=[0, 0, 0], n_classes=2)
+        logits = np.array([[-0.7e308, 0.8e308]] * 3)
+        assert mean_cross_entropy(data, logits) == pytest.approx(1.5e308, rel=1e-15)
+
+    def test_sce_refuses_a_logit_spread_past_the_float_range(self):
+        data = Dataset(features=np.zeros((2, 1)), labels=[0, 0], n_classes=2)
+        with pytest.raises(NumericError, match="^non-finite cross-entropy$"):
+            mean_cross_entropy(data, np.array([[0.0, 1.0], [-1e308, 1e308]]))
+
     def test_tie_broken_toward_lowest_class(self):
         data = Dataset(features=np.zeros((1, 1)), labels=[1], n_classes=3)
         out = classification_metrics(data, np.array([[1.0, 1.0, 0.0]]), k=1)

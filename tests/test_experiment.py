@@ -3,7 +3,9 @@ scenario structure, and emission contracts."""
 
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import re
 import statistics
 from pathlib import Path
@@ -14,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from werm import analytic, biasgen, synthetic, train as train_mod, weights as weights_mod
-from werm.core import EmptyStratumError, ValidationError, WeightVector, write_csv
+from werm.core import EmptyStratumError, ValidationError, WeightVector, read_csv, write_csv
 from werm.experiment import (
     SCENARIOS,
     ExperimentSpec,
+    _dump_json,
     _summary,
     emit_results,
     ingest_csv,
@@ -25,6 +28,11 @@ from werm.experiment import (
 )
 
 FAST_TRAIN = {"lr": 0.05, "epochs": 4, "batch_size": 200}
+
+
+def no_constant(token):
+    """A ``json.loads`` ``parse_constant`` that refuses NaN and +-Infinity."""
+    raise AssertionError(f"the JSON holds {token}")
 
 
 def small_strata_spec(**overrides):
@@ -445,6 +453,22 @@ class TestScenarios:
             {"replicate": r, "mode": "*", "error": error} for r in range(spec.replicates)
         ]
 
+    @pytest.mark.parametrize("which", ["train_csv", "test_csv"])
+    def test_csv_without_labels_fails_once_before_any_draw(self, tmp_path, monkeypatch, which):
+        """A CSV with no y column is one shared-data failure, reported for
+        every replicate; nothing is drawn or trained."""
+        spec = dataclasses.replace(small_csv_spec(tmp_path, monkeypatch),
+                                   modes=("uniform", "strata"), replicates=2)
+        data = read_csv(getattr(spec, which))
+        write_csv(dataclasses.replace(data, labels=None, n_classes=None), "unlabelled.csv")
+        spec = dataclasses.replace(spec, **{which: "unlabelled.csv"})
+        monkeypatch.setattr(biasgen, "subsample_to_distribution",
+                            lambda *a, **k: pytest.fail("drew"))
+        monkeypatch.setattr(train_mod, "fit", lambda *a, **k: pytest.fail("trained"))
+        bundle = run_experiment(spec)
+        error = "SchemaError: unlabelled.csv: no y column; training and its metrics need labels"
+        assert bundle["failures"] == [{"replicate": r, "mode": "*", "error": error} for r in (0, 1)]
+
     def test_top_k_above_class_count_fails_once_without_training(self, monkeypatch):
         monkeypatch.setattr(train_mod, "fit", lambda *a, **k: pytest.fail("trained"))
         spec = small_strata_spec(top_k=5, replicates=3)  # 3 classes
@@ -553,14 +577,29 @@ class TestSummary:
         spec = ExperimentSpec(scenario="censored", n_train=2, n_test=1, replicates=2,
                               train={"lr": 1e300, "epochs": 1, "batch_size": 1})
         emit_results(run_experiment(spec), tmp_path)
-
-        def refuse(token):
-            raise AssertionError(f"results.json holds {token}")
-
-        doc = json.loads((tmp_path / "results.json").read_text(), parse_constant=refuse)
+        doc = json.loads((tmp_path / "results.json").read_text(), parse_constant=no_constant)
         sce = doc["modes"]["uniform"]["sce"]
         assert min(sce["values"]) > 1e154 and doc["failures"] == []
         assert sce["std"] == pytest.approx(statistics.stdev(sce["values"]), rel=1e-14)
+
+    def test_cross_entropy_past_the_float_range_is_a_failure(self, tmp_path):
+        """lr = 1e308: replicate 0's cross-entropies are finite, but their
+        plain mean overflows; replicate 1's logit spread overflows the
+        log-softmax, so its cross-entropy is not a number at all."""
+        spec = ExperimentSpec(scenario="censored", n_train=2, n_test=3, replicates=2,
+                              train={"lr": 1e308, "epochs": 1, "batch_size": 1})
+        emit_results(run_experiment(spec), tmp_path)
+        doc = json.loads((tmp_path / "results.json").read_text(), parse_constant=no_constant)
+        assert doc["failures"] == [
+            {"replicate": 1, "mode": "uniform", "error": "NumericError: non-finite cross-entropy"}
+        ]
+        (sce,) = doc["modes"]["uniform"]["sce"]["values"]
+        assert 1e308 < sce < math.inf
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_json_writer_refuses_non_finite_numbers(self, value):
+        with pytest.raises(ValueError):
+            _dump_json({"x": [value]}, io.StringIO())
 
 
 class TestIngest:

@@ -475,6 +475,10 @@ class TestFitMatchesReferenceLoop:
             w[:] = 0.0
         cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3,
                           epochs=5, batch_size=10, seed=22, init_std=0.1)
+        if weights == "all_zero":  # the reference loop takes it; fit refuses it
+            with pytest.raises(ValidationError, match="^weight vector 0 is all zero"):
+                fit_one(data, WeightVector(w), kind, cfg)
+            return
         params, log = fit_one(data, WeightVector(w), kind, cfg)
         ref_params, ref_objective = reference_fit(data, WeightVector(w), kind, cfg)
         for k in ref_params.params:
@@ -579,8 +583,10 @@ class TestStackedFit:
                        n_classes=J)
         some_zero = rng.uniform(0.0, 3.0, n)
         some_zero[::3] = 0.0
+        last_only = np.zeros(n)  # one weighted record: most batches are all zero
+        last_only[-1] = 1.0
         weights = [WeightVector(v) for v in
-                   (rng.uniform(0.0, 3.0, n), np.zeros(n), some_zero, np.ones(n))]
+                   (rng.uniform(0.0, 3.0, n), last_only, some_zero, np.ones(n))]
         cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=4,
                           batch_size=B, seed=n, init_std=0.3)
         calls = []
@@ -611,6 +617,16 @@ class TestStackedFit:
                 fit(data, bad, "linear", cfg)
         with pytest.raises(SchemaError, match="dataset size"):
             fit(data, [WeightVector.ones(10), WeightVector.ones(9)], "linear", cfg)
+
+    def test_all_zero_vector_refused_before_any_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(train_mod, "_objective_and_gradient", no_step)
+        data = blob_dataset(n=10)
+        weights = [WeightVector.ones(10), WeightVector(np.zeros(10))]
+        with pytest.raises(ValidationError, match="^weight vector 1 is all zero"):
+            fit(data, weights, "linear", TrainConfig(epochs=1))
 
 
 def golden_instance(J, d=4):
