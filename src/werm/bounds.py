@@ -242,7 +242,7 @@ def _rademacher_draws(data, hypothesis_grid, loss, reps, seed) -> np.ndarray:
         sums = rng.binomial(counts, 0.5, size=(rows, *counts.shape))
         sums *= 2  # in place: a chunk holds one (rows, 2, bins) array
         sums -= counts
-        # one group of weight 1: the integer sums keep every bit
+        # integer sums times integer ones: every draw keeps its bits
         draws[lo : lo + rows] = _count_deviations(sums[:, None], np.ones_like)
     return draws / data.n
 
@@ -308,7 +308,8 @@ def _count_deviations(counts, diff) -> np.ndarray:
     """Each replicate's sup over the grid of |sum_i diffs_i * loss_i(theta)|
     from its (group, class, bin) counts, ``diff(group counts)`` giving each
     group's plug-in minus oracle weight: a positive record adds its group's
-    difference below theta, a negative one at or above theta."""
+    difference below theta, a negative one at or above theta.  Signed sums
+    in place of counts, in one group of weight 1, give a Rademacher draw."""
     per_class = counts.sum(axis=3)
     d = diff(per_class.sum(axis=2))
     steps = ((counts[:, :, 1] - counts[:, :, 0]) * d[:, :, None]).sum(axis=1)
