@@ -17,49 +17,27 @@ import math
 import sys
 
 from . import biasgen, bounds as bounds_mod, experiment, train as train_mod, weights as weights_mod
-from .core import (
-    Dataset,
-    NumericError,
-    ValidationError,
-    WermError,
-    WeightVector,
-    _check_top_k,
-    write_csv,
-)
-
-
-def _load_pk(path) -> list:
-    """The parsed JSON list; ``TargetPrior`` checks its entries."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, list):
-        raise ValidationError("pk file must hold a JSON list of probabilities")
-    return doc
+from .core import NumericError, ValidationError, WermError, WeightVector, _check_top_k, write_csv
 
 
 def _check_prior_flags(mode: str, args) -> None:
     """Refuse, before any input is read, a missing prior flag that ``mode``
-    reads and a given one that it does not (``none`` and ``ipcw`` read neither)."""
-    reads = {"class": "--p", "pu": "--p", "strata": "--pk-file"}.get(mode)
-    for flag, value in (("--p", args.p), ("--pk-file", args.pk_file)):
-        if (value is None) == (flag == reads):
+    reads and a given one that it does not (see ``weights.modes``)."""
+    reads = weights_mod.modes()[mode].prior
+    for field, flag, value in (("p", "--p", args.p), ("pk", "--pk-file", args.pk_file)):
+        if (value is None) == (field == reads):
             verb = "needs" if value is None else "does not read"
             raise ValidationError(f"reweighting mode {mode!r} {verb} {flag}")
 
 
-def _weights_from_flags(
-    data: Dataset, mode: str, args
-) -> tuple[WeightVector, weights_mod.KmCurve | None]:
-    """A mode's weights, by the runner's estimator toward ``--p`` or ``--pk-file``,
-    and for ``ipcw`` its censoring curve (else None); ``none`` is all-ones."""
-    if mode == "none":
-        return WeightVector.ones(data.n), None
-    if mode == "ipcw":
-        return experiment._ipcw_weights(data)
-    pk = None if args.pk_file is None else _load_pk(args.pk_file)
-    weigh = {"class": weights_mod.class_shift_weights, "pu": weights_mod.pu_weights,
-             "strata": weights_mod.stratum_shift_weights}[mode]
-    return weigh(data, weights_mod.TargetPrior(p=args.p, pk=pk)), None
+def _mode_weights(data, mode: str, args) -> WeightVector:
+    """``mode``'s weights by its ``weights.modes`` estimator, toward ``--p``
+    or the JSON list of ``--pk-file``; ``TargetPrior`` refuses any other."""
+    pk = None
+    if args.pk_file is not None:
+        with open(args.pk_file) as fh:
+            pk = json.load(fh)
+    return weights_mod.modes()[mode].estimator(data, weights_mod.TargetPrior(p=args.p, pk=pk))
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +65,10 @@ def _cmd_weights(args) -> None:
         raise ValidationError("--km-out writes the censoring curve of --mode ipcw only")
     _check_prior_flags(args.mode, args)
     data, report = experiment.ingest_csv(args.infile)
-    w, km = _weights_from_flags(data, args.mode, args)
+    w = _mode_weights(data, args.mode, args)
     w.to_csv(args.outfile)
     if args.km_out:
-        km.to_csv(args.km_out)
+        weights_mod.censoring_curve(data).to_csv(args.km_out)
     experiment._dump_json({"mode": args.mode, "n": data.n, "mean_weight": w.mean, "load": report},
                           sys.stdout)
 
@@ -101,7 +79,7 @@ def _cmd_train(args) -> None:
                                 batch_size=args.batch, epochs=args.epochs, seed=args.seed)
     train_data, test_data = experiment._read_train_test(args.train, args.test)
     J = train_data.n_classes
-    w, _ = _weights_from_flags(train_data, args.weights, args)
+    w = _mode_weights(train_data, args.weights, args)
     top_k = args.top_k if args.top_k is not None else min(5, J)
     _check_top_k(top_k, J)  # checked before training, not after it
     [(metrics, log)] = experiment._fit_and_score(
@@ -174,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("weights", help="compute an importance-weight vector")
     pw.add_argument("--in", dest="infile", required=True)
     pw.add_argument("--out", dest="outfile", required=True)
-    pw.add_argument("--mode", choices=("class", "strata", "pu", "ipcw"), required=True)
+    pw.add_argument("--mode", choices=tuple(weights_mod.modes()), required=True)
     pw.add_argument("--p", type=float)
     pw.add_argument("--pk-file", help="JSON list of test stratum probabilities")
     pw.add_argument("--km-out", help="also write the censoring survival curve CSV")
@@ -184,9 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--train", required=True)
     pt.add_argument("--test", required=True)
     pt.add_argument("--model", choices=train_mod.MODEL_KINDS, default="linear")
-    pt.add_argument(
-        "--weights", choices=("none", "class", "strata", "pu", "ipcw"), default="none"
-    )
+    pt.add_argument("--weights", choices=tuple(weights_mod.modes()), default="uniform")
     pt.add_argument("--p", type=float)
     pt.add_argument("--pk-file")
     pt.add_argument("--lr", type=float, default=train_mod.TrainConfig.lr)

@@ -14,19 +14,9 @@ replicate 0's learning curves are emitted, so only its fit evaluates the
 test set every epoch.
 
 Each scenario is one record of :data:`SCENARIOS`, which names the
-reweighting modes, ``prior`` keys and CSVs it takes; a spec that asks for
-any other is rejected when it is built.
-
-Reweighting modes
------------------
-uniform   all-ones weights (for censored data: the event indicator, i.e.
-          complete-case analysis, since censored records carry no label).
-class     label-based plug-in weights toward the test class distribution.
-strata    stratum-based plug-in weights toward prior.pk.
-pu        positive-unlabeled plug-in weights.
-ipcw      inverse-probability-of-censoring weights via Kaplan-Meier.
-oracle    exact likelihood-ratio weights from the known generator, to
-          separate estimation error from the effect of reweighting.
+``prior`` keys and CSVs it takes.  Its reweighting modes are the rows of
+``weights.modes`` that fit it, then ``oracle``, its exact likelihood
+ratio.  A spec that asks for any other is rejected when it is built.
 """
 
 from __future__ import annotations
@@ -93,12 +83,10 @@ class ExperimentSpec:
         if not isinstance(self.modes, (list, tuple)) or not self.modes:
             raise ValidationError("modes must be a nonempty list of reweighting mode names")
         self.modes = tuple(self.modes)
-        for m in self.modes:
-            if m not in scenario.weights:
-                raise ValidationError(
-                    f"scenario {self.scenario!r} cannot run reweighting mode {m!r}; "
-                    f"it runs {', '.join(scenario.weights)}"
-                )
+        runs = _modes(self.scenario)
+        for m in [m for m in self.modes if m not in runs]:
+            raise ValidationError(f"scenario {self.scenario!r} cannot run reweighting mode "
+                                  f"{m!r}; it runs {', '.join(runs)}")
         if len(set(self.modes)) != len(self.modes):
             raise ValidationError(f"modes repeat a mode: {list(self.modes)}")
         for name in ("top_k", "replicates", "n_train", "n_test"):
@@ -198,36 +186,30 @@ def ingest_csv(path) -> tuple[Dataset, dict]:
 # ---------------------------------------------------------------------------
 
 # What a scenario's replicates share, built once before any of them: the
-# test set, draw_train(rep_seed) -> a training set, and the test-side facts:
-# the exact-ratio oracle(data), the plug-ins' prior, and p_prime as emitted.
-_SharedData = namedtuple("SharedData", "test draw_train oracle prior p_prime",
-                         defaults=(None, None))
+# test set, draw_train(rep_seed) -> a training set, the exact-ratio
+# oracle(data), the TargetPrior of each mode that reads one, and p_prime.
+_SharedData = namedtuple("SharedData", "test draw_train oracle priors p_prime",
+                         defaults=(None,))
 
 # A scenario: generator(spec) builds it from spec.synthetic and checks the
 # ``priors`` keys it reads; ``csv`` says if it takes train_csv/test_csv;
-# shared(spec, test_seed) draws or ingests its _SharedData; ``weights`` maps
-# each mode to weigh(trainset, shared).  curves(spec), for ``shared``, gives
-# the closed-form results of a scenario that trains nothing.
-_Scenario = namedtuple("Scenario", "generator weights shared curves priors csv",
+# shared(spec, test_seed) draws or ingests its _SharedData; curves(spec),
+# for it, gives the closed-form results of a scenario that trains nothing.
+_Scenario = namedtuple("Scenario", "generator shared curves priors csv",
                        defaults=(None, None, (), False))
 
 
-def _uniform_weights(data: Dataset, shared: _SharedData) -> WeightVector:
-    if data.events is not None:
-        return WeightVector(data.events.astype(float))
-    return WeightVector.ones(data.n)
+def _modes(scenario: str) -> tuple[str, ...]:
+    """The modes ``scenario`` runs: its ``weights.modes`` rows, then oracle if it trains."""
+    fits = tuple(m for m, row in weights_mod.modes().items() if scenario in row.settings)
+    return fits if SCENARIOS[scenario].curves else (*fits, "oracle")
 
 
-def _ipcw_weights(data: Dataset) -> tuple[WeightVector, weights_mod.KmCurve]:
-    """The IPCW weights and the Kaplan-Meier censoring curve they divide by."""
-    if data.times is None:
-        raise SchemaError("reweighting mode 'ipcw' needs survival times and events (t, e)")
-    km = weights_mod.km_fit(data.times, ~data.events)
-    return weights_mod.ipcw_weights(data, km), km
-
-
-def _oracle_weights(data: Dataset, shared: _SharedData) -> WeightVector:
-    return shared.oracle(data)
+def _weigh(mode: str, data: Dataset, shared: _SharedData) -> WeightVector:
+    """``mode``'s weights on ``data``: its ``weights.modes`` estimator, or the exact ratio."""
+    if mode == "oracle":
+        return shared.oracle(data)
+    return weights_mod.modes()[mode].estimator(data, shared.priors.get(mode))
 
 
 def _read_train_test(train_csv, test_csv) -> tuple[Dataset, Dataset]:
@@ -261,7 +243,7 @@ def _analytic_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
         analytic.sample(m, spec.n_test, m.p, test_seed),
         lambda seed: row.sampler(m, spec.n_train, rate, [seed, 0]),
         lambda d: row.oracle(d, m.p, rate),
-        weights_mod.TargetPrior(p=m.p),
+        dict.fromkeys(("class", "pu"), weights_mod.TargetPrior(p=m.p)),
     )
 
 
@@ -333,22 +315,16 @@ def _strata_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
     if bias.target_pk is None:
         bias = dataclasses.replace(bias, target_pk=tuple(float(v) for v in pk))
     p_prime = biasgen.power_law_distribution(bias, len(pk))
+    J = test.n_classes
     return _SharedData(
         test,
         lambda seed: biasgen.subsample_to_distribution(draw_source(seed), p_prime, [seed, 1],
                                                        max_size=spec.n_train),
         lambda d: weights_mod.oracle_stratum_shift_weights(d, pk, p_prime),
-        weights_mod.TargetPrior(pk=pk),
+        {"class": weights_mod.TargetPrior(pk=(1.0 / J,) * J),  # uniform test classes
+         "strata": weights_mod.TargetPrior(pk=pk)},
         [float(v) for v in p_prime],
     )
-
-
-def _uniform_class_weights(data: Dataset, shared: _SharedData) -> WeightVector:
-    """Class weights toward uniform test classes, the labels taken as strata."""
-    J = shared.test.n_classes
-    labels_as_strata = dataclasses.replace(data, strata=data.labels, n_strata=data.n_classes)
-    uniform = weights_mod.TargetPrior(pk=(1.0 / J,) * J)
-    return weights_mod.stratum_shift_weights(labels_as_strata, uniform)
 
 
 def _censored_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
@@ -357,34 +333,18 @@ def _censored_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
         synthetic.censored_test_sample(cspec, spec.n_test, test_seed),
         lambda seed: synthetic.censored_train_sample(cspec, spec.n_train, [seed, 0]),
         lambda d: weights_mod.ipcw_weights(d, cspec),
+        {},
     )
 
 
-# class_shift and pu differ only in the weights.setting they name
-_ANALYTIC = _Scenario(_analytic_model, {
-    "uniform": _uniform_weights,
-    "class": lambda data, shared: weights_mod.class_shift_weights(data, shared.prior),
-    "pu": lambda data, shared: weights_mod.pu_weights(data, shared.prior),
-    "oracle": _oracle_weights,
-}, _analytic_shared)
-
 SCENARIOS: dict[str, _Scenario] = {
-    "analytic_excess": _Scenario(_excess_models, {"uniform": _uniform_weights},
-                                curves=_excess_curves),
-    "class_shift": _ANALYTIC,
-    "strata_shift": _Scenario(_strata_generator, {
-        "uniform": _uniform_weights,
-        "class": _uniform_class_weights,
-        "strata": lambda data, shared: weights_mod.stratum_shift_weights(data, shared.prior),
-        "oracle": _oracle_weights,
-    }, _strata_shared, priors=("pk",), csv=True),
-    "pu": _ANALYTIC,
+    "analytic_excess": _Scenario(_excess_models, curves=_excess_curves),
+    "class_shift": _Scenario(_analytic_model, _analytic_shared),
+    "strata_shift": _Scenario(_strata_generator, _strata_shared, priors=("pk",), csv=True),
+    "pu": _Scenario(_analytic_model, _analytic_shared),
     "censored": _Scenario(
-        lambda spec: _build(synthetic.CensoredSpec, "synthetic", spec.synthetic), {
-            "uniform": _uniform_weights,
-            "ipcw": lambda data, shared: _ipcw_weights(data)[0],
-            "oracle": _oracle_weights,
-        }, _censored_shared),
+        lambda spec: _build(synthetic.CensoredSpec, "synthetic", spec.synthetic),
+        _censored_shared),
 }
 
 
@@ -472,7 +432,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         outcome: dict = {}  # mode -> its weights, then its (metrics, log); or its WermError
         for mode in spec.modes:
             try:
-                outcome[mode] = scenario.weights[mode](trainset, shared)
+                outcome[mode] = _weigh(mode, trainset, shared)
             except WermError as exc:  # replicate failure is data
                 outcome[mode] = exc
         ready = [m for m in spec.modes if not isinstance(outcome[m], WermError)]

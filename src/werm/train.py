@@ -246,6 +246,7 @@ def _model(stack: ModelParams, m: int) -> ModelParams:
     return ModelParams(stack.kind, {k: v[m] for k, v in stack.params.items()}, stack.dims)
 
 
+@np.errstate(over="raise", invalid="raise")  # a non-finite value fails where it arises
 def fit(
     data: Dataset,
     weights: Sequence[WeightVector],
@@ -262,9 +263,9 @@ def fit(
     ``eval_data`` is given, the miss / top-k error on it; with
     ``eval_data=None`` nothing is evaluated and those lists stay empty.
     Evaluation never changes the trained parameters.  The final short
-    batch of an epoch is kept, averaged over its actual size.  A numeric
-    failure of any model aborts with the epoch and batch index.  A weight
-    vector that is all zero is refused before any step.
+    batch of an epoch is kept, averaged over its actual size.  The first
+    overflow or invalid value raises NumericError naming its epoch and
+    batch.  A weight vector that is all zero is refused before any step.
     """
     if data.labels is None:
         raise SchemaError("training data needs labels")
@@ -297,12 +298,12 @@ def fit(
                 objective, grad = _objective_and_gradient(
                     params, X_epoch[batch], onehot[:, batch], w_epoch[:, batch], cfg
                 )
-            except NumericError as exc:
+                momentum_step(params, velocity, grad, cfg)
+            except (NumericError, FloatingPointError) as exc:
                 raise NumericError(
                     f"{exc} (epoch {epoch}, batch {start // cfg.batch_size})"
                 ) from exc
             batch_objectives.append(objective)
-            momentum_step(params, velocity, grad, cfg)
         # a 1-d mean per model: numpy sums a 2-d array's columns in another order
         for log, objectives in zip(logs, np.array(batch_objectives).T.copy()):
             log.epochs.append(epoch)
@@ -314,7 +315,7 @@ def fit(
                 metrics = classification_metrics(
                     eval_data, logits_batch(_model(params, m), eval_data.features), k=top_k
                 )
-            except NumericError as exc:
+            except (NumericError, FloatingPointError) as exc:
                 raise NumericError(f"{exc} (epoch {epoch}, evaluation)") from exc
             log.miss_rate.append(metrics["miss_rate"])
             log.top_k_error.append(metrics["top_k_error"])

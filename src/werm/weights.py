@@ -31,6 +31,9 @@ known generating mechanism; they exist so experiments can separate
 estimation error from the effect of reweighting itself.  The censored
 oracle is :func:`ipcw_weights` given the known censoring law.
 
+:func:`modes` is the one table of reweighting modes, which the experiment
+runner and the CLI both read.
+
 :func:`setting` is the one place that names, for each of the paper's
 settings with a closed-form test bed (``class_shift``, ``pu`` and
 ``stratum_shift``), its model type, training-rate name, group column,
@@ -70,6 +73,7 @@ class TargetPrior:
     pk
         Test stratum probabilities: finite, nonnegative, summing to 1
         within 1e-12.  (A single stratum with pk = [1.0] is legitimate.)
+        :func:`class_shift_weights` reads them over the labels when p is None.
     """
 
     p: float | None = None
@@ -103,9 +107,16 @@ def _per_group(counts, n: int, rates: np.ndarray, empty_error) -> np.ndarray:
     return np.divide(rates * n, counts, out=np.zeros(counts.shape), where=counts > 0)
 
 
-def _class_shift_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
+def _class_rates(prior: TargetPrior) -> np.ndarray:
+    """The test class distribution: (1 - p, p), or pk when p is not given."""
+    if prior.p is None and prior.pk is not None:
+        return prior.pk_array()
     _check_real(prior.p, "prior.p", "(0, 1)")
-    return _per_group(counts, n, np.array([1.0 - prior.p, prior.p]), DegenerateClassError)
+    return np.array([1.0 - prior.p, prior.p])
+
+
+def _class_shift_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
+    return _per_group(counts, n, _class_rates(prior), DegenerateClassError)
 
 
 def _pu_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
@@ -157,12 +168,14 @@ def _plug_in(data: Dataset, column: str, size: int, table, prior: TargetPrior) -
 
 
 def class_shift_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
-    """w_i = n*p/n_pos for label 1, n*(1-p)/n_neg for label 0.
+    """w_i = n * q_j / n_j for the record's label j, toward the test class
+    distribution q: (1 - p, p) from ``prior.p``, so n*p/n_pos for label 1
+    and n*(1-p)/n_neg for label 0; with no p, ``prior.pk`` over the labels.
 
-    The weight vector has mean exactly 1 whenever both classes are
-    populated; empty classes raise :class:`DegenerateClassError`.
+    The weight vector has mean exactly 1 whenever every class of positive
+    q is populated; an empty one raises :class:`DegenerateClassError`.
     """
-    return _plug_in(data, "labels", 2, _class_shift_table, prior)
+    return _plug_in(data, "labels", _class_rates(prior).size, _class_shift_table, prior)
 
 
 def stratum_shift_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
@@ -324,3 +337,52 @@ def ipcw_weights(data: Dataset, km) -> WeightVector:
             raise PositivityViolationError(int(unc[bad[0]]))
         w[unc] = 1.0 / s
     return WeightVector(w)
+
+
+def censoring_curve(data: Dataset) -> KmCurve:
+    """``km_fit`` of ``data``'s times with the censored records as events."""
+    if data.times is None:
+        raise SchemaError("reweighting mode 'ipcw' needs survival times and events (t, e)")
+    return km_fit(data.times, ~data.events)
+
+
+# ---------------------------------------------------------------------------
+# The reweighting modes
+# ---------------------------------------------------------------------------
+
+
+def uniform_weights(data: Dataset, prior: TargetPrior | None = None) -> WeightVector:
+    """All ones; on censored data the event flag, since a censored label is unseen."""
+    if data.events is None:
+        return WeightVector.ones(data.n)
+    return WeightVector(data.events.astype(float))
+
+
+Mode = namedtuple("Mode", "estimator prior settings")
+
+
+def modes() -> dict[str, Mode]:
+    """Each reweighting mode's ``estimator(data, prior)``, the ``TargetPrior``
+    field it reads (``"p"``, ``"pk"`` or None) and the settings it fits, by
+    the experiment runner's scenario names:
+
+    uniform  all ones; the event flag on censored data
+    class    the labels toward the test class distribution, (1 - p, p) or
+             pk (strata_shift: uniform classes); the unlabeled-as-negative
+             baseline on pu data
+    pu       positive-unlabeled weights toward p
+    strata   the strata toward pk
+    ipcw     inverse-probability-of-censoring weights, by Kaplan-Meier
+
+    The runner adds ``oracle``, each scenario's exact likelihood ratio, to
+    separate estimation error from the effect of reweighting.  Estimators
+    are read at call time, so a rebinding reaches every caller."""
+    every = ("analytic_excess", "class_shift", "pu", "strata_shift", "censored")
+    return {
+        "uniform": Mode(uniform_weights, None, every),
+        "class": Mode(class_shift_weights, "p", ("class_shift", "pu", "strata_shift")),
+        "pu": Mode(pu_weights, "p", ("pu",)),
+        "strata": Mode(stratum_shift_weights, "pk", ("strata_shift",)),
+        "ipcw": Mode(lambda data, prior: ipcw_weights(data, censoring_curve(data)), None,
+                     ("censored",)),
+    }

@@ -9,10 +9,10 @@ import re
 import numpy as np
 import pytest
 
-from werm import bounds as bounds_mod, train as train_mod, weights as weights_mod
+from werm import bounds as bounds_mod, synthetic, train as train_mod, weights as weights_mod
 from werm.cli import build_parser, main
-from werm.core import EmptyStratumError, read_csv
-from werm.experiment import SCENARIOS, _SharedData
+from werm.core import EmptyStratumError, read_csv, write_csv
+from werm.experiment import ExperimentSpec, run_experiment
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +55,27 @@ def write_strata_csv(path, n=300, K=3, seed=1):
         for xi, yi, si in zip(x, y, s):
             writer.writerow([repr(float(xi)), int(yi), int(si)])
     return path
+
+
+def write_censored_csv(path, n=60, seed=2):
+    """Labelled survival records, which ``werm train`` can fit."""
+    write_csv(synthetic.censored_train_sample(synthetic.CensoredSpec(), n, seed), path)
+    return path
+
+
+PRIOR_FLAG = {"p": "--p", "pk": "--pk-file"}  # the TargetPrior field each flag gives
+PK = [0.2, 0.5, 0.3]
+
+# each weights.modes row's input CSV, prior flags and TargetPrior fields; a
+# row missing here fails collection, and uniform, the newest case, comes last
+# so that the other cases keep their ids
+MODE_INPUTS = {
+    "class": (write_binary_csv, ["--p", "0.4"], {"p": 0.4}),
+    "pu": (write_binary_csv, ["--p", "0.4"], {"p": 0.4}),
+    "strata": (write_strata_csv, ["--pk-file", "PK"], {"pk": tuple(PK)}),
+    "ipcw": (write_survival_csv, [], {}),
+    "uniform": (write_survival_csv, [], {}),
+}
 
 
 class TestBoundsCommand:
@@ -245,30 +266,23 @@ class TestWeightsCommand:
         assert km_out.read_text().splitlines()[0] == "t,s"
 
     @pytest.mark.parametrize(
-        "mode, writer, flags, ctx",  # ctx: the scenario and its plug-ins' prior
-        [
-            ("class", write_binary_csv, ["--p", "0.4"], ("class_shift", {"p": 0.4})),
-            ("pu", write_binary_csv, ["--p", "0.4"], ("pu", {"p": 0.4})),
-            ("strata", write_strata_csv, ["--pk-file", "PK"],
-             ("strata_shift", {"pk": (0.2, 0.5, 0.3)})),
-            ("ipcw", write_survival_csv, [], ("censored", {})),
-        ],
+        "mode, writer, flags, ctx",  # ctx: the TargetPrior the flags give
+        [(m, *MODE_INPUTS[m]) for m in sorted(weights_mod.modes(), key=list(MODE_INPUTS).index)],
     )
     def test_same_vector_as_mode_table(self, tmp_path, capsys, mode, writer, flags, ctx):
-        """The CLI's weights are those of the runner's weight function for
-        the mode, given the same test-side facts."""
-        scenario, prior = ctx
+        """The CLI's weights are those of the mode's weights.modes estimator,
+        the one the runner calls, given the same test-side facts."""
         src = writer(tmp_path / "d.csv")
         pk_file = tmp_path / "pk.json"
-        pk_file.write_text("[0.2, 0.5, 0.3]")
+        pk_file.write_text(json.dumps(PK))
         flags = [str(pk_file) if f == "PK" else f for f in flags]
         code, _, _ = run_cli(
             capsys, "weights", "--in", str(src), "--out", str(tmp_path / "w.csv"),
             "--mode", mode, *flags,
         )
         assert code == 0
-        shared = _SharedData(None, None, None, weights_mod.TargetPrior(**prior))
-        expected = SCENARIOS[scenario].weights[mode](read_csv(src), shared).weights
+        estimator = weights_mod.modes()[mode].estimator
+        expected = estimator(read_csv(src), weights_mod.TargetPrior(**ctx)).weights
         back = np.loadtxt(tmp_path / "w.csv", delimiter=",", skiprows=1, ndmin=1)
         np.testing.assert_array_equal(back, expected)
 
@@ -290,18 +304,10 @@ class TestWeightsCommand:
     @pytest.mark.parametrize(
         "command, mode, flag",
         [
-            ("weights", "strata", "--p"),
-            ("weights", "ipcw", "--p"),
-            ("weights", "class", "--pk-file"),
-            ("weights", "pu", "--pk-file"),
-            ("weights", "ipcw", "--pk-file"),
-            ("train", "strata", "--p"),
-            ("train", "ipcw", "--p"),
-            ("train", "class", "--pk-file"),
-            ("train", "pu", "--pk-file"),
-            ("train", "ipcw", "--pk-file"),
-            ("train", "none", "--p"),
-            ("train", "none", "--pk-file"),
+            (command, mode, flag)
+            for command in ("weights", "train")
+            for mode, row in weights_mod.modes().items()
+            for flag in PRIOR_FLAG.values() if flag != PRIOR_FLAG.get(row.prior)
         ],
     )
     def test_unread_prior_flag_exits_2_before_reading(self, tmp_path, capsys, command, mode,
@@ -309,10 +315,10 @@ class TestWeightsCommand:
         """A prior flag the mode does not read is refused before the input
         is read, so a missing input is no IO error."""
         pk_file = tmp_path / "pk.json"
-        pk_file.write_text("[0.2, 0.5, 0.3]")
+        pk_file.write_text(json.dumps(PK))
         absent = str(tmp_path / "absent.csv")
         given = {"--p": ["--p", "0.4"], "--pk-file": ["--pk-file", str(pk_file)]}
-        reads = {"class": "--p", "pu": "--p", "strata": "--pk-file"}.get(mode)
+        reads = PRIOR_FLAG.get(weights_mod.modes()[mode].prior)
         flags = (given[reads] if reads else []) + given[flag]  # the mode's own flag too
         argv = {"weights": ["--in", absent, "--out", str(tmp_path / "w.csv"), "--mode"],
                 "train": ["--train", absent, "--test", absent, "--weights"]}[command]
@@ -494,7 +500,6 @@ class TestTrainCommand:
         assert (code, out) == (2, "")
         assert re.search(message, err)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_exits_3(self, tmp_path, capsys):
         train_csv = write_binary_csv(tmp_path / "train.csv", n=50, seed=6)
         test_csv = write_binary_csv(tmp_path / "test.csv", n=50, seed=7)
@@ -579,10 +584,10 @@ class TestExperimentCommand:
         assert not (tmp_path / "m").exists()
 
     def test_failed_runs_exit_5_and_still_write(self, tmp_path, capsys, monkeypatch):
-        def broken(data, shared):
+        def broken(data, prior):
             raise EmptyStratumError(2)
 
-        monkeypatch.setitem(SCENARIOS["strata_shift"].weights, "strata", broken)
+        monkeypatch.setattr(weights_mod, "stratum_shift_weights", broken)
         cfg = self.config(tmp_path, "f")
         code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
         assert code == 5
@@ -602,6 +607,7 @@ class TestExperimentCommand:
             ("train", {"batch_size": 2.5}, "batch_size must be an integer"),
             ("bias", {"gamma": 0.3, "target_pk": []}, "target_pk must be"),
             ("bias", {"gamma": float("nan")}, r"gamma must lie in \(0, 1\]"),
+            ("modes", ["uniform", "pu"], "'strata_shift' cannot run reweighting mode 'pu'"),
         ],
     )
     def test_bad_override_exits_2_before_work(self, tmp_path, capsys, field, value, message):
@@ -686,3 +692,46 @@ class TestTypedSeeds:
         assert code == 2 and out == ""
         assert "base_seed must be" in err
         assert not (tmp_path / "s").exists()
+
+
+# per weights.modes row: the weights function its estimator calls, a spec
+# of a scenario it fits, and the CSV and prior flags the CLI runs it on
+ROW_CALLS = {
+    "uniform": ("uniform_weights", {"scenario": "censored"}, write_censored_csv, []),
+    "class": ("class_shift_weights", {"scenario": "class_shift",
+                                      "synthetic": {"p": 0.3, "p_train": 0.6}},
+              write_binary_csv, ["--p", "0.4"]),
+    "pu": ("pu_weights", {"scenario": "pu", "synthetic": {"p": 0.3, "q": 0.4}},
+           write_binary_csv, ["--p", "0.4"]),
+    "strata": ("stratum_shift_weights", {"scenario": "strata_shift",
+                                         "synthetic": {"n_strata": 3, "n_classes": 2}},
+               write_strata_csv, ["--pk-file", "PK"]),
+    "ipcw": ("ipcw_weights", {"scenario": "censored"}, write_censored_csv, []),
+}
+
+
+@pytest.mark.parametrize("mode", list(weights_mod.modes()))
+def test_rebinding_a_rows_estimator_reaches_runner_and_cli(tmp_path, capsys, monkeypatch, mode):
+    """weights.modes reads each estimator at call time, so a rebinding of
+    the weights function a row calls, as perfbench's tracer makes, reaches
+    run_experiment, werm weights and werm train."""
+    name, fields, writer, flags = ROW_CALLS[mode]
+    real, calls = getattr(weights_mod, name), []
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(weights_mod, name, counted)
+    spec = ExperimentSpec(modes=(mode,), n_train=200, n_test=100,
+                          train={"epochs": 1, "batch_size": 100}, **fields)
+    assert run_experiment(spec)["failures"] == []
+    assert calls == [name]
+    src, pk_file = str(writer(tmp_path / "d.csv")), tmp_path / "pk.json"
+    pk_file.write_text(json.dumps(PK))
+    flags = [str(pk_file) if f == "PK" else f for f in flags]
+    w_csv = str(tmp_path / "w.csv")
+    assert run_cli(capsys, "weights", "--in", src, "--out", w_csv, "--mode", mode, *flags)[0] == 0
+    assert run_cli(capsys, "train", "--train", src, "--test", src, "--weights", mode, *flags,
+                   "--epochs", "1")[0] == 0
+    assert calls == [name] * 3

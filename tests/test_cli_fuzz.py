@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from werm import analytic, cli, experiment, synthetic
+from werm import analytic, cli, experiment, synthetic, weights
 from werm.bounds import DEVIATION_BOUND_KINDS, EXCESS_BOUND_KINDS
 from werm.core import write_csv
 
@@ -82,7 +82,7 @@ def spec_documents(draw):
     scenario = draw(st.sampled_from(sorted(SYNTHETIC)))
     required, optional = SYNTHETIC[scenario]
     record = experiment.SCENARIOS[scenario]
-    modes = st.lists(st.sampled_from(list(record.weights)), min_size=1, max_size=3)
+    modes = st.lists(st.sampled_from(experiment._modes(scenario)), min_size=1, max_size=3)
     # a prior only where the scenario reads one; BAD_SPECS covers the refusal
     extra = {k: v for k, v in OPTIONAL.items() if k != "prior" or record.priors}
     doc = draw(st.fixed_dictionaries(
@@ -192,7 +192,7 @@ DATA_COMMANDS = {
         ["--train", "strata.csv", "--test", "strata.csv", "--weights", "strata",
          "--epochs", "2", "--batch", "16"],
         {"--batch": ["0", "-3"], "--epochs": ["-1", "0"], "--top-k": ["0", "3", "9"],
-         "--p": ["0", "1", "nan"], "--weights": ["none", "class", "pu", "ipcw"],
+         "--p": ["0", "1", "nan"], "--weights": ["uniform", "class", "pu", "ipcw"],
          "--model": ["mlp"], "--lr": ["nan", "1e300"], "--seed": ["-1"],
          "--train": ["binary.csv", "censored.csv"], "--test": ["labels.csv", "binary.csv"],
          "--curve": ["out/curve.csv"]},
@@ -206,7 +206,8 @@ PK_DOCS = [
 
 
 # the prior flag, in range, that each reweighting mode reads
-MODE_PRIOR = {"class": ["--p", "0.4"], "pu": ["--p", "0.4"], "strata": ["--pk-file", "pk.json"]}
+IN_RANGE = {"p": ["--p", "0.4"], "pk": ["--pk-file", "pk.json"]}
+MODE_PRIOR = {mode: IN_RANGE[row.prior] for mode, row in weights.modes().items() if row.prior}
 
 
 def _data_argv(command, edits):

@@ -21,6 +21,7 @@ from werm.experiment import (
     SCENARIOS,
     ExperimentSpec,
     _dump_json,
+    _modes,
     _summary,
     emit_results,
     ingest_csv,
@@ -62,28 +63,53 @@ class TestSpec:
             ExperimentSpec(scenario="pu", modes=("magic",))
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    @pytest.mark.parametrize("mode", sorted({m for s in SCENARIOS.values() for m in s.weights}))
+    @pytest.mark.parametrize("mode", sorted([*weights_mod.modes(), "oracle"]))
     def test_scenario_mode_table(self, scenario, mode):
-        """Exactly the modes of each scenario's record build; any other is
-        rejected with an error naming both, before any data is drawn."""
+        """A mode builds on exactly the scenarios its weights.modes row fits
+        (oracle: those that train); any other pair is rejected, before any
+        data is drawn, with an error naming the scenario's modes."""
         synthetic_fields = {"class_shift": {"p": 0.3, "p_train": 0.6}, "pu": {"p": 0.3, "q": 0.4}}
         build = lambda: ExperimentSpec(  # noqa: E731
             scenario=scenario, modes=(mode,), synthetic=synthetic_fields.get(scenario, {}),
         )
-        if mode in SCENARIOS[scenario].weights:
+        if mode == "oracle":
+            fits = SCENARIOS[scenario].curves is None
+        else:
+            fits = scenario in weights_mod.modes()[mode].settings
+        if fits:
             assert build().modes == (mode,)
         else:
-            with pytest.raises(ValidationError, match=f"{scenario}.*{mode}"):
+            runs = ", ".join(_modes(scenario))
+            with pytest.raises(ValidationError, match=f"{scenario}.*{mode}.*it runs {runs}$"):
                 build()
+
+    @staticmethod
+    def readme_table(caption):
+        """The rows, as lists of cells, of the README table below ``caption``."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split(caption, 1)[1].strip().split("\n\n", 1)[0]
+        return [[c.strip() for c in line.strip("|").split("|")] for line in block.splitlines()[2:]]
 
     def test_readme_table_lists_each_scenarios_modes(self):
         """README's scenario table names each scenario once, with exactly
-        the modes of its record, in the record's order."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        rows = re.findall(r"^\| `(\w+)` \|.*\| ([^|]*) \|$", readme, re.M)
-        listed = {name: tuple(re.findall(r"`(\w+)`", modes)) for name, modes in rows}
+        the modes it runs, in the order of the mode table."""
+        rows = self.readme_table("Scenarios and the reweighting modes each can run:")
+        listed = {row[0].strip("`"): tuple(re.findall(r"`(\w+)`", row[-1])) for row in rows}
         assert len(listed) == len(rows)
-        assert listed == {name: tuple(s.weights) for name, s in SCENARIOS.items()}
+        assert listed == {name: _modes(name) for name in SCENARIOS}
+
+    def test_readme_mode_table_states_each_row(self):
+        """README's mode table gives each weights.modes row once, in order,
+        with the prior it reads and the settings it fits."""
+        rows = self.readme_table("The reweighting modes:")
+        flags = {"p": "`p` (`--p`)", "pk": "`pk` (`--pk-file`)", None: "none"}
+        table = weights_mod.modes()
+        assert [row[0] for row in rows] == [f"`{m}`" for m in table] + ["`oracle`"]
+        for row, (mode, entry) in zip(rows, table.items()):
+            assert row[2] == flags[entry.prior]
+            every = set(entry.settings) == set(SCENARIOS)
+            assert row[3] == ("every scenario" if every else
+                              ", ".join(f"`{s}`" for s in entry.settings))
 
     @pytest.mark.parametrize(
         "overrides,match",
@@ -216,8 +242,8 @@ class TestEmittedBytes:
     # results.json keeps as integers
     SCENARIOS = {
         "class_shift": (
-            dict(modes=("uniform", "class", "pu", "oracle"), synthetic={"p": 0.3, "p_train": 0.7}),
-            "93e5154e0dd383ffc5d0d2d6fb75ddfbed20c2affb805098c9654d1981ccbb0c",
+            dict(modes=("uniform", "class", "oracle"), synthetic={"p": 0.3, "p_train": 0.7}),
+            "90de180d2da30ab7ee665dae231a414b37a2f1e9c877db673cee9da195d0504c",
         ),
         "pu": (
             dict(modes=("uniform", "class", "pu", "oracle"),
@@ -373,32 +399,31 @@ class TestScenarios:
         assert len(bundle["modes"]["uniform"]["miss_rate"]["values"]) == spec.replicates
         assert bundle["modes"]["strata"]["miss_rate"]["values"] == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_modes_leave_the_others_alone(self, monkeypatch):
         """A replicate's modes train as one stacked fit.  When one mode's
-        weights blow the logits up and another's raise a typed error, the
-        failures read as if each mode had been fitted alone, in mode order,
-        and the other modes keep the bytes of a run without those two."""
+        weights make the step overflow and another's raise a typed error,
+        the failures read as if each mode had been fitted alone, in mode
+        order, and the other modes keep the bytes of a run without those two."""
 
-        def blowup(data, shared):
+        def blowup(data, prior):
             return WeightVector(np.full(data.n, 1e308))
 
-        def empty(data, shared):
+        def empty(*args):
             raise EmptyStratumError(2)
 
         def spec(*modes):
-            # at this rate lr * gradient overflows under weights of 1e308,
-            # while the unit-scale weights of the other modes stay finite
+            # weights of 1e308 overflow the step, while the unit-scale
+            # weights of the other modes stay finite
             return small_strata_spec(modes=modes, train={**FAST_TRAIN, "lr": 1000.0})
 
-        modes = SCENARIOS["strata_shift"].weights
-        monkeypatch.setitem(modes, "strata", blowup)
-        monkeypatch.setitem(modes, "oracle", empty)
+        monkeypatch.setattr(weights_mod, "stratum_shift_weights", blowup)
+        monkeypatch.setattr(weights_mod, "oracle_stratum_shift_weights", empty)
         bundle = run_experiment(spec("uniform", "strata", "class", "oracle"))
         alone = run_experiment(spec("strata"))["failures"]
         replicates = bundle["replicates"]
         assert [f["replicate"] for f in alone] == list(range(replicates))
-        assert all(f["error"].startswith("NumericError: non-finite logits (epoch ") for f in alone)
+        assert all(re.match(r"NumericError: overflow encountered in \w+ \(epoch ", f["error"])
+                   for f in alone)
         oracle = "EmptyStratumError: stratum 2 is empty"
         assert bundle["failures"] == [
             f for r in range(replicates)
