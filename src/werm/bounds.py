@@ -36,9 +36,12 @@ hypothesis grid; no combinatorial-dimension machinery is used.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +63,7 @@ EXCESS_BOUND_KINDS = ("lemma1", "corollary1", "theorem1", "theorem2")
 DEVIATION_BOUND_KINDS = ("approx1", "approx2", "approx3")
 
 _BLOCK = 1024  # draws per seeded block, in rademacher_mc and coverage_check
-_RADEMACHER_ROWS = 16  # draws at a time inside a block: O(rows * grid) memory
-_COVERAGE_ROWS = 64  # the same in coverage_check: O(rows * cells * grid)
+_ROWS = 16  # draws at a time inside a block: O(rows * cells * grid) memory per thread
 # each real field of BoundInputs -> the interval its value must lie in
 _INPUT_RANGES = {
     "delta": "(0, 1)", "epsilon": "(0, 0.5)", "L": "[0, inf)", "phi_sup": "[0, inf)",
@@ -219,8 +221,9 @@ def rademacher_mc(data: Dataset, hypothesis_grid, loss: LossSpec, reps: int, see
     bin) cell's sign sum: 2 * Binomial(c, 1/2) - c for c records, the law of
     c summed signs.  The records are binned once; a draw then costs
     O(grid), whatever n.  Draws are seeded in blocks of 1,024 (see
-    ``_seeded_rows``), so ``reps`` changes no draw.  Each draw's maximum is
-    an integer over n.
+    ``_by_block``), so ``reps`` changes no draw.  The blocks run on one
+    thread per usable CPU, with the same bits at any count.  Each draw's
+    maximum is an integer over n.
     """
     return float(_rademacher_draws(data, hypothesis_grid, loss, reps, seed).mean())
 
@@ -237,14 +240,15 @@ def _rademacher_draws(data, hypothesis_grid, loss, reps, seed) -> np.ndarray:
     cells = np.searchsorted(edges, data.features[:, 0], side="right")
     np.add(cells, edges.size + 1, out=cells, where=data.labels == 1)
     counts = np.bincount(cells, minlength=2 * edges.size + 2).reshape(2, -1)
-    draws = np.empty(reps)
-    for rng, lo, rows in _seeded_rows(seed, reps, _RADEMACHER_ROWS):
+
+    def draw(rng, rows):
         sums = rng.binomial(counts, 0.5, size=(rows, *counts.shape))
         sums *= 2  # in place: a chunk holds one (rows, 2, bins) array
         sums -= counts
         # integer sums times integer ones: every draw keeps its bits
-        draws[lo : lo + rows] = _count_deviations(sums[:, None], np.ones_like)
-    return draws / data.n
+        return _count_deviations(sums[:, None], np.ones_like)
+
+    return _by_block(seed, reps, _ROWS, draw) / data.n
 
 
 def _sweep(steps: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -253,15 +257,51 @@ def _sweep(steps: np.ndarray, base: np.ndarray) -> np.ndarray:
     return np.abs(np.cumsum(steps, axis=1)[:, :-1] + base[:, None]).max(axis=1)
 
 
-def _seeded_rows(seed, reps: int, rows: int):
-    """(rng, first, count) of each chunk of at most ``rows`` of ``reps`` draws
-    in blocks of 1,024, block b from ``SeedSequence((seed, b))``: consecutive
-    calls continue one stream, so ``rows`` changes no draw."""
-    for b, done in enumerate(range(0, reps, _BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        end = min(done + _BLOCK, reps)
-        for lo in range(done, end, rows):
-            yield rng, lo, min(rows, end - lo)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _by_block(seed, reps: int, rows: int, draw) -> np.ndarray:
+    """The ``reps`` values of ``draw(rng, count)``, called on chunks of at
+    most ``rows`` draws in blocks of 1,024, block b from
+    ``SeedSequence((seed, b))``: consecutive calls continue one stream, so
+    ``rows`` changes no value.  The blocks run on one thread per usable CPU,
+    the caller's among them, each other thread in a copy of the caller's
+    context (numpy keeps ``errstate`` there); block b always draws from its
+    own stream into its own slot, so the thread count changes no bit either.
+    The lowest block that raises raises here, as it would in one loop.  A
+    lone block or CPU starts no thread."""
+    out = np.empty(reps)
+    starts = range(0, reps, _BLOCK)
+    workers = min(len(starts), _usable_cpus())
+    errors = {}
+
+    def work(first):
+        for b in range(first, len(starts), workers):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+            end = min(starts[b] + _BLOCK, reps)
+            try:
+                for lo in range(starts[b], end, rows):
+                    out[lo : min(lo + rows, end)] = draw(rng, min(rows, end - lo))
+            except BaseException as err:  # a thread's blocks stop at its first error
+                errors[b] = err
+                return
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, t))
+               for t in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +386,9 @@ def coverage_check(
     a draw's deviation depends only on how many of its records fall in each
     (group, class) cell and grid bin.  Each replicate draws those counts from
     their multinomial law, at a cost that does not grow with n, seeded as in
-    ``_seeded_rows``, so fewer ``reps`` give a prefix of ``deviations``.
+    ``_by_block``, so fewer ``reps`` give a prefix of ``deviations``.  The
+    blocks of 1,024 replicates run on one thread per usable CPU, with the
+    same bits at any count.
     """
     for name, count in (("n", n), ("reps", reps), ("grid_size", grid_size)):
         _check_count(count, name, 1)
@@ -384,11 +426,12 @@ def coverage_check(
 
     oracle = oracle_table(target, rates)
     joint = _cell_law(setting, model, rates, grid)
-    deviations = np.empty(reps)
-    for rng, lo, rows in _seeded_rows(seed, reps, _COVERAGE_ROWS):
+
+    def draw(rng, rows):
         counts = rng.multinomial(n, joint.ravel(), size=rows).reshape(rows, *joint.shape)
-        deviations[lo : lo + rows] = _count_deviations(
-            counts, lambda c: plug_in_table(c, n, prior) - oracle)
+        return _count_deviations(counts, lambda c: plug_in_table(c, n, prior) - oracle)
+
+    deviations = _by_block(seed, reps, _ROWS, draw)
     deviations /= n
     coverage = float(np.mean(deviations <= bound.value))
     return CoverageResult(coverage, bound.value, bound.required_n, bound.valid, reps, deviations)

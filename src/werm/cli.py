@@ -65,10 +65,14 @@ def _cmd_weights(args) -> None:
         raise ValidationError("--km-out writes the censoring curve of --mode ipcw only")
     _check_prior_flags(args.mode, args)
     data, report = experiment.ingest_csv(args.infile)
-    w = _mode_weights(data, args.mode, args)
+    if args.km_out:  # the ipcw row's weights, from the one curve also written out
+        curve = weights_mod.censoring_curve(data)
+        w = weights_mod.ipcw_weights(data, curve)
+    else:
+        w = _mode_weights(data, args.mode, args)
     w.to_csv(args.outfile)
     if args.km_out:
-        weights_mod.censoring_curve(data).to_csv(args.km_out)
+        curve.to_csv(args.km_out)
     experiment._dump_json({"mode": args.mode, "n": data.n, "mean_weight": w.mean, "load": report},
                           sys.stdout)
 

@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -561,7 +565,7 @@ def test_rademacher_law_is_the_record_sign_law():
 def test_rademacher_does_not_depend_on_row_count(monkeypatch, rows):
     data = sample(AnalyticModel(1.0, 1.0, 0.5), 333, 0.5, 6)
     want = _rademacher_draws(data, RADEMACHER_GRID, THRESH, 2049, 9)
-    monkeypatch.setattr(bounds, "_RADEMACHER_ROWS", rows)
+    monkeypatch.setattr(bounds, "_ROWS", rows)
     assert np.array_equal(_rademacher_draws(data, RADEMACHER_GRID, THRESH, 2049, 9), want)
 
 
@@ -868,7 +872,7 @@ def test_coverage_reps_give_a_prefix(setting):
 
 @pytest.mark.parametrize("rows", [1, 7, 64])
 def test_coverage_does_not_depend_on_row_count(monkeypatch, rows):
-    monkeypatch.setattr(bounds, "_COVERAGE_ROWS", rows)
+    monkeypatch.setattr(bounds, "_ROWS", rows)
     for setting in sorted(C04_CALLS):
         test_coverage_pinned(setting)
 
@@ -968,3 +972,139 @@ def test_rademacher_bad_seed_is_typed(seed):
     data = Dataset(features=np.array([[0.2]]), labels=[1], n_classes=2)
     with pytest.raises(ValidationError, match="seed"):
         rademacher_mc(data, [0.5], THRESH, reps=10, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Seeded blocks on threads
+# ---------------------------------------------------------------------------
+
+# SHA-256 of deviations.tobytes() at the c04 parameters (n=2000, delta=0.1,
+# epsilon=0.3) with 3,000 replicates, three blocks and the last one short,
+# taken from one loop over the blocks
+POOL_PINS = {
+    "class_shift": "c00b944bd1237dfefbe0c997430fd28820a569ee8fe82217aa4a3611f828db6f",
+    "stratum_shift": "23172c8a20e7a3cd7875ab7fc7c2b245c83c34f30b59258360620eef5586ad17",
+    "pu": "8b1f7f3086f49879abbf7ef55c1b0c5777dfe3264cd2bdf784e92bc14b9749b9",
+}
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(bounds, "_usable_cpus", lambda: count)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_coverage_same_bits_on_any_cpu_count(monkeypatch, cpus):
+    """Block b draws from its own stream into its own slot, so any thread
+    count gives the one-loop deviations, byte for byte."""
+    _cpus(monkeypatch, cpus)
+    for setting in sorted(C04_CALLS):
+        model, kw = C04_CALLS[setting]
+        r = coverage_check(setting, model, n=2000, delta=0.1, reps=3000, epsilon=0.3, **kw)
+        assert hashlib.sha256(r.deviations.tobytes()).hexdigest() == POOL_PINS[setting]
+        test_coverage_pinned(setting)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_rademacher_same_bits_on_any_cpu_count(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    data = sample(AnalyticModel(1.0, 1.0, 0.5), 333, 0.5, 6)
+    for reps in (1, 1024, 1025, 4000):
+        got = _rademacher_draws(data, RADEMACHER_GRID, THRESH, reps, 9)
+        assert got.tobytes() == _one_call_cells(data, RADEMACHER_GRID, reps, 9).tobytes()
+    for reps in sorted(RADEMACHER_PINS):
+        test_rademacher_pinned_at_block_edges(reps)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_lowest_failing_block_raises_in_the_caller(monkeypatch, cpus):
+    """Blocks 2 and 3 of five raise: the caller gets block 2's exception
+    itself, as one loop over the blocks would raise it."""
+    _cpus(monkeypatch, cpus)
+    raised = {}
+
+    def draw(rng, rows):
+        block = rng.bit_generator.seed_seq.entropy[1]
+        if block in (2, 3):
+            raise raised.setdefault(block, ValueError(f"block {block}"))
+        return np.zeros(rows)
+
+    with pytest.raises(ValueError) as info:
+        bounds._by_block(3, 5 * 1024, 16, draw)
+    assert info.value is raised[2]
+
+
+
+def test_many_blocks_on_more_threads_than_cores(monkeypatch):
+    """64 blocks of chunks of 16 on eight threads, switching threads every
+    microsecond: every slot holds its own block's draws, as in one loop."""
+    draw = lambda rng, rows: rng.random(rows)  # noqa: E731
+    _cpus(monkeypatch, 1)
+    want = bounds._by_block(5, 64 * 1024, 16, draw)
+    _cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = bounds._by_block(5, 64 * 1024, 16, draw)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == want.tobytes()
+
+def test_warning_in_a_worker_raises_in_the_caller(monkeypatch):
+    """A RuntimeWarning turned error in a worker thread's plug-in table
+    reaches the coverage_check caller."""
+    _cpus(monkeypatch, 2)
+
+    def table(counts, n, prior):
+        warnings.warn("plug-in table", RuntimeWarning)
+
+    monkeypatch.setattr(weights, "_class_shift_table", table)
+    model, kw = C04_CALLS["class_shift"]
+    with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="plug-in table"):
+        warnings.simplefilter("error", RuntimeWarning)
+        coverage_check("class_shift", model, n=2000, delta=0.1, reps=2048, epsilon=0.3, **kw)
+
+
+def test_errstate_reaches_the_worker_threads(monkeypatch):
+    """numpy keeps errstate in a context variable, which a new thread does
+    not inherit: block 1's thread runs in a copy of the caller's context."""
+    _cpus(monkeypatch, 2)
+    real, seen = bounds._count_deviations, []
+
+    def recorded(counts, diff):
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     np.geterr()["divide"]))
+        return real(counts, diff)
+
+    monkeypatch.setattr(bounds, "_count_deviations", recorded)
+    model, kw = C04_CALLS["class_shift"]
+    with np.errstate(divide="raise"):
+        coverage_check("class_shift", model, n=2000, delta=0.1, reps=2048, epsilon=0.3, **kw)
+    assert {divide for _, divide in seen} == {"raise"}
+    assert {on_main for on_main, _ in seen} == {True, False}
+
+
+@pytest.mark.parametrize("cpus,reps", [(5, 1024), (1, 3000)])
+def test_one_block_or_one_cpu_starts_no_thread(monkeypatch, cpus, reps):
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(threading, "Thread", lambda *a, **k: pytest.fail("started a thread"))
+    model, kw = C04_CALLS["pu"]
+    coverage_check("pu", model, n=2000, delta=0.1, reps=reps, epsilon=0.3, **kw)
+
+
+def test_rademacher_working_set_on_threads(monkeypatch):
+    """Four blocks on four threads hold four chunks of sign sums at once:
+    still under the one-block bound of 8 MB at n = 4,000."""
+    _cpus(monkeypatch, 4)
+    data = sample(AnalyticModel(1.0, 1.0, 0.5), 4000, 0.5, 6)
+    peak = _traced_peak(lambda: _rademacher_draws(data, RADEMACHER_GRID, THRESH, 4096, 9))
+    assert peak < 8e6
+
+
+def test_usable_cpus_reads_the_affinity_set_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert bounds._usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert bounds._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert bounds._usable_cpus() == 1

@@ -265,6 +265,23 @@ class TestWeightsCommand:
         assert code == 0
         assert km_out.read_text().splitlines()[0] == "t,s"
 
+    def test_km_out_fits_the_censoring_curve_once(self, tmp_path, capsys, monkeypatch):
+        """The weights and the written curve come from one Kaplan-Meier fit;
+        the weights keep the bytes of a run without --km-out."""
+        path = str(write_survival_csv(tmp_path / "surv.csv"))
+        plain, with_km = tmp_path / "plain.csv", tmp_path / "w.csv"
+        assert run_cli(capsys, "weights", "--in", path, "--out", str(plain),
+                       "--mode", "ipcw")[0] == 0
+        real, calls = weights_mod.km_fit, []
+        monkeypatch.setattr(weights_mod, "km_fit", lambda *a: calls.append(1) or real(*a))
+        km_out = tmp_path / "km.csv"
+        assert run_cli(capsys, "weights", "--in", path, "--out", str(with_km),
+                       "--mode", "ipcw", "--km-out", str(km_out))[0] == 0
+        assert len(calls) == 1
+        assert with_km.read_bytes() == plain.read_bytes()
+        weights_mod.censoring_curve(read_csv(path)).to_csv(tmp_path / "ref_km.csv")
+        assert km_out.read_bytes() == (tmp_path / "ref_km.csv").read_bytes()
+
     @pytest.mark.parametrize(
         "mode, writer, flags, ctx",  # ctx: the TargetPrior the flags give
         [(m, *MODE_INPUTS[m]) for m in sorted(weights_mod.modes(), key=list(MODE_INPUTS).index)],
