@@ -221,9 +221,9 @@ def rademacher_mc(data: Dataset, hypothesis_grid, loss: LossSpec, reps: int, see
     bin) cell's sign sum: 2 * Binomial(c, 1/2) - c for c records, the law of
     c summed signs.  The records are binned once; a draw then costs
     O(grid), whatever n.  Draws are seeded in blocks of 1,024 (see
-    ``_by_block``), so ``reps`` changes no draw.  The blocks run on one
-    thread per usable CPU, with the same bits at any count.  Each draw's
-    maximum is an integer over n.
+    ``_by_block``), so ``reps`` changes no draw.  With ``reps`` above 1,024
+    the blocks run on one thread per usable CPU, with the same bits at any
+    count.  Each draw's maximum is an integer over n.
     """
     return float(_rademacher_draws(data, hypothesis_grid, loss, reps, seed).mean())
 
@@ -272,33 +272,47 @@ def _by_block(seed, reps: int, rows: int, draw) -> np.ndarray:
     ``SeedSequence((seed, b))``: consecutive calls continue one stream, so
     ``rows`` changes no value.  The blocks run on one thread per usable CPU,
     the caller's among them, each other thread in a copy of the caller's
-    context (numpy keeps ``errstate`` there); block b always draws from its
-    own stream into its own slot, so the thread count changes no bit either.
-    The lowest block that raises raises here, as it would in one loop.  A
-    lone block or CPU starts no thread."""
+    context (numpy 2 keeps ``errstate`` there); block b always draws from
+    its own stream into its own slot, so the thread count changes no bit
+    either.  Only ``reps`` above 1,024 give more than one block: a lone
+    block or CPU starts no thread.  The lowest block that raises raises
+    here, as it would in one loop, and no thread starts a block above it;
+    an exception of the caller's own (an interrupt while it waits) stops
+    every thread after its current block."""
     out = np.empty(reps)
     starts = range(0, reps, _BLOCK)
     workers = min(len(starts), _usable_cpus())
-    errors = {}
+    errors, lock = {}, threading.Lock()  # failed block -> its exception; -1 the caller's
 
     def work(first):
         for b in range(first, len(starts), workers):
+            with lock:
+                if errors and min(errors) < b:  # one loop would have stopped below b
+                    return
             rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
             end = min(starts[b] + _BLOCK, reps)
             try:
                 for lo in range(starts[b], end, rows):
                     out[lo : min(lo + rows, end)] = draw(rng, min(rows, end - lo))
-            except BaseException as err:  # a thread's blocks stop at its first error
-                errors[b] = err
+            except BaseException as err:
+                with lock:
+                    errors[b] = err
                 return
 
     threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, t))
                for t in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+    except BaseException as err:
+        with lock:
+            errors[-1] = err
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
     if errors:
         raise errors[min(errors)]
     return out
@@ -386,9 +400,9 @@ def coverage_check(
     a draw's deviation depends only on how many of its records fall in each
     (group, class) cell and grid bin.  Each replicate draws those counts from
     their multinomial law, at a cost that does not grow with n, seeded as in
-    ``_by_block``, so fewer ``reps`` give a prefix of ``deviations``.  The
-    blocks of 1,024 replicates run on one thread per usable CPU, with the
-    same bits at any count.
+    ``_by_block``, so fewer ``reps`` give a prefix of ``deviations``.  With
+    ``reps`` above 1,024 the blocks of 1,024 replicates run on one thread
+    per usable CPU, with the same bits at any count.
     """
     for name, count in (("n", n), ("reps", reps), ("grid_size", grid_size)):
         _check_count(count, name, 1)

@@ -68,11 +68,10 @@ def _cmd_weights(args) -> None:
     if args.km_out:  # the ipcw row's weights, from the one curve also written out
         curve = weights_mod.censoring_curve(data)
         w = weights_mod.ipcw_weights(data, curve)
+        curve.to_csv(args.km_out)
     else:
         w = _mode_weights(data, args.mode, args)
     w.to_csv(args.outfile)
-    if args.km_out:
-        curve.to_csv(args.km_out)
     experiment._dump_json({"mode": args.mode, "n": data.n, "mean_weight": w.mean, "load": report},
                           sys.stdout)
 

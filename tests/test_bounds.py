@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -1033,6 +1034,62 @@ def test_lowest_failing_block_raises_in_the_caller(monkeypatch, cpus):
     assert info.value is raised[2]
 
 
+def test_no_block_starts_above_a_failed_one(monkeypatch):
+    """Block 1 fails on the other thread while the caller is still in block
+    0: the caller then stops, as one loop would, and draws no block 2, 4 or 6."""
+    _cpus(monkeypatch, 2)
+    drawn, failed, worker = set(), threading.Event(), []
+
+    def draw(rng, rows):
+        block = rng.bit_generator.seed_seq.entropy[1]
+        if block == 0 and block not in drawn:
+            assert failed.wait(10)
+            worker[0].join(10)  # block 1's failure is recorded once its thread ends
+        drawn.add(block)
+        if block == 1:
+            worker.append(threading.current_thread())
+            failed.set()
+            raise ValueError("block 1")
+        return np.zeros(rows)
+
+    with pytest.raises(ValueError, match="block 1"):
+        bounds._by_block(3, 8 * 1024, 16, draw)
+    assert drawn == {0, 1}
+
+
+def test_an_interrupt_while_joining_stops_every_thread(monkeypatch):
+    """An interrupt that lands while the caller waits reaches the caller
+    after each thread's current block: the worker draws block 1 and no
+    other, and no thread is left running."""
+    _cpus(monkeypatch, 2)
+    drawn, worker = [], []
+    in_block_1, interrupted = threading.Event(), threading.Event()
+    real_join = threading.Thread.join
+
+    def join(thread, timeout=None):
+        if not interrupted.is_set():
+            interrupted.set()
+            raise KeyboardInterrupt
+        return real_join(thread, timeout)
+
+    def draw(rng, rows):
+        block = rng.bit_generator.seed_seq.entropy[1]
+        if block == 0 and block not in drawn:
+            assert in_block_1.wait(10)
+        if block == 1 and block not in drawn:
+            worker.append(threading.current_thread())
+            in_block_1.set()
+            assert interrupted.wait(10)
+            time.sleep(0.2)  # the caller records the interrupt meanwhile
+        drawn.append(block)
+        return np.zeros(rows)
+
+    monkeypatch.setattr(threading.Thread, "join", join)
+    with pytest.raises(KeyboardInterrupt):
+        bounds._by_block(3, 8 * 1024, 16, draw)
+    assert not worker[0].is_alive()
+    assert {b for b in drawn if b % 2} == {1}
+
 
 def test_many_blocks_on_more_threads_than_cores(monkeypatch):
     """64 blocks of chunks of 16 on eight threads, switching threads every
@@ -1049,13 +1106,17 @@ def test_many_blocks_on_more_threads_than_cores(monkeypatch):
         sys.setswitchinterval(interval)
     assert got.tobytes() == want.tobytes()
 
+
 def test_warning_in_a_worker_raises_in_the_caller(monkeypatch):
     """A RuntimeWarning turned error in a worker thread's plug-in table
-    reaches the coverage_check caller."""
+    reaches the coverage_check caller; the caller's own blocks do not warn."""
     _cpus(monkeypatch, 2)
+    real = weights._class_shift_table
 
     def table(counts, n, prior):
-        warnings.warn("plug-in table", RuntimeWarning)
+        if threading.current_thread() is not threading.main_thread():
+            warnings.warn("plug-in table", RuntimeWarning)
+        return real(counts, n, prior)
 
     monkeypatch.setattr(weights, "_class_shift_table", table)
     model, kw = C04_CALLS["class_shift"]
