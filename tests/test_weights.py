@@ -24,6 +24,7 @@ from werm.weights import (
     km_fit,
     oracle_class_shift_weights,
     oracle_pu_weights,
+    oracle_stratum_shift_weights,
     pu_risk_offset,
     pu_weights,
     stratum_shift_weights,
@@ -486,3 +487,32 @@ class TestLookupTables:
                 oracle_class_shift_weights(data, 0.3, 0.6)
             with pytest.raises(SchemaError):
                 oracle_pu_weights(data, 0.3, 0.4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_stratum_oracle_is_pk_over_pk_train(self, K, draw):
+        """Each record's weight is pk[s] / pk_train[s], bit for bit."""
+        raw = np.array(draw.draw(st.lists(st.floats(0.01, 1.0), min_size=K, max_size=K)))
+        pk = raw / raw.sum()
+        pk_train = draw.draw(st.lists(st.floats(1e-3, 1.0), min_size=K, max_size=K))
+        strata = draw.draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=30))
+        data = labeled([0] * len(strata), strata=strata)
+        want = np.array([pk[s] / pk_train[s] for s in strata])
+        got = oracle_stratum_shift_weights(data, pk, pk_train).weights
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_stratum_oracle_weighs_an_unseen_stratum_zero(self):
+        """A stratum with pk = pk_train = 0 gets weight 0, not 0/0."""
+        data = labeled([0, 1, 0], strata=[0, 1, 2])
+        w = oracle_stratum_shift_weights(data, [0.5, 0.0, 0.5], [0.25, 0.0, 0.75])
+        assert w.weights.tobytes() == np.array([0.5 / 0.25, 0.0, 0.5 / 0.75]).tobytes()
+
+    @pytest.mark.parametrize("pk_train,message", [
+        ([0.5, 0.5], "pk and pk_train must have equal length"),
+        ([0.5, 0.0, 0.5], "pk_train must be positive wherever pk is"),
+        ([0.5, -0.1, 0.6], "pk_train must be positive wherever pk is"),
+    ])
+    def test_stratum_oracle_refusals(self, pk_train, message):
+        data = labeled([0, 1, 0], strata=[0, 1, 2])
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            oracle_stratum_shift_weights(data, [0.25, 0.25, 0.5], pk_train)
