@@ -335,25 +335,26 @@ class CoverageResult:
     deviations: np.ndarray
 
 
-def _cell_law(setting: str, model, rates, grid: np.ndarray) -> np.ndarray:
-    """The (group, class, bin) probabilities of a record: its group, its label,
-    and its bin of the grid.  Bin j holds x in [grid[j-1], grid[j]), the first
-    and last bins x < grid[0] and x >= grid[-1].  The bins come from the
-    class-conditional CDFs at the grid: x^(1+alpha) for positives,
-    1 - (1-x)^(1+beta) for negatives, their p-mixture for PU's unlabeled
-    records, and x in every stratum."""
+def _cell_law(setting: str, model, shares, grid: np.ndarray) -> np.ndarray:
+    """The (group, class, bin) probabilities of a record: its group, drawn
+    from the training law's group ``shares``, its label, and its bin of the
+    grid.  Bin j holds x in [grid[j-1], grid[j]), the first and last bins
+    x < grid[0] and x >= grid[-1].  The bins come from the class-conditional
+    CDFs at the grid: x^(1+alpha) for positives, 1 - (1-x)^(1+beta) for
+    negatives, their p-mixture for PU's unlabeled records, and x in every
+    stratum."""
     if setting == "stratum_shift":
-        if np.size(rates) != model.n_strata:
+        if np.size(shares) != model.n_strata:
             raise ValidationError("pk_train length must match the strata count")
         r = np.asarray(model.pos_rates)
-        prob, cdf = np.stack([rates * (1.0 - r), rates * r], axis=1), grid
+        prob, cdf = np.stack([shares * (1.0 - r), shares * r], axis=1), grid
     else:
         pos = grid ** (1.0 + model.alpha)
         neg = 1.0 - (1.0 - grid) ** (1.0 + model.beta)
         if setting == "pu":
             neg = model.p * pos + (1.0 - model.p) * neg
         # the group is the label: group g holds class g alone
-        prob, cdf = np.diag([1.0 - rates, rates]), np.stack([neg, pos])
+        prob, cdf = np.diag(shares), np.stack([neg, pos])
     joint = prob[..., None] * np.maximum(np.diff(cdf, prepend=0.0, append=1.0), 0.0)
     return joint / joint.sum()
 
@@ -410,7 +411,7 @@ def coverage_check(
     grid = np.linspace(0.0, 1.0, grid_size)
     if setting not in _SETTING_BOUNDS:
         raise ValidationError(f"unknown coverage setting {setting!r}")
-    model_type, rate_arg, column, _, _, plug_in_table, oracle_table = weights.setting(setting)
+    model_type, rate_arg, column, _, _, plug_in_table = weights.setting(setting)
     # a stratum setting's rates are a distribution, and its target is pk
     stratified = column == "strata"
     given = {"p_train": p_train, "q": q, "pk": pk, "pk_train": pk_train}
@@ -421,9 +422,9 @@ def coverage_check(
         raise ValidationError(f"{setting} coverage needs {' and '.join(reads)}")
     rates = given[rate_arg]
     if stratified:
-        rates = _check_distribution(rates, "pk_train", 1e-9)
+        rates = shares = _check_distribution(rates, "pk_train", 1e-9)
     else:
-        _check_real(rates, rate_arg, "(0, 1)")
+        shares = weights._shares(rates, rate_arg)
     if not isinstance(model, model_type):
         raise ValidationError(f"{setting} coverage needs a {model_type.__name__}")
     if epsilon is None:
@@ -434,12 +435,11 @@ def coverage_check(
                 "(min(rate, 1 - rate) = 1/2 is outside (0, 1/2)); pass epsilon"
             )
     prior = weights.TargetPrior(pk=pk) if stratified else weights.TargetPrior(p=model.p)
-    target = prior.pk_array() if stratified else prior.p
     inputs = BoundInputs(n=n, delta=delta, epsilon=epsilon, p=prior.p, K=np.size(rates))
     bound = deviation_bound(_SETTING_BOUNDS[setting], inputs)
 
-    oracle = oracle_table(target, rates)
-    joint = _cell_law(setting, model, rates, grid)
+    oracle = plug_in_table(shares, 1, prior)  # the exact ratio: the plug-in at the training law
+    joint = _cell_law(setting, model, shares, grid)
 
     def draw(rng, rows):
         counts = rng.multinomial(n, joint.ravel(), size=rows).reshape(rows, *joint.shape)

@@ -257,13 +257,6 @@ class Dataset:
             raise SchemaError("dataset has no strata")
         return np.bincount(self.strata, minlength=self.n_strata)
 
-    @property
-    def n_pos(self) -> int:
-        """Number of records with label 1 (binary convention)."""
-        if self.labels is None:
-            raise SchemaError("dataset has no labels")
-        return int(np.count_nonzero(self.labels == 1))
-
     # -- row subsets -----------------------------------------------------------
 
     def take(self, indices: Sequence[int]) -> "Dataset":

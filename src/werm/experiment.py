@@ -108,7 +108,9 @@ class ExperimentSpec:
             if len(self.replicate_seeds) != self.replicates:
                 raise ValidationError("replicate_seeds length must equal replicates")
         # built once here so a bad override fails before any data is drawn
-        self.generator()
+        generator = self.generator()
+        if scenario.curves is None and self.train_csv is None:  # a CSV pair's J is read later
+            _check_top_k(self.top_k, getattr(generator, "n_classes", 2))  # analytic, censored: 2
         self.bias_spec()
         self.train_config(seed=0)
 

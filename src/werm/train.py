@@ -87,10 +87,6 @@ class TrainConfig:
         _check_seed(self.seed)
 
 
-def hidden_size(d: int, J: int) -> int:
-    return (d + J) // 2
-
-
 def init_params(kind: str, d: int, J: int, cfg: TrainConfig) -> ModelParams:
     """Gaussian(0, init_std^2) weights, zero biases; deterministic per seed."""
     if kind not in MODEL_KINDS:
@@ -99,7 +95,7 @@ def init_params(kind: str, d: int, J: int, cfg: TrainConfig) -> ModelParams:
         raise ValidationError("need d >= 1 and J >= 1")
     rng = np.random.default_rng(cfg.seed)
     s = cfg.init_std
-    dims = (d, J) if kind == "linear" else (d, hidden_size(d, J), J)
+    dims = (d, J) if kind == "linear" else (d, (d + J) // 2, J)
     layers = [""] if kind == "linear" else ["1", "2"]
     params = {}
     for layer, shape in zip(layers, zip(dims, dims[1:])):
@@ -220,10 +216,6 @@ def momentum_step(
         p -= v
 
 
-def zero_velocity(params: ModelParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.params.items()}
-
-
 @dataclass
 class TrainingLog:
     """Per-epoch trace: mean batch objective plus end-of-epoch metrics.
@@ -280,7 +272,7 @@ def fit(
     params = ModelParams(
         kind, {k: np.stack([v] * len(weights)) for k, v in model.params.items()}, model.dims
     )
-    velocity = zero_velocity(params)
+    velocity = {k: np.zeros_like(v) for k, v in params.params.items()}
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     logs = [TrainingLog() for _ in weights]
     X, y = data.features, data.labels

@@ -16,8 +16,7 @@ stratum shift
 positive-unlabeled
     Training data pools labeled positives (label 1) with unlabeled
     records (label 0); weights 2*p*n/n_pos and n/n_unl make the weighted
-    0/1 risk an estimate of the test risk up to the constant offset -p
-    (see :func:`pu_risk_offset`).
+    0/1 risk an estimate of the test risk up to the constant offset -p.
 right censoring
     Records carry an observed duration and an event flag; uncensored
     records are weighted by the inverse of the estimated censoring
@@ -28,8 +27,10 @@ right censoring
 
 ``oracle_*`` variants return the exact likelihood-ratio weights for a
 known generating mechanism; they exist so experiments can separate
-estimation error from the effect of reweighting itself.  The censored
-oracle is :func:`ipcw_weights` given the known censoring law.
+estimation error from the effect of reweighting itself.  In every setting
+the oracle is the plug-in given the training law in place of its
+estimate: the group table at the training group shares with n = 1, or
+:func:`ipcw_weights` given the known censoring law.
 
 :func:`modes` is the one table of reweighting modes, which the experiment
 runner and the CLI both read.
@@ -37,9 +38,9 @@ runner and the CLI both read.
 :func:`setting` is the one place that names, for each of the paper's
 settings with a closed-form test bed (``class_shift``, ``pu`` and
 ``stratum_shift``), its model type, training-rate name, group column,
-sampler and oracle, and its plug-in and oracle as group tables.
-``bounds.coverage_check`` reads the group tables, and the experiment runner
-draws its class_shift and pu training sets through the sampler.
+sampler and oracle, and its one group table.  ``bounds.coverage_check``
+reads the table, and the experiment runner draws its class_shift and pu
+training sets through the sampler.
 """
 
 from __future__ import annotations
@@ -107,12 +108,17 @@ def _per_group(counts, n: int, rates: np.ndarray, empty_error) -> np.ndarray:
     return np.divide(rates * n, counts, out=np.zeros(counts.shape), where=counts > 0)
 
 
+def _shares(rate, name: str) -> np.ndarray:
+    """The two-group law (1 - rate, rate) of a rate in (0, 1)."""
+    _check_real(rate, name, "(0, 1)")
+    return np.array([1.0 - rate, rate])
+
+
 def _class_rates(prior: TargetPrior) -> np.ndarray:
     """The test class distribution: (1 - p, p), or pk when p is not given."""
     if prior.p is None and prior.pk is not None:
         return prior.pk_array()
-    _check_real(prior.p, "prior.p", "(0, 1)")
-    return np.array([1.0 - prior.p, prior.p])
+    return _shares(prior.p, "prior.p")
 
 
 def _class_shift_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
@@ -128,28 +134,6 @@ def _stratum_shift_table(counts, n: int, prior: TargetPrior) -> np.ndarray:
     return _per_group(counts, n, prior.pk_array(), EmptyStratumError)
 
 
-def _oracle_class_shift_table(p: float, p_train: float) -> np.ndarray:
-    _check_real(p, "p", "(0, 1)")
-    _check_real(p_train, "p_train", "(0, 1)")
-    return np.array([(1.0 - p) / (1.0 - p_train), p / p_train])
-
-
-def _oracle_pu_table(p: float, q: float) -> np.ndarray:
-    _check_real(p, "p", "(0, 1)")
-    _check_real(q, "q", "(0, 1)")
-    return np.array([1.0 / (1.0 - q), 2.0 * p / q])
-
-
-def _oracle_stratum_shift_table(pk, pk_train) -> np.ndarray:
-    pk = np.asarray(pk, dtype=float)
-    pk_train = np.asarray(pk_train, dtype=float)
-    if pk.shape != pk_train.shape:
-        raise ValidationError("pk and pk_train must have equal length")
-    if np.any((pk > 0) & (pk_train <= 0)):
-        raise ValidationError("pk_train must be positive wherever pk is")
-    return np.divide(pk, pk_train, out=np.zeros(pk.size), where=pk_train > 0)
-
-
 def _groups(data: Dataset, column: str, size: int) -> np.ndarray:
     """``data``'s group column (``labels`` or ``strata``), refused unless its
     ids index a table of ``size`` groups."""
@@ -162,9 +146,14 @@ def _groups(data: Dataset, column: str, size: int) -> np.ndarray:
     return groups
 
 
-def _plug_in(data: Dataset, column: str, size: int, table, prior: TargetPrior) -> WeightVector:
+def _plug_in(data: Dataset, column: str, size: int, table, prior: TargetPrior,
+             shares=None) -> WeightVector:
+    """Each record's weight from ``table(counts, n, prior)`` of its group: at
+    ``data``'s own group counts and n, or at the training law's ``shares``
+    with n = 1, which is the exact ratio."""
     groups = _groups(data, column, size)
-    return WeightVector(table(np.bincount(groups, minlength=size), data.n, prior)[groups])
+    counts, n = (np.bincount(groups, minlength=size), data.n) if shares is None else (shares, 1)
+    return WeightVector(table(counts, n, prior)[groups])
 
 
 def class_shift_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
@@ -187,58 +176,59 @@ def pu_weights(data: Dataset, prior: TargetPrior) -> WeightVector:
     """w_i = 2*p*n/n_pos for labeled positives, n/n_unl for unlabeled.
 
     With the plain 0/1 classification loss, ``(1/n) * sum w_i * loss_i``
-    estimates the test risk shifted by the constant +p; add
-    :func:`pu_risk_offset` to recover the risk estimate itself.
+    estimates the test risk shifted by the constant +p; subtract p to
+    recover the risk estimate itself.
     """
     return _plug_in(data, "labels", 2, _pu_table, prior)
 
 
-def pu_risk_offset(prior: TargetPrior) -> float:
-    """The constant -p completing the PU risk estimate."""
-    if prior.p is None:
-        raise ValidationError("PU offset needs prior.p")
-    return -prior.p
-
-
 def oracle_class_shift_weights(data: Dataset, p: float, p_train: float) -> WeightVector:
     """Exact class-shift weights p/p_train and (1-p)/(1-p_train)."""
-    return WeightVector(_oracle_class_shift_table(p, p_train)[_groups(data, "labels", 2)])
+    _check_real(p, "p", "(0, 1)")
+    return _plug_in(data, "labels", 2, _class_shift_table, TargetPrior(p=p),
+                    _shares(p_train, "p_train"))
 
 
 def oracle_stratum_shift_weights(data: Dataset, pk, pk_train) -> WeightVector:
     """Exact stratum-shift weights p_k / p_train_k."""
-    ratio = _oracle_stratum_shift_table(pk, pk_train)
-    return WeightVector(ratio[_groups(data, "strata", ratio.size)])
+    prior = TargetPrior(pk=pk)
+    pk, shares = prior.pk_array(), np.asarray(pk_train, dtype=float)
+    if pk.shape != shares.shape:
+        raise ValidationError("pk and pk_train must have equal length")
+    if np.any((pk > 0) & (shares <= 0)):
+        raise ValidationError("pk_train must be positive wherever pk is")
+    return _plug_in(data, "strata", pk.size, _stratum_shift_table, prior, shares)
 
 
 def oracle_pu_weights(data: Dataset, p: float, q: float) -> WeightVector:
     """Exact PU weights 2p/q for labeled positives and 1/(1-q) for unlabeled."""
-    return WeightVector(_oracle_pu_table(p, q)[_groups(data, "labels", 2)])
+    _check_real(p, "p", "(0, 1)")
+    return _plug_in(data, "labels", 2, _pu_table, TargetPrior(p=p), _shares(q, "q"))
 
 
-Setting = namedtuple("Setting", "model_type rate group sampler oracle plug_in_table oracle_table")
+Setting = namedtuple("Setting", "model_type rate group sampler oracle plug_in_table")
 
 
 def setting(name: str) -> Setting:
     """class_shift, pu or stratum_shift as its model type, training-rate
     name, group column (``labels`` or ``strata``), ``sampler(model, n, rate,
-    seed)``, record oracle ``oracle(data, target, rate)``, and its two group
-    tables: ``plug_in_table(counts, n, prior)``, vectorised over the leading
-    axes of the group counts, and ``oracle_table(target, rate)``, target being
-    the prior's p or pk.  An empty group is named from the first row, in C
-    order, that has one.  The record estimators index these tables by each
-    record's group.  Each function is read at call time, so a rebinding
-    reaches every caller."""
+    seed)``, record oracle ``oracle(data, target, rate)``, target being the
+    prior's p or pk, and its group table ``plug_in_table(counts, n, prior)``,
+    vectorised over the leading axes of the group counts.  As in all four
+    settings, the oracle is the plug-in given the training law: this table
+    at the training group shares with n = 1, as the censored oracle is
+    :func:`ipcw_weights` at the known censoring law.  An empty group is
+    named from the first row, in C order, that has one.  The record
+    estimators, oracles included, index the table by each record's group.
+    Each function is read at call time, so a rebinding reaches every caller."""
     strata_model = synthetic.StratifiedThresholdModel
     table = {
         "class_shift": (analytic.AnalyticModel, "p_train", "labels", analytic.sample,
-                        oracle_class_shift_weights, _class_shift_table,
-                        _oracle_class_shift_table),
+                        oracle_class_shift_weights, _class_shift_table),
         "pu": (analytic.AnalyticModel, "q", "labels", analytic.sample_pu, oracle_pu_weights,
-               _pu_table, _oracle_pu_table),
+               _pu_table),
         "stratum_shift": (strata_model, "pk_train", "strata", strata_model.sample,
-                          oracle_stratum_shift_weights, _stratum_shift_table,
-                          _oracle_stratum_shift_table),
+                          oracle_stratum_shift_weights, _stratum_shift_table),
     }
     if name not in table:
         raise ValidationError(f"unknown setting {name!r}")

@@ -267,7 +267,7 @@ class TestCoverage:
         coincide and the sup deviation is identically zero."""
         m = AnalyticModel(1.0, 1.0, 0.3)
         data = sample(m, 400, 0.5, 21)
-        p_emp = data.n_pos / data.n
+        p_emp = np.mean(data.labels == 1)
         w_hat = class_shift_weights(data, TargetPrior(p=m.p))
         w_star = oracle_class_shift_weights(data, m.p, p_emp)
         np.testing.assert_allclose(w_hat.weights, w_star.weights, atol=1e-12)
@@ -761,13 +761,15 @@ PLUG_INS = {"class_shift": class_shift_weights, "pu": pu_weights,
 
 def _law_inputs(setting, grid):
     """What coverage_check derives from the c04 arguments: the setting's row,
-    its rates, prior and oracle table, and the cell law on the grid."""
+    its rates, prior, oracle target and training group shares, and the cell
+    law on the grid."""
     model, kw = C04_CALLS[setting]
     row = weights.setting(setting)
     rates = np.asarray(kw[row.rate]) if "pk" in kw else kw[row.rate]
     prior = TargetPrior(pk=kw["pk"]) if "pk" in kw else TargetPrior(p=model.p)
     target = prior.pk_array() if "pk" in kw else prior.p
-    return model, row, rates, prior, target, bounds._cell_law(setting, model, rates, grid)
+    shares = rates if "pk" in kw else np.array([1.0 - rates, rates])
+    return model, row, rates, prior, target, shares, bounds._cell_law(setting, model, shares, grid)
 
 
 def _record_counts(data, grid, groups):
@@ -788,8 +790,8 @@ def test_count_formula_matches_record_sweep(setting, n, grid_size):
     gives the per-record sweep's sup deviation within 1e-12, on grids that
     hold only theta = 0, only the end points, or more."""
     grid = np.linspace(0.0, 1.0, grid_size)
-    model, row, rates, prior, target, joint = _law_inputs(setting, grid)
-    oracle = row.oracle_table(target, rates)
+    model, row, rates, prior, target, shares, joint = _law_inputs(setting, grid)
+    oracle = row.plug_in_table(shares, 1, prior)
     checked = 0
     for r in range(20):
         data = row.sampler(model, n, rates, [2611, n, r])
@@ -842,7 +844,7 @@ def test_counts_follow_the_record_law(monkeypatch, setting):
     bin counts and the counts coverage_check draws each pass a chi-square
     test against the cell law at the 1e-3 level."""
     grid = np.linspace(0.0, 1.0, 21)
-    model, row, rates, _, _, joint = _law_inputs(setting, grid)
+    model, row, rates, _, _, _, joint = _law_inputs(setting, grid)
     n, reps = 1000, 100
     records = sum(_record_counts(row.sampler(model, n, rates, [5309, r]), grid, joint.shape[0])
                   for r in range(reps))
@@ -901,7 +903,7 @@ def test_empty_group_same_error_on_both_paths(setting):
     """At n = 1 every replicate has an empty class or stratum: coverage_check
     raises what the record estimator raises.  On equal counts, the group
     table and the record estimator name the same group."""
-    model, row, rates, prior, _, _ = _law_inputs(setting, np.linspace(0.0, 1.0, 3))
+    model, row, rates, prior, _, _, _ = _law_inputs(setting, np.linspace(0.0, 1.0, 3))
     kw = C04_CALLS[setting][1]
     count_path = _empty_group_error(lambda: coverage_check(
         setting, model, n=1, delta=0.1, reps=3, epsilon=0.3, **kw))

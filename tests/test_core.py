@@ -367,7 +367,7 @@ class TestDatasetValidation:
         data = Dataset(
             features=np.zeros((5, 1)), labels=[1, 1, 0, 0, 0], strata=[0, 0, 1, 2, 2]
         )
-        assert data.n_pos == 2
+        assert np.count_nonzero(data.labels == 1) == 2
         np.testing.assert_array_equal(data.stratum_counts(), [2, 1, 2])
 
     def test_take_preserves_class_count(self):

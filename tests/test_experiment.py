@@ -494,9 +494,11 @@ class TestScenarios:
         error = "SchemaError: unlabelled.csv: no y column; training and its metrics need labels"
         assert bundle["failures"] == [{"replicate": r, "mode": "*", "error": error} for r in (0, 1)]
 
-    def test_top_k_above_class_count_fails_once_without_training(self, monkeypatch):
+    def test_top_k_above_class_count_fails_once_without_training(self, tmp_path, monkeypatch):
+        """A CSV pair's class count is read at run time: a top_k above it is
+        one shared-data failure, reported for every replicate."""
         monkeypatch.setattr(train_mod, "fit", lambda *a, **k: pytest.fail("trained"))
-        spec = small_strata_spec(top_k=5, replicates=3)  # 3 classes
+        spec = dataclasses.replace(small_csv_spec(tmp_path, monkeypatch), top_k=5)  # 3 classes
         bundle = run_experiment(spec)
         assert [f["replicate"] for f in bundle["failures"]] == [0, 1, 2]
         assert all(f["mode"] == "*" and "top-k" in f["error"] for f in bundle["failures"])

@@ -553,6 +553,9 @@ BAD_SPECS = {
     "n_strata 2.5": ({**STRATA, "synthetic": {"n_strata": 2.5}}, "n_strata must be an integer >= 1"),
     "n_classes 1": ({**STRATA, "synthetic": {"n_classes": 1}}, "n_classes must be an integer >= 2"),
     "top_k 1.5": ({**CLASS_SHIFT, "top_k": 1.5}, "top_k must be an integer >= 1"),
+    "top_k above 2 classes": ({**CLASS_SHIFT, "top_k": 3}, "top-k with k=3 invalid for 2 classes"),
+    "top_k above drawn classes": ({**STRATA, "synthetic": {"n_classes": 4}, "top_k": 5},
+                                  "top-k with k=5 invalid for 4 classes"),
     "train_csv alone": ({**STRATA, "train_csv": "a.csv"}, LONE_CSV),
     "test_csv alone": ({**STRATA, "test_csv": "b.csv"}, LONE_CSV),
     "csv pair on class_shift": ({**CLASS_SHIFT, "train_csv": "a.csv", "test_csv": "b.csv"}, LONE_CSV),

@@ -1,6 +1,7 @@
 """The experiment scripts in scripts/ run end to end."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +38,18 @@ def test_strata_shift_seed_7_tree_is_pinned(tmp_path):
     assert tree_digest(tmp_path / "out") == (
         "622d1cba211d2dee32f85926f44c6e0bcaed499c85e299ce66011036167d279d"
     )
+
+
+def test_count_src_lines_parts_sum_to_wc(tmp_path):
+    """The code, docstring, comment and blank counts of src/werm/*.py sum
+    to its newline count, and a file of each kind is split as written."""
+    proc = run_script("count_src_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    parts = re.fullmatch(r"wc (\d+) = (\d+) code \+ (\d+) doc \+ (\d+) comment \+ (\d+) blank\n",
+                         proc.stdout)
+    wc = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "werm").glob("*.py"))
+    assert int(parts[1]) == wc == sum(int(v) for v in parts.groups()[1:])
+    (tmp_path / "m.py").write_text(
+        '"""Doc\n\nstring."""\n\n# comment\nx = 1  # code\n\ndef f():\n    """One."""\n')
+    assert run_script("count_src_lines.py", tmp_path).stdout == (
+        "wc 9 = 2 code + 4 doc + 1 comment + 2 blank\n")

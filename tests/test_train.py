@@ -13,12 +13,10 @@ from werm.train import (
     TrainConfig,
     fit,
     gradient,
-    hidden_size,
     init_params,
     logits_batch,
     momentum_step,
     weighted_objective,
-    zero_velocity,
 )
 
 
@@ -83,7 +81,7 @@ def reference_fit(data, w, kind, cfg):
     a validated Dataset and WeightVector per batch, and separate objective
     and gradient passes."""
     params = init_params(kind, data.d, data.n_classes, cfg)
-    velocity = zero_velocity(params)
+    velocity = {k: np.zeros_like(v) for k, v in params.params.items()}
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     objectives = []
     for _ in range(cfg.epochs):
@@ -191,8 +189,8 @@ class TestInit:
         cfg = TrainConfig(seed=2)
         p = init_params("mlp", 10, 4, cfg)
         assert not p.params["b1"].any() and not p.params["b2"].any()
-        assert p.params["W1"].shape == (10, hidden_size(10, 4))
-        assert hidden_size(2048, 1000) == 1524
+        assert p.params["W1"].shape == (10, 7)  # hidden width (d + J) // 2
+        assert init_params("mlp", 2048, 1000, TrainConfig(init_std=0.0)).dims == (2048, 1524, 1000)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
@@ -335,7 +333,7 @@ class TestMomentum:
     def test_zero_momentum_is_plain_gd(self):
         p, g = self.make()
         cfg = TrainConfig(lr=0.1, momentum=0.0)
-        v = zero_velocity(p)
+        v = {k: np.zeros_like(w) for k, w in p.params.items()}
         momentum_step(p, v, g, cfg)
         np.testing.assert_allclose(p.params["W"], 1.0 - 0.1 * 0.5)
         np.testing.assert_allclose(v["b"], 0.1 * g["b"])
@@ -352,7 +350,8 @@ class TestMomentum:
     def test_zero_gradient_zero_velocity_is_identity(self):
         p, g = self.make()
         zero_g = {k: np.zeros_like(v) for k, v in g.items()}
-        momentum_step(p, zero_velocity(p), zero_g, TrainConfig(lr=0.5))
+        momentum_step(p, {k: np.zeros_like(w) for k, w in p.params.items()}, zero_g,
+                      TrainConfig(lr=0.5))
         np.testing.assert_array_equal(p.params["W"], np.ones((2, 2)))
 
     def test_config_validation(self):

@@ -25,7 +25,6 @@ from werm.weights import (
     oracle_class_shift_weights,
     oracle_pu_weights,
     oracle_stratum_shift_weights,
-    pu_risk_offset,
     pu_weights,
     stratum_shift_weights,
 )
@@ -176,9 +175,13 @@ class TestPu:
             pu_weights(labeled([0, 0]), TargetPrior(p=0.5))
 
     def test_offset(self):
-        assert pu_risk_offset(TargetPrior(p=0.3)) == -0.3
-        assert pu_risk_offset(TargetPrior(p=1e-9)) == pytest.approx(0.0, abs=1e-8)
-        assert pu_risk_offset(TargetPrior(p=1 - 1e-12)) == pytest.approx(-1.0)
+        """The weighted 0/1 risk less p is the test risk of each constant
+        classifier: 1 - p for all positive, p for all negative."""
+        data = labeled([1, 0, 0, 0])
+        for p in (0.3, 1e-9, 1 - 1e-12):
+            w = pu_weights(data, TargetPrior(p=p)).weights
+            assert np.mean(w * (data.labels == 0)) - p == pytest.approx(1.0 - p)
+            assert np.mean(w * (data.labels == 1)) - p == pytest.approx(p, abs=1e-15)
 
     def test_reproduces_direct_objective(self):
         m = analytic.AnalyticModel(1.0, 1.0, 0.4)
