@@ -235,7 +235,9 @@ def _rademacher_draws(data, hypothesis_grid, loss, reps, seed) -> np.ndarray:
         raise ValidationError("hypothesis grid must be a nonempty sequence of thresholds")
     _check_count(reps, "reps", 1)
     _check_seed(seed)
-    edges = np.unique(_threshold_checks(data, loss, grid))
+    # sorted, each value once; np.unique would import numpy.ma for this
+    edges = np.sort(_threshold_checks(data, loss, grid))
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     # a record's cell is class * bins + bin; bin j holds x in [edges[j-1], edges[j])
     cells = np.searchsorted(edges, data.features[:, 0], side="right")
     np.add(cells, edges.size + 1, out=cells, where=data.labels == 1)

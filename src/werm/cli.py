@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--epochs", type=int, default=train_mod.TrainConfig.epochs)
     pt.add_argument("--seed", type=int, default=train_mod.TrainConfig.seed)
     pt.add_argument("--top-k", type=int, default=None)
-    pt.add_argument("--curve", help="write the per-epoch learning curve CSV here")
+    pt.add_argument("--curve", help="compute the per-epoch learning curve and write its CSV here")
     pt.set_defaults(func=_cmd_train)
 
     pd = sub.add_parser("bounds", help="evaluate a generalization or deviation bound")

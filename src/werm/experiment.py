@@ -10,8 +10,8 @@ training source CSV) once per experiment, training draws vary per
 replicate.  A replicate's modes share one training set and one config,
 so they train as one stacked fit (``train.fit`` over their weight
 vectors), which gives each mode the bytes of a fit of its own.  Only
-replicate 0's learning curves are emitted, so only its fit evaluates the
-test set every epoch.
+replicate 0's learning curves are emitted, so only its fit gets eval data:
+it alone logs its objective and evaluates the test set every epoch.
 
 Each scenario is one record of :data:`SCENARIOS`, which names the
 ``prior`` keys and CSVs it takes.  Its reweighting modes are the rows of
@@ -361,7 +361,8 @@ def _fit_and_score(
 ) -> list[tuple[dict, train_mod.TrainingLog]]:
     """Train one model per weight vector in one stacked fit, then score the
     test set with each; returns each model's test metrics and training log,
-    whose per-epoch test scores are taken only when ``curve`` is set."""
+    which is filled (objective and test scores per epoch) only when
+    ``curve`` is set."""
     fits = train_mod.fit(
         trainset, weights, model_kind, cfg, eval_data=test if curve else None, top_k=top_k
     )

@@ -17,8 +17,10 @@ labels and the (M, n) weights of the M models, and each batch slice takes
 one stacked step: parameters carry a leading M axis, logits are
 (M, J, B), and one ``momentum_step`` updates all M.  One vector is the
 stack M = 1, as is the step the public ``weighted_objective`` and
-``gradient`` run on a checked batch.  Per-epoch test metrics are
-computed, per model, only when ``fit`` is given ``eval_data``.
+``gradient`` run on a checked batch.  A fit logs its learning curve
+(each epoch's mean batch objective and test metrics, per model) only when
+it is given ``eval_data``; without it no objective is computed at all,
+only the gradients the updates need.
 
 The class-major (M, J, B) layout lets elementwise ops and
 ``core.log_softmax`` run along the B records.  A stacked fit gives each
@@ -137,25 +139,35 @@ def _one_hot(labels: np.ndarray, J: int) -> np.ndarray:
     return (np.arange(J)[:, None] == labels).astype(float)
 
 
+def _objective(
+    params: ModelParams, logp: np.ndarray, onehot: np.ndarray, w: np.ndarray, cfg: TrainConfig
+) -> np.ndarray:
+    """The (M,) objectives of one batch, from its class-major
+    log-probabilities, (J, B) one-hot labels and (M, B) weights."""
+    picked = (logp * onehot).sum(axis=-2)  # the other classes add z * 0.0
+    wd = cfg.weight_decay
+    # wd = 0 adds exactly 0.0, also where a squared weight overflows
+    return (w * -picked).sum(axis=-1) / w.shape[-1] + (wd * _penalty(params) if wd else 0.0)
+
+
 def _objective_and_gradient(
-    params: ModelParams, X: np.ndarray, onehot: np.ndarray, w: np.ndarray, cfg: TrainConfig
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    params: ModelParams, X: np.ndarray, onehot: np.ndarray, w: np.ndarray, cfg: TrainConfig,
+    with_objective: bool = True,
+) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
     """Objectives and exact gradients of M models on one batch, from one
     forward pass and one log-softmax.  The models are stacked along the
     leading axis of each parameter array; the batch is the rows X, the
     (J, B) one-hot labels, and one row of weights per model, (M, B).
-    Returns the (M,) objectives and gradients stacked like the params.
-    The caller vouches for the schema."""
+    Returns the (M,) objectives, or ``None`` unless ``with_objective``,
+    and gradients stacked like the params.  The caller vouches for the
+    schema."""
     logits, pre, hidden = _forward(params, X)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits")
     logp = log_softmax(logits)
-    B = w.shape[-1]
-    picked = (logp * onehot).sum(axis=-2)  # the other classes add z * 0.0
-    wd = cfg.weight_decay
-    # wd = 0 adds exactly 0.0, also where a squared weight overflows
-    objective = (w * -picked).sum(axis=-1) / B + (wd * _penalty(params) if wd else 0.0)
+    objective = _objective(params, logp, onehot, w, cfg) if with_objective else None
 
+    B, wd = w.shape[-1], cfg.weight_decay
     gout = np.exp(logp)
     gout -= onehot
     gout *= (w / B)[..., None, :]  # d(objective)/d(logits), class-major
@@ -220,8 +232,8 @@ def momentum_step(
 class TrainingLog:
     """Per-epoch trace: mean batch objective plus end-of-epoch metrics.
 
-    The metric lists stay empty when ``fit`` ran without ``eval_data``;
-    ``rows`` then yields nothing.
+    Every list stays empty when ``fit`` ran without ``eval_data``, since
+    such a fit computes no objective; ``rows`` then yields nothing.
     """
 
     epochs: list[int] = field(default_factory=list)
@@ -251,13 +263,14 @@ def fit(
     model per weight vector, trained as one stack; returns a (params, log)
     pair per vector, with the bits of a fit of that vector alone.
 
-    A log records, per epoch, the mean weighted batch objective and, when
-    ``eval_data`` is given, the miss / top-k error on it; with
-    ``eval_data=None`` nothing is evaluated and those lists stay empty.
-    Evaluation never changes the trained parameters.  The final short
-    batch of an epoch is kept, averaged over its actual size.  The first
-    overflow or invalid value raises NumericError naming its epoch and
-    batch.  A weight vector that is all zero is refused before any step.
+    When ``eval_data`` is given, a log records, per epoch, the mean
+    weighted batch objective and the miss / top-k error on ``eval_data``.
+    With ``eval_data=None`` no objective is computed and no set is
+    evaluated, so the log stays empty.  Logging never changes the trained
+    parameters.  The final short batch of an epoch is kept, averaged over
+    its actual size.  The first overflow or invalid value among those
+    computed raises NumericError naming its epoch and batch.  A weight
+    vector that is all zero is refused before any step.
     """
     if data.labels is None:
         raise SchemaError("training data needs labels")
@@ -277,6 +290,7 @@ def fit(
     logs = [TrainingLog() for _ in weights]
     X, y = data.features, data.labels
     W = np.stack([w.weights for w in weights])
+    curve = eval_data is not None
 
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(data.n)
@@ -288,7 +302,8 @@ def fit(
             batch = slice(start, start + cfg.batch_size)
             try:
                 objective, grad = _objective_and_gradient(
-                    params, X_epoch[batch], onehot[:, batch], w_epoch[:, batch], cfg
+                    params, X_epoch[batch], onehot[:, batch], w_epoch[:, batch], cfg,
+                    with_objective=curve,
                 )
                 momentum_step(params, velocity, grad, cfg)
             except (NumericError, FloatingPointError) as exc:
@@ -296,13 +311,12 @@ def fit(
                     f"{exc} (epoch {epoch}, batch {start // cfg.batch_size})"
                 ) from exc
             batch_objectives.append(objective)
+        if not curve:
+            continue
         # a 1-d mean per model: numpy sums a 2-d array's columns in another order
-        for log, objectives in zip(logs, np.array(batch_objectives).T.copy()):
+        for m, (log, objectives) in enumerate(zip(logs, np.array(batch_objectives).T.copy())):
             log.epochs.append(epoch)
             log.objective.append(float(np.mean(objectives)))
-        if eval_data is None:
-            continue
-        for m, log in enumerate(logs):
             try:
                 metrics = classification_metrics(
                     eval_data, logits_batch(_model(params, m), eval_data.features), k=top_k

@@ -190,13 +190,15 @@ def oracle_class_shift_weights(data: Dataset, p: float, p_train: float) -> Weigh
 
 
 def oracle_stratum_shift_weights(data: Dataset, pk, pk_train) -> WeightVector:
-    """Exact stratum-shift weights p_k / p_train_k."""
+    """Exact stratum-shift weights p_k / p_train_k; ``pk_train`` must be a
+    distribution, as ``pk`` must."""
     prior = TargetPrior(pk=pk)
     pk, shares = prior.pk_array(), np.asarray(pk_train, dtype=float)
     if pk.shape != shares.shape:
         raise ValidationError("pk and pk_train must have equal length")
     if np.any((pk > 0) & (shares <= 0)):
         raise ValidationError("pk_train must be positive wherever pk is")
+    _check_distribution(shares, "pk_train", 1e-9)
     return _plug_in(data, "strata", pk.size, _stratum_shift_table, prior, shares)
 
 

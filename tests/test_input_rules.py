@@ -472,6 +472,20 @@ def test_submodule_imports_stay_narrow():
     assert out == "False False False False"
 
 
+def test_rademacher_mc_leaves_numpy_ma_unimported():
+    """Deduplicating the grid costs no numpy.ma import (np.unique's float
+    path imports it)."""
+    out = _fresh(
+        "import sys\n"
+        "from werm import analytic, bounds, core\n"
+        "data = analytic.sample(analytic.AnalyticModel(1.0, 1.0, 0.5), 64, 0.5, 6)\n"
+        "grid = [1.0, 0.5, float('inf'), 0.5, -0.0, 0.0, float('inf')]\n"
+        "bounds.rademacher_mc(data, grid, core.LossSpec('threshold-sign'), 10, 9)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert out == "False"
+
+
 def _traced_names():
     """The (owner, attribute) pairs of ``perfbench/tracer.py``'s TARGETS,
     the file loaded without writing a bytecode cache next to it."""

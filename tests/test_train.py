@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -367,7 +368,7 @@ class TestFit:
     def test_descends_on_separable_blob(self):
         data = blob_dataset()
         cfg = TrainConfig(lr=1e-4, epochs=5, batch_size=20, seed=3)
-        _, log = fit_one(data, WeightVector.ones(data.n), "linear", cfg)
+        _, log = fit_one(data, WeightVector.ones(data.n), "linear", cfg, eval_data=data)
         assert log.objective[-1] < log.objective[0]
 
     def test_zero_epochs_returns_initial_params(self):
@@ -397,7 +398,7 @@ class TestFit:
             lr=1e-4, momentum=0.0, weight_decay=0.1, epochs=15,
             batch_size=data.n, seed=8,
         )
-        _, log = fit_one(data, WeightVector.ones(data.n), "linear", cfg)
+        _, log = fit_one(data, WeightVector.ones(data.n), "linear", cfg, eval_data=data)
         assert all(b <= a + 1e-12 for a, b in zip(log.objective, log.objective[1:]))
 
     def test_integer_weights_equal_duplicated_records(self):
@@ -412,8 +413,8 @@ class TestFit:
         dup = base.take(dup_idx)
         cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=0.01,
                           epochs=6, batch_size=4, seed=10)
-        _, log_w = fit_one(base, WeightVector(w), "linear", cfg)
-        _, log_d = fit_one(dup, WeightVector.ones(4), "linear", cfg)
+        _, log_w = fit_one(base, WeightVector(w), "linear", cfg, eval_data=base)
+        _, log_d = fit_one(dup, WeightVector.ones(4), "linear", cfg, eval_data=base)
         np.testing.assert_allclose(log_w.objective, log_d.objective, atol=1e-10)
 
     def test_eval_data_drives_metrics(self):
@@ -431,12 +432,25 @@ class TestFit:
         w = WeightVector.ones(train.n)
         p_lean, log_lean = fit_one(train, w, "mlp", cfg)
         p_eval, log_eval = fit_one(train, w, "mlp", cfg, eval_data=test)
+        assert sorted(p_lean.params) == sorted(p_eval.params)
         for k in p_eval.params:
-            np.testing.assert_array_equal(p_lean.params[k], p_eval.params[k])
-        assert log_lean.objective == log_eval.objective
-        assert log_lean.epochs == [0, 1, 2]
-        assert log_lean.miss_rate == [] and log_lean.top_k_error == []
+            assert p_lean.params[k].tobytes() == p_eval.params[k].tobytes(), k
+        assert log_eval.epochs == [0, 1, 2] and len(log_eval.objective) == 3
+        assert log_lean == train_mod.TrainingLog()
         assert list(log_lean.rows()) == []
+
+    def test_without_eval_data_no_objective_is_computed(self, monkeypatch):
+        def no_objective(*args):
+            raise AssertionError("an objective was computed")
+
+        monkeypatch.setattr(train_mod, "_objective", no_objective)
+        data = blob_dataset(seed=27)
+        cfg = TrainConfig(lr=0.05, epochs=2, batch_size=16, seed=28, weight_decay=0.01)
+        weights = [WeightVector.ones(data.n), WeightVector(np.arange(data.n, dtype=float))]
+        for kind in ("linear", "mlp"):
+            assert all(log == train_mod.TrainingLog() for _, log in fit(data, weights, kind, cfg))
+        with pytest.raises(AssertionError, match="an objective was computed"):
+            fit(data, weights, "linear", cfg, eval_data=data)
 
     def test_zero_decay_adds_nothing_where_squares_overflow(self):
         """With weight_decay = 0 the penalty term is exactly 0.0: weights
@@ -445,7 +459,8 @@ class TestFit:
         data = blob_dataset(n=200, seed=21)
         logs = [
             fit_one(data, WeightVector.ones(data.n), "linear",
-                    TrainConfig(lr=lr, momentum=0.0, epochs=3, batch_size=200, seed=22))[1]
+                    TrainConfig(lr=lr, momentum=0.0, epochs=3, batch_size=200, seed=22),
+                    eval_data=data)[1]
             for lr in (1e150, 1e155)
         ]
         assert np.isfinite(logs[1].objective).all()
@@ -453,12 +468,18 @@ class TestFit:
 
     def test_numeric_blowup_reports_location(self):
         """The first overflow fails the fit, named and located, before numpy
-        warns (the suite turns a RuntimeWarning into an error)."""
+        warns (the suite turns a RuntimeWarning into an error), with and
+        without eval data; a fit without it computes no penalty, so it meets
+        the overflow no earlier."""
         data = blob_dataset(seed=14)
         cfg = TrainConfig(lr=1e18, epochs=30, batch_size=60, seed=15, weight_decay=1.0)
-        located = r"^overflow encountered in \w+ \(epoch \d+, batch 0\)$"
-        with pytest.raises(NumericError, match=located):
-            fit_one(data, WeightVector.ones(data.n), "linear", cfg)
+        located = r"^overflow encountered in \w+ \(epoch (\d+), batch 0\)$"
+        epochs = []
+        for eval_data in (data, None):
+            with pytest.raises(NumericError, match=located) as raised:
+                fit_one(data, WeightVector.ones(data.n), "linear", cfg, eval_data=eval_data)
+            epochs.append(int(re.match(located, str(raised.value)).group(1)))
+        assert epochs[0] <= epochs[1]
 
 
 class TestFitMatchesReferenceLoop:
@@ -480,7 +501,7 @@ class TestFitMatchesReferenceLoop:
             with pytest.raises(ValidationError, match="^weight vector 0 is all zero"):
                 fit_one(data, WeightVector(w), kind, cfg)
             return
-        params, log = fit_one(data, WeightVector(w), kind, cfg)
+        params, log = fit_one(data, WeightVector(w), kind, cfg, eval_data=data)
         ref_params, ref_objective = reference_fit(data, WeightVector(w), kind, cfg)
         for k in ref_params.params:
             np.testing.assert_array_equal(params.params[k], ref_params.params[k])
@@ -686,9 +707,11 @@ class TestFitGoldenDigests:
         data, w = golden_instance(J, d)
         cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3,
                           epochs=6, batch_size=32, seed=40, init_std=0.1)
-        params, log = fit_one(data, w, kind, cfg)
+        params, log = fit_one(data, w, kind, cfg, eval_data=data)
+        lean, _ = fit_one(data, w, kind, cfg)  # the fit that logs nothing trains the same
         h = hashlib.sha256()
         for k in sorted(params.params):
+            assert lean.params[k].tobytes() == params.params[k].tobytes(), k
             h.update(k.encode())
             h.update(params.params[k].tobytes())
         return h.hexdigest(), hashlib.sha256(np.asarray(log.objective).tobytes()).hexdigest()

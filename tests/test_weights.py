@@ -1,5 +1,7 @@
 """Plug-in weight estimators, Kaplan-Meier, and IPCW."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,10 @@ from werm.weights import (
 )
 
 THRESH = LossSpec("threshold-sign")
+NOT_A_DISTRIBUTION = re.escape(
+    "pk_train must be a nonempty vector of finite, nonnegative stratum probabilities "
+    "that sum to 1 within 1e-09"
+)
 
 
 def labeled(labels, strata=None):
@@ -497,7 +503,8 @@ class TestLookupTables:
         """Each record's weight is pk[s] / pk_train[s], bit for bit."""
         raw = np.array(draw.draw(st.lists(st.floats(0.01, 1.0), min_size=K, max_size=K)))
         pk = raw / raw.sum()
-        pk_train = draw.draw(st.lists(st.floats(1e-3, 1.0), min_size=K, max_size=K))
+        raw_train = np.array(draw.draw(st.lists(st.floats(1e-3, 1.0), min_size=K, max_size=K)))
+        pk_train = raw_train / raw_train.sum()
         strata = draw.draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=30))
         data = labeled([0] * len(strata), strata=strata)
         want = np.array([pk[s] / pk_train[s] for s in strata])
@@ -514,8 +521,18 @@ class TestLookupTables:
         ([0.5, 0.5], "pk and pk_train must have equal length"),
         ([0.5, 0.0, 0.5], "pk_train must be positive wherever pk is"),
         ([0.5, -0.1, 0.6], "pk_train must be positive wherever pk is"),
+        ([0.5, np.nan, 7.0], NOT_A_DISTRIBUTION),
+        ([0.25, 0.25, 0.25], NOT_A_DISTRIBUTION),
     ])
     def test_stratum_oracle_refusals(self, pk_train, message):
         data = labeled([0, 1, 0], strata=[0, 1, 2])
         with pytest.raises(ValidationError, match=f"^{message}$"):
             oracle_stratum_shift_weights(data, [0.25, 0.25, 0.5], pk_train)
+
+    @pytest.mark.parametrize("pk_train", [[0.5, -0.1, 0.6], [0.5, np.nan, 7.0]])
+    def test_stratum_oracle_refuses_a_bad_share_where_pk_is_zero(self, pk_train):
+        """The positivity check looks only where pk > 0; the rest of
+        pk_train must still make a distribution."""
+        data = labeled([0, 1, 0], strata=[0, 1, 2])
+        with pytest.raises(ValidationError, match=f"^{NOT_A_DISTRIBUTION}$"):
+            oracle_stratum_shift_weights(data, [1.0, 0.0, 0.0], pk_train)
