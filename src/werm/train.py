@@ -16,8 +16,9 @@ epoch gathers the rows once (``take``), with a (J, n) one-hot of their
 labels and the (M, n) weights of the M models, and each batch slice takes
 one stacked step: parameters carry a leading M axis, logits are
 (M, J, B), and one ``momentum_step`` updates all M.  One vector is the
-stack M = 1, as is the step the public ``weighted_objective`` and
-``gradient`` run on a checked batch.  A fit logs its learning curve
+stack M = 1, as is the model of a checked batch that the public
+``weighted_objective`` and ``gradient`` take; each computes only what it
+returns.  A fit logs its learning curve
 (each epoch's mean batch objective and test metrics, per model) only when
 it is given ``eval_data``; without it no objective is computed at all,
 only the gradients the updates need.
@@ -150,6 +151,15 @@ def _objective(
     return (w * -picked).sum(axis=-1) / w.shape[-1] + (wd * _penalty(params) if wd else 0.0)
 
 
+def _log_probs(params: ModelParams, X: np.ndarray):
+    """Class-major log-probabilities of the rows X, plus ``_forward``'s
+    hidden arrays; NumericError on a non-finite logit."""
+    logits, pre, hidden = _forward(params, X)
+    if not np.isfinite(logits).all():
+        raise NumericError("non-finite logits")
+    return log_softmax(logits), pre, hidden
+
+
 def _objective_and_gradient(
     params: ModelParams, X: np.ndarray, onehot: np.ndarray, w: np.ndarray, cfg: TrainConfig,
     with_objective: bool = True,
@@ -161,10 +171,7 @@ def _objective_and_gradient(
     Returns the (M,) objectives, or ``None`` unless ``with_objective``,
     and gradients stacked like the params.  The caller vouches for the
     schema."""
-    logits, pre, hidden = _forward(params, X)
-    if not np.isfinite(logits).all():
-        raise NumericError("non-finite logits")
-    logp = log_softmax(logits)
+    logp, pre, hidden = _log_probs(params, X)
     objective = _objective(params, logp, onehot, w, cfg) if with_objective else None
 
     B, wd = w.shape[-1], cfg.weight_decay
@@ -184,8 +191,9 @@ def _objective_and_gradient(
     }
 
 
-def _one_model_step(params: ModelParams, batch: Dataset, w: WeightVector, cfg: TrainConfig):
-    """The step of one model on a checked batch: a stack of M = 1."""
+def _one_model_batch(params: ModelParams, batch: Dataset, w: WeightVector):
+    """One model as a stack of M = 1, with the one-hot labels and the (1, B)
+    weights of a batch that is checked against it."""
     if batch.labels is None:
         raise SchemaError("training batch needs labels")
     if len(w) != batch.n:
@@ -195,23 +203,27 @@ def _one_model_step(params: ModelParams, batch: Dataset, w: WeightVector, cfg: T
     if batch.labels.max() >= params.dims[-1]:
         raise SchemaError(f"label id exceeds the model's {params.dims[-1]} classes")
     stack = ModelParams(params.kind, {k: v[None] for k, v in params.params.items()}, params.dims)
-    onehot = _one_hot(batch.labels, params.dims[-1])
-    objective, grad = _objective_and_gradient(stack, batch.features, onehot, w.weights[None], cfg)
-    return float(objective[0]), {k: v[0] for k, v in grad.items()}
+    return stack, _one_hot(batch.labels, params.dims[-1]), w.weights[None]
 
 
 def weighted_objective(
     params: ModelParams, batch: Dataset, w: WeightVector, cfg: TrainConfig
 ) -> float:
     """Weighted mean cross-entropy plus the L2 penalty."""
-    return _one_model_step(params, batch, w, cfg)[0]
+    stack, onehot, weights = _one_model_batch(params, batch, w)
+    logp = _log_probs(stack, batch.features)[0]
+    return float(_objective(stack, logp, onehot, weights, cfg)[0])
 
 
 def gradient(
     params: ModelParams, batch: Dataset, w: WeightVector, cfg: TrainConfig
 ) -> dict[str, np.ndarray]:
     """Exact gradient of :func:`weighted_objective`, keyed like params."""
-    return _one_model_step(params, batch, w, cfg)[1]
+    stack, onehot, weights = _one_model_batch(params, batch, w)
+    grad = _objective_and_gradient(
+        stack, batch.features, onehot, weights, cfg, with_objective=False
+    )[1]
+    return {k: v[0] for k, v in grad.items()}
 
 
 def momentum_step(

@@ -5,6 +5,7 @@ module; the event column against the per-cell parse."""
 import csv
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,19 @@ SPECIAL_FLOATS = [
     0.1 + 0.2, 1 / 3, -2.5e-300, 1.7976931348623157e308,
 ]
 
+# -0.0 and 0.0, a quiet NaN and one with a payload and its sign bit set,
+# +-inf: values whose bits differ while they compare equal, or unequal to
+# themselves; the writer keys its distinct values on the bits
+BIT_POOL = np.concatenate([
+    [-0.0, 0.0, np.inf, -np.inf, 0.1],
+    np.array([0x7FF8000000000000, 0xFFF8000000000123], dtype=np.uint64).view(float),
+])
+
+
+def repeated(pool, n, seed=0):
+    """n cells drawn from ``pool``: far fewer distinct values than cells."""
+    return np.asarray(pool)[np.random.default_rng(seed).integers(0, len(pool), n)]
+
 
 def csv_writer_bytes(header, rows) -> bytes:
     buf = io.StringIO(newline="")
@@ -303,8 +317,16 @@ def written_bytes(tmp_path, header, columns) -> bytes:
                                                  np.float64(np.nan), 7, False]],
         [np.array([], dtype=float), np.array([], dtype=int)],
         [[], [], []],
+        [repeated(BIT_POOL, 100)],
+        [repeated([-0.0, 0.0, 1.5], 60)],
+        [repeated(np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]), 50)],
+        [repeated(np.array([0, 2**63, 2**64 - 1], dtype=np.uint64), 50)],
+        [repeated([True, False], 40), repeated(np.array([0.1, -0.0, 3e38], dtype=np.float32), 40)],
+        [np.random.default_rng(1).standard_normal(5000), repeated([0.5, 2.0, 0.0], 5000)],
     ],
-    ids=["floats", "float-int-bool-arrays", "mixed-lists", "zero-rows", "zero-rows-lists"],
+    ids=["floats", "float-int-bool-arrays", "mixed-lists", "zero-rows", "zero-rows-lists",
+         "repeated-float-bits", "repeated-signed-zeros", "repeated-int64-extremes",
+         "repeated-uint64-high", "repeated-bool-float32", "distinct-beside-repeated"],
 )
 def test_writer_bytes_match_csv_writer(tmp_path, columns):
     header = [f"c{i}" for i in range(len(columns))]
@@ -328,6 +350,41 @@ def test_writer_float_cells_match_csv_writer(tmp_path_factory, cells):
     col = np.array(cells, dtype=float)
     expected = csv_writer_bytes(["a", "b"], zip(col.tolist(), cells))
     assert written_bytes(tmp_path, ["a", "b"], [col, cells]) == expected
+
+
+@given(st.lists(st.integers(0, len(BIT_POOL) - 1), max_size=80), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_writer_repeated_cells_match_csv_writer(tmp_path_factory, picks, as_float32):
+    """Lists drawn from a small pool, so that each value is formatted once
+    and its cells gathered once the column is long enough."""
+    col = BIT_POOL[picks].astype(np.float32 if as_float32 else float)
+    ids = np.array(picks, dtype=np.int64)
+    expected = csv_writer_bytes(["a", "b"], zip(col.tolist(), ids.tolist()))
+    assert written_bytes(tmp_path_factory.mktemp("w"), ["a", "b"], [col, ids]) == expected
+
+
+@pytest.mark.parametrize("distinct", [2**18, 2**17, 2**16],
+                         ids=["all-distinct", "half-distinct", "quarter-distinct"])
+def test_writer_peak_no_higher_than_formatting_each_cell(tmp_path, monkeypatch, distinct):
+    """The traced peak of writing 2**18 floats stays at or under that of the
+    writer that formatted every cell of a column's ``tolist``, through the
+    same block writer: at all distinct, at half distinct (formatted once
+    each, the distinct strings would pass it) and at a quarter distinct,
+    the most that are formatted once each."""
+    rng = np.random.default_rng(distinct)
+    col = rng.permutation(np.resize(rng.standard_normal(distinct), 2**18))
+
+    def peak():
+        tracemalloc.start()
+        try:
+            write_rows(tmp_path / "w.csv", ["x"], [col])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    new = peak()
+    monkeypatch.setattr(core, "_cells", lambda column: map(float.__repr__, column.tolist()))
+    assert new <= peak()
 
 
 EVENT_CELLS = ["1", "0", " 1", "1 ", " 0\t", "01", "", "2", "1\x00", "１", "true"]

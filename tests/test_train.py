@@ -296,6 +296,36 @@ class TestBatchChecks:
             fn(params, wider, WeightVector.ones(batch.n), cfg)
 
 
+class TestPublicStepParts:
+    """``weighted_objective`` computes no gradient and ``gradient`` no
+    objective, and each returns the bits of the fused step."""
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_each_computes_only_what_it_returns(self, kind, monkeypatch):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            params, batch, w, cfg = random_instance(rng, kind)
+            stack = ModelParams(kind, {k: v[None] for k, v in params.params.items()}, params.dims)
+            onehot = train_mod._one_hot(batch.labels, params.dims[-1])
+            obj, grad = train_mod._objective_and_gradient(
+                stack, batch.features, onehot, w.weights[None], cfg
+            )
+
+            def fail(*args, **kwargs):
+                raise AssertionError("computed and thrown away")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(train_mod, "_objective", fail)
+                public_grad = gradient(params, batch, w, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(train_mod, "_objective_and_gradient", fail)
+                public_obj = weighted_objective(params, batch, w, cfg)
+            assert np.float64(public_obj).tobytes() == obj[0].tobytes()
+            assert public_grad.keys() == grad.keys()
+            for k in grad:
+                assert public_grad[k].tobytes() == grad[k][0].tobytes(), k
+
+
 class TestGradient:
     def test_zero_weights_zero_decay_zero_grad(self):
         rng = np.random.default_rng(4)
