@@ -4,7 +4,8 @@
 Each line is one of four kinds, checked in this order: a docstring line
 (inside the string that opens a module, class or function body, found
 with ast), a blank line, a comment line (only a comment, found with
-tokenize), or a code line.  The four counts sum to ``wc -l``.
+tokenize), or a code line.  Prints each module's four counts, one line
+per module, then their totals; each line's counts sum to its ``wc -l``.
 
 Usage: python scripts/count_src_lines.py [directory]
 """
@@ -43,14 +44,20 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
+def line(name: str, counts: dict[str, int]) -> str:
+    """``name``'s line count, then its count of each kind."""
+    return f"{name} {sum(counts.values())} = " + " + ".join(f"{counts[k]} {k}" for k in KINDS)
+
+
 def main() -> None:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent.parent / "src" / "werm"
     total = dict.fromkeys(KINDS, 0)
     for path in sorted(root.glob("*.py")):
-        for kind, n in count(path.read_text()).items():
+        counts = count(path.read_text())
+        print(line(path.name, counts))
+        for kind, n in counts.items():
             total[kind] += n
-    wc = sum(total.values())
-    print(f"wc {wc} = " + " + ".join(f"{total[k]} {k}" for k in KINDS))
+    print(line("wc", total))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Every plug-in result is built from two inequalities.  A Hoeffding bound,
 with a union bound over K group rates, controls the gap between
 count-plug-in and exact-rate weighting uniformly over the hypothesis grid
-(:func:`deviation_bound`):
+(:func:`deviation_bound`); each ``weights.setting`` row names its kind:
 
     (2c/eps^2) * sqrt(log(2K/delta)/(2n)),  valid for n >= 2*log(2K/delta)/eps^2
 
@@ -141,9 +141,6 @@ _EXCESS = {
     "theorem1": (("max_pk", "epsilon", "K"), "approx2", lambda i: (i.max_pk, i.L)),
     "theorem2": (("p", "epsilon"), "approx3", lambda i: (max(2.0 * i.p, 1.0), 1.0)),
 }
-
-# paper setting (see weights.setting) -> the deviation kind its coverage checks
-_SETTING_BOUNDS = {"class_shift": "approx1", "stratum_shift": "approx2", "pu": "approx3"}
 
 
 def evaluate_bound(kind: str, inputs: BoundInputs) -> BoundResult:
@@ -392,11 +389,12 @@ def coverage_check(
 
     Over ``reps`` training draws, computes the sup over a fixed theta
     grid of |plug-in weighted risk - exact-rate weighted risk| and the
-    fraction of replicates where it stays below the matching deviation
-    bound.  The contract is coverage >= 1 - delta; the bounds are loose,
-    so coverage near 1 is the norm.  class_shift reads ``p_train``, pu
-    ``q``, and stratum_shift ``pk`` (its target) and ``pk_train``; a rate
-    keyword the setting does not read is refused.
+    fraction of replicates where it stays below the deviation bound whose
+    kind the setting's ``weights.setting`` row names.  The contract is
+    coverage >= 1 - delta; the bounds are loose, so coverage near 1 is the
+    norm.  class_shift reads ``p_train``, pu ``q``, and stratum_shift
+    ``pk`` (its target) and ``pk_train``; a rate keyword the setting does
+    not read is refused.
 
     No record is drawn.  The plug-in weights depend on n and the group
     counts alone, the exact ratios on neither (see ``weights.setting``), so
@@ -411,9 +409,7 @@ def coverage_check(
         _check_count(count, name, 1)
     _check_seed(seed)
     grid = np.linspace(0.0, 1.0, grid_size)
-    if setting not in _SETTING_BOUNDS:
-        raise ValidationError(f"unknown coverage setting {setting!r}")
-    model_type, rate_arg, column, _, _, plug_in_table = weights.setting(setting)
+    model_type, rate_arg, column, _, _, plug_in_table, kind = weights.setting(setting)
     # a stratum setting's rates are a distribution, and its target is pk
     stratified = column == "strata"
     given = {"p_train": p_train, "q": q, "pk": pk, "pk_train": pk_train}
@@ -438,7 +434,7 @@ def coverage_check(
             )
     prior = weights.TargetPrior(pk=pk) if stratified else weights.TargetPrior(p=model.p)
     inputs = BoundInputs(n=n, delta=delta, epsilon=epsilon, p=prior.p, K=np.size(rates))
-    bound = deviation_bound(_SETTING_BOUNDS[setting], inputs)
+    bound = deviation_bound(kind, inputs)
 
     oracle = plug_in_table(shares, 1, prior)  # the exact ratio: the plug-in at the training law
     joint = _cell_law(setting, model, shares, grid)

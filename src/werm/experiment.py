@@ -14,9 +14,9 @@ replicate 0's learning curves are emitted, so only its fit gets eval data:
 it alone logs its objective and evaluates the test set every epoch.
 
 Each scenario is one record of :data:`SCENARIOS`, which names the
-``prior`` keys and CSVs it takes.  Its reweighting modes are the rows of
-``weights.modes`` that fit it, then ``oracle``, its exact likelihood
-ratio.  A spec that asks for any other is rejected when it is built.
+``weights.modes`` rows it runs and the ``prior`` keys and CSVs it takes.
+A scenario that trains also runs ``oracle``, its exact likelihood ratio.
+A spec that asks for any other mode is rejected when it is built.
 """
 
 from __future__ import annotations
@@ -194,17 +194,18 @@ _SharedData = namedtuple("SharedData", "test draw_train oracle priors p_prime",
                          defaults=(None,))
 
 # A scenario: generator(spec) builds it from spec.synthetic and checks the
-# ``priors`` keys it reads; ``csv`` says if it takes train_csv/test_csv;
+# ``priors`` keys it reads; ``modes`` names the weights.modes rows it runs,
+# in that table's order; ``csv`` says if it takes train_csv/test_csv;
 # shared(spec, test_seed) draws or ingests its _SharedData; curves(spec),
 # for it, gives the closed-form results of a scenario that trains nothing.
-_Scenario = namedtuple("Scenario", "generator shared curves priors csv",
+_Scenario = namedtuple("Scenario", "generator modes shared curves priors csv",
                        defaults=(None, None, (), False))
 
 
 def _modes(scenario: str) -> tuple[str, ...]:
     """The modes ``scenario`` runs: its ``weights.modes`` rows, then oracle if it trains."""
-    fits = tuple(m for m, row in weights_mod.modes().items() if scenario in row.settings)
-    return fits if SCENARIOS[scenario].curves else (*fits, "oracle")
+    record = SCENARIOS[scenario]
+    return record.modes if record.curves else (*record.modes, "oracle")
 
 
 def _weigh(mode: str, data: Dataset, shared: _SharedData) -> WeightVector:
@@ -245,7 +246,7 @@ def _analytic_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
         analytic.sample(m, spec.n_test, m.p, test_seed),
         lambda seed: row.sampler(m, spec.n_train, rate, [seed, 0]),
         lambda d: row.oracle(d, m.p, rate),
-        dict.fromkeys(("class", "pu"), weights_mod.TargetPrior(p=m.p)),
+        dict.fromkeys(SCENARIOS[spec.scenario].modes, weights_mod.TargetPrior(p=m.p)),
     )
 
 
@@ -340,13 +341,14 @@ def _censored_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
 
 
 SCENARIOS: dict[str, _Scenario] = {
-    "analytic_excess": _Scenario(_excess_models, curves=_excess_curves),
-    "class_shift": _Scenario(_analytic_model, _analytic_shared),
-    "strata_shift": _Scenario(_strata_generator, _strata_shared, priors=("pk",), csv=True),
-    "pu": _Scenario(_analytic_model, _analytic_shared),
+    "analytic_excess": _Scenario(_excess_models, ("uniform",), curves=_excess_curves),
+    "class_shift": _Scenario(_analytic_model, ("uniform", "class"), _analytic_shared),
+    "strata_shift": _Scenario(_strata_generator, ("uniform", "class", "strata"), _strata_shared,
+                              priors=("pk",), csv=True),
+    "pu": _Scenario(_analytic_model, ("uniform", "class", "pu"), _analytic_shared),
     "censored": _Scenario(
         lambda spec: _build(synthetic.CensoredSpec, "synthetic", spec.synthetic),
-        _censored_shared),
+        ("uniform", "ipcw"), _censored_shared),
 }
 
 

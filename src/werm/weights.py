@@ -33,14 +33,15 @@ estimate: the group table at the training group shares with n = 1, or
 :func:`ipcw_weights` given the known censoring law.
 
 :func:`modes` is the one table of reweighting modes, which the experiment
-runner and the CLI both read.
+runner and the CLI both read; each ``experiment.SCENARIOS`` record names
+the modes it runs.
 
 :func:`setting` is the one place that names, for each of the paper's
 settings with a closed-form test bed (``class_shift``, ``pu`` and
 ``stratum_shift``), its model type, training-rate name, group column,
-sampler and oracle, and its one group table.  ``bounds.coverage_check``
-reads the table, and the experiment runner draws its class_shift and pu
-training sets through the sampler.
+sampler and oracle, its one group table and its deviation bound kind.
+``bounds.coverage_check`` reads the table, and the experiment runner draws
+its class_shift and pu training sets through the sampler.
 """
 
 from __future__ import annotations
@@ -208,32 +209,34 @@ def oracle_pu_weights(data: Dataset, p: float, q: float) -> WeightVector:
     return _plug_in(data, "labels", 2, _pu_table, TargetPrior(p=p), _shares(q, "q"))
 
 
-Setting = namedtuple("Setting", "model_type rate group sampler oracle plug_in_table")
+Setting = namedtuple("Setting", "model_type rate group sampler oracle plug_in_table bound")
 
 
 def setting(name: str) -> Setting:
     """class_shift, pu or stratum_shift as its model type, training-rate
     name, group column (``labels`` or ``strata``), ``sampler(model, n, rate,
     seed)``, record oracle ``oracle(data, target, rate)``, target being the
-    prior's p or pk, and its group table ``plug_in_table(counts, n, prior)``,
-    vectorised over the leading axes of the group counts.  As in all four
-    settings, the oracle is the plug-in given the training law: this table
-    at the training group shares with n = 1, as the censored oracle is
-    :func:`ipcw_weights` at the known censoring law.  An empty group is
+    prior's p or pk, its group table ``plug_in_table(counts, n, prior)``,
+    vectorised over the leading axes of the group counts, and the
+    ``bounds.deviation_bound`` kind its coverage check tests.  As in all
+    four settings, the oracle is the plug-in given the training law: this
+    table at the training group shares with n = 1, as the censored oracle
+    is :func:`ipcw_weights` at the known censoring law.  An empty group is
     named from the first row, in C order, that has one.  The record
     estimators, oracles included, index the table by each record's group.
-    Each function is read at call time, so a rebinding reaches every caller."""
+    Each function is read at call time, so a rebinding reaches every
+    caller; any other name raises ValidationError."""
     strata_model = synthetic.StratifiedThresholdModel
     table = {
         "class_shift": (analytic.AnalyticModel, "p_train", "labels", analytic.sample,
-                        oracle_class_shift_weights, _class_shift_table),
+                        oracle_class_shift_weights, _class_shift_table, "approx1"),
         "pu": (analytic.AnalyticModel, "q", "labels", analytic.sample_pu, oracle_pu_weights,
-               _pu_table),
+               _pu_table, "approx3"),
         "stratum_shift": (strata_model, "pk_train", "strata", strata_model.sample,
-                          oracle_stratum_shift_weights, _stratum_shift_table),
+                          oracle_stratum_shift_weights, _stratum_shift_table, "approx2"),
     }
-    if name not in table:
-        raise ValidationError(f"unknown setting {name!r}")
+    if not (isinstance(name, str) and name in table):
+        raise ValidationError(f"unknown setting {name!r}; the settings are {', '.join(table)}")
     return Setting(*table[name])
 
 
@@ -350,13 +353,12 @@ def uniform_weights(data: Dataset, prior: TargetPrior | None = None) -> WeightVe
     return WeightVector(data.events.astype(float))
 
 
-Mode = namedtuple("Mode", "estimator prior settings")
+Mode = namedtuple("Mode", "estimator prior")
 
 
 def modes() -> dict[str, Mode]:
-    """Each reweighting mode's ``estimator(data, prior)``, the ``TargetPrior``
-    field it reads (``"p"``, ``"pk"`` or None) and the settings it fits, by
-    the experiment runner's scenario names:
+    """Each reweighting mode's ``estimator(data, prior)`` and the
+    ``TargetPrior`` field it reads (``"p"``, ``"pk"`` or None):
 
     uniform  all ones; the event flag on censored data
     class    the labels toward the test class distribution, (1 - p, p) or
@@ -366,15 +368,14 @@ def modes() -> dict[str, Mode]:
     strata   the strata toward pk
     ipcw     inverse-probability-of-censoring weights, by Kaplan-Meier
 
-    The runner adds ``oracle``, each scenario's exact likelihood ratio, to
+    Each ``experiment.SCENARIOS`` record names the rows it runs, and the
+    runner adds ``oracle``, each scenario's exact likelihood ratio, to
     separate estimation error from the effect of reweighting.  Estimators
     are read at call time, so a rebinding reaches every caller."""
-    every = ("analytic_excess", "class_shift", "pu", "strata_shift", "censored")
     return {
-        "uniform": Mode(uniform_weights, None, every),
-        "class": Mode(class_shift_weights, "p", ("class_shift", "pu", "strata_shift")),
-        "pu": Mode(pu_weights, "p", ("pu",)),
-        "strata": Mode(stratum_shift_weights, "pk", ("strata_shift",)),
-        "ipcw": Mode(lambda data, prior: ipcw_weights(data, censoring_curve(data)), None,
-                     ("censored",)),
+        "uniform": Mode(uniform_weights, None),
+        "class": Mode(class_shift_weights, "p"),
+        "pu": Mode(pu_weights, "p"),
+        "strata": Mode(stratum_shift_weights, "pk"),
+        "ipcw": Mode(lambda data, prior: ipcw_weights(data, censoring_curve(data)), None),
     }

@@ -333,9 +333,15 @@ class TestCoverage:
             coverage_check("class_shift", m, n=100, delta=0.1, reps=0, seed=0, p_train=0.5)
 
     def test_unknown_setting_rejected(self):
+        """A name that is not a weights.setting key, of any type, is refused
+        with ValidationError naming the settings, there and in coverage_check."""
         m = AnalyticModel(1.0, 1.0, 0.3)
-        with pytest.raises(ValidationError):
-            coverage_check("covariate", m, n=100, delta=0.1, reps=1, seed=0)
+        known = "the settings are class_shift, pu, stratum_shift$"
+        for setting in ("covariate", ["class_shift"], None):
+            with pytest.raises(ValidationError, match=known):
+                coverage_check(setting, m, n=100, delta=0.1, reps=1, seed=0, p_train=0.6)
+            with pytest.raises(ValidationError, match=known):
+                weights.setting(setting)
 
 
 # ---------------------------------------------------------------------------

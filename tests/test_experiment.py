@@ -1,6 +1,7 @@
 """Experiment runner: determinism, reproducibility from the echoed spec,
 scenario structure, and emission contracts."""
 
+import ast
 import dataclasses
 import hashlib
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from werm import analytic, biasgen, synthetic, train as train_mod, weights as weights_mod
+from werm import analytic, biasgen, bounds, synthetic, train as train_mod, weights as weights_mod
 from werm.core import EmptyStratumError, ValidationError, WeightVector, read_csv, write_csv
 from werm.experiment import (
     SCENARIOS,
@@ -65,9 +66,9 @@ class TestSpec:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("mode", sorted([*weights_mod.modes(), "oracle"]))
     def test_scenario_mode_table(self, scenario, mode):
-        """A mode builds on exactly the scenarios its weights.modes row fits
-        (oracle: those that train); any other pair is rejected, before any
-        data is drawn, with an error naming the scenario's modes."""
+        """A mode builds on exactly the scenarios whose SCENARIOS record
+        names it (oracle: those that train); any other pair is rejected,
+        before any data is drawn, with an error naming the scenario's modes."""
         synthetic_fields = {"class_shift": {"p": 0.3, "p_train": 0.6}, "pu": {"p": 0.3, "q": 0.4}}
         build = lambda: ExperimentSpec(  # noqa: E731
             scenario=scenario, modes=(mode,), synthetic=synthetic_fields.get(scenario, {}),
@@ -75,7 +76,7 @@ class TestSpec:
         if mode == "oracle":
             fits = SCENARIOS[scenario].curves is None
         else:
-            fits = scenario in weights_mod.modes()[mode].settings
+            fits = mode in SCENARIOS[scenario].modes
         if fits:
             assert build().modes == (mode,)
         else:
@@ -100,16 +101,50 @@ class TestSpec:
 
     def test_readme_mode_table_states_each_row(self):
         """README's mode table gives each weights.modes row once, in order,
-        with the prior it reads and the settings it fits."""
-        rows = self.readme_table("The reweighting modes:")
+        with the prior it reads and the scenarios whose records name it."""
+        rows = self.readme_table("The reweighting modes and the scenarios that run them:")
         flags = {"p": "`p` (`--p`)", "pk": "`pk` (`--pk-file`)", None: "none"}
         table = weights_mod.modes()
         assert [row[0] for row in rows] == [f"`{m}`" for m in table] + ["`oracle`"]
         for row, (mode, entry) in zip(rows, table.items()):
             assert row[2] == flags[entry.prior]
-            every = set(entry.settings) == set(SCENARIOS)
-            assert row[3] == ("every scenario" if every else
-                              ", ".join(f"`{s}`" for s in entry.settings))
+            fits = sorted(s for s, record in SCENARIOS.items() if mode in record.modes)
+            assert row[3] == ("every scenario" if len(fits) == len(SCENARIOS) else
+                              ", ".join(f"`{s}`" for s in fits))
+
+    def test_each_relation_has_one_table(self):
+        """Each scenario name is spelled in src/werm only as a SCENARIOS key,
+        and each setting name only in weights.setting's table and in
+        bounds._cell_law; a name of two kinds (pu is a scenario, a setting
+        and a mode) may stand where either kind does, a mode name as a
+        weights.modes key or in a SCENARIOS record.  Every mode a record
+        names is a weights.modes row, in that table's order, and every
+        setting row's bound kind is a deviation bound kind."""
+        places = []  # (literal, "module.top-level name", with " key" for a dict key)
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "werm").glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                target = getattr(top, "targets", [getattr(top, "target", None)])[0]
+                where = f"{path.stem}.{getattr(top, 'name', getattr(target, 'id', None))}"
+                keys = {id(k) for d in ast.walk(top) if isinstance(d, ast.Dict) for k in d.keys}
+                places += [(node.value, where + " key" * (id(node) in keys))
+                           for node in ast.walk(top)
+                           if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+        setting_names = [name for name, where in places if where == "weights.setting key"]
+        kinds = {
+            "scenario": (set(SCENARIOS), {"experiment.SCENARIOS key"}),
+            "mode": (set(weights_mod.modes()), {"weights.modes key", "experiment.SCENARIOS"}),
+            "setting": (set(setting_names), {"weights.setting key", "bounds._cell_law"}),
+        }
+        for name, where in places:
+            allowed = set().union(*(at for names, at in kinds.values() if name in names))
+            checked = name in kinds["scenario"][0] | kinds["setting"][0]
+            assert not checked or where in allowed, f"{name!r} is spelled in {where}"
+        assert sorted(setting_names) == ["class_shift", "pu", "stratum_shift"]
+        for name in setting_names:
+            assert weights_mod.setting(name).bound in bounds.DEVIATION_BOUND_KINDS
+        for record in SCENARIOS.values():
+            assert set(record.modes) <= set(weights_mod.modes())
+            assert list(record.modes) == [m for m in weights_mod.modes() if m in record.modes]
 
     @pytest.mark.parametrize(
         "overrides,match",

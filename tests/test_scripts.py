@@ -41,15 +41,22 @@ def test_strata_shift_seed_7_tree_is_pinned(tmp_path):
 
 
 def test_count_src_lines_parts_sum_to_wc(tmp_path):
-    """The code, docstring, comment and blank counts of src/werm/*.py sum
-    to its newline count, and a file of each kind is split as written."""
+    """Each module of src/werm/*.py gets a line of its code, docstring,
+    comment and blank counts, which sum to its newline count; the module
+    lines sum to the total line, and a file of each kind is split as
+    written."""
     proc = run_script("count_src_lines.py")
     assert proc.returncode == 0, proc.stderr
-    parts = re.fullmatch(r"wc (\d+) = (\d+) code \+ (\d+) doc \+ (\d+) comment \+ (\d+) blank\n",
-                         proc.stdout)
-    wc = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "werm").glob("*.py"))
-    assert int(parts[1]) == wc == sum(int(v) for v in parts.groups()[1:])
+    pattern = r"(\S+) (\d+) = (\d+) code \+ (\d+) doc \+ (\d+) comment \+ (\d+) blank"
+    rows = [re.fullmatch(pattern, line).groups() for line in proc.stdout.splitlines()]
+    names, counts = [r[0] for r in rows], [[int(v) for v in r[1:]] for r in rows]
+    src = sorted((ROOT / "src" / "werm").glob("*.py"))
+    assert names == [p.name for p in src] + ["wc"]
+    for (wc, *parts), path in zip(counts, src):
+        assert wc == path.read_bytes().count(b"\n") == sum(parts)
+    assert [sum(column) for column in zip(*counts[:-1])] == counts[-1]
     (tmp_path / "m.py").write_text(
         '"""Doc\n\nstring."""\n\n# comment\nx = 1  # code\n\ndef f():\n    """One."""\n')
     assert run_script("count_src_lines.py", tmp_path).stdout == (
+        "m.py 9 = 2 code + 4 doc + 1 comment + 2 blank\n"
         "wc 9 = 2 code + 4 doc + 1 comment + 2 blank\n")
