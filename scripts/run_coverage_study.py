@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Empirical coverage of the plug-in deviation bounds.
 
-For each bias setting, draws many training samples, measures the sup gap
-between count-plug-in and exact-rate weighting over a threshold grid,
-and reports how often the gap stays under the matching bound (the
-guarantee is 1 - delta; the bounds are loose, so expect ~1.0).
+For each bias setting, draws the counts of many training samples, not
+their records: one group count each in class shift and PU, cell and bin
+counts in stratum shift.  It measures the sup gap between count-plug-in
+and exact-rate weighting over a threshold grid, and reports how often
+the gap stays under the matching bound (the guarantee is 1 - delta; the
+bounds are loose, so expect ~1.0).
 
 Usage: python scripts/run_coverage_study.py [n] [reps]
 """

@@ -63,7 +63,9 @@ EXCESS_BOUND_KINDS = ("lemma1", "corollary1", "theorem1", "theorem2")
 DEVIATION_BOUND_KINDS = ("approx1", "approx2", "approx3")
 
 _BLOCK = 1024  # draws per seeded block, in rademacher_mc and coverage_check
-_ROWS = 16  # draws at a time inside a block: O(rows * cells * grid) memory per thread
+# draws at a time inside a block: O(rows * cells * grid) memory per thread for cell and
+# bin counts, O(rows) where a coverage replicate is one group count (class_shift and pu)
+_ROWS = 16
 # each real field of BoundInputs -> the interval its value must lie in
 _INPUT_RANGES = {
     "delta": "(0, 1)", "epsilon": "(0, 0.5)", "L": "[0, inf)", "phi_sup": "[0, inf)",
@@ -358,6 +360,17 @@ def _cell_law(setting: str, model, shares, grid: np.ndarray) -> np.ndarray:
     return joint / joint.sum()
 
 
+def _label_deviations(counts, diff, grid_size: int) -> np.ndarray:
+    """:func:`_count_deviations` from the (replicate, group) counts alone,
+    where group g holds class g alone and every x lies in [0, 1).  The two
+    groups' weight differences have opposite signs, so the gap at any theta
+    lies between the gaps of the constant rules theta = 0 and theta = 1,
+    c_0 * d_0 and c_1 * d_1: the sup is the larger.  A grid of size 1 holds
+    theta = 0 alone."""
+    gaps = np.abs(counts * diff(counts))
+    return gaps[:, 0] if grid_size == 1 else gaps.max(axis=1)
+
+
 def _count_deviations(counts, diff) -> np.ndarray:
     """Each replicate's sup over the grid of |sum_i diffs_i * loss_i(theta)|
     from its (group, class, bin) counts, ``diff(group counts)`` giving each
@@ -399,16 +412,20 @@ def coverage_check(
     No record is drawn.  The plug-in weights depend on n and the group
     counts alone, the exact ratios on neither (see ``weights.setting``), so
     a draw's deviation depends only on how many of its records fall in each
-    (group, class) cell and grid bin.  Each replicate draws those counts from
-    their multinomial law, at a cost that does not grow with n, seeded as in
-    ``_by_block``, so fewer ``reps`` give a prefix of ``deviations``.  With
-    ``reps`` above 1,024 the blocks of 1,024 replicates run on one thread
-    per usable CPU, with the same bits at any count.
+    (group, class) cell and grid bin.  A setting grouped by label (class_shift
+    and pu) needs only the group counts: each group holds one class, and the
+    sup is at theta = 0 or 1 (``_label_deviations``).  Its replicates draw
+    one binomial group count each, the law of the cell counts' group totals,
+    from a different stream.  stratum_shift draws the cell and bin counts
+    from their multinomial law.  Neither cost grows with n.  Draws are
+    seeded as in ``_by_block``, so fewer ``reps`` give a prefix of
+    ``deviations``.  With ``reps`` above 1,024 the blocks of 1,024
+    replicates run on one thread per usable CPU, with the same bits at any
+    count.
     """
     for name, count in (("n", n), ("reps", reps), ("grid_size", grid_size)):
         _check_count(count, name, 1)
     _check_seed(seed)
-    grid = np.linspace(0.0, 1.0, grid_size)
     model_type, rate_arg, column, _, _, plug_in_table, kind = weights.setting(setting)
     # a stratum setting's rates are a distribution, and its target is pk
     stratified = column == "strata"
@@ -433,15 +450,23 @@ def coverage_check(
                 "(min(rate, 1 - rate) = 1/2 is outside (0, 1/2)); pass epsilon"
             )
     prior = weights.TargetPrior(pk=pk) if stratified else weights.TargetPrior(p=model.p)
+    if stratified and len(prior.pk) != shares.size:
+        raise ValidationError("pk and pk_train must have equal length")
     inputs = BoundInputs(n=n, delta=delta, epsilon=epsilon, p=prior.p, K=np.size(rates))
     bound = deviation_bound(kind, inputs)
 
     oracle = plug_in_table(shares, 1, prior)  # the exact ratio: the plug-in at the training law
-    joint = _cell_law(setting, model, shares, grid)
+    diff = lambda c: plug_in_table(c, n, prior) - oracle  # noqa: E731
+    if column == "labels":
+        def draw(rng, rows):
+            k = rng.binomial(n, shares[1], size=rows)
+            return _label_deviations(np.stack([n - k, k], axis=1), diff, grid_size)
+    else:
+        joint = _cell_law(setting, model, shares, np.linspace(0.0, 1.0, grid_size))
 
-    def draw(rng, rows):
-        counts = rng.multinomial(n, joint.ravel(), size=rows).reshape(rows, *joint.shape)
-        return _count_deviations(counts, lambda c: plug_in_table(c, n, prior) - oracle)
+        def draw(rng, rows):
+            counts = rng.multinomial(n, joint.ravel(), size=rows).reshape(rows, *joint.shape)
+            return _count_deviations(counts, diff)
 
     deviations = _by_block(seed, reps, _ROWS, draw)
     deviations /= n

@@ -660,19 +660,20 @@ C04_CALLS = {
     "pu": (C04_MODEL, dict(seed=43, q=0.4)),
 }
 # SHA-256 of repr((coverage, bound_value)) + deviations.tobytes() at the c04
-# parameters (n=2000, delta=0.1, epsilon=0.3) with 40 replicates, taken
-# from the count kernel (multinomial cell and bin counts, blocks of 1,024)
+# parameters (n=2000, delta=0.1, epsilon=0.3) with 40 replicates, blocks of
+# 1,024: class_shift and pu taken from one binomial group count a replicate,
+# stratum_shift from the count kernel (multinomial cell and bin counts)
 COVERAGE_PINS = {
-    "class_shift": "a3141624e0d67ea952c7c9805dfbd978ed86d63804564be74ef3473bfdbb469a",
+    "class_shift": "850f741a6ce1ac0dc556ee35fb92383e41caf6d9c4ff075b9e95db0f8c21962d",
     "stratum_shift": "35ac8ab7d4d0297ce35d5a0b343f88921ad253c0fa2bbfeccae371796b38e583",
-    "pu": "a8b3b21e239bac67f1edbe57bbe2045ef6dc7caf6b2b0de68dc6532e82ac3cae",
+    "pu": "73718d05aa9c35db6572b2e5e8d2aa60edc182ed6c17db2f6710ecdee6fbc6e1",
 }
 # the same with the default epsilon and 5 replicates, hashing
 # repr((coverage, bound_value, required_n, valid)) + deviations.tobytes()
 DEFAULT_EPSILON_PINS = {
-    "class_shift": "1b0f591c74c24c3b0df1b684ad0e8b994b8eea43e69aeccd7c5a059ad0020907",
+    "class_shift": "824eb628ab313562cd568c0cbf9fa40397daf5d75d02037f7db470103f50a110",
     "stratum_shift": "f139303ae48adcaae854069758fb8520e22ee8502e23e986287142033b3d7f1d",
-    "pu": "b679001ed44b3af93be5a7f1478370cad09e74dc73bb5dffe6889ba29c885bfe",
+    "pu": "1e7c9efb6986f79001f212861fe842f0c2995e50c410558653568916a6ef59a3",
 }
 
 
@@ -847,24 +848,112 @@ def test_count_formula_matches_record_sweep_on_ties(case):
 @pytest.mark.parametrize("setting", sorted(C04_CALLS))
 def test_counts_follow_the_record_law(monkeypatch, setting):
     """Summed over 100 replicates of n = 1,000, the record sampler's cell and
-    bin counts and the counts coverage_check draws each pass a chi-square
-    test against the cell law at the 1e-3 level."""
+    bin counts pass a chi-square test against the cell law at the 1e-3
+    level, and so do the counts coverage_check draws for stratum_shift.  A
+    label setting draws no cell counts (see the group-count tests below)."""
     grid = np.linspace(0.0, 1.0, 21)
     model, row, rates, _, _, _, joint = _law_inputs(setting, grid)
     n, reps = 1000, 100
-    records = sum(_record_counts(row.sampler(model, n, rates, [5309, r]), grid, joint.shape[0])
-                  for r in range(reps))
-    seen = []
-    monkeypatch.setattr(bounds, "_count_deviations",
-                        lambda counts, *_: seen.append(counts.sum(axis=0)) or np.ones(len(counts)))
-    coverage_check(setting, model, n=n, delta=0.1, reps=reps, epsilon=0.3, grid_size=21,
-                   **{**C04_CALLS[setting][1], "seed": 5310})
-    drawn = sum(seen)
+    observed = [sum(_record_counts(row.sampler(model, n, rates, [5309, r]), grid, joint.shape[0])
+                    for r in range(reps))]
+    if row.group == "strata":
+        seen = []
+        monkeypatch.setattr(bounds, "_count_deviations", lambda counts, *_: (
+            seen.append(counts.sum(axis=0)) or np.ones(len(counts))))
+        coverage_check(setting, model, n=n, delta=0.1, reps=reps, epsilon=0.3, grid_size=21,
+                       **{**C04_CALLS[setting][1], "seed": 5310})
+        observed.append(sum(seen))
     expected = reps * n * joint
     live = expected > 0
-    for observed in (records, drawn):
-        assert observed.sum() == reps * n and observed[~live].sum() == 0
-        assert stats.chisquare(observed[live], expected[live]).pvalue > 1e-3
+    for counts in observed:
+        assert counts.sum() == reps * n and counts[~live].sum() == 0
+        assert stats.chisquare(counts[live], expected[live]).pvalue > 1e-3
+
+
+LABEL_SETTINGS = [s for s in sorted(C04_CALLS) if weights.setting(s).group == "labels"]
+
+
+def _label_diff(setting, n, grid, shares=None):
+    """The cell law on the grid and coverage_check's plug-in minus oracle
+    table at n, at c04 or at other training group ``shares``."""
+    model, row, _, prior, _, c04_shares, _ = _law_inputs(setting, grid)
+    shares = c04_shares if shares is None else shares
+    oracle = row.plug_in_table(shares, 1, prior)
+    return (bounds._cell_law(setting, model, shares, grid),
+            lambda c: row.plug_in_table(c, n, prior) - oracle)
+
+
+@pytest.mark.parametrize("grid_size", [1, 2, 11, 101])
+@pytest.mark.parametrize("n", [50, 2000])
+@pytest.mark.parametrize("setting", LABEL_SETTINGS)
+def test_group_count_formula_equals_the_count_kernel(setting, n, grid_size):
+    """On cell and bin counts drawn from the cell law at c04, the group-count
+    formula of a label setting gives the count kernel's deviations to the
+    bit, on grids that hold only theta = 0, only the end points, or more."""
+    grid = np.linspace(0.0, 1.0, grid_size)
+    joint, diff = _label_diff(setting, n, grid)
+    rng = np.random.default_rng([7193, n, grid_size])
+    counts = rng.multinomial(n, joint.ravel(), size=1000).reshape(1000, *joint.shape)
+    got = bounds._label_deviations(counts.sum(axis=(2, 3)), diff, grid_size)
+    assert got.tobytes() == bounds._count_deviations(counts, diff).tobytes()
+
+
+@pytest.mark.parametrize("grid_size", [2, 101])
+def test_group_count_formula_where_group_one_gap_is_larger(grid_size):
+    """At p_train = 0.2, r_1/pi_1 = 1.5 exceeds r_0/pi_0 = 0.875, so theta = 1
+    holds the sup: the formula takes it, within rounding of the count
+    kernel's sum over the bins."""
+    n, grid = 2000, np.linspace(0.0, 1.0, grid_size)
+    joint, diff = _label_diff("class_shift", n, grid, np.array([0.8, 0.2]))
+    rng = np.random.default_rng([7194, grid_size])
+    counts = rng.multinomial(n, joint.ravel(), size=1000).reshape(1000, *joint.shape)
+    groups = counts.sum(axis=(2, 3))
+    got = bounds._label_deviations(groups, diff, grid_size)
+    assert np.abs(got - bounds._count_deviations(counts, diff)).max() / n <= 1e-15
+    assert np.any(got > np.abs(groups * diff(groups))[:, 0])
+
+
+@pytest.mark.parametrize("setting", LABEL_SETTINGS)
+def test_label_deviations_follow_the_group_count_law(setting):
+    """A label setting's replicate is one group count k ~ Binomial(n, pi_1),
+    and its deviation |k - n*pi_1|/n * max_g r_g/pi_g.  At c04, 4,000
+    replicates sit on those atoms and pass a chi-square test against the
+    binomial law at the 1e-3 level, the tail pooled to 5 expected."""
+    model, kw = C04_CALLS[setting]
+    n, reps = 2000, 4000
+    _, row, _, prior, _, shares, _ = _law_inputs(setting, np.linspace(0.0, 1.0, 101))
+    r = coverage_check(setting, model, n=n, delta=0.1, reps=reps, epsilon=0.3,
+                       **{**kw, "seed": 6151})
+    centre = n * shares[1]
+    assert centre == round(centre)  # 1,200 and 800: the atoms are |k - centre|
+    steps = r.deviations * n / row.plug_in_table(shares, 1, prior).max()
+    j = np.rint(steps).astype(int)
+    assert np.abs(steps - j).max() < 1e-9
+    k = np.arange(n + 1)
+    expected = reps * np.bincount(np.abs(k - int(centre)), stats.binom.pmf(k, n, shares[1]))
+    observed = np.bincount(j, minlength=expected.size)
+    cut = int(np.argmax(expected < 5))
+    pooled = lambda a: np.append(a[:cut], a[cut:].sum())  # noqa: E731
+    assert stats.chisquare(pooled(observed), pooled(expected)).pvalue > 1e-3
+
+
+def test_label_settings_draw_no_cell_counts(monkeypatch):
+    """class_shift and pu run without the cell law or the count kernel;
+    stratum_shift still needs both."""
+    def fail(*args):
+        raise RuntimeError("cell kernel")
+
+    monkeypatch.setattr(bounds, "_cell_law", fail)
+    monkeypatch.setattr(bounds, "_count_deviations", fail)
+    for setting in sorted(C04_CALLS):
+        model, kw = C04_CALLS[setting]
+        call = lambda: coverage_check(  # noqa: E731
+            setting, model, n=2000, delta=0.1, reps=2048, epsilon=0.3, **kw)
+        if setting in LABEL_SETTINGS:
+            assert call().reps == 2048
+        else:
+            with pytest.raises(RuntimeError, match="cell kernel"):
+                call()
 
 
 @pytest.mark.parametrize("setting", sorted(C04_CALLS))
@@ -968,6 +1057,14 @@ def test_bad_arguments_rejected_before_any_draw(monkeypatch, setting, bad):
         coverage_check(setting, model, n=100, delta=0.1, reps=2, epsilon=0.3, **{**kw, **bad})
 
 
+@pytest.mark.parametrize("pk", [[0.5, 0.5], [0.2] * 5])
+def test_pk_of_another_length_than_pk_train_rejected_before_any_draw(monkeypatch, pk):
+    monkeypatch.setattr(bounds, "_by_block", lambda *a: pytest.fail("drew"))
+    with pytest.raises(ValidationError, match="^pk and pk_train must have equal length$"):
+        coverage_check("stratum_shift", C04_STRATIFIED, n=100, delta=0.1, reps=3, seed=1,
+                       pk=pk, pk_train=[0.25] * 4, epsilon=0.3)
+
+
 def test_nan_stratum_prior_rejected_before_any_draw(monkeypatch):
     _no_draws(monkeypatch)
     model, kw = C04_CALLS["stratum_shift"]
@@ -989,11 +1086,12 @@ def test_rademacher_bad_seed_is_typed(seed):
 
 # SHA-256 of deviations.tobytes() at the c04 parameters (n=2000, delta=0.1,
 # epsilon=0.3) with 3,000 replicates, three blocks and the last one short,
-# taken from one loop over the blocks
+# taken from one loop over the blocks: class_shift and pu from one group
+# count a replicate, stratum_shift from the count kernel
 POOL_PINS = {
-    "class_shift": "c00b944bd1237dfefbe0c997430fd28820a569ee8fe82217aa4a3611f828db6f",
+    "class_shift": "38579d002241c2a070891f228b9fa481ad40aeb569c32d354a68942f318757aa",
     "stratum_shift": "23172c8a20e7a3cd7875ab7fc7c2b245c83c34f30b59258360620eef5586ad17",
-    "pu": "8b1f7f3086f49879abbf7ef55c1b0c5777dfe3264cd2bdf784e92bc14b9749b9",
+    "pu": "4a58d5ca2faf72b2233c36eaf12be79b035ff5f96cbf5bf48c1714680063a5d6",
 }
 
 
@@ -1145,9 +1243,9 @@ def test_errstate_reaches_the_worker_threads(monkeypatch):
         return real(counts, diff)
 
     monkeypatch.setattr(bounds, "_count_deviations", recorded)
-    model, kw = C04_CALLS["class_shift"]
+    model, kw = C04_CALLS["stratum_shift"]
     with np.errstate(divide="raise"):
-        coverage_check("class_shift", model, n=2000, delta=0.1, reps=2048, epsilon=0.3, **kw)
+        coverage_check("stratum_shift", model, n=2000, delta=0.1, reps=2048, epsilon=0.3, **kw)
     assert {divide for _, divide in seen} == {"raise"}
     assert {on_main for on_main, _ in seen} == {True, False}
 
