@@ -356,11 +356,6 @@ def per_record_losses(data: Dataset, loss: LossSpec, params) -> np.ndarray:
     return np.where(data.labels == 1, ~above, above).astype(float)
 
 
-def empirical_risk(data: Dataset, loss: LossSpec, params) -> float:
-    """(1/n) * sum_i loss(params, z_i)."""
-    return float(np.mean(per_record_losses(data, loss, params)))
-
-
 def weighted_empirical_risk(
     data: Dataset, w: WeightVector, loss: LossSpec, params
 ) -> float:

@@ -13,6 +13,12 @@ vectors), which gives each mode the bytes of a fit of its own.  Only
 replicate 0's learning curves are emitted, so only its fit gets eval data:
 it alone logs its objective and evaluates the test set every epoch.
 
+Each replicate yields one record (:func:`_replicate`): each mode maps to
+its (metrics, log), or to the ``"Type: message"`` text of the ``WermError``
+that failed it, and a replicate with no training set is ``{"*": text}``.
+Records hold no exception, so they pickle and keep no traceback alive;
+:func:`run_experiment` builds the bundle from them in replicate order.
+
 Each scenario is one record of :data:`SCENARIOS`, which names the
 ``weights.modes`` rows it runs and the ``prior`` keys and CSVs it takes.
 A scenario that trains also runs ``oracle``, its exact likelihood ratio.
@@ -101,6 +107,8 @@ class ExperimentSpec:
             raise ValidationError(f"scenario {self.scenario!r} does not read prior.{key}; {hint}")
         if self.model_kind not in train_mod.MODEL_KINDS:
             raise ValidationError(f"unknown model kind {self.model_kind!r}")
+        if self.out_dir is not None and not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ValidationError("out_dir must be a nonempty path")
         _check_seed(self.base_seed, "base_seed")
         if self.replicate_seeds is not None:
             _check_seed(self.replicate_seeds, "replicate_seeds")
@@ -291,7 +299,18 @@ def _strata_generator(spec: ExperimentSpec) -> synthetic.GaussianStrataSpec:
         pk = _check_distribution(spec.prior["pk"], "prior.pk", 1e-12)
         if spec.train_csv is None and pk.size != generator.n_strata:
             raise ValidationError(f"prior.pk needs {generator.n_strata} entries, one per stratum")
+    if spec.train_csv is None:  # a CSV pair's strata are counted once it is read
+        _biased_law(spec, [1.0 / generator.n_strata] * generator.n_strata)
     return generator
+
+
+def _biased_law(spec: ExperimentSpec, pk) -> np.ndarray:
+    """p', ``spec.bias``'s power law over ``pk`` or its own ``target_pk``; a
+    permutation or ``target_pk`` that does not fit the strata raises ValidationError."""
+    bias = spec.bias_spec() or biasgen.BiasSpec(gamma=1.0)
+    if bias.target_pk is None:
+        bias = dataclasses.replace(bias, target_pk=tuple(float(v) for v in pk))
+    return biasgen.power_law_distribution(bias, len(pk))
 
 
 def _n_source(spec: ExperimentSpec) -> int:  # records in each drawn strata source
@@ -314,11 +333,9 @@ def _strata_shared(spec: ExperimentSpec, test_seed) -> _SharedData:
         draw_source = lambda seed: synthetic.gaussian_strata_sample(  # noqa: E731
             generator, _n_source(spec), pk, [seed, 0]
         )
-    bias = spec.bias_spec() or biasgen.BiasSpec(gamma=1.0)
-    if bias.target_pk is None:
-        bias = dataclasses.replace(bias, target_pk=tuple(float(v) for v in pk))
-    p_prime = biasgen.power_law_distribution(bias, len(pk))
+    p_prime = _biased_law(spec, pk)
     J = test.n_classes
+    _check_top_k(spec.top_k, J)  # a CSV pair's J is read here, before any training
     return _SharedData(
         test,
         lambda seed: biasgen.subsample_to_distribution(draw_source(seed), p_prime, [seed, 1],
@@ -376,8 +393,16 @@ def _fit_and_score(
     return scored
 
 
-def _failure(replicate: int, mode: str, exc: Exception) -> dict:
-    return {"replicate": replicate, "mode": mode, "error": f"{type(exc).__name__}: {exc}"}
+def _attempt(call, *args):
+    """``call(*args)``, or the ``WermError`` it raised."""
+    try:
+        return call(*args)
+    except WermError as exc:
+        return exc
+
+
+def _text(exc: WermError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _summary(vals: list[float]) -> dict:
@@ -391,16 +416,36 @@ def _summary(vals: list[float]) -> dict:
     }
 
 
+def _replicate(spec: ExperimentSpec, shared, r: int, seed: int) -> dict:
+    """Replicate ``r``'s record, given the shared data or the ``WermError``
+    that building them raised.  Every mode's weights come first; the modes
+    that got theirs train in one stacked fit, and if that fit raises a
+    ``WermError`` (say, one mode's logits blow up), each is refitted alone,
+    so a failure belongs to its own mode."""
+    trainset = shared if isinstance(shared, WermError) else _attempt(shared.draw_train, seed)
+    if isinstance(trainset, WermError):
+        return {"*": _text(trainset)}
+    cfg = spec.train_config(seed=seed)
+    record = {mode: _attempt(_weigh, mode, trainset, shared) for mode in spec.modes}
+    ready = [m for m in spec.modes if not isinstance(record[m], WermError)]
+
+    def fit_and_score(*modes):  # only replicate 0's learning curves are kept
+        return _fit_and_score(trainset, [record[m] for m in modes], shared.test,
+                              spec.model_kind, cfg, spec.top_k, curve=r == 0)
+
+    fits = _attempt(fit_and_score, *ready) if ready else []
+    if isinstance(fits, WermError):  # refit alone, so only the failing modes fail
+        fits = [_attempt(lambda m: fit_and_score(m)[0], m) for m in ready]
+    record.update(zip(ready, fits))
+    return {m: _text(v) if isinstance(v, WermError) else v for m, v in record.items()}
+
+
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute generate/ingest -> bias -> weights -> fit -> evaluate per
-    replicate; fully deterministic per base seed.
-
-    A replicate computes every mode's weights, then fits the modes whose
-    weights it got in one stacked fit.  If that fit raises a ``WermError``
-    (say, one mode's logits blow up), the replicate refits those modes one
-    at a time, so a failure belongs to its own mode.  A ``WermError`` is
-    recorded in ``failures``, in replicate and mode order, and the run goes
-    on; any other exception is a bug and propagates."""
+    replicate; fully deterministic per base seed.  ``failures`` lists each
+    record's failures in replicate and mode order, and the run goes on; a
+    ``WermError`` raised while building the shared data fails every
+    replicate as ``"*"``.  Any other exception is a bug and propagates."""
     bundle: dict = {
         "scenario": spec.scenario,
         "replicates": spec.replicates,
@@ -413,62 +458,21 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         bundle["analytic"] = scenario.curves(spec)
         return bundle
 
-    seeds = spec.seeds()
-    per_mode: dict[str, dict[str, list[float]]] = {
-        m: {"miss_rate": [], "top_k_error": [], "sce": []} for m in spec.modes
-    }
-    curves: dict[str, list] = {}
-    bundle["realized_p_prime"] = None
-    try:
-        shared = scenario.shared(spec, [spec.base_seed, 999])
-        _check_top_k(spec.top_k, shared.test.n_classes)  # checked before any training
-    except WermError as exc:  # every replicate reports it
-        bundle["failures"] = [_failure(r, "*", exc) for r in range(len(seeds))]
-        seeds = ()
-
-    for r, rep_seed in enumerate(seeds):
-        try:
-            trainset = shared.draw_train(rep_seed)
-        except WermError as exc:  # partial completion is reported
-            bundle["failures"].append(_failure(r, "*", exc))
-            continue
-        bundle["realized_p_prime"] = shared.p_prime
-        cfg = spec.train_config(seed=rep_seed)
-        outcome: dict = {}  # mode -> its weights, then its (metrics, log); or its WermError
-        for mode in spec.modes:
-            try:
-                outcome[mode] = _weigh(mode, trainset, shared)
-            except WermError as exc:  # replicate failure is data
-                outcome[mode] = exc
-        ready = [m for m in spec.modes if not isinstance(outcome[m], WermError)]
-
-        def fit_and_score(modes):  # only replicate 0's learning curves are kept
-            return _fit_and_score(trainset, [outcome[m] for m in modes], shared.test,
-                                  spec.model_kind, cfg, spec.top_k, curve=r == 0)
-
-        try:
-            outcome.update(zip(ready, fit_and_score(ready)) if ready else ())
-        except WermError:  # refit alone, so only the failing modes fail
-            for mode in ready:
-                try:
-                    (outcome[mode],) = fit_and_score([mode])
-                except WermError as exc:
-                    outcome[mode] = exc
-        for mode in spec.modes:
-            if isinstance(outcome[mode], WermError):
-                bundle["failures"].append(_failure(r, mode, outcome[mode]))
-                continue
-            metrics, log = outcome[mode]
-            for metric, values in per_mode[mode].items():
-                values.append(metrics[metric])
-            if r == 0:
-                curves[mode] = list(log.rows())
-
+    shared = _attempt(scenario.shared, spec, [spec.base_seed, 999])
+    records = [_replicate(spec, shared, r, seed) for r, seed in enumerate(spec.seeds())]
+    bundle["failures"] = [{"replicate": r, "mode": m, "error": v}
+                          for r, record in enumerate(records)
+                          for m, v in record.items() if isinstance(v, str)]
+    bundle["realized_p_prime"] = (shared.p_prime if any("*" not in rec for rec in records)
+                                  else None)
     bundle["modes"] = {
-        mode: {metric: _summary(vals) for metric, vals in metrics_by.items()}
-        for mode, metrics_by in per_mode.items()
+        mode: {metric: _summary([rec[mode][0][metric] for rec in records
+                                 if isinstance(rec.get(mode), tuple)])
+               for metric in ("miss_rate", "top_k_error", "sce")}
+        for mode in spec.modes
     }
-    bundle["curves"] = curves
+    bundle["curves"] = {m: list(v[1].rows()) for m, v in records[0].items()
+                        if isinstance(v, tuple)}
     return bundle
 
 

@@ -16,7 +16,6 @@ from werm.core import (
     ValidationError,
     WeightVector,
     classification_metrics,
-    empirical_risk,
     log_softmax,
     mean_cross_entropy,
     per_record_losses,
@@ -36,25 +35,25 @@ class TestEmpiricalRisk:
     def test_hand_sum(self):
         # every record is below theta, so only the positives err: losses [1, 0, 1] -> 2/3
         data = make_binary([0.0, 0.0, 0.0], [1, 0, 1])
-        risk = empirical_risk(data, THRESH, 0.5)
+        risk = per_record_losses(data, THRESH, 0.5).mean()
         assert risk == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_all_correct_is_zero(self):
         data = make_binary([0.9, 0.1], [1, 0])
-        assert empirical_risk(data, THRESH, 0.5) == 0.0
+        assert per_record_losses(data, THRESH, 0.5).mean() == 0.0
 
     def test_single_record_mean_is_the_loss(self):
         # a negative at or above theta is an error, one below it is not
         data = make_binary([0.5], [0])
-        assert empirical_risk(data, THRESH, 0.5) == 1.0
-        assert empirical_risk(data, THRESH, 0.6) == 0.0
+        assert per_record_losses(data, THRESH, 0.5).mean() == 1.0
+        assert per_record_losses(data, THRESH, 0.6).mean() == 0.0
 
     def test_zero_one_risk_bounded(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = rng.integers(1, 30)
             data = make_binary(rng.random(n), rng.integers(0, 2, n))
-            assert 0.0 <= empirical_risk(data, THRESH, rng.random()) <= 1.0
+            assert 0.0 <= per_record_losses(data, THRESH, rng.random()).mean() <= 1.0
 
 
 class TestWeightedRisk:
@@ -69,7 +68,7 @@ class TestWeightedRisk:
         rng = np.random.default_rng(1)
         data = make_binary(rng.random(17), rng.integers(0, 2, 17))
         theta = rng.random()
-        plain = empirical_risk(data, THRESH, theta)
+        plain = per_record_losses(data, THRESH, theta).mean()
         weighted = weighted_empirical_risk(data, WeightVector.ones(17), THRESH, theta)
         assert plain == weighted  # bit-for-bit
 

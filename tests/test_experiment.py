@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -212,6 +213,17 @@ class TestRunDeterminism:
         assert (tmp_path / "run1" / "results.json").read_bytes() == (
             tmp_path / "run2" / "results.json"
         ).read_bytes()
+
+    def test_a_replicate_depends_on_its_seed_alone(self):
+        """Replicate r of a run equals a one-replicate run on r's seed, so the
+        replicates can be split across runs without changing a value."""
+        spec = small_strata_spec(replicates=3)
+        full = run_experiment(spec)["modes"]
+        for r, seed in enumerate(spec.seeds()):
+            alone = run_experiment(small_strata_spec(replicates=1, replicate_seeds=(seed,)))
+            for mode, metrics in full.items():
+                for metric, summary in metrics.items():
+                    assert alone["modes"][mode][metric]["values"] == [summary["values"][r]]
 
     def test_byte_identical_results_json(self, tmp_path):
         spec = small_strata_spec()
@@ -469,6 +481,67 @@ class TestScenarios:
             assert json.dumps(bundle["modes"][mode]) == json.dumps(rest["modes"][mode])
             assert bundle["curves"][mode] == rest["curves"][mode]
         assert set(bundle["curves"]) == {"uniform", "class"}
+
+    def test_mixed_failures_in_one_run(self, monkeypatch):
+        """Replicate 0 loses its strata weights, replicate 1 its draw and
+        replicate 2 its oracle fit: the failures read in replicate and mode
+        order, each mode's values skip exactly its failed replicates, and
+        the curves hold replicate 0's modes that ran."""
+        modes = ("uniform", "class", "strata", "oracle")
+        spec = small_strata_spec(modes=modes, replicates=3, train={**FAST_TRAIN, "lr": 1000.0})
+        clean = run_experiment(spec)
+        assert clean["failures"] == []
+        draw = biasgen.subsample_to_distribution
+
+        def nth_call(n, fake, original):
+            """``original``, but ``fake`` on its n-th call."""
+            calls = itertools.count(1)
+            return lambda *args, **kwargs: (fake if next(calls) == n else original)(*args, **kwargs)
+
+        def empty(*args):
+            raise EmptyStratumError(0)
+
+        def no_draw(data, p_prime, seed, **kwargs):
+            if seed[0] == spec.seeds()[1]:
+                raise EmptyStratumError(1)
+            return draw(data, p_prime, seed, **kwargs)
+
+        monkeypatch.setattr(biasgen, "subsample_to_distribution", no_draw)
+        # each estimator runs in replicates 0 and 2, the ones that drew
+        monkeypatch.setattr(weights_mod, "stratum_shift_weights",
+                            nth_call(1, empty, weights_mod.stratum_shift_weights))
+        monkeypatch.setattr(weights_mod, "oracle_stratum_shift_weights", nth_call(
+            2, lambda data, *a: WeightVector(np.full(data.n, 1e308)),  # overflows the step
+            weights_mod.oracle_stratum_shift_weights))
+        bundle = run_experiment(spec)
+        assert [(f["replicate"], f["mode"]) for f in bundle["failures"]] == [
+            (0, "strata"), (1, "*"), (2, "oracle")]
+        assert bundle["failures"][0]["error"] == "EmptyStratumError: stratum 0 is empty"
+        assert bundle["failures"][1]["error"] == "EmptyStratumError: stratum 1 is empty"
+        assert bundle["failures"][2]["error"].startswith("NumericError: overflow")
+        ran = {"uniform": (0, 2), "class": (0, 2), "strata": (2,), "oracle": (0,)}
+        for mode, replicates in ran.items():
+            for metric, summary in bundle["modes"][mode].items():
+                values = clean["modes"][mode][metric]["values"]
+                assert summary["values"] == [values[r] for r in replicates]
+        assert bundle["realized_p_prime"] == clean["realized_p_prime"]
+        assert list(bundle["curves"]) == ["uniform", "class", "oracle"]
+        assert all(bundle["curves"][m] == clean["curves"][m] for m in bundle["curves"])
+
+    def test_csv_bias_that_does_not_fit_fails_once_before_any_draw(self, tmp_path, monkeypatch):
+        """A CSV pair's strata are counted at run time: a bias permutation
+        that does not fit them is one shared-data failure, reported for
+        every replicate."""
+        spec = dataclasses.replace(small_csv_spec(tmp_path, monkeypatch),
+                                   bias={"gamma": 0.5, "permutation": [1, 2]})
+        monkeypatch.setattr(biasgen, "subsample_to_distribution",
+                            lambda *a, **k: pytest.fail("drew"))
+        bundle = run_experiment(spec)
+        error = "ValidationError: permutation must be a bijection of 1..4"
+        assert bundle["failures"] == [
+            {"replicate": r, "mode": "*", "error": error} for r in range(spec.replicates)
+        ]
+        assert bundle["realized_p_prime"] is None
 
     @pytest.mark.parametrize(
         "module,name,exc",

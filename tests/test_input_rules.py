@@ -243,7 +243,7 @@ def _no_signs(monkeypatch):
 def test_thresholds_are_checked(monkeypatch, theta):
     _no_signs(monkeypatch)
     for call in (
-        lambda: core.empirical_risk(THRESHOLD_DATA, THRESH, theta),
+        lambda: core.per_record_losses(THRESHOLD_DATA, THRESH, theta).mean(),
         lambda: bounds.rademacher_mc(THRESHOLD_DATA, [0.5, theta], THRESH, reps=10, seed=0),
     ):
         with pytest.raises(ValidationError, match=THRESHOLD_MESSAGE):
@@ -260,22 +260,26 @@ def test_rademacher_grid_must_be_a_nonempty_sequence(monkeypatch, grid):
 def test_loss_must_be_a_loss_spec(monkeypatch):
     _no_signs(monkeypatch)
     with pytest.raises(ValidationError, match="^loss must be a LossSpec$"):
-        core.empirical_risk(THRESHOLD_DATA, "threshold-sign", 0.5)
+        core.per_record_losses(THRESHOLD_DATA, "threshold-sign", 0.5).mean()
     with pytest.raises(ValidationError, match="^loss must be a LossSpec$"):
         bounds.rademacher_mc(THRESHOLD_DATA, [0.5], None, reps=10, seed=0)
 
 
 def test_infinite_thresholds_are_the_constant_classifiers():
     # -inf predicts class 1 everywhere, +inf class 0 everywhere
-    assert core.empirical_risk(THRESHOLD_DATA, THRESH, -math.inf) == pytest.approx(1 / 3)
-    assert core.empirical_risk(THRESHOLD_DATA, THRESH, math.inf) == pytest.approx(2 / 3)
-    assert core.empirical_risk(THRESHOLD_DATA, THRESH, np.float32(0.3)) == pytest.approx(2 / 3)
+    def risk(theta):
+        return core.per_record_losses(THRESHOLD_DATA, THRESH, theta).mean()
+
+    assert risk(-math.inf) == pytest.approx(1 / 3)
+    assert risk(math.inf) == pytest.approx(2 / 3)
+    assert risk(np.float32(0.3)) == pytest.approx(2 / 3)
 
 
 # a loss entry point, called with ``data`` in place of a Dataset
 NOT_A_DATASET = {
     "rademacher_mc": lambda data: bounds.rademacher_mc(data, [0.5], THRESH, reps=10, seed=0),
-    "empirical_risk": lambda data: core.empirical_risk(data, THRESH, 0.5),
+    # the plain empirical risk: the mean of the per-record losses
+    "empirical_risk": lambda data: core.per_record_losses(data, THRESH, 0.5).mean(),
     "weighted_empirical_risk": lambda data: core.weighted_empirical_risk(
         data, core.WeightVector.ones(3), THRESH, 0.5),
 }
@@ -588,6 +592,11 @@ BAD_SPECS = {
                          r"synthetic.p must lie in \(0, 1\)"),
     "p 1, no pairs": ({"scenario": "analytic_excess", "synthetic": {"p": 1.0, "pairs": []}},
                       r"synthetic.p must lie in \(0, 1\)"),
+    # a bias that cannot fit the drawn strata once failed every replicate, exit 5
+    "bias permutation of 2 strata": ({**STRATA, "bias": {"gamma": 0.5, "permutation": [1, 2]}},
+                                     r"permutation must be a bijection of 1\.\.5"),
+    "bias target_pk of 2 strata": ({**STRATA, "bias": {"gamma": 0.5, "target_pk": [0.5, 0.5]}},
+                                   "target_pk has 2 entries, expected 5"),
     "prior.pk too short": ({**STRATA, "prior": {"pk": [0.5, 0.5]}},
                            "prior.pk needs 5 entries, one per stratum"),
     "prior.pk sums to 2": ({**STRATA, "prior": {"pk": [0.4] * 5}},
@@ -640,6 +649,23 @@ def test_experiment_refuses_spec_before_any_draw(tmp_path, monkeypatch, capsys, 
     assert code == 2 and out.out == ""
     assert re.search(message, out.err)
     assert not (tmp_path / "out").exists()
+
+
+# an out_dir that is not a nonempty string once built: most wrote nothing and
+# exited 0, while 5 and true wrote into directories named 5/ and True/
+@pytest.mark.parametrize("out_dir,flags", [
+    *[(value, []) for value in ([], {}, "", False, True, 5)], ("out", ["--out", ""]),
+], ids=repr)
+def test_experiment_refuses_an_out_dir_that_is_not_a_path(tmp_path, monkeypatch, capsys,
+                                                          out_dir, flags):
+    _no_draws(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps({**CLASS_SHIFT, "out_dir": out_dir}))
+    code = cli.main(["experiment", "--config", "spec.json", *flags])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "error: out_dir must be a nonempty path\n"
+    assert os.listdir(tmp_path) == ["spec.json"]
 
 
 JSON_VALUES = st.recursive(
@@ -783,10 +809,10 @@ def test_bound_api_fails_only_with_werm_errors(fields, zeta, grid):
     | ANY_VALUE,
 )
 def test_loss_and_curve_api_fail_only_with_werm_errors(data, w, theta, n_points):
-    """empirical_risk, weighted_empirical_risk, true_risk and risk_curve, fed
+    """per_record_losses, weighted_empirical_risk, true_risk and risk_curve, fed
     any value, give a result or a WermError."""
     for call in (
-        lambda: core.empirical_risk(data, THRESH, theta),
+        lambda: core.per_record_losses(data, THRESH, theta).mean(),
         lambda: core.weighted_empirical_risk(data, w, THRESH, theta),
         lambda: analytic.true_risk(MODEL, theta),
         lambda: analytic.risk_curve(MODEL, n_points),
