@@ -92,9 +92,9 @@ def power_law_distribution(spec: BiasSpec, K: int) -> np.ndarray:
     pk = np.asarray(spec.target_pk, dtype=float)
     if pk.size != K:
         raise ValidationError(f"target_pk has {pk.size} entries, expected {K}")
+    sigma = resolve_permutation(spec, K)  # checked at every gamma, 1 included
     if spec.gamma == 1.0:
         return pk.copy()
-    sigma = resolve_permutation(spec, K)
     exponent = -float(K // 2) / sigma
     scaled = pk * spec.gamma**exponent
     return scaled / scaled.sum()

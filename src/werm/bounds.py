@@ -63,9 +63,12 @@ EXCESS_BOUND_KINDS = ("lemma1", "corollary1", "theorem1", "theorem2")
 DEVIATION_BOUND_KINDS = ("approx1", "approx2", "approx3")
 
 _BLOCK = 1024  # draws per seeded block, in rademacher_mc and coverage_check
-# draws at a time inside a block: O(rows * cells * grid) memory per thread for cell and
-# bin counts, O(rows) where a coverage replicate is one group count (class_shift and pu)
+# coverage replicates at a time inside a block: O(rows * cells * grid) memory per thread
+# for cell and bin counts, O(rows) where a replicate is one group count (class_shift and pu)
 _ROWS = 16
+# random words plus cell sums per chunk of Rademacher draws: about 64 draws at n = 2,000
+# and 101 thresholds, one draw at a time from n of about 2**19
+_CHUNK = 2**14
 # each real field of BoundInputs -> the interval its value must lie in
 _INPUT_RANGES = {
     "delta": "(0, 1)", "epsilon": "(0, 0.5)", "L": "[0, inf)", "phi_sup": "[0, inf)",
@@ -217,9 +220,12 @@ def rademacher_mc(data: Dataset, hypothesis_grid, loss: LossSpec, reps: int, see
 
     Records of one class between two adjacent distinct thresholds have the
     same loss at every threshold, so a draw needs only each such (class,
-    bin) cell's sign sum: 2 * Binomial(c, 1/2) - c for c records, the law of
-    c summed signs.  The records are binned once; a draw then costs
-    O(grid), whatever n.  Draws are seeded in blocks of 1,024 (see
+    bin) cell's sign sum.  A sign is one fair bit: a draw takes n // 64 + 1
+    raw 64-bit words, and record t, in stable cell order, takes bit t (word
+    t >> 6, bit t & 63), so a cell's sum is twice the ones in its bit range
+    less its count.  The records are binned once; a draw then costs
+    O(n/64 + grid), less than one binomial per cell below n of about 2**17
+    and more above.  Draws are seeded in blocks of 1,024 (see
     ``_by_block``), so ``reps`` changes no draw.  With ``reps`` above 1,024
     the blocks run on one thread per usable CPU, with the same bits at any
     count.  Each draw's maximum is an integer over n.
@@ -240,16 +246,34 @@ def _rademacher_draws(data, hypothesis_grid, loss, reps, seed) -> np.ndarray:
     # a record's cell is class * bins + bin; bin j holds x in [edges[j-1], edges[j])
     cells = np.searchsorted(edges, data.features[:, 0], side="right")
     np.add(cells, edges.size + 1, out=cells, where=data.labels == 1)
-    counts = np.bincount(cells, minlength=2 * edges.size + 2).reshape(2, -1)
+    counts = np.bincount(cells, minlength=2 * edges.size + 2)
+    # cell c holds bits starts[c] to starts[c + 1]: the ones below bit e are the
+    # ones of the words below word e >> 6 and of that word's e & 63 low bits
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    word, low = starts >> 6, (np.uint64(1) << (starts & 63).astype(np.uint64)) - np.uint64(1)
+    # the distinct words that hold a cell start, and each start's place among them
+    new = np.concatenate(([True], word[1:] != word[:-1]))
+    firsts, place = word[new], np.cumsum(new) - 1
+    words = data.n // 64 + 1
 
     def draw(rng, rows):
-        sums = rng.binomial(counts, 0.5, size=(rows, *counts.shape))
-        sums *= 2  # in place: a chunk holds one (rows, 2, bins) array
+        raw = rng.bit_generator.random_raw(rows * words).reshape(rows, words)
+        # the ones from each start word up to the next, whole words summed
+        spans = np.add.reduceat(np.bitwise_count(raw), firsts, axis=1, dtype=np.int64)
+        # in place where it can be, so that a chunk holds few (rows, cells) arrays at once
+        ends = raw[:, word]
+        ends &= low
+        ends = np.bitwise_count(ends)
+        below = (np.cumsum(spans, axis=1) - spans)[:, place]
+        below += ends
+        sums = np.subtract(below[:, 1:], below[:, :-1], out=below[:, 1:])  # overlap-safe in numpy
+        sums *= 2
         sums -= counts
         # integer sums times integer ones: every draw keeps its bits
-        return _count_deviations(sums[:, None], np.ones_like)
+        return _count_deviations(sums.reshape(rows, 1, 2, -1), np.ones_like)
 
-    return _by_block(seed, reps, _ROWS, draw) / data.n
+    rows = max(1, _CHUNK // (words + counts.size))
+    return _by_block(seed, reps, rows, draw) / data.n
 
 
 def _sweep(steps: np.ndarray, base: np.ndarray) -> np.ndarray:

@@ -71,7 +71,7 @@ class ExperimentSpec:
     n_train: int = 2000
     n_test: int = 2000
     train: dict = field(default_factory=dict)  # TrainConfig overrides
-    bias: dict | None = None  # BiasSpec fields
+    bias: dict | None = None  # BiasSpec fields, strata_shift only
     synthetic: dict = field(default_factory=dict)  # generator parameters
     prior: dict = field(default_factory=dict)  # {"pk": [...]}, strata_shift only
     train_csv: str | None = None
@@ -105,6 +105,8 @@ class ExperimentSpec:
             hint = "a test positive rate is synthetic.p" if key == "p" else "it reads " + (
                 ", ".join(scenario.priors) or "none")
             raise ValidationError(f"scenario {self.scenario!r} does not read prior.{key}; {hint}")
+        if self.bias is not None and not scenario.bias:
+            raise ValidationError(f"scenario {self.scenario!r} does not read bias")
         if self.model_kind not in train_mod.MODEL_KINDS:
             raise ValidationError(f"unknown model kind {self.model_kind!r}")
         if self.out_dir is not None and not (isinstance(self.out_dir, str) and self.out_dir):
@@ -203,11 +205,12 @@ _SharedData = namedtuple("SharedData", "test draw_train oracle priors p_prime",
 
 # A scenario: generator(spec) builds it from spec.synthetic and checks the
 # ``priors`` keys it reads; ``modes`` names the weights.modes rows it runs,
-# in that table's order; ``csv`` says if it takes train_csv/test_csv;
-# shared(spec, test_seed) draws or ingests its _SharedData; curves(spec),
-# for it, gives the closed-form results of a scenario that trains nothing.
-_Scenario = namedtuple("Scenario", "generator modes shared curves priors csv",
-                       defaults=(None, None, (), False))
+# in that table's order; ``csv`` says if it takes train_csv/test_csv and
+# ``bias`` if it reads spec.bias; shared(spec, test_seed) draws or ingests its
+# _SharedData; curves(spec), for it, gives the closed-form results of a
+# scenario that trains nothing.
+_Scenario = namedtuple("Scenario", "generator modes shared curves priors csv bias",
+                       defaults=(None, None, (), False, False))
 
 
 def _modes(scenario: str) -> tuple[str, ...]:
@@ -361,7 +364,7 @@ SCENARIOS: dict[str, _Scenario] = {
     "analytic_excess": _Scenario(_excess_models, ("uniform",), curves=_excess_curves),
     "class_shift": _Scenario(_analytic_model, ("uniform", "class"), _analytic_shared),
     "strata_shift": _Scenario(_strata_generator, ("uniform", "class", "strata"), _strata_shared,
-                              priors=("pk",), csv=True),
+                              priors=("pk",), csv=True, bias=True),
     "pu": _Scenario(_analytic_model, ("uniform", "class", "pu"), _analytic_shared),
     "censored": _Scenario(
         lambda spec: _build(synthetic.CensoredSpec, "synthetic", spec.synthetic),

@@ -44,6 +44,11 @@ class TestPowerLaw:
         spec = BiasSpec(gamma=1.0, target_pk=pk)
         np.testing.assert_array_equal(power_law_distribution(spec, 3), pk)
 
+    def test_gamma_one_still_checks_the_permutation(self):
+        spec = BiasSpec(gamma=1.0, permutation=(1, 2), target_pk=(0.2, 0.3, 0.5))
+        with pytest.raises(ValidationError, match=r"bijection of 1\.\.3"):
+            power_law_distribution(spec, 3)
+
     def test_k3_uniform_half_gamma(self):
         # multipliers 2, sqrt(2), cbrt(2) on a uniform base, renormalized
         spec = BiasSpec(gamma=0.5, target_pk=(1 / 3, 1 / 3, 1 / 3))

@@ -480,13 +480,13 @@ class TestFormulaParity:
             assert (res.required_n, res.valid) == (dev.required_n, dev.valid)
 
 
-# (mean, sd) of the draws at the block edges, taken from the cell kernel
-# (binomial sign sums per (class, bin) cell, blocks of 1,024)
+# (mean, sd) of the draws at the block edges, taken from the bit kernel
+# (one raw bit per record, blocks of 1,024)
 RADEMACHER_PINS = {
-    1: (0.140625, 0.0),
-    1023: (0.11791300097751711, 0.04582082925945838),
-    1024: (0.1179656982421875, 0.04582945479207477),
-    1025: (0.11792682926829268, 0.04582397703881428),
+    1: (0.09375, 0.0),
+    1023: (0.12003604594330401, 0.045107473202783424),
+    1024: (0.120025634765625, 0.04508667240062773),
+    1025: (0.12003048780487804, 0.04506494111895331),
 }
 
 
@@ -522,29 +522,31 @@ def _record_cells(data, grid):
 
 
 def _one_call_cells(data, grid, reps, seed):
-    """The cell kernel written out: each block draws all its (class, bin)
-    heads in one call, and a draw's maximum is its sign sums times the
-    (threshold, class, bin) loss matrix of the cells."""
-    cells, size = _record_cells(data, grid)
-    counts = np.bincount(cells, minlength=2 * size).reshape(2, size)
-    k, j = np.arange(size - 1)[:, None], np.arange(size)[None, :]
-    loss = np.stack([j > k, j <= k], axis=1).reshape(size - 1, -1)
+    """The bit kernel by its definition: each block draws all its raw words
+    in one call, n // 64 + 1 a draw; the record at place t of the stable
+    (class, bin) cell order takes bit t of its draw's words, read by shifts,
+    as its sign; and a draw's maximum is max |M sigma| / n over the (grid, n)
+    loss matrix M."""
+    cells, _ = _record_cells(data, grid)
+    place = np.empty(data.n, np.uint64)
+    place[np.argsort(cells, kind="stable")] = np.arange(data.n)
+    M = np.stack([per_record_losses(data, THRESH, h) for h in grid])
     vals = []
     for b, done in enumerate(range(0, reps, 1024)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        heads = rng.binomial(counts, 0.5, size=(min(1024, reps - done), *counts.shape))
-        sums = (2 * heads - counts).reshape(len(heads), -1)
-        vals.append(np.abs(sums @ loss.T).max(axis=1) / data.n)
+        raw = rng.bit_generator.random_raw((min(1024, reps - done), data.n // 64 + 1))
+        bits = (raw[:, place >> np.uint64(6)] >> (place & np.uint64(63))) & np.uint64(1)
+        vals.append(np.abs(M @ (2.0 * bits - 1.0).T).max(axis=0) / data.n)
     return np.concatenate(vals)
 
 
 RADEMACHER_GRID = [-math.inf, *np.linspace(0, 1, 9), math.inf]
 
 
-# reps at the row-chunk edges (16 rows, and 64 before), and at the block
-# edges (1,024 draws)
+# reps at the block edges (1,024 draws) and below; n at the word edges too
+# (64 signs a word), so that cells straddle words and a last word is partial
 @pytest.mark.parametrize("reps", [1, 15, 16, 17, 63, 64, 65, 1023, 1024, 1025, 2049])
-@pytest.mark.parametrize("n", [1, 7, 64, 333, 2001])
+@pytest.mark.parametrize("n", [1, 7, 64, 333, 2001, 63, 127, 128, 129])
 def test_rademacher_equals_one_call_blocks(n, reps):
     data = sample(AnalyticModel(1.0, 1.0, 0.5), n, 0.5, n)
     got = _rademacher_draws(data, RADEMACHER_GRID, THRESH, reps, 9)
@@ -572,7 +574,8 @@ def test_rademacher_law_is_the_record_sign_law():
 def test_rademacher_does_not_depend_on_row_count(monkeypatch, rows):
     data = sample(AnalyticModel(1.0, 1.0, 0.5), 333, 0.5, 6)
     want = _rademacher_draws(data, RADEMACHER_GRID, THRESH, 2049, 9)
-    monkeypatch.setattr(bounds, "_ROWS", rows)
+    # a draw at n = 333 takes 6 words, and the grid's 12 bins make 24 cells
+    monkeypatch.setattr(bounds, "_CHUNK", rows * (6 + 24))
     assert np.array_equal(_rademacher_draws(data, RADEMACHER_GRID, THRESH, 2049, 9), want)
 
 

@@ -83,8 +83,9 @@ def spec_documents(draw):
     required, optional = SYNTHETIC[scenario]
     record = experiment.SCENARIOS[scenario]
     modes = st.lists(st.sampled_from(experiment._modes(scenario)), min_size=1, max_size=3)
-    # a prior only where the scenario reads one; BAD_SPECS covers the refusal
-    extra = {k: v for k, v in OPTIONAL.items() if k != "prior" or record.priors}
+    # a prior or bias only where the scenario reads it; BAD_SPECS covers the refusal
+    reads = {"prior": bool(record.priors), "bias": record.bias}
+    extra = {k: v for k, v in OPTIONAL.items() if reads.get(k, True)}
     doc = draw(st.fixed_dictionaries(
         {"scenario": st.just(scenario), **SIZES}, optional={"modes": modes, **extra}
     ))

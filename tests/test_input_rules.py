@@ -597,6 +597,19 @@ BAD_SPECS = {
                                      r"permutation must be a bijection of 1\.\.5"),
     "bias target_pk of 2 strata": ({**STRATA, "bias": {"gamma": 0.5, "target_pk": [0.5, 0.5]}},
                                    "target_pk has 2 entries, expected 5"),
+    # gamma 1 once returned target_pk before the permutation was checked
+    "bias permutation of 2 strata at gamma 1": (
+        {**STRATA, "bias": {"gamma": 1.0, "permutation": [1, 2]}},
+        r"permutation must be a bijection of 1\.\.5"),
+    # a bias no scenario but strata_shift reads was once echoed and ignored
+    "bias on class_shift": ({**CLASS_SHIFT, "bias": {"gamma": 0.1, "permutation": [1, 2, 3]}},
+                            "scenario 'class_shift' does not read bias$"),
+    "bias on pu": ({"scenario": "pu", "synthetic": {"p": 0.3, "q": 0.4}, "bias": {"gamma": 1.0}},
+                   "scenario 'pu' does not read bias$"),
+    "bias on censored": ({"scenario": "censored", "bias": {"gamma": 0.5}},
+                         "scenario 'censored' does not read bias$"),
+    "bias on analytic_excess": ({"scenario": "analytic_excess", "bias": {}},
+                                "scenario 'analytic_excess' does not read bias$"),
     "prior.pk too short": ({**STRATA, "prior": {"pk": [0.5, 0.5]}},
                            "prior.pk needs 5 entries, one per stratum"),
     "prior.pk sums to 2": ({**STRATA, "prior": {"pk": [0.4] * 5}},
